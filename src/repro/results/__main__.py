@@ -28,6 +28,14 @@ import sys
 
 from repro.results.query import diff_stores, render_diff, render_entry, render_store_table
 from repro.results.store import DEFAULT_STORE_ROOT, ResultStore
+from repro.store.cli import StoreCommands
+
+COMMANDS = StoreCommands(
+    store=ResultStore,
+    default_root=DEFAULT_STORE_ROOT,
+    render_table=render_store_table,
+    render_entry=lambda entry, args: render_entry(entry),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,19 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Inspect a content-addressed campaign result store.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ls = sub.add_parser("ls", help="list stored cells")
-    ls.add_argument("--store", default=str(DEFAULT_STORE_ROOT),
-                    help=f"store root (default {DEFAULT_STORE_ROOT})")
-    ls.add_argument("--limit", type=int, default=None, metavar="N",
-                    help="print at most N rows")
-    ls.add_argument("--prefix", default=None,
-                    help="only list keys starting with this hex prefix")
-
-    show = sub.add_parser("show", help="show one cell's full metrics")
-    show.add_argument("key", help="content key (an unambiguous prefix is enough)")
-    show.add_argument("--store", default=str(DEFAULT_STORE_ROOT),
-                      help=f"store root (default {DEFAULT_STORE_ROOT})")
+    COMMANDS.add_ls(sub)
+    COMMANDS.add_show(sub, help="show one cell's full metrics")
 
     diff = sub.add_parser("diff", help="diff two stores cell by cell")
     diff.add_argument("store_a")
@@ -70,58 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "trace stores — so one command ships both tiers "
                             "of a sharded campaign")
 
-    gc = sub.add_parser("gc", help="collect entries (dry run without --delete)")
-    gc.add_argument("--store", default=str(DEFAULT_STORE_ROOT),
-                    help=f"store root (default {DEFAULT_STORE_ROOT})")
-    gc.add_argument("--scenario", default=None,
-                    help="also collect entries of this scenario")
-    gc.add_argument("--workload-contains", default=None, metavar="SUBSTRING",
-                    help="also collect entries whose workload label contains this")
-    gc.add_argument("--all", action="store_true",
-                    help="collect every entry")
-    gc.add_argument("--lru", type=int, default=None, metavar="BYTES",
-                    help="evict least-recently-read entries until the "
-                         "survivors total at most BYTES")
-    gc.add_argument("--max-age", type=float, default=None, metavar="SECONDS",
-                    help="also collect entries whose file is older than this")
-    gc.add_argument("--delete", action="store_true",
-                    help="actually delete (default: dry run)")
+    COMMANDS.add_gc(sub)
     return parser
-
-
-def _gc_predicate(args: argparse.Namespace):
-    if args.all:
-        return lambda entry: True
-    if args.scenario is None and args.workload_contains is None:
-        return None  # only unreadable/old-format entries
-    def predicate(entry) -> bool:
-        if args.scenario is not None and entry.contents["scenario"] != args.scenario:
-            return False
-        if (
-            args.workload_contains is not None
-            and args.workload_contains not in entry.run.workload.label
-        ):
-            return False
-        return True
-    return predicate
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "ls":
-        store = ResultStore(args.store)
-        print(f"store {store.root}: {len(store)} cell(s)")
-        print(render_store_table(store, limit=args.limit, prefix=args.prefix))
-        return 0
-    if args.command == "show":
-        store = ResultStore(args.store)
-        try:
-            entry = store.load(args.key)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 1
-        print(render_entry(entry))
-        return 0
+    code = COMMANDS.run(args)
+    if code is not None:
+        return code
     if args.command == "diff":
         diff = diff_stores(ResultStore(args.store_a), ResultStore(args.store_b))
         print(render_diff(diff))
@@ -129,7 +83,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "merge":
         from repro.traces.store import TraceStore
 
-        out = ResultStore(args.out)
         if args.traces is not None and len(args.traces) < 2:
             print("--traces needs a target root and at least one shard root",
                   file=sys.stderr)
@@ -143,37 +96,20 @@ def main(argv: list[str] | None = None) -> int:
             for root in missing:
                 print(f"shard store {root} does not exist", file=sys.stderr)
             return 1
-        total = 0
-        for shard_root in args.shards:
-            shard = ResultStore(shard_root)
-            copied = out.merge(shard, overwrite=args.overwrite)
-            total += copied
-            print(f"merged {shard.root}: {copied} of {len(shard)} entr(y/ies) copied")
-        print(f"store {out.root}: {len(out)} cell(s) after merging {total}")
+        # Per tier: target, shards, and the wording of its two output lines.
+        tiers = [(ResultStore(args.out), map(ResultStore, args.shards),
+                  "", "entr(y/ies)", "store", "cell(s)")]
         if args.traces is not None:
-            trace_out = TraceStore(args.traces[0])
-            trace_total = 0
-            for shard_root in trace_shards:
-                shard = TraceStore(shard_root)
-                copied = trace_out.merge(shard, overwrite=args.overwrite)
-                trace_total += copied
-                print(f"merged traces {shard.root}: "
-                      f"{copied} of {len(shard)} trace(s) copied")
-            print(f"trace store {trace_out.root}: {len(trace_out)} trace(s) "
-                  f"after merging {trace_total}")
-        return 0
-    if args.command == "gc":
-        store = ResultStore(args.store)
-        removed = store.gc(
-            _gc_predicate(args),
-            dry_run=not args.delete,
-            lru_bytes=args.lru,
-            max_age=args.max_age,
-        )
-        verb = "removed" if args.delete else "would remove"
-        print(f"gc {store.root}: {verb} {len(removed)} entr(y/ies)")
-        for key in removed:
-            print(f"  {key[:12]}")
+            tiers.append((TraceStore(args.traces[0]), map(TraceStore, trace_shards),
+                          "traces ", "trace(s)", "trace store", "trace(s)"))
+        for target, shards, what, unit, label, cells in tiers:
+            total = 0
+            for shard in shards:
+                copied = target.merge(shard, overwrite=args.overwrite)
+                total += copied
+                print(f"merged {what}{shard.root}: "
+                      f"{copied} of {len(shard)} {unit} copied")
+            print(f"{label} {target.root}: {len(target)} {cells} after merging {total}")
         return 0
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -17,7 +17,7 @@ per-run sink export) with its ``.pcf``/``.row`` companion files so the
 real Paraver UI can open it, or the decompressed JSONL record stream.
 File names use the content key alone, so re-exports overwrite instead of
 accumulating.  ``show --head N`` and windowed queries route through the
-v3 artifact's segment table, inflating only the slices they touch.
+artifact's segment table, inflating only the slices they touch.
 ``gc`` is a dry run unless ``--delete`` is given; unreadable or old-format
 artifacts are always candidates.
 """
@@ -31,6 +31,7 @@ from pathlib import Path
 
 from repro.experiments.tables import render_table
 from repro.results.sinks import pcf_text, prv_text, row_text
+from repro.store.cli import StoreCommands
 from repro.traces.query import TraceReader
 from repro.traces.store import DEFAULT_TRACE_ROOT, TraceEntry, TraceStore
 
@@ -41,21 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Inspect a content-addressed campaign trace store.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_store(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--store", default=str(DEFAULT_TRACE_ROOT),
-                       help=f"trace store root (default {DEFAULT_TRACE_ROOT})")
-
-    ls = sub.add_parser("ls", help="list stored traces")
-    add_store(ls)
-    ls.add_argument("--limit", type=int, default=None, metavar="N",
-                    help="print at most N rows")
-    ls.add_argument("--prefix", default=None,
-                    help="only list keys starting with this hex prefix")
-
-    show = sub.add_parser("show", help="show one trace's timelines")
-    show.add_argument("key", help="content key (an unambiguous prefix is enough)")
-    add_store(show)
+    COMMANDS.add_ls(sub)
+    show = COMMANDS.add_show(sub, help="show one trace's timelines")
     show.add_argument("--bin-seconds", type=float, default=100.0,
                       help="timeline bin width in seconds (default 100)")
     show.add_argument("--head", type=int, default=None, metavar="N",
@@ -68,26 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = sub.add_parser("export", help="re-emit one stored trace")
     export.add_argument("key", help="content key (an unambiguous prefix is enough)")
-    add_store(export)
+    COMMANDS.add_store(export)
     export.add_argument("--format", choices=("prv", "jsonl"), default="prv",
                         help="output format (default prv)")
     export.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default current directory)")
 
-    gc = sub.add_parser("gc", help="collect artifacts (dry run without --delete)")
-    add_store(gc)
-    gc.add_argument("--scenario", default=None,
-                    help="also collect traces of this scenario")
-    gc.add_argument("--workload-contains", default=None, metavar="SUBSTRING",
-                    help="also collect traces whose workload label contains this")
-    gc.add_argument("--all", action="store_true", help="collect every artifact")
-    gc.add_argument("--lru", type=int, default=None, metavar="BYTES",
-                    help="evict least-recently-read artifacts until the "
-                         "survivors total at most BYTES")
-    gc.add_argument("--max-age", type=float, default=None, metavar="SECONDS",
-                    help="also collect artifacts whose file is older than this")
-    gc.add_argument("--delete", action="store_true",
-                    help="actually delete (default: dry run)")
+    COMMANDS.add_gc(sub)
     return parser
 
 
@@ -155,10 +130,7 @@ def render_trace_sched(entry: TraceEntry) -> str:
     ``sched`` member (zero simulation, no step segment inflates)."""
     timeline = entry.sched
     if not len(timeline):
-        return (
-            "(no scheduler records — artifact predates trace format v4; "
-            "re-run the cell to backfill it)"
-        )
+        return "(no scheduler records)"
     lines = [
         render_table(
             ["Job", "Submit (s)", "Start (s)", "End (s)", "Wait (s)",
@@ -238,73 +210,54 @@ def render_trace(entry: TraceEntry, bin_seconds: float) -> str:
     return "\n".join(lines)
 
 
-def _gc_predicate(args: argparse.Namespace):
-    if args.all:
-        return lambda entry: True
-    if args.scenario is None and args.workload_contains is None:
-        return None  # only unreadable/old-format artifacts
-    def predicate(entry: TraceEntry) -> bool:
-        if args.scenario is not None and entry.header["scenario"] != args.scenario:
-            return False
-        if (
-            args.workload_contains is not None
-            and args.workload_contains not in entry.run.workload.label
-        ):
-            return False
-        return True
-    return predicate
+def _render_show(entry: TraceEntry, args: argparse.Namespace) -> str:
+    if args.sched:
+        return render_trace_sched(entry)
+    if args.head is not None:
+        return render_trace_head(entry, args.head)
+    return render_trace(entry, args.bin_seconds)
+
+
+COMMANDS = StoreCommands(
+    store=TraceStore,
+    default_root=DEFAULT_TRACE_ROOT,
+    render_table=render_trace_table,
+    render_entry=_render_show,
+    label="trace store",
+    cell="trace",
+    entry="artifact",
+    entries="artifacts",
+    matching="traces",
+    removed="trace(s)",
+)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    store = TraceStore(args.store)
-    if args.command == "ls":
-        print(f"trace store {store.root}: {len(store)} trace(s)")
-        print(render_trace_table(store, limit=args.limit, prefix=args.prefix))
-        return 0
-    if args.command in ("show", "export"):
-        try:
-            entry = store.load(args.key)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 1
-        if args.command == "show":
-            if args.sched:
-                print(render_trace_sched(entry))
-            elif args.head is not None:
-                print(render_trace_head(entry, args.head))
-            else:
-                print(render_trace(entry, args.bin_seconds))
-            return 0
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        stem = f"{entry.header['scenario']}-{entry.key[:12]}"
-        if args.format == "prv":
-            # Emit the Paraver triple: the .prv record stream plus the .pcf
-            # event/value dictionary and .row axis labels the real Paraver
-            # UI needs to open it.
-            path = out / f"{stem}.prv"
-            path.write_text(prv_text(entry.tracer))
-            (out / f"{stem}.pcf").write_text(pcf_text(entry.tracer))
-            (out / f"{stem}.row").write_text(row_text(entry.tracer))
-        else:
-            path = out / f"{stem}.jsonl"
-            path.write_bytes(gzip.decompress(entry.path.read_bytes()))
-        print(f"exported {entry.key[:12]} -> {path}")
-        return 0
-    if args.command == "gc":
-        removed = store.gc(
-            _gc_predicate(args),
-            dry_run=not args.delete,
-            lru_bytes=args.lru,
-            max_age=args.max_age,
-        )
-        verb = "removed" if args.delete else "would remove"
-        print(f"gc {store.root}: {verb} {len(removed)} trace(s)")
-        for key in removed:
-            print(f"  {key[:12]}")
-        return 0
-    raise AssertionError(f"unhandled command {args.command!r}")
+    code = COMMANDS.run(args)
+    if code is not None:
+        return code
+    if args.command != "export":
+        raise AssertionError(f"unhandled command {args.command!r}")
+    entry = COMMANDS.load(TraceStore(args.store), args.key)
+    if entry is None:
+        return 1
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    stem = f"{entry.header['scenario']}-{entry.key[:12]}"
+    if args.format == "prv":
+        # Emit the Paraver triple: the .prv record stream plus the .pcf
+        # event/value dictionary and .row axis labels the real Paraver
+        # UI needs to open it.
+        path = out / f"{stem}.prv"
+        path.write_text(prv_text(entry.tracer))
+        (out / f"{stem}.pcf").write_text(pcf_text(entry.tracer))
+        (out / f"{stem}.row").write_text(row_text(entry.tracer))
+    else:
+        path = out / f"{stem}.jsonl"
+        path.write_bytes(gzip.decompress(entry.path.read_bytes()))
+    print(f"exported {entry.key[:12]} -> {path}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ compact :class:`~repro.campaign.runner.RunMetrics` row of every campaign
 cell; this module adds the second tier the trace-derived figures (3, 5, 13,
 14) need: every executed run's full :class:`~repro.metrics.tracing.Tracer`
 persists as one gzip-compressed JSONL artifact keyed by the **same**
-:func:`~repro.results.store.content_key` as the metrics entry.  The two
+:func:`~repro.store.content.content_key` as the metrics entry.  The two
 tiers thus address the same cell by the same hash — a key found in both
 means "this simulation's reporting is fully reconstructable without
 re-simulating".
@@ -25,7 +25,7 @@ record stream:
 * one member with the mask-change records (omitted when there are none);
 * one final member with the scheduler-timeline records (queue samples, node
   allocation samples, job lifecycle rows — see :mod:`repro.obs.sched`;
-  omitted when the run recorded none, as v3 artifacts always did).
+  omitted when the run recorded none).
 
 Because the header carries every member's compressed length, a reader seeks
 straight to any segment and inflates only the time windows a query touches
@@ -34,7 +34,8 @@ copy reads as a miss even though its header member is intact.  Floats
 serialise via ``repr`` and every member is written with a zeroed gzip
 mtime, so the same tracer always produces byte-identical artifacts —
 re-puts are idempotent, and shard stores merge by plain file union like the
-metrics tier.
+metrics tier.  Everything but this codec lives in
+:class:`~repro.store.content.ContentStore`.
 """
 
 from __future__ import annotations
@@ -47,14 +48,18 @@ import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.campaign.spec import RunSpec
 from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
 from repro.obs.log import get_logger
 from repro.obs.sched import SchedTimeline
-from repro.results.store import content_key, spec_contents, spec_from_contents
-from repro.store.index import IndexEntry, StoreIndex
+from repro.store.content import (
+    ContentStore,
+    content_key,
+    spec_contents,
+    spec_from_contents,
+)
 
 _log = get_logger("traces.store")
 
@@ -68,7 +73,7 @@ DEFAULT_TRACE_ROOT = Path("benchmarks") / "results" / "traces"
 #: Bumped whenever the artifact layout or the content-hash inputs change;
 #: old artifacts are then cache misses and ``gc`` collects them.  The hash
 #: inputs are shared with the metrics tier, so a metrics schema bump that
-#: changes :func:`~repro.results.store.spec_contents` must bump this too.
+#: changes :func:`~repro.store.content.spec_contents` must bump this too.
 #:
 #: Version history:
 #:
@@ -80,30 +85,16 @@ DEFAULT_TRACE_ROOT = Path("benchmarks") / "results" / "traces"
 #:   with a byte-offset ``segments`` table in the header, so windowed
 #:   queries inflate only the touched segments.  The decompressed record
 #:   stream is unchanged from v2.
-#: * 4 — optional trailing ``sched`` member holding the scheduler timeline
+#: * 4 — trailing ``sched`` member holding the scheduler timeline
 #:   (queue/node/lifecycle records) with its byte length in the header's
-#:   ``sched_bytes``.  Strictly additive, so v3 artifacts stay readable
-#:   (they simply expose an empty timeline) — see ``_COMPAT_VERSIONS``.
+#:   ``sched_bytes``.  The tier is a cache, so v3 artifacts are misses that
+#:   ``gc`` collects, like every older format.
 TRACE_FORMAT_VERSION = 4
-
-#: Formats the reader accepts.  v3 is a pure prefix of v4 (no sched member,
-#: no ``sched_bytes`` header field), so accepting it costs nothing; anything
-#: older has a different record stream and reads as a miss.
-_COMPAT_VERSIONS = frozenset({3, TRACE_FORMAT_VERSION})
-
-_SUFFIX = ".jsonl.gz"
 
 #: Step records per segment member.  Small enough that an interval query
 #: over a million-step trace inflates a sliver, large enough that gzip
 #: still sees repetitive JSONL to compress well.
 DEFAULT_SEGMENT_STEPS = 2048
-
-#: Everything a read of a missing/corrupt/stale artifact can raise, and that
-#: must therefore read as a *miss* rather than abort a campaign: filesystem
-#: errors (``gzip.BadGzipFile`` is an ``OSError``), malformed JSON/headers,
-#: and truncated or bit-rotted compressed streams (``EOFError`` /
-#: ``zlib.error`` — e.g. an interrupted copy of a shard store).
-_READ_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError, zlib.error)
 
 
 def _gzip_member(text: str) -> bytes:
@@ -148,21 +139,34 @@ class TraceEntry:
     def segments(self) -> list[dict]:
         """The header's segment table: ``{"t0", "t1", "n", "bytes"}`` per
         step chunk, in canonical step order."""
-        return self.header.get("segments", [])
+        return self.header["segments"]
 
     @property
     def segments_inflated(self) -> int:
         """How many step segments this entry has decompressed so far."""
         return sum(1 for key in self._inflated if isinstance(key, int))
 
-    def _member_records(self, offset: int, length: int) -> list[dict]:
+    def _member_records(
+        self, offset: int, length: int, kind: str | None = None
+    ) -> list[dict]:
+        """The JSON records of one member (none for an absent, zero-length
+        member); every one must be of ``kind`` when given."""
+        if not length:
+            return []
         with open(self.path, "rb") as stream:
             stream.seek(offset)
             blob = stream.read(length)
         if len(blob) != length:
             raise ValueError(f"{self.path} is truncated at offset {offset}")
         text = gzip.decompress(blob).decode("utf-8")
-        return [json.loads(line) for line in text.splitlines() if line]
+        records = [json.loads(line) for line in text.splitlines() if line]
+        if kind is not None:
+            for record in records:
+                if record.get("record") != kind:
+                    raise ValueError(
+                        f"unknown record type {record.get('record')!r} in {self.path}"
+                    )
+        return records
 
     def _segment_offset(self, index: int) -> int:
         return self.header_bytes + sum(
@@ -173,33 +177,21 @@ class TraceEntry:
         """The step records of one segment, inflating it on first touch."""
         if index not in self._inflated:
             meta = self.segments[index]
-            steps: list[StepRecord] = []
-            for record in self._member_records(
-                self._segment_offset(index), int(meta["bytes"])
-            ):
-                if record.get("record") != "step":
-                    raise ValueError(
-                        f"unknown record type {record.get('record')!r} in {self.path}"
-                    )
-                steps.append(StepRecord.from_record(record))
-            self._inflated[index] = steps
+            records = self._member_records(
+                self._segment_offset(index), int(meta["bytes"]), "step"
+            )
+            self._inflated[index] = [StepRecord.from_record(r) for r in records]
         return self._inflated[index]
 
     def mask_records(self) -> list[MaskChangeRecord]:
         """The mask-change records, inflating the mask member on first touch."""
         if "mask" not in self._inflated:
-            nbytes = int(self.header.get("mask_bytes", 0))
-            changes: list[MaskChangeRecord] = []
-            if nbytes:
-                offset = self._segment_offset(len(self.segments))
-                for record in self._member_records(offset, nbytes):
-                    if record.get("record") != "mask_change":
-                        raise ValueError(
-                            f"unknown record type {record.get('record')!r} "
-                            f"in {self.path}"
-                        )
-                    changes.append(MaskChangeRecord.from_record(record))
-            self._inflated["mask"] = changes
+            records = self._member_records(
+                self._segment_offset(len(self.segments)),
+                int(self.header["mask_bytes"]),
+                "mask_change",
+            )
+            self._inflated["mask"] = [MaskChangeRecord.from_record(r) for r in records]
         return self._inflated["mask"]
 
     def steps_between(self, lo: float, hi: float) -> list[StepRecord]:
@@ -233,21 +225,19 @@ class TraceEntry:
 
     def sched_records(self) -> list[dict]:
         """The raw scheduler-timeline records, inflating the sched member on
-        first touch (empty for v3 artifacts and sched-less runs)."""
+        first touch (empty for sched-less runs)."""
         if "sched" not in self._inflated:
-            nbytes = int(self.header.get("sched_bytes", 0))
-            records: list[dict] = []
-            if nbytes:
-                offset = self._segment_offset(len(self.segments)) + int(
-                    self.header.get("mask_bytes", 0)
-                )
-                records = self._member_records(offset, nbytes)
-            self._inflated["sched"] = records
+            offset = self._segment_offset(len(self.segments)) + int(
+                self.header["mask_bytes"]
+            )
+            self._inflated["sched"] = self._member_records(
+                offset, int(self.header["sched_bytes"])
+            )
         return self._inflated["sched"]
 
     @cached_property
     def sched(self) -> SchedTimeline:
-        """The run's scheduler timeline (empty for pre-v4 artifacts)."""
+        """The run's scheduler timeline (empty for sched-less runs)."""
         return SchedTimeline.from_records(self.sched_records())
 
     @cached_property
@@ -261,7 +251,7 @@ class TraceEntry:
         return tracer
 
 
-# -- index summaries ------------------------------------------------------------------
+# -- the store ------------------------------------------------------------------------
 
 
 def _summarise_header(header: dict) -> dict | None:
@@ -280,24 +270,71 @@ def _summarise_header(header: dict) -> dict | None:
         return None
 
 
-def _describe_artifact(path: Path) -> tuple[object, dict | None]:
-    """Index rebuild callback: a file's format version and summary; every
-    failure maps to "present but not renderable" — never raises."""
-    try:
-        header, _ = TraceStore._header_span(path)
-    except _READ_ERRORS:
-        return None, None
-    return header.get("version"), _summarise_header(header)
+def _header_span(path: Path) -> tuple[dict, int]:
+    """Parse and validate the header member; returns ``(header,
+    compressed_length)``.
 
-
-class TraceStore:
-    """Content-addressed, mergeable store of full run traces.
-
-    Mirrors :class:`~repro.results.store.ResultStore`'s contract: entries
-    are pure functions of their key's spec, reads never abort a campaign
-    (a bad artifact is a miss), writes are atomic, and :meth:`merge` is the
-    cross-host sharding union.
+    Cheap — only the small first member inflates — and the validation
+    cross-checks the header's member table against the file's actual byte
+    size, so a truncated artifact fails here even though its header member
+    is intact.
     """
+    decomp = zlib.decompressobj(wbits=31)
+    body = bytearray()
+    consumed = 0
+    with open(path, "rb") as stream:
+        while not decomp.eof:
+            chunk = stream.read(65536)
+            if not chunk:
+                raise ValueError(f"{path} ends mid-member")
+            body += decomp.decompress(chunk)
+            consumed += len(chunk)
+    header_bytes = consumed - len(decomp.unused_data)
+    header = json.loads(bytes(body).split(b"\n", 1)[0])
+    if not isinstance(header, dict) or header.get("record") != "run":
+        raise ValueError(f"{path} has no run header record")
+    if header.get("version") != TRACE_FORMAT_VERSION:
+        raise ValueError(
+            f"trace {path.name} has format {header.get('version')!r}, "
+            f"expected {TRACE_FORMAT_VERSION}"
+        )
+    expected = (
+        header_bytes
+        + sum(int(seg["bytes"]) for seg in header["segments"])
+        + int(header["mask_bytes"])
+        + int(header["sched_bytes"])
+    )
+    actual = path.stat().st_size
+    if actual != expected:
+        raise ValueError(
+            f"trace {path.name} holds {actual} byte(s), segment table "
+            f"expects {expected} — truncated or corrupt"
+        )
+    return header, header_bytes
+
+
+def _records_member(records) -> bytes:
+    """One gzip member of sorted-key JSON lines (empty for no records)."""
+    if not records:
+        return b""
+    return _gzip_member(
+        "\n".join(json.dumps(record, sort_keys=True) for record in records) + "\n"
+    )
+
+
+class TraceStore(ContentStore):
+    """Content-addressed, mergeable store of full run traces: one chunked
+    gzip JSONL artifact per cell, keyed like the metrics tier."""
+
+    SUFFIX = ".jsonl.gz"
+    VERSION = TRACE_FORMAT_VERSION
+    KIND = "traces"
+    NOUN = "trace"
+
+    # Own-class aliases of the shared methods: the per-layer benchmark
+    # (benchmarks/drombench/layers.py) wraps them through ``vars(cls)``.
+    get = ContentStore.get
+    scan = ContentStore.scan
 
     def __init__(
         self,
@@ -306,135 +343,15 @@ class TraceStore:
     ) -> None:
         if segment_steps <= 0:
             raise ValueError("segment_steps must be positive")
-        self.root = Path(root)
+        super().__init__(root)
         self.segment_steps = segment_steps
-        self._index: StoreIndex | None = None
 
-    def __getstate__(self) -> dict:
-        # Stores ship into pool/SSH workers (WorkerContext); the index is
-        # per-process derived state and rebuilds lazily on the other side.
-        return {"root": self.root, "segment_steps": self.segment_steps}
-
-    def __setstate__(self, state: dict) -> None:
-        self.root = state["root"]
-        self.segment_steps = state["segment_steps"]
-        self._index = None
-
-    @property
-    def index(self) -> StoreIndex:
-        """The store's append-only JSONL index (derived metadata; the
-        artifact files stay the only ground truth)."""
-        if self._index is None:
-            self._index = StoreIndex(
-                self.root,
-                suffix=_SUFFIX,
-                store_version=TRACE_FORMAT_VERSION,
-                describe=_describe_artifact,
-                kind="traces",
-            )
-        return self._index
-
-    # -- addressing --------------------------------------------------------------
-
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}{_SUFFIX}"
-
-    def scan(self) -> frozenset[str]:
-        """Every key present, from the index journal — O(1) filesystem work
-        on a warm store, one ``listdir`` + stat-diff after any write.
-
-        Mirrors :meth:`ResultStore.scan`: the campaign warm-scan checks N
-        cells against this one set and only header-reads the members.
-        Presence is name-level only — a scanned key can still be a miss if
-        its artifact is stale or unreadable — and the index self-heals from
-        the directory whenever it is missing, torn or disagrees with it.
-        """
-        if not self.root.is_dir():
-            return frozenset()
-        return self.index.scan()
-
-    def keys(self) -> list[str]:
-        return sorted(self.scan())
-
-    def __len__(self) -> int:
-        return len(self.scan())
-
-    def __contains__(self, run: RunSpec) -> bool:
-        """Whether ``run``'s cell holds a readable, current-format trace."""
-        try:
-            self._header_span(self.path_for(content_key(run)))
-        except _READ_ERRORS:
-            return False
-        return True
-
-    # -- read/write --------------------------------------------------------------
-
-    @staticmethod
-    def _header_span(path: Path) -> tuple[dict, int]:
-        """Parse and validate the header member; returns ``(header,
-        compressed_length)``.
-
-        Cheap for v3 artifacts — only the small first member inflates — and
-        the validation cross-checks the header's segment table against the
-        file's actual byte size, so a truncated artifact fails here even
-        though its header member is intact.
-        """
-        decomp = zlib.decompressobj(wbits=31)
-        body = bytearray()
-        consumed = 0
-        with open(path, "rb") as stream:
-            while not decomp.eof:
-                chunk = stream.read(65536)
-                if not chunk:
-                    raise ValueError(f"{path} ends mid-member")
-                body += decomp.decompress(chunk)
-                consumed += len(chunk)
-        header_bytes = consumed - len(decomp.unused_data)
-        header = json.loads(bytes(body).split(b"\n", 1)[0])
-        if not isinstance(header, dict) or header.get("record") != "run":
-            raise ValueError(f"{path} has no run header record")
-        if header.get("version") not in _COMPAT_VERSIONS:
-            raise ValueError(
-                f"trace {path.name} has format {header.get('version')!r}, "
-                f"expected one of {sorted(_COMPAT_VERSIONS)}"
-            )
-        expected = (
-            header_bytes
-            + sum(int(seg["bytes"]) for seg in header["segments"])
-            + int(header["mask_bytes"])
-            + int(header.get("sched_bytes", 0))
-        )
-        actual = path.stat().st_size
-        if actual != expected:
-            raise ValueError(
-                f"trace {path.name} holds {actual} byte(s), segment table "
-                f"expects {expected} — truncated or corrupt"
-            )
-        return header, header_bytes
-
-    @classmethod
-    def _read_header(cls, path: Path) -> dict:
-        """Parse and validate the artifact's header (see :meth:`_header_span`)."""
-        return cls._header_span(path)[0]
-
-    def _entry(self, key: str, path: Path) -> TraceEntry:
-        header, header_bytes = self._header_span(path)
+    def _decode(self, key: str, path: Path) -> TraceEntry:
+        header, header_bytes = _header_span(path)
         return TraceEntry(key=key, path=path, header=header, header_bytes=header_bytes)
 
-    def get(self, run: RunSpec, key: str | None = None) -> TraceEntry | None:
-        """The stored trace of ``run``'s cell, or ``None`` on a miss
-        (including unreadable, old-format or otherwise malformed artifacts —
-        a bad cache entry must mean "re-simulate", never abort).  ``key`` is
-        an optional precomputed ``content_key(run)``."""
-        if key is None:
-            key = content_key(run)
-        path = self.path_for(key)
-        try:
-            entry = self._entry(key, path)
-        except _READ_ERRORS:
-            return None
-        self.index.note_read(key)
-        return entry
+    def _summarise(self, entry: TraceEntry) -> dict | None:
+        return _summarise_header(entry.header)
 
     def put(self, run: RunSpec, result: "ScenarioResult") -> Path:
         """Persist one executed run's full trace under its content key.
@@ -452,10 +369,7 @@ class TraceStore:
         segment_table: list[dict] = []
         for start in range(0, len(steps), self.segment_steps):
             chunk = steps[start : start + self.segment_steps]
-            blob = _gzip_member(
-                "\n".join(json.dumps(step.to_record(), sort_keys=True) for step in chunk)
-                + "\n"
-            )
+            blob = _records_member([step.to_record() for step in chunk])
             segment_blobs.append(blob)
             segment_table.append(
                 {
@@ -465,24 +379,10 @@ class TraceStore:
                     "bytes": len(blob),
                 }
             )
-        mask_blob = b""
-        if changes:
-            mask_blob = _gzip_member(
-                "\n".join(
-                    json.dumps(change.to_record(), sort_keys=True) for change in changes
-                )
-                + "\n"
-            )
+        mask_blob = _records_member([change.to_record() for change in changes])
         sched = getattr(result, "sched", None)
         sched_records = sched.to_records() if sched is not None else []
-        sched_blob = b""
-        if sched_records:
-            sched_blob = _gzip_member(
-                "\n".join(
-                    json.dumps(record, sort_keys=True) for record in sched_records
-                )
-                + "\n"
-            )
+        sched_blob = _records_member(sched_records)
         header = {
             "record": "run",
             "version": TRACE_FORMAT_VERSION,
@@ -506,24 +406,7 @@ class TraceStore:
             + mask_blob
             + sched_blob
         )
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        # Unique temp name + atomic rename: concurrent writers of the same
-        # cell (pool workers, campaign shards) cannot interleave bytes.
-        tmp = self.root / f".{key}.{os.getpid()}.tmp"
-        tmp.write_bytes(data)
-        tmp.replace(path)
-        try:
-            st = path.stat()
-            self.index.record_put(
-                key,
-                size=st.st_size,
-                mtime_ns=st.st_mtime_ns,
-                version=TRACE_FORMAT_VERSION,
-                summary=_summarise_header(header),
-            )
-        except OSError:
-            pass  # the next scan reconciles the written file in
+        path = self._write(key, data, _summarise_header(header))
         _log.debug(
             "put %s (%s, %d step record(s), %d segment(s))",
             key[:12],
@@ -532,136 +415,3 @@ class TraceStore:
             len(segment_table),
         )
         return path
-
-    def load(self, key: str) -> TraceEntry:
-        """Read one entry by (possibly abbreviated, unambiguous) key."""
-        matches = [k for k in self.keys() if k.startswith(key)]
-        if not matches:
-            raise KeyError(f"no trace with key {key!r} in {self.root}")
-        if len(matches) > 1:
-            raise KeyError(f"key {key!r} is ambiguous ({len(matches)} matches)")
-        entry = self._entry(matches[0], self.path_for(matches[0]))
-        self.index.note_read(matches[0])
-        return entry
-
-    def summaries(
-        self, prefix: str | None = None, limit: int | None = None
-    ) -> list[IndexEntry]:
-        """Render-ready listing rows straight from the index — one journal
-        read instead of N header reads.  Keys whose artifact is stale or
-        unreadable (``summary is None``) are excluded, matching
-        :meth:`entries`'s visibility rule; rows come in key order."""
-        if not self.root.is_dir():
-            return []
-        rows = self.index.live_entries()
-        out: list[IndexEntry] = []
-        for key in sorted(rows):
-            if prefix is not None and not key.startswith(prefix):
-                continue
-            if rows[key].summary is None:
-                continue
-            out.append(rows[key])
-            if limit is not None and len(out) >= limit:
-                break
-        return out
-
-    def entries(self) -> Iterator[TraceEntry]:
-        """All live entries, sorted by key (corrupt or old-format artifacts
-        are skipped — same visibility rule as :meth:`get`)."""
-        for key in self.keys():
-            try:
-                yield self._entry(key, self.path_for(key))
-            except _READ_ERRORS:
-                continue
-
-    # -- maintenance -------------------------------------------------------------
-
-    def remove(self, key: str) -> None:
-        self.path_for(key).unlink(missing_ok=True)
-        self.index.record_remove(key)
-
-    def gc(
-        self,
-        predicate=None,
-        dry_run: bool = False,
-        lru_bytes: int | None = None,
-        max_age: float | None = None,
-        now: float | None = None,
-    ) -> list[str]:
-        """Collect artifacts: unreadable/old-format files always, plus any
-        whose :class:`TraceEntry` satisfies ``predicate``, plus the
-        retention policies' picks (``max_age`` in seconds on the file's
-        mtime, then ``lru_bytes`` evicting least-recently-read artifacts
-        until the survivors fit the byte budget).  Returns removed keys."""
-        doomed: list[str] = []
-        for key in self.keys():
-            path = self.path_for(key)
-            try:
-                entry = self._entry(key, path)
-            except _READ_ERRORS:
-                doomed.append(key)
-                continue
-            if predicate is not None and predicate(entry):
-                doomed.append(key)
-        doomed.extend(
-            self.index.retention_doomed(
-                lru_bytes=lru_bytes, max_age=max_age, now=now, exclude=set(doomed)
-            )
-        )
-        if not dry_run:
-            for key in doomed:
-                self.remove(key)
-                _log.debug("gc removed %s", key[:12])
-        _log.info(
-            "gc %s %d of %d artifact(s) in %s",
-            "would remove" if dry_run else "removed",
-            len(doomed),
-            len(self.keys()) + (0 if dry_run else len(doomed)),
-            self.root,
-        )
-        return doomed
-
-    def merge(self, other: "TraceStore", overwrite: bool = False) -> int:
-        """Union another trace store's artifacts into this one — the
-        campaign-sharding transport, shipping traces alongside the metrics
-        tier's :meth:`~repro.results.store.ResultStore.merge`.
-
-        Returns the number of artifacts copied.  Same rules as the metrics
-        tier: local current-format entries win unless ``overwrite``, stale or
-        unreadable source artifacts are never imported, and a stale local
-        file never shadows a current incoming one.
-        """
-        copied = 0
-        present = self.scan()
-        for key in sorted(other.scan()):
-            target = self.path_for(key)
-            if not overwrite and key in present:
-                try:
-                    self._read_header(target)
-                    continue  # current local entry wins
-                except _READ_ERRORS:
-                    pass  # stale or unreadable: the incoming one wins
-            source = other.path_for(key)
-            try:
-                header = other._read_header(source)
-                data = source.read_bytes()
-            except _READ_ERRORS:
-                continue
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = self.root / f".{key}.{os.getpid()}.tmp"
-            tmp.write_bytes(data)
-            tmp.replace(target)
-            try:
-                st = target.stat()
-                self.index.record_put(
-                    key,
-                    size=st.st_size,
-                    mtime_ns=st.st_mtime_ns,
-                    version=TRACE_FORMAT_VERSION,
-                    summary=_summarise_header(header),
-                )
-            except OSError:
-                pass  # the next scan reconciles the copied file in
-            copied += 1
-        _log.info("merged %d artifact(s) from %s", copied, other.root)
-        return copied

@@ -16,10 +16,14 @@ from repro.campaign import (
     RunSpec,
     SchedulerRef,
     SyntheticWorkloadRef,
+    execute_run,
     run_campaign,
+    summarise_run,
 )
 from repro.results import ResultStore, content_key, spec_contents, spec_from_contents
 from repro.results.__main__ import main as results_cli
+from repro.traces import TraceStore
+from repro.traces.store import _gzip_member
 from repro.workload.generator import SizeMixEntry, WorkloadSpec, heavy_tailed_size_mix
 from repro.workload.runner import DROM, SERIAL
 
@@ -386,6 +390,83 @@ class TestResultsCli:
         assert results_cli(["merge", str(out), root]) == 0
         assert "0 of 2" in capsys.readouterr().out
         assert len(ResultStore(out)) == len(populated)
+
+
+def _stale(store, run) -> None:
+    """Rewrite ``run``'s entry as a readable file of an older format."""
+    path = store.path_for(content_key(run))
+    if isinstance(store, ResultStore):
+        payload = json.loads(path.read_text())
+        payload["version"] -= 1
+        path.write_text(json.dumps(payload))
+        return
+    entry = store.get(run)
+    header = dict(entry.header, version=entry.header["version"] - 1)
+    body = path.read_bytes()[entry.header_bytes :]
+    path.write_bytes(_gzip_member(json.dumps(header, sort_keys=True) + "\n") + body)
+
+
+#: Ways an entry file goes bad; every one must read as a miss in both tiers.
+DAMAGE = {
+    "stale-format": _stale,
+    "non-utf8": lambda store, run: store.path_for(content_key(run)).write_bytes(
+        b"\xff\xfe not an entry \x80"
+    ),
+    "truncated": lambda store, run: store.path_for(content_key(run)).write_bytes(
+        store.path_for(content_key(run)).read_bytes()[:40]
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def executed():
+    run = a_run()
+    return run, execute_run(run, trace=True)
+
+
+def _filled(tier: str, root, run, result):
+    """A ``tier`` store under ``root`` holding ``run``'s cell."""
+    if tier == "results":
+        store = ResultStore(root)
+        store.put(summarise_run(run, result))
+    else:
+        store = TraceStore(root)
+        store.put(run, result)
+    return store
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("tier", ["results", "traces"])
+class TestTierContract:
+    """What both tiers promise about bad entry files, checked once."""
+
+    def test_in_means_get_would_hit(self, tier, damage, executed, tmp_path):
+        run, result = executed
+        store = _filled(tier, tmp_path, run, result)
+        assert run in store and store.get(run) is not None
+        DAMAGE[damage](store, run)
+        assert store.get(run) is None
+        assert run not in store
+        assert content_key(run) in store.keys()  # present by name, still a miss
+        assert store.gc() == [content_key(run)]
+
+    def test_merge_skips_a_bad_source_entry(self, tier, damage, executed, tmp_path):
+        run, result = executed
+        source = _filled(tier, tmp_path / "source", run, result)
+        DAMAGE[damage](source, run)
+        target = type(source)(tmp_path / "target")
+        assert target.merge(source) == 0
+        assert len(target) == 0
+
+    def test_merge_overwrites_a_bad_local_entry(self, tier, damage, executed, tmp_path):
+        run, result = executed
+        local = _filled(tier, tmp_path / "local", run, result)
+        remote = _filled(tier, tmp_path / "remote", run, result)
+        DAMAGE[damage](local, run)
+        assert local.merge(remote) == 1
+        path = local.path_for(content_key(run))
+        assert path.read_bytes() == remote.path_for(content_key(run)).read_bytes()
+        assert local.get(run) is not None and run in local
 
 
 class TestSchemaVersioning:

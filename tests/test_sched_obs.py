@@ -6,7 +6,7 @@ The load-bearing contracts:
   probe; queue depth is correct even mid-scheduling-pass (skipped jobs stay
   pending), and batched/unbatched executions record identical timelines.
 * **Trace format v4** — the sched member round-trips byte-identically, v3
-  artifacts still read (with an empty timeline), and a truncated sched
+  artifacts are cache misses that ``gc`` collects, and a truncated sched
   member is a cache miss.
 * **Warm == cold** — fairness/utilization queries over a stored artifact
   equal the live run's answers exactly, with zero simulation.
@@ -294,13 +294,14 @@ class TestSchedPersistence:
         # and it never inflated a step segment to answer
         assert entry.segments_inflated == 0
 
-    def test_v3_artifact_reads_with_empty_sched(self, stored, tmp_path):
+    def test_v3_artifact_is_a_miss_and_gc_collects_it(self, stored, tmp_path):
         # Hand-build a v3 artifact from the v4 one: drop the trailing sched
-        # member and rewrite the header without the v4 fields.  The store
-        # must keep serving it (empty timeline), not treat it as a miss.
+        # member and rewrite the header without the v4 fields.  The trace
+        # tier is a cache, so the old format is a miss that gc collects.
         run, _result, store, path = stored
         data = path.read_bytes()
-        header, header_bytes = TraceStore._header_span(path)
+        entry = store.get(run)
+        header, header_bytes = dict(entry.header), entry.header_bytes
         sched_bytes = header["sched_bytes"]
         assert sched_bytes > 0
         body = data[header_bytes : len(data) - sched_bytes]
@@ -316,12 +317,10 @@ class TestSchedPersistence:
         v3_path.write_bytes(
             _gzip_member(json.dumps(header, sort_keys=True) + "\n") + body
         )
-        entry = v3_store.get(run)
-        assert entry is not None
-        assert entry.sched == SchedTimeline()
-        assert TraceReader(entry).fairness_summary().njobs == 0
-        # the step records are still all there
-        assert len(entry.tracer) == entry.header["nsteps"]
+        assert v3_store.get(run) is None
+        assert run not in v3_store
+        assert v3_store.gc() == [content_key(run)]
+        assert not v3_path.exists() and len(v3_store) == 0
 
     def test_truncated_sched_member_is_a_miss(self, stored, tmp_path):
         run, result, _store, _path = stored

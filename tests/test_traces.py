@@ -98,9 +98,8 @@ class TestTraceStoreRoundTrip:
         assert run in store
 
     def test_stale_version_is_a_miss_and_gc_collects(self, traced_run, tmp_path):
-        # Version 2 predates the chunked layout and the sched member; it is
-        # outside the compat set.  v3 *is* accepted — the backward-compat
-        # path has its own coverage in tests/test_sched_obs.py.
+        # Version 2 predates the chunked layout and the sched member; like
+        # every format but the current one it reads as a miss.
         run, result = traced_run
         store = TraceStore(tmp_path)
         path = store.put(run, result)
