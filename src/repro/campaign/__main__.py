@@ -106,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "ignored) and only cells missing from the store "
                            "tiers re-execute; requires --store")
     dist.add_argument("--cell-timeout", type=float, default=None, metavar="S",
-                      help="per-cell timeout in seconds on the orchestrated "
-                           "path (timed-out cells retry; default none)")
+                      help="per-cell timeout in seconds for --workers N>1 "
+                           "and --executor (timed-out cells retry; default "
+                           "none)")
     dist.add_argument("--retries", type=int, default=2,
                       help="extra attempts per cell on transient executor "
                            "failures (default 2)")
@@ -418,48 +419,44 @@ def main(argv: list[str] | None = None) -> int:
             f"{result.executed} cell(s) re-executed, "
             f"{result.cache_hits} already in the store"
         )
-    elif args.profile is not None:
-        # Profile the serial executor: a worker pool would hide the hot path
-        # in child processes, so the sweep runs in-process under cProfile.
-        import cProfile
-        import pstats
+    else:
+        workers, profiler = args.workers, None
+        if args.profile is not None:
+            # Profile the serial executor: a worker pool would hide the hot
+            # path in child processes, so the sweep runs in-process under
+            # cProfile.
+            import cProfile
 
-        if args.workers != 1 or executors:
-            _log.warning(
-                "--profile forces the in-process executor; ignoring "
-                "--workers/--executor"
-            )
-        profiler = cProfile.Profile()
-        profiler.enable()
+            if args.workers != 1 or executors:
+                _log.warning(
+                    "--profile forces the in-process executor; ignoring "
+                    "--workers/--executor"
+                )
+            workers, executors, profiler = 1, None, cProfile.Profile()
+            profiler.enable()
         try:
             result = run_campaign(
                 spec,
-                workers=1,
+                workers=workers,
                 store=store,
                 trace_store=trace_store,
                 telemetry=telemetry,
                 progress=args.progress,
+                executor=executors,
                 manifest=args.manifest,
+                timeout=args.cell_timeout,
+                retries=args.retries,
+                backoff=args.backoff,
             )
         finally:
-            profiler.disable()
-            profiler.dump_stats(args.profile)
-        print(f"profile written to {args.profile}; top 20 by cumulative time:")
-        pstats.Stats(profiler).strip_dirs().sort_stats("cumulative").print_stats(20)
-    else:
-        result = run_campaign(
-            spec,
-            workers=args.workers,
-            store=store,
-            trace_store=trace_store,
-            telemetry=telemetry,
-            progress=args.progress,
-            executor=executors,
-            manifest=args.manifest,
-            timeout=args.cell_timeout,
-            retries=args.retries,
-            backoff=args.backoff,
-        )
+            if profiler is not None:
+                profiler.disable()
+                profiler.dump_stats(args.profile)
+        if profiler is not None:
+            import pstats
+
+            print(f"profile written to {args.profile}; top 20 by cumulative time:")
+            pstats.Stats(profiler).strip_dirs().sort_stats("cumulative").print_stats(20)
     if telemetry is not None:
         from repro.obs.export import write_chrome_trace, write_summary
 

@@ -1,4 +1,4 @@
-"""Campaign execution: expand, run (serially or in a worker pool), aggregate.
+"""Campaign execution: expand, run through the orchestrator, aggregate.
 
 The execution contract that everything else leans on:
 
@@ -6,11 +6,13 @@ The execution contract that everything else leans on:
   rebuilds the workload, cluster and policy from their declarative references
   and runs one fresh :class:`~repro.workload.runner.ScenarioRunner` on a fresh
   discrete-event engine.  No state leaks between runs.
-* :func:`run_campaign` executes the expanded run list either in-process
-  (``workers=1``) or on a ``multiprocessing`` pool, and aggregates the compact
-  per-run metrics in **run-index order**.  Because each run is pure and the
-  aggregation order is fixed, a fixed-seed campaign produces byte-identical
-  aggregated metrics no matter how many workers executed it.
+* :func:`run_campaign` deals every cell that misses the store tiers to
+  executors through one path, :func:`~repro.exec.orchestrator.orchestrate`
+  — in-process for ``workers=1``, a local process pool for ``workers=N``,
+  or any ``executor=`` fleet — and aggregates the compact per-run metrics
+  in **run-index order**.  Because each run is pure and the aggregation
+  order is fixed, a fixed-seed campaign produces byte-identical aggregated
+  metrics no matter how many workers executed it.
 
 Observability rides the same seam: every cell is measured on a *fresh clock*
 from the telemetry's clock factory and records a detached
@@ -234,7 +236,8 @@ def _execute_and_summarise(
     store: "ResultStore | None" = None,
     clock_factory=None,
 ) -> tuple[RunMetrics, Span | None]:
-    """Pool worker entry point (module-level so it pickles).
+    """Execute and persist one cell — what every local executor runs
+    (module-level so it pickles).
 
     Tracing is enabled only when sinks or the trace tier want the full
     trace; each worker writes its own runs' store entries and trace files
@@ -529,29 +532,19 @@ def execute_runs(
                     )
                 misses.append(run)
 
-        def collect(results, journal_as: str | None = None, advance: bool = True) -> None:
-            for row, span in results:
-                rows_by_index[row.run.index] = row
-                if span is not None:
-                    spans_by_index[row.run.index] = span
-                _log.debug("cell %04d: simulated", row.run.index)
-                if journal is not None and journal_as is not None:
-                    journal.record(
-                        keys[row.run.index],
-                        DONE,
-                        index=row.run.index,
-                        executor=journal_as,
-                    )
-                if line is not None and advance:
-                    line.advance()
-
         try:
-            if not misses:
-                pass
-            elif executors is not None:
+            if misses:
                 from repro.exec.base import WorkerContext
+                from repro.exec.local import InProcessExecutor, LocalPoolExecutor
                 from repro.exec.orchestrator import orchestrate
 
+                orchestrated = executors is not None
+                if not orchestrated and workers == 1:
+                    # An in-process cell cannot be pre-empted mid-run.
+                    executors, timeout = [InProcessExecutor()], None
+                elif not orchestrated:
+                    slots = min(workers, len(misses))
+                    executors = [LocalPoolExecutor(slots=slots, name=f"pool[{slots}]")]
                 context = WorkerContext(
                     sinks=sinks,
                     store=store,
@@ -560,6 +553,7 @@ def execute_runs(
                 )
 
                 def on_done(run, row, executor_name) -> None:
+                    _log.debug("cell %04d: simulated", run.index)
                     if journal is not None:
                         journal.record(
                             keys[run.index],
@@ -598,14 +592,20 @@ def execute_runs(
                     backoff=backoff,
                     on_done=on_done,
                     on_failed=on_failed,
-                    on_status=on_status,
-                    # A fresh clock (None when telemetry is off) turns on the
-                    # per-executor (time, depth, in-flight) series without
-                    # perturbing the campaign span's own clock domain.
-                    clock=obs.fresh_clock(),
+                    # The in-flight status segment, the per-executor series
+                    # and the executor spans below are ``executor=`` views:
+                    # ``workers=`` campaigns repaint once per completed cell
+                    # and record only the cell trees.  A fresh clock (None
+                    # when telemetry is off) leaves the campaign span's own
+                    # clock domain unperturbed.
+                    on_status=on_status if orchestrated else None,
+                    clock=obs.fresh_clock() if orchestrated else None,
                 )
-                collect(outcome.results, advance=False)
-                if obs.enabled:
+                for row, span in outcome.results:
+                    rows_by_index[row.run.index] = row
+                    if span is not None:
+                        spans_by_index[row.run.index] = span
+                if obs.enabled and orchestrated:
                     # One closed span per executor with its dispatch
                     # accounting — pure bookkeeping of the orchestration,
                     # adopted before the cell stitch so the tree layout is
@@ -632,43 +632,6 @@ def execute_runs(
                             ]
                         obs.adopt(span, parent=campaign)
                     campaign.count("max_queue_depth", outcome.max_queue_depth)
-            elif workers == 1:
-                collect(
-                    (
-                        _execute_and_summarise(
-                            run,
-                            sinks=sinks,
-                            trace_store=trace_store,
-                            store=store,
-                            clock_factory=clock_factory,
-                        )
-                        for run in misses
-                    ),
-                    journal_as="serial",
-                )
-            else:
-                # The worker pool ships the invariant context (sinks, store
-                # tiers, clock factory) once through its initializer; per
-                # cell only the RunSpec is pickled.  chunksize=1 keeps the
-                # work spread even when run times are skewed; rows are keyed
-                # by run index, so the unordered completion stream (which
-                # lets the progress line advance as cells land) still
-                # aggregates deterministically.
-                from repro.exec.base import WorkerContext
-                from repro.exec.local import pool_worker, worker_pool
-
-                context = WorkerContext(
-                    sinks=sinks,
-                    store=store,
-                    trace_store=trace_store,
-                    clock_factory=clock_factory,
-                )
-                processes = min(workers, len(misses))
-                with worker_pool(processes, context) as pool:
-                    collect(
-                        pool.imap_unordered(pool_worker, misses, chunksize=1),
-                        journal_as=f"pool[{processes}]",
-                    )
         finally:
             if line is not None:
                 line.finish()
@@ -730,15 +693,18 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute every run of ``spec`` and aggregate the metrics.
 
-    ``workers=1`` executes in-process; ``workers>1`` fans the runs out over a
-    ``multiprocessing`` pool whose workers receive the invariant campaign
-    context once through the pool initializer.  ``executor`` overrides both:
-    one :class:`~repro.exec.base.Executor` (or a list of them — e.g. a local
-    pool plus two SSH hosts) dealt cells by the asyncio orchestrator
-    (:mod:`repro.exec.orchestrator`), with per-cell ``timeout``, bounded
-    ``retries`` with exponential ``backoff``, and graceful degradation when
-    a backend dies.  All paths return identical results for the same spec:
-    each run is a pure function of its :class:`RunSpec` and rows are
+    Every cell that misses the store tiers is dealt by the asyncio
+    orchestrator (:mod:`repro.exec.orchestrator`) to ``executor`` — one
+    :class:`~repro.exec.base.Executor` or a list of them (e.g. a local pool
+    plus two SSH hosts).  Without one, ``workers`` picks the executor:
+    ``1`` runs cells in-process (:class:`~repro.exec.local.InProcessExecutor`;
+    a cell's own exception propagates unretried and ``timeout`` does not
+    apply), ``N`` runs a :class:`~repro.exec.local.LocalPoolExecutor` whose
+    workers receive the invariant campaign context once.  Pools and
+    executors get per-cell ``timeout``, bounded ``retries`` with exponential
+    ``backoff`` on transient failures, and graceful degradation when a
+    backend dies.  Every choice returns identical results for the same
+    spec: each run is a pure function of its :class:`RunSpec` and rows are
     aggregated in run-index order regardless of completion order.
 
     ``store`` memoises execution on the run's content hash: cells already in
@@ -768,11 +734,11 @@ def run_campaign(
 
     ``telemetry`` records the campaign's span tree: one ``campaign`` root
     whose children are the per-cell trees in run-index order (cache hits
-    appear as closed ``cell`` spans marked ``cached=True``; orchestrated
+    appear as closed ``cell`` spans marked ``cached=True``; ``executor=``
     campaigns prepend one ``executor`` accounting span per backend).
     ``progress`` (``True`` for stderr, or any writable stream) repaints a
-    live done/total | hits | cells/s | ETA line as cells complete, with
-    per-executor in-flight counts when orchestrating.
+    live done/total | hits | cells/s | ETA line once per completed cell,
+    with per-executor in-flight counts for ``executor=`` campaigns.
     """
     return execute_runs(
         spec.name,

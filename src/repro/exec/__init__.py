@@ -6,9 +6,10 @@ The campaign runner's distributed seam (see ``docs/distributed.md``):
   :class:`WorkerContext` shipped once per campaign, and the transient
   (:class:`ExecutorError`) vs terminal (:class:`ExecutorDied`) failure
   taxonomy.
-* :mod:`repro.exec.local` — persistent local process pools (and the plain
-  ``workers=N`` pool path's initializer, so per-cell pickles carry only the
-  :class:`~repro.campaign.spec.RunSpec`).
+* :mod:`repro.exec.local` — the in-process executor (``workers=1``) and
+  persistent local process pools (``workers=N``), whose initializer ships
+  the context once so per-cell pickles carry only the
+  :class:`~repro.campaign.spec.RunSpec`.
 * :mod:`repro.exec.ssh` — remote hosts over SSH, or the loopback subprocess
   transport, speaking the JSONL protocol of :mod:`repro.exec.worker`.
 * :mod:`repro.exec.slurm` — fire-and-forget array-job submission with an
@@ -19,7 +20,7 @@ The campaign runner's distributed seam (see ``docs/distributed.md``):
 """
 
 from repro.exec.base import Executor, ExecutorDied, ExecutorError, WorkerContext
-from repro.exec.local import LocalPoolExecutor, worker_pool
+from repro.exec.local import InProcessExecutor, LocalPoolExecutor
 from repro.exec.manifest import DONE, FAILED, PENDING, CampaignManifest, ManifestState
 from repro.exec.orchestrator import (
     CampaignExecutionError,
@@ -40,6 +41,7 @@ __all__ = [
     "ExecutorDied",
     "ExecutorError",
     "ExecutorStats",
+    "InProcessExecutor",
     "LocalPoolExecutor",
     "ManifestState",
     "OrchestrationOutcome",
@@ -48,5 +50,4 @@ __all__ = [
     "SlurmSubmission",
     "WorkerContext",
     "orchestrate",
-    "worker_pool",
 ]

@@ -1,17 +1,15 @@
-"""Local process-pool execution with a one-shot worker initializer.
+"""Local cell execution: in-process, or a process pool with a one-shot
+worker initializer.
 
-Historically the campaign runner built a fresh ``multiprocessing.Pool`` per
-campaign and shipped a ``partial`` carrying the sinks, both store tiers and
-the telemetry clock factory **with every cell** — N cells meant N pickles of
-invariant context.  This module fixes that seam (and the
-:class:`LocalPoolExecutor` backend reuses it): the invariant
-:class:`~repro.exec.base.WorkerContext` ships **once** through the pool
-initializer into a process-global, and per cell only the
-:class:`~repro.campaign.spec.RunSpec` crosses the wire.
+:class:`InProcessExecutor` runs cells one at a time in the campaign's own
+process — the ``workers=1`` backend.  :class:`LocalPoolExecutor` is the
+``workers=N`` backend: the invariant :class:`~repro.exec.base.WorkerContext`
+ships **once** through the pool initializer into a process-global, and per
+cell only the :class:`~repro.campaign.spec.RunSpec` crosses the wire.
 
-Determinism is untouched: workers still run the same pure
-``_execute_and_summarise`` path, rows are keyed by grid index, and both
-store tiers write atomically under content keys.
+Determinism is untouched: both run the same pure ``_execute_and_summarise``
+path, rows are keyed by grid index, and both store tiers write atomically
+under content keys.
 """
 
 from __future__ import annotations
@@ -19,8 +17,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.exec.base import Executor, ExecutorDied, ExecutorError, WorkerContext
 from repro.obs.log import get_logger
@@ -33,10 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 _log = get_logger("exec.local")
 
 __all__ = [
+    "InProcessExecutor",
     "LocalPoolExecutor",
     "initialise_worker",
     "pool_worker",
-    "worker_pool",
 ]
 
 #: The per-process campaign context, set once by :func:`initialise_worker`.
@@ -60,8 +57,14 @@ def pool_worker(run: "RunSpec") -> "tuple[RunMetrics, Span | None]":
     if context is None:
         raise RuntimeError(
             "worker pool was not initialised with a WorkerContext "
-            "(use worker_pool() or LocalPoolExecutor)"
+            "(use LocalPoolExecutor)"
         )
+    return _execute_in(context, run)
+
+
+def _execute_in(
+    context: WorkerContext, run: "RunSpec"
+) -> "tuple[RunMetrics, Span | None]":
     from repro.campaign.runner import _execute_and_summarise
 
     return _execute_and_summarise(
@@ -73,18 +76,23 @@ def pool_worker(run: "RunSpec") -> "tuple[RunMetrics, Span | None]":
     )
 
 
-@contextmanager
-def worker_pool(processes: int, context: WorkerContext):
-    """A ``multiprocessing.Pool`` whose workers are pre-bound to ``context``
-    (the campaign runner's pooled path)."""
-    pool = multiprocessing.Pool(
-        processes=processes, initializer=initialise_worker, initargs=(context,)
-    )
-    try:
-        yield pool
-    finally:
-        pool.terminate()
-        pool.join()
+class InProcessExecutor(Executor):
+    """One cell at a time in the campaign's own process (``workers=1``).
+
+    Exceptions raised by a cell propagate as themselves — the orchestrator
+    retries only :class:`~repro.exec.base.ExecutorError` — so an in-process
+    failure is never retried and surfaces with its own type.
+    """
+
+    name = "serial"
+    slots = 1
+    writes_store = True
+
+    async def run_cell(self, run: "RunSpec") -> "tuple[RunMetrics, Span | None]":
+        # The cell itself never suspends: yield once so a Ctrl-C cancels
+        # the campaign between cells instead of after the last one.
+        await asyncio.sleep(0)
+        return _execute_in(self.context, run)
 
 
 class LocalPoolExecutor(Executor):

@@ -88,7 +88,7 @@ class ExecutorStats:
     #: ``[time, queue_depth, in_flight]`` samples at every dispatch/completion
     #: edge, on the clock :func:`orchestrate` was given (empty without one).
     #: Feeds the ``executor`` telemetry span and its Chrome counter track.
-    series: list = field(default_factory=list)
+    series: list = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -96,7 +96,10 @@ class OrchestrationOutcome:
     """What :func:`orchestrate` hands back to the campaign runner."""
 
     #: ``(row, span)`` pairs in completion order (runner re-keys by index).
-    results: list = field(default_factory=list)
+    #: Kept out of the repr: ``asyncio.run`` reprs its main task, result
+    #: included, while restoring the SIGINT handler — once per campaign,
+    #: at a cost linear in the cells.
+    results: list = field(default_factory=list, repr=False)
     #: Display name -> stats, one entry per executor (names deduplicated).
     stats: dict = field(default_factory=dict)
     #: High-water mark of cells waiting for a free slot.

@@ -16,7 +16,9 @@ aggregates byte-identically to a serial one.  By default
 to have no shared filesystem, so the orchestrator persists returned rows
 into the local metrics tier.  Pass ``shared_filesystem=True`` (loopback, or
 a cluster with a shared scratch) to ship the store roots in the ``config``
-handshake instead, letting workers write both tiers directly.
+handshake instead, letting workers write both tiers directly.  A trace
+tier requires it: only the metrics row crosses the wire, so without a
+shared filesystem :meth:`~SSHExecutor.start` rejects ``trace_store``.
 
 Failure handling: a channel whose process dies or answers garbage is killed
 and respawned once; the interrupted cell surfaces as a transient
@@ -184,6 +186,11 @@ class SSHExecutor(Executor):
             raise ValueError(
                 f"{self.name}: trace sinks cannot cross the SSH transport; "
                 "run sink-exporting campaigns on a local executor"
+            )
+        if context.trace_store is not None and not self.shared_filesystem:
+            raise ValueError(
+                f"{self.name}: the trace tier needs shared_filesystem=True — "
+                "only the metrics row crosses the SSH transport"
             )
         await super().start(context)
         self._channels = asyncio.Queue()

@@ -8,7 +8,7 @@ what a Slurm array task runs on a compute node:
 JSONL response per line on stdout, flushed per line so the driver can await
 each result::
 
-    {"op": "config", "store": "...", "trace_store": "...", "batching": true}
+    {"op": "config", "store": "...", "trace_store": "..."}
     {"op": "run", "index": 3, "run": {<canonical spec contents>}}
     {"op": "shutdown"}
 
@@ -52,20 +52,13 @@ def _build_stores(store_root, trace_root):
     return store, trace_store
 
 
-def _execute_cell(payload: dict, index: int, store, trace_store, batching: bool):
-    """Run one cell from its canonical spec contents; returns the row."""
-    from repro.campaign.runner import execute_run, summarise_run
+def _execute_cell(payload: dict, index: int, store, trace_store):
+    """Run one cell from its canonical spec contents; returns ``(run, row)``."""
+    from repro.campaign.runner import _execute_and_summarise
     from repro.results.store import spec_from_contents
 
     run = spec_from_contents(payload, index=index)
-    result = execute_run(
-        run, trace=trace_store is not None, batching=batching
-    )
-    row = summarise_run(run, result)
-    if store is not None:
-        store.put(row)
-    if trace_store is not None:
-        trace_store.put(run, result)
+    row, _ = _execute_and_summarise(run, trace_store=trace_store, store=store)
     return run, row
 
 
@@ -74,7 +67,6 @@ def serve_stream(stdin: TextIO, stdout: TextIO) -> int:
     from repro.results.store import content_key, metrics_to_payload
 
     store = trace_store = None
-    batching = True
 
     def respond(payload: dict) -> None:
         stdout.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -95,7 +87,6 @@ def serve_stream(stdin: TextIO, stdout: TextIO) -> int:
                 store, trace_store = _build_stores(
                     request.get("store"), request.get("trace_store")
                 )
-                batching = bool(request.get("batching", True))
             except Exception as exc:
                 respond({"ok": False, "op": "config", "error": f"{type(exc).__name__}: {exc}"})
                 return 2
@@ -103,9 +94,7 @@ def serve_stream(stdin: TextIO, stdout: TextIO) -> int:
         elif op == "run":
             index = int(request.get("index", 0))
             try:
-                run, row = _execute_cell(
-                    request["run"], index, store, trace_store, batching
-                )
+                run, row = _execute_cell(request["run"], index, store, trace_store)
             except Exception as exc:  # cell failure: report, keep serving
                 respond(
                     {
@@ -153,7 +142,7 @@ def run_batch_cell(args: argparse.Namespace) -> int:
     index = int(cell.get("index", position))
     key = None
     try:
-        run, row = _execute_cell(cell["run"], index, store, trace_store, True)
+        run, row = _execute_cell(cell["run"], index, store, trace_store)
         key = content_key(run)
     except Exception as exc:
         if manifest is not None and key is None:

@@ -7,6 +7,8 @@ import asyncio
 import io
 import json
 import logging
+import multiprocessing
+import time
 
 import pytest
 
@@ -25,15 +27,14 @@ from repro.exec import (
     PENDING,
     CampaignExecutionError,
     CampaignManifest,
-    Executor,
     ExecutorDied,
     ExecutorError,
+    InProcessExecutor,
     LocalPoolExecutor,
     SSHExecutor,
     SlurmArrayExecutor,
     WorkerContext,
     orchestrate,
-    worker_pool,
 )
 from repro.exec.local import pool_worker
 from repro.exec.worker import main as worker_cli
@@ -64,26 +65,29 @@ def serial_result():
     return run_campaign(small_sweep())
 
 
-class _InProcessExecutor(Executor):
-    """Test backend: executes cells in-process, with scriptable failures."""
+class _InProcessExecutor(InProcessExecutor):
+    """Test backend: the in-process executor under a scripted name, recording
+    its calls (the subclasses below script failures)."""
 
-    writes_store = True
-
-    def __init__(self, name: str = "scripted", slots: int = 1) -> None:
+    def __init__(self, name: str = "scripted") -> None:
         self.name = name
-        self.slots = slots
         self.calls: list[int] = []
 
     async def run_cell(self, run):
         self.calls.append(run.index)
-        context = self.context
-        return _execute_and_summarise(
-            run,
-            sinks=context.sinks,
-            trace_store=context.trace_store,
-            store=context.store,
-            clock_factory=context.clock_factory,
-        )
+        return await super().run_cell(run)
+
+
+class _CellFailure(RuntimeError):
+    """What a monkeypatched ``execute_run`` raises inside a cell."""
+
+
+def _failing_execute_run(run, **kwargs):
+    raise _CellFailure(f"cell {run.index} broke")
+
+
+def _hanging_execute_run(run, **kwargs):
+    time.sleep(60.0)
 
 
 class _FlakyExecutor(_InProcessExecutor):
@@ -231,15 +235,35 @@ class TestLocalPoolExecutor:
         assert result.rows == serial_result.rows
         assert len(store) == len(result.rows)
 
-    def test_worker_pool_initializer_ships_context_once(self, tmp_path):
-        # Satellite of the executor work: the plain pooled path binds the
-        # campaign context through the pool initializer, so per cell only
-        # the RunSpec crosses the wire.
+    def test_worker_pool_initializer_ships_context_once(self, tmp_path, monkeypatch):
+        # The pool binds the campaign context through its initializer, so
+        # per cell only the RunSpec crosses the wire.
+        real_pool = multiprocessing.Pool
+        initargs: list[tuple] = []
+        shipped: list[tuple] = []
+
+        def spy_pool(*args, **kwargs):
+            pool = real_pool(*args, **kwargs)
+            initargs.append(kwargs["initargs"])
+            apply_async = pool.apply_async
+
+            def spy_apply_async(func, args=(), **rest):
+                shipped.append(args)
+                return apply_async(func, args, **rest)
+
+            pool.apply_async = spy_apply_async
+            return pool
+
+        monkeypatch.setattr(multiprocessing, "Pool", spy_pool)
         store = ResultStore(tmp_path / "store")
         runs = small_sweep().expand()
         context = WorkerContext(store=store)
-        with worker_pool(2, context) as pool:
-            rows = [row for row, _ in pool.map(pool_worker, runs)]
+        outcome = orchestrate(runs, [LocalPoolExecutor(slots=2)], context)
+        assert initargs == [(context,)]
+        assert sorted(shipped, key=lambda args: args[0].index) == [
+            (run,) for run in runs
+        ]
+        rows = sorted((row for row, _ in outcome.results), key=lambda r: r.run.index)
         assert [r.run.index for r in rows] == [r.index for r in runs]
         assert len(store) == len(runs)
 
@@ -255,6 +279,59 @@ class TestLocalPoolExecutor:
     def test_invalid_slots_rejected(self):
         with pytest.raises(ValueError, match="slots"):
             LocalPoolExecutor(slots=0)
+
+
+class TestUnifiedPath:
+    """``workers=`` campaigns run through the orchestrator too."""
+
+    def test_serial_progress_repaints_once_per_cell(self):
+        spec = small_sweep()
+        stream = io.StringIO()
+        run_campaign(spec, workers=1, progress=stream)
+        assert stream.getvalue().count("\r") == spec.nruns + 1
+        assert "in flight" not in stream.getvalue()
+
+    def test_serial_cell_exception_propagates_as_itself(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.campaign.runner.execute_run", _failing_execute_run
+        )
+        with pytest.raises(_CellFailure, match="broke"):
+            run_campaign(small_sweep(), workers=1)
+
+    def test_pooled_cell_failure_retries_then_journals_failed(
+        self, tmp_path, monkeypatch
+    ):
+        # Forked pool workers inherit the patched module.
+        monkeypatch.setattr(
+            "repro.campaign.runner.execute_run", _failing_execute_run
+        )
+        spec = small_sweep(nworkloads=1)
+        manifest = tmp_path / "m.jsonl"
+        with pytest.raises(CampaignExecutionError) as excinfo:
+            run_campaign(
+                spec, workers=2, manifest=manifest, retries=1, backoff=0.001
+            )
+        assert len(excinfo.value.failures) == spec.nruns
+        assert all("_CellFailure" in reason for _, reason in excinfo.value.failures)
+        records = [
+            json.loads(line)
+            for line in manifest.read_text().splitlines()
+            if '"failed"' in line
+        ]
+        assert {r["state"] for r in records} == {FAILED}
+        assert {r["executor"] for r in records} == {"pool[2]"}
+        assert set(CampaignManifest(manifest).replay().states.values()) == {FAILED}
+
+    def test_pooled_campaign_honours_timeout(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.campaign.runner.execute_run", _hanging_execute_run
+        )
+        spec = small_sweep(nworkloads=1)
+        start = time.monotonic()
+        with pytest.raises(CampaignExecutionError) as excinfo:
+            run_campaign(spec, workers=2, timeout=0.2, retries=0)
+        assert time.monotonic() - start < 30.0
+        assert all("timed out" in reason for _, reason in excinfo.value.failures)
 
 
 class TestOrchestratorFaults:
@@ -543,6 +620,13 @@ class TestSSHExecutor:
 
         with pytest.raises(ValueError, match="sinks"):
             asyncio.run(SSHExecutor().start(WorkerContext(sinks=(_Sink(),))))
+
+    def test_unshared_trace_tier_is_rejected(self, tmp_path):
+        # Only the metrics row crosses the wire: without a shared filesystem
+        # the trace tier would never fill and every re-run re-simulates.
+        context = WorkerContext(trace_store=TraceStore(tmp_path / "traces"))
+        with pytest.raises(ValueError, match="shared_filesystem"):
+            asyncio.run(SSHExecutor().start(context))
 
 
 class TestSlurmExecutor:
