@@ -11,7 +11,12 @@ reference loop, kept verbatim) and once with the batched default — and
   trace-tier gzip artifact bytes under the same content key;
 * measures wall-clock, steps/sec and events/sec per cell and writes the
   whole report to ``BENCH_core.json``;
-* asserts the **aggregate cold-sweep speedup is >= 5x**.
+* asserts the **aggregate cold-sweep speedup is >= 5x**;
+* asserts the **pricing gate** per cell: ``priced_per_advanced`` (per-rank
+  step prices over per-rank steps advanced, from the ``simulate`` span's
+  ``priced``/``steps`` counters) is exactly 1.0 on every Serial cell and at
+  most 3.0 on every DROM cell — the cached fold re-prices only when a mask
+  or interference factor changes.
 
 Run standalone (the tier-1 suite does not collect ``benchmarks/``)::
 
@@ -47,6 +52,8 @@ from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL
 
 SPEEDUP_GATE = 5.0
+#: Upper bound on steps priced per step advanced, per scenario.
+PRICING_GATE = {SERIAL: 1.0, DROM: 3.0}
 
 #: The pinned cold-sweep grid: one representative cell per scenario family,
 #: each expanded to a Serial and a DROM run.  Everything is seeded/derived —
@@ -125,6 +132,7 @@ def run_cell(family: str, run: RunSpec, work_dir: Path) -> dict:
         "events": events,
         "events_per_sec": events / fast_seconds if fast_seconds > 0 else float("inf"),
         "reference_events": reference.events_executed,
+        "priced_per_advanced": simulate.counters["priced"] / simulate.counters["steps"],
         "byte_identical": True,
         # Span-schema totals of the batched execution (build vs simulate) and
         # the simulate span's counters — the same names telemetry.json uses.
@@ -150,7 +158,8 @@ def run_harness(out: Path) -> dict:
                     f"batched {cell['batched_seconds']:7.3f}s  "
                     f"{cell['speedup']:5.1f}x  "
                     f"{cell['steps_per_sec']:>9.0f} steps/s  "
-                    f"{cell['events_per_sec']:>8.0f} events/s"
+                    f"{cell['events_per_sec']:>8.0f} events/s  "
+                    f"{cell['priced_per_advanced']:4.2f} priced/step"
                 )
     ref_total = sum(c["reference_seconds"] for c in cells)
     fast_total = sum(c["batched_seconds"] for c in cells)
@@ -159,8 +168,18 @@ def run_harness(out: Path) -> dict:
     for cell in cells:
         for name, seconds in cell["span_seconds"].items():
             span_totals[name] = span_totals.get(name, 0.0) + seconds
+    overpriced = [
+        f"{c['family']}/{c['scenario']}"
+        for c in cells
+        if c["priced_per_advanced"] > PRICING_GATE[c["scenario"]]
+    ]
     report = {
-        "gate": {"minimum_speedup": SPEEDUP_GATE, "passed": aggregate >= SPEEDUP_GATE},
+        "gate": {
+            "minimum_speedup": SPEEDUP_GATE,
+            "maximum_priced_per_advanced": PRICING_GATE,
+            "overpriced": overpriced,
+            "passed": aggregate >= SPEEDUP_GATE and not overpriced,
+        },
         "aggregate": {
             "reference_seconds": ref_total,
             "batched_seconds": fast_total,
@@ -175,7 +194,8 @@ def run_harness(out: Path) -> dict:
     print(
         f"\ncold sweep: {ref_total:.3f}s reference vs {fast_total:.3f}s batched "
         f"-> {aggregate:.1f}x aggregate speedup over {len(cells)} byte-identical "
-        f"cells (gate: >= {SPEEDUP_GATE:.0f}x) -> {out}"
+        f"cells (gate: >= {SPEEDUP_GATE:.0f}x), "
+        f"{len(overpriced)} over the pricing gate -> {out}"
     )
     return report
 
@@ -185,9 +205,11 @@ def test_perf_core_gate(report):
     results = run_harness(Path(__file__).parent / "results" / "BENCH_core.json")
     assert results["aggregate"]["byte_identical"]
     assert results["aggregate"]["speedup"] >= SPEEDUP_GATE
+    assert results["gate"]["overpriced"] == []
     lines = [
         f"{c['family']}/{c['scenario']}: {c['speedup']:.1f}x, "
-        f"{c['steps_per_sec']:.0f} steps/s, {c['events_per_sec']:.0f} events/s"
+        f"{c['steps_per_sec']:.0f} steps/s, {c['events_per_sec']:.0f} events/s, "
+        f"{c['priced_per_advanced']:.2f} priced/step"
         for c in results["cells"]
     ]
     report(
@@ -210,14 +232,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     report = run_harness(args.out)
-    if not report["gate"]["passed"]:
+    if report["aggregate"]["speedup"] < SPEEDUP_GATE:
         print(
             f"FAIL: aggregate speedup {report['aggregate']['speedup']:.2f}x "
             f"is below the {SPEEDUP_GATE:.0f}x gate",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    for name in report["gate"]["overpriced"]:
+        print(f"FAIL: {name} is over the pricing gate {PRICING_GATE}", file=sys.stderr)
+    return 0 if report["gate"]["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 An :class:`ApplicationModel` couples a :class:`PerformanceProfile` with a
 work volume and an iteration structure.  The workload runner instantiates one
-:class:`RankWorkPlan` per MPI rank; each entry of the plan is one *step* — a
+:class:`RankWorkPlan` per MPI rank: a run-length sequence of *steps*, each a
 quantum of work ending at a malleability point (an MPI call, an OMPT
 parallel-begin, or a manual ``DLB_PollDROM``), exactly the points at which the
 real integrations let DROM change the thread team.
@@ -10,7 +10,9 @@ real integrations let DROM change the thread team.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.apps.perfmodel import PerformanceProfile, PhaseProfile
 from repro.cpuset.mask import CpuSet
@@ -47,28 +49,67 @@ class WorkStep:
 
 @dataclass
 class RankWorkPlan:
-    """Mutable per-rank execution state: remaining steps plus bookkeeping."""
+    """Mutable per-rank execution state: remaining steps plus bookkeeping.
+
+    The plan is run-length: ``segments`` holds ``(step, count)`` runs of
+    identical steps in execution order, so pricing, advancing and emitting
+    a stretch of steps costs O(segments) lookups instead of O(steps).
+    """
 
     rank: int
-    steps: list[WorkStep]
+    segments: list[tuple[WorkStep, int]]
     #: Thread-team size the application initialised with (fixes the static
     #: data partition; never changes even when the mask shrinks/expands).
     initial_threads: int
     next_step: int = 0
     completed_work: float = 0.0
+    #: Cumulative step count at the end of each segment.
+    _ends: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._ends = list(accumulate(count for _, count in self.segments))
+
+    @property
+    def total_steps(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    @property
+    def steps(self) -> list[WorkStep]:
+        """Per-step view of the whole plan (a fresh list; not a hot path)."""
+        return [step for step, count in self.segments for _ in range(count)]
 
     @property
     def finished(self) -> bool:
-        return self.next_step >= len(self.steps)
+        return self.next_step >= self.total_steps
 
     @property
     def remaining_steps(self) -> int:
-        return len(self.steps) - self.next_step
+        return self.total_steps - self.next_step
 
     def current_step(self) -> WorkStep:
         if self.finished:
             raise IndexError(f"rank {self.rank} has no remaining steps")
-        return self.steps[self.next_step]
+        return self.segments[bisect_right(self._ends, self.next_step)][0]
+
+    def runs(self, count: int) -> list[tuple[WorkStep, int]]:
+        """``(step, n)`` runs covering the next ``count`` steps, in order."""
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if count > self.remaining_steps:
+            raise IndexError(
+                f"rank {self.rank} has {self.remaining_steps} steps left, "
+                f"cannot take {count}"
+            )
+        out: list[tuple[WorkStep, int]] = []
+        position = self.next_step
+        index = bisect_right(self._ends, position)
+        while count:
+            n = min(self._ends[index] - position, count)
+            out.append((self.segments[index][0], n))
+            position += n
+            count -= n
+            index += 1
+        return out
 
     def advance(self) -> WorkStep:
         step = self.current_step()
@@ -83,16 +124,11 @@ class RankWorkPlan:
         ``count`` individual :meth:`advance` calls — float addition is not
         associative, so summing first would drift from the single-step path.
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if self.next_step + count > len(self.steps):
-            raise IndexError(
-                f"rank {self.rank} has {self.remaining_steps} steps left, "
-                f"cannot advance {count}"
-            )
         completed = self.completed_work
-        for step in self.steps[self.next_step : self.next_step + count]:
-            completed += step.work_units
+        for step, n in self.runs(count):
+            units = step.work_units
+            for _ in range(n):
+                completed += units
         self.completed_work = completed
         self.next_step += count
 
@@ -139,20 +175,16 @@ class ApplicationModel:
         return max(1, round(self.iterations * phase.work_fraction))
 
     def build_rank_plan(self, rank: int, config: AppConfig) -> RankWorkPlan:
-        """Build the per-rank step list for one configuration."""
+        """Build the per-rank run-length plan for one configuration."""
         work_per_rank = self.total_work / config.mpi_ranks
-        steps: list[WorkStep] = []
+        segments: list[tuple[WorkStep, int]] = []
         for phase in self.profile.phases:
             nsteps = self.steps_for_phase(phase)
             phase_work = work_per_rank * phase.work_fraction
-            per_step = phase_work / nsteps
-            # Every step of a phase is identical, and WorkStep is immutable:
-            # share one instance across the phase instead of building nsteps
-            # of them (plans are rebuilt per run, so this is hot), which also
-            # lets the segment scans below detect uniform runs by identity.
-            steps.extend([WorkStep(phase=phase, work_units=per_step)] * nsteps)
+            # Every step of a phase is identical: one run-length segment.
+            segments.append((WorkStep(phase=phase, work_units=phase_work / nsteps), nsteps))
         return RankWorkPlan(
-            rank=rank, steps=steps, initial_threads=config.threads_per_rank
+            rank=rank, segments=segments, initial_threads=config.threads_per_rank
         )
 
     def build_plans(self, config: AppConfig) -> list[RankWorkPlan]:
@@ -191,41 +223,22 @@ class ApplicationModel:
     ) -> list[float]:
         """Durations of the plan's next ``count`` steps under a fixed mask.
 
-        Vectorized over uniform segments: one :meth:`PerformanceProfile
-        .iteration_time` evaluation per (phase, work-units) run instead of one
-        per step, replicated across the run — each returned float is exactly
-        what a per-step :meth:`step_time` call would have produced.
+        One :meth:`PerformanceProfile.iteration_time` evaluation per
+        run-length segment, replicated across it — each returned float is
+        exactly what a per-step :meth:`step_time` call would have produced.
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count > plan.remaining_steps:
-            raise IndexError(
-                f"rank {plan.rank} has {plan.remaining_steps} steps left, "
-                f"cannot price {count}"
-            )
-        steps = plan.steps
         out: list[float] = []
-        i = plan.next_step
-        end = i + count
-        while i < end:
-            head = steps[i]
-            j = i + 1
-            while j < end and (
-                steps[j] is head
-                or (steps[j].phase is head.phase and steps[j].work_units == head.work_units)
-            ):
-                j += 1
+        for step, n in plan.runs(count):
             duration = self.profile.iteration_time(
-                phase=head.phase,
-                work_units=head.work_units,
+                phase=step.phase,
+                work_units=step.work_units,
                 mask=mask,
                 topology=topology,
                 initial_threads=plan.initial_threads,
                 total_ranks=total_ranks,
                 interference=interference,
             )
-            out.extend([duration] * (j - i))
-            i = j
+            out += [duration] * n
         return out
 
     def step_ipc(

@@ -64,7 +64,7 @@ def execute_run(
     *not* part of :class:`RunSpec` or the content hash.
 
     ``telemetry`` records ``build`` and ``simulate`` spans under the current
-    span; the ``simulate`` span carries the run's engine/step/batch counters.
+    span; the ``simulate`` span carries the run's engine/step/batch/priced counters.
     """
     obs = telemetry if telemetry is not None else DISABLED
     with obs.span("build"):
@@ -90,6 +90,7 @@ def execute_run(
         span.count("events", result.events_executed)
         span.count("steps", result.steps_advanced)
         span.count("batches", result.batches_executed)
+        span.count("priced", result.steps_priced)
         _annotate_sched(span, result)
     return result
 

@@ -115,6 +115,11 @@ class ScenarioResult:
     #: Batched wakes of the fast path (0 when ``batching=False`` ran the
     #: single-step reference loop).
     batches_executed: int = 0
+    #: Per-rank step prices computed (telemetry counter).  The reference
+    #: loop prices every step once per rank, so it equals ``steps_advanced``
+    #: there; the fast path prices a fold once per distinct (masks,
+    #: interference) input and re-uses it across batches.
+    steps_priced: int = 0
     #: Scheduler-level observability: the event-driven queue/allocation/
     #: lifecycle series recorded by the cluster probe (see
     #: :mod:`repro.obs.sched`).  Deterministic, so it persists alongside the
@@ -216,6 +221,7 @@ class ScenarioRunner:
             events_executed=state.engine.events_executed,
             steps_advanced=state.steps_advanced,
             batches_executed=state.batches_executed,
+            steps_priced=state.steps_priced,
             sched=state.probe.timeline(),
         )
 
@@ -288,6 +294,9 @@ class _RunState:
         self.steps_advanced = 0
         #: Batched wakes of the fast path (stays 0 in the reference loop).
         self.batches_executed = 0
+        #: Per-rank step prices computed (equals steps_advanced in the
+        #: reference loop; the batched path prices a fold once per input).
+        self.steps_priced = 0
         # -- batching bookkeeping (see _execute_batched) ------------------
         #: Submit instants not yet fired, ascending — static fences.
         self._pending_submits: list[float] = []
@@ -454,6 +463,7 @@ class _RunState:
                         interference=interference,
                     )
                 )
+            self.steps_priced += len(durations)
             step_duration = max(durations)
             start = self.engine.now
             yield Timeout(step_duration)
@@ -522,12 +532,21 @@ class _RunState:
     def _execute_batched(self, execution: JobExecution):
         """Batched step advancement: the fast path of :meth:`_execute`.
 
-        Each loop iteration prices as many upcoming steps as provably fit
+        Each loop iteration takes as many upcoming steps as provably fit
         before the batch horizon (masks, interference and stats readers
         cannot change inside the window), sleeps once to the final step
         boundary, then emits on wake exactly the records the single-step
         reference loop would have emitted step by step — same floats, same
         accumulation order, byte-identical artifacts.
+
+        Steps are priced once per distinct pricing input, not once per
+        batch: the executor keeps the fold of its last pricing (per-rank
+        durations, their per-step max and the absolute boundaries) and
+        consumes it from offset ``o`` for as long as the masks and
+        interference factors stay the same and each wake lands on the
+        fold's own boundary ``o - 1``.  The tail of a left fold is the left
+        fold of the tail started from that boundary, so the cached
+        boundaries are the very floats re-pricing from ``now`` would give.
         """
         model = execution.model
         total_ranks = execution.job.spec.ntasks
@@ -537,6 +556,12 @@ class _RunState:
         ranks = execution.ranks
         partition = model.profile.partition
         trace = self.trace
+        # The priced fold and the inputs it was priced under.
+        key = None
+        per_rank: list[list[float]] = []
+        step_durations: list[float] = []
+        boundaries: list[float] = []
+        o = 0
         while not execution.finished():
             if model.malleable:
                 for rank in ranks:
@@ -545,53 +570,57 @@ class _RunState:
             # Frozen batch inputs (can only change at fence events).
             masks = [rank.process.current_mask for rank in ranks]
             interferences = [self._interference(execution, rank) for rank in ranks]
-            remaining = min(rank.plan.remaining_steps for rank in ranks)
-            per_rank = [
-                model.step_times(
-                    rank.plan,
-                    remaining,
-                    mask,
-                    rank.node,
-                    total_ranks=total_ranks,
-                    interference=interference,
-                )
-                for rank, mask, interference in zip(ranks, masks, interferences)
-            ]
-            if len(per_rank) == 1:
-                step_durations = per_rank[0]
-            else:
-                step_durations = list(map(max, zip(*per_rank)))
-
-            # Choose the batch size: the longest prefix of step boundaries
-            # that stays *strictly before* the horizon; at least one step.
-            # The boundaries are the left fold ``accumulate`` computes —
-            # the exact "now + duration" addition chain the engine clock
-            # performs when the reference loop sleeps one step at a time.
-            # Strictness matters: an event exactly at the batch wake runs
-            # first (priority 0 beats every executor), and in the reference
-            # loop it would observe the statistics of every earlier step of
-            # the window — so those steps must already be recorded, i.e. the
-            # batch must wake before the event.  The single forced step that
-            # reaches or crosses the horizon is exactly what the reference
-            # loop does: mask writes land mid-step and are seen on wake.
-            horizon = self._batch_horizon(job_id)
             batch_start = engine.now
-            boundaries = list(accumulate(step_durations, initial=batch_start))
-            del boundaries[0]
+            # Re-price from ``now`` unless the inputs match the fold's key
+            # and this wake landed exactly on its boundary ``o - 1``.
+            if (masks, interferences) != key or boundaries[o - 1] != batch_start:
+                key = (masks, interferences)
+                remaining = min(rank.plan.remaining_steps for rank in ranks)
+                per_rank = [
+                    model.step_times(
+                        rank.plan,
+                        remaining,
+                        mask,
+                        rank.node,
+                        total_ranks=total_ranks,
+                        interference=interference,
+                    )
+                    for rank, mask, interference in zip(ranks, masks, interferences)
+                ]
+                if len(per_rank) == 1:
+                    step_durations = per_rank[0]
+                else:
+                    step_durations = list(map(max, zip(*per_rank)))
+                # The boundaries are the left fold ``accumulate`` computes —
+                # the exact "now + duration" addition chain the engine clock
+                # performs when the reference loop sleeps one step at a time.
+                boundaries = list(accumulate(step_durations, initial=batch_start))
+                del boundaries[0]
+                o = 0
+                self.steps_priced += remaining * len(ranks)
+
+            # Choose the batch size: the longest run of step boundaries from
+            # ``o`` that stays *strictly before* the horizon; at least one
+            # step.  Strictness matters: an event exactly at the batch wake
+            # runs first (priority 0 beats every executor), and in the
+            # reference loop it would observe the statistics of every
+            # earlier step of the window — so those steps must already be
+            # recorded, i.e. the batch must wake before the event.  The
+            # single forced step that reaches or crosses the horizon is
+            # exactly what the reference loop does: mask writes land
+            # mid-step and are seen on wake.
+            horizon = self._batch_horizon(job_id)
             if horizon is None:
-                k = remaining
+                k = len(boundaries) - o
             else:
-                # Count of boundaries strictly before the horizon; a forced
-                # single step when even the first one reaches it.
-                k = bisect_left(boundaries, horizon) or 1
+                k = (bisect_left(boundaries, horizon, o) - o) or 1
+            end = o + k
             # Publish this job's completion fence — the full fold, exact
             # under the current masks; shrinks only delay it, and expansions
             # clamp it back to the batch wake at the event that writes them
             # (_schedule_pass).
-            completion = boundaries[-1]
-            del boundaries[k:]
-            batch_end = boundaries[-1]
-            self._fences[job_id] = completion
+            batch_end = boundaries[end - 1]
+            self._fences[job_id] = boundaries[-1]
             self._batch_end[job_id] = batch_end
             self.batches_executed += 1
 
@@ -599,9 +628,7 @@ class _RunState:
 
             # On wake, emit what the reference loop would have recorded at
             # each intermediate boundary.
-            for rank, mask, interference, durations in zip(
-                ranks, masks, interferences, per_rank
-            ):
+            for rank, mask, durations in zip(ranks, masks, per_rank):
                 nthreads = mask.count()
                 utilisation = partition.thread_utilisation(
                     rank.plan.initial_threads, nthreads
@@ -610,8 +637,7 @@ class _RunState:
                     utilisation = [1.0] * nthreads
                 busy_fraction = sum(utilisation)
                 plan = rank.plan
-                base = plan.next_step
-                steps = plan.steps
+                runs = plan.runs(k)
                 rank_no = rank.rank
                 node_name = rank.node.name
                 initial_threads = plan.initial_threads
@@ -619,45 +645,46 @@ class _RunState:
                 append_record = records.append
                 stats_entries: list[tuple[float, float, int, float]] = []
                 append_stats = stats_entries.append
-                ipc_by_phase: dict[int, float] = {}
-                balanced = durations is step_durations or durations == step_durations
-                if balanced:
-                    # This rank is never the laggard: every scale is exactly
-                    # 1.0, so records share one utilisation tuple (``u * 1.0``
-                    # is bit-identical to ``u``) and the stats entries of an
-                    # equal-duration segment are one shared tuple.
+                if durations is step_durations or durations[o:end] == step_durations[o:end]:
+                    # This rank is not the laggard of any step in the window:
+                    # every scale is exactly 1.0, so records share one
+                    # utilisation tuple (``u * 1.0`` is bit-identical to
+                    # ``u``) and the stats entries of an equal-duration
+                    # segment are one shared tuple — the same bytes the
+                    # per-step branch below would produce.
                     scaled_utilisation = tuple(u * 1.0 for u in utilisation)
                     if trace:
                         start = batch_start
-                        for j in range(k):
-                            step = steps[base + j]
+                        first = o
+                        for step, n in runs:
                             phase = step.phase
-                            ipc = ipc_by_phase.get(id(phase))
-                            if ipc is None:
-                                ipc = model.step_ipc_for_phase(
-                                    phase, mask, rank.node, initial_threads
-                                )
-                                ipc_by_phase[id(phase)] = ipc
-                            append_record(
-                                StepRecord(
-                                    label,
-                                    rank_no,
-                                    node_name,
-                                    start,
-                                    step_durations[j],
-                                    phase.name,
-                                    nthreads,
-                                    scaled_utilisation,
-                                    ipc,
-                                    step.work_units,
-                                )
+                            phase_name = phase.name
+                            work_units = step.work_units
+                            ipc = model.step_ipc_for_phase(
+                                phase, mask, rank.node, initial_threads
                             )
-                            start = boundaries[j]
-                    j = 0
-                    while j < k:
+                            for j in range(first, first + n):
+                                append_record(
+                                    StepRecord(
+                                        label,
+                                        rank_no,
+                                        node_name,
+                                        start,
+                                        step_durations[j],
+                                        phase_name,
+                                        nthreads,
+                                        scaled_utilisation,
+                                        ipc,
+                                        work_units,
+                                    )
+                                )
+                                start = boundaries[j]
+                            first += n
+                    j = o
+                    while j < end:
                         step_duration = step_durations[j]
                         seg = j + 1
-                        while seg < k and step_durations[seg] == step_duration:
+                        while seg < end and step_durations[seg] == step_duration:
                             seg += 1
                         busy_thread_seconds = busy_fraction * step_duration
                         entry = (
@@ -678,53 +705,54 @@ class _RunState:
                     last_scale: float | None = None
                     scaled_utilisation = ()
                     start = batch_start
-                    for j in range(k):
-                        step_duration = step_durations[j]
-                        duration = durations[j]
-                        scale = (
-                            duration / step_duration if step_duration > 0 else 1.0
-                        )
+                    first = o
+                    for step, n in runs:
                         if trace:
-                            step = steps[base + j]
-                            if scale != last_scale:
-                                scaled_utilisation = tuple(
-                                    u * scale for u in utilisation
+                            phase_name = step.phase.name
+                            work_units = step.work_units
+                            ipc = model.step_ipc_for_phase(
+                                step.phase, mask, rank.node, initial_threads
+                            )
+                        for j in range(first, first + n):
+                            step_duration = step_durations[j]
+                            duration = durations[j]
+                            scale = (
+                                duration / step_duration if step_duration > 0 else 1.0
+                            )
+                            if trace:
+                                if scale != last_scale:
+                                    scaled_utilisation = tuple(
+                                        u * scale for u in utilisation
+                                    )
+                                    last_scale = scale
+                                append_record(
+                                    StepRecord(
+                                        label,
+                                        rank_no,
+                                        node_name,
+                                        start,
+                                        step_duration,
+                                        phase_name,
+                                        nthreads,
+                                        scaled_utilisation,
+                                        ipc,
+                                        work_units,
+                                    )
                                 )
-                                last_scale = scale
-                            phase_key = id(step.phase)
-                            ipc = ipc_by_phase.get(phase_key)
-                            if ipc is None:
-                                ipc = model.step_ipc_for_phase(
-                                    step.phase, mask, rank.node, initial_threads
-                                )
-                                ipc_by_phase[phase_key] = ipc
-                            append_record(
-                                StepRecord(
-                                    label,
-                                    rank_no,
-                                    node_name,
-                                    start,
-                                    step_duration,
-                                    step.phase.name,
+                            busy_thread_seconds = busy_fraction * scale * step_duration
+                            append_stats(
+                                (
+                                    busy_thread_seconds,
+                                    max(
+                                        0.0,
+                                        nthreads * step_duration - busy_thread_seconds,
+                                    ),
                                     nthreads,
-                                    scaled_utilisation,
-                                    ipc,
-                                    step.work_units,
+                                    step_duration,
                                 )
                             )
-                        busy_thread_seconds = busy_fraction * scale * step_duration
-                        append_stats(
-                            (
-                                busy_thread_seconds,
-                                max(
-                                    0.0,
-                                    nthreads * step_duration - busy_thread_seconds,
-                                ),
-                                nthreads,
-                                step_duration,
-                            )
-                        )
-                        start = boundaries[j]
+                            start = boundaries[j]
+                        first += n
                 # The reference loop reads the mask again *after* each yield;
                 # only the final step of a batch can observe a different one
                 # (a forced single step crossing an event, where a process
@@ -733,7 +761,7 @@ class _RunState:
                 # record and stats entry from the wake-time mask when so.
                 wake_mask = rank.process.current_mask
                 if wake_mask != mask:
-                    j = k - 1
+                    j = end - 1
                     step_duration = step_durations[j]
                     scale = (
                         durations[j] / step_duration if step_duration > 0 else 1.0
@@ -757,7 +785,7 @@ class _RunState:
                             nthreads=nthreads,
                             thread_utilisation=tuple(u * scale for u in utilisation),
                             ipc=model.step_ipc_for_phase(
-                                steps[base + j].phase,
+                                runs[-1][0].phase,
                                 wake_mask,
                                 rank.node,
                                 plan.initial_threads,
@@ -777,6 +805,7 @@ class _RunState:
                 )
                 plan.advance_many(k)
                 self.steps_advanced += k
+            o = end
         self._complete(execution)
 
     def _interference(self, execution: JobExecution, rank: RankExecution) -> float:

@@ -72,6 +72,30 @@ class TestWorkPlans:
         with pytest.raises(IndexError):
             plan.current_step()
 
+    def test_run_length_plan_matches_per_step_walk(self, node):
+        model = coreneuron_model(iterations=50)
+        config = AppConfig("c", 2, 16)
+        plan = model.build_rank_plan(0, config)
+        walker = model.build_rank_plan(0, config)
+        assert len(plan.segments) == 2 and plan.total_steps == len(plan.steps)
+        mask = CpuSet.from_range(0, 12)
+        # Start mid-segment so the window straddles the phase boundary.
+        first = plan.segments[0][1] - 3
+        plan.advance_many(first)
+        for _ in range(first):
+            walker.advance()
+        assert plan.runs(5) == [(plan.segments[0][0], 3), (plan.segments[1][0], 2)]
+        times = model.step_times(plan, plan.remaining_steps, mask, node, 2)
+        expected = []
+        while not walker.finished:
+            expected.append(model.step_time(walker, mask, node, 2))
+            walker.advance()
+        assert times == expected
+        plan.advance_many(plan.remaining_steps)
+        assert plan.finished and plan.completed_work == walker.completed_work
+        with pytest.raises(IndexError):
+            plan.runs(1)
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             ApplicationModel(profile=nest_model().profile, total_work=0)

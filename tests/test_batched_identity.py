@@ -11,6 +11,8 @@ subset.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign.runner import execute_run, summarise_run
@@ -21,9 +23,12 @@ from repro.campaign.spec import (
     SyntheticWorkloadRef,
 )
 from repro.results.store import ResultStore
+from repro.slurm.jobs import ResourceRequest
 from repro.traces.store import TraceStore
+from repro.workload import configs
 from repro.workload.generator import WorkloadSpec
-from repro.workload.runner import DROM, SERIAL
+from repro.workload.runner import DROM, SERIAL, ScenarioRunner
+from repro.workload.workloads import Workload, WorkloadJob
 
 #: One representative cell per scenario family (each expands to a Serial and
 #: a DROM run): the paper's in-situ pair, a heterogeneous resource request,
@@ -93,3 +98,47 @@ def test_batched_tracer_views_match_reference(run):
     for job in reference.tracer.jobs():
         assert batched.tracer.span(job) == reference.tracer.span(job)
     assert batched.end_time == reference.end_time
+
+
+@pytest.mark.parametrize("drom_enabled", [False, True], ids=[SERIAL, DROM])
+def test_interference_change_alone_reprices(drom_enabled):
+    """A co-runner arriving on a job's node changes its interference factor
+    without touching its mask: the cached fold must be re-priced on that
+    half of its key alone."""
+    half_node = ResourceRequest(nodes=1, ntasks=1, cpus_per_task=8)
+    workload = Workload(
+        name="half-node pair",
+        jobs=(
+            WorkloadJob(
+                app=configs.nest(iterations=300), submit_time=0.0, resources=half_node
+            ),
+            WorkloadJob(
+                app=configs.stream(iterations=300), submit_time=30.0, resources=half_node
+            ),
+        ),
+        nodes=1,
+    )
+
+    def interference(job: str, node: str, co_runners: list[str]) -> float:
+        return 1.3 if co_runners else 1.0
+
+    reference, batched = (
+        ScenarioRunner(drom_enabled, interference=interference, batching=batching).run(
+            workload
+        )
+        for batching in (False, True)
+    )
+    assert batched.tracer.steps() == reference.tracer.steps()
+    assert batched.tracer.mask_changes() == reference.tracer.mask_changes()
+
+    def stats(result):  # pids come from a process-global counter
+        return {
+            label: [replace(record, pid=0) for record in records]
+            for label, records in result.job_stats.items()
+        }
+
+    assert stats(batched) == stats(reference)
+    assert batched.end_time == reference.end_time
+    # Masks never change under Serial, so a re-priced step there can only
+    # come from the interference factor.
+    assert batched.steps_priced > batched.steps_advanced

@@ -154,6 +154,7 @@ class TestRunCounters:
         assert simulate.counters["events"] == result.events_executed > 0
         assert simulate.counters["steps"] == result.steps_advanced > 0
         assert simulate.counters["batches"] == result.batches_executed > 0
+        assert simulate.counters["priced"] == result.steps_priced > 0
 
     def test_reference_loop_counts_steps_but_no_batches(self):
         run = RunSpec(
@@ -167,6 +168,10 @@ class TestRunCounters:
         assert reference.steps_advanced == batched.steps_advanced > 0
         assert reference.batches_executed == 0
         assert 0 < batched.batches_executed <= batched.steps_advanced
+        # The reference loop prices each step once per rank; so does the
+        # batched Serial run, whose pricing inputs never change.
+        assert reference.steps_priced == reference.steps_advanced
+        assert batched.steps_priced == batched.steps_advanced
 
     def test_campaign_counters_match_result(self, tmp_path):
         spec = small_sweep()

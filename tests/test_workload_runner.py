@@ -6,6 +6,7 @@ import pytest
 
 from repro.cpuset.distribution import EquipartitionPolicy
 from repro.metrics.collect import relative_improvement
+from repro.workload.generator import WorkloadSpec, generate_workload
 from repro.workload.runner import DROM, SERIAL, ScenarioRunner, run_both_scenarios
 from repro.workload.workloads import (
     Workload,
@@ -146,6 +147,25 @@ class TestRunnerVariants:
         result = ScenarioRunner(True).run(workload, trace=False)
         assert len(result.tracer) == 0
         assert result.metrics.total_run_time > 0
+
+
+class TestPricingScales:
+    """The batched fast path prices each step once per distinct input."""
+
+    N24 = WorkloadSpec(njobs=24, iterations=2000, work_scale=0.3, mean_interarrival=120.0)
+
+    @pytest.fixture(scope="class")
+    def n24(self):
+        return generate_workload(self.N24, seed=1)
+
+    def test_serial_prices_every_step_once(self, n24):
+        result = ScenarioRunner(False).run(n24, trace=False)
+        assert result.steps_priced / result.steps_advanced == 1.0
+
+    def test_drom_reprices_only_on_input_changes(self, n24):
+        # Re-pricing every remaining step at every batch measured 44x here.
+        result = ScenarioRunner(True).run(n24, trace=False)
+        assert result.steps_priced / result.steps_advanced <= 8
 
 
 class TestMaskChangeRecords:
