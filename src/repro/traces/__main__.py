@@ -14,7 +14,9 @@ Subcommands::
 (through the same renderer as the live
 :class:`~repro.results.sinks.ParaverTraceSink`, so the bytes match a
 per-run sink export) with its ``.pcf``/``.row`` companion files so the
-real Paraver UI can open it, or the decompressed JSONL record stream.
+real Paraver UI can open it, or the flat JSONL record stream (header,
+steps in canonical order, mask changes, scheduler timeline; one sorted-key
+record per line).
 File names use the content key alone, so re-exports overwrite instead of
 accumulating.  ``show --head N`` and windowed queries route through the
 artifact's segment table, inflating only the slices they touch.
@@ -25,7 +27,7 @@ artifacts are always candidates.
 from __future__ import annotations
 
 import argparse
-import gzip
+import json
 import sys
 from pathlib import Path
 
@@ -210,6 +212,18 @@ def render_trace(entry: TraceEntry, bin_seconds: float) -> str:
     return "\n".join(lines)
 
 
+def jsonl_text(entry: TraceEntry) -> str:
+    """The artifact's flat record stream: the header line, one line per
+    step in canonical order, then the mask-change and sched lines."""
+    records = [
+        entry.header,
+        *(step.to_record() for step in entry.tracer),
+        *(change.to_record() for change in entry.mask_records()),
+        *entry.sched_records(),
+    ]
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
 def _render_show(entry: TraceEntry, args: argparse.Namespace) -> str:
     if args.sched:
         return render_trace_sched(entry)
@@ -255,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         (out / f"{stem}.row").write_text(row_text(entry.tracer))
     else:
         path = out / f"{stem}.jsonl"
-        path.write_bytes(gzip.decompress(entry.path.read_bytes()))
+        path.write_text(jsonl_text(entry))
     print(f"exported {entry.key[:12]} -> {path}")
     return 0
 

@@ -10,10 +10,8 @@ tiers thus address the same cell by the same hash — a key found in both
 means "this simulation's reporting is fully reconstructable without
 re-simulating".
 
-Artifact layout (format v4): one ``<key>.jsonl.gz`` file per cell, written
-as a sequence of **concatenated gzip members** — a valid multi-member gzip
-stream, so ``gzip.decompress`` of the whole file still yields the flat JSONL
-record stream:
+Artifact layout (format v5): one ``<key>.jsonl.gz`` file per cell, written
+as a sequence of **concatenated gzip members**:
 
 * the first member holds the versioned run header line (spec contents,
   scenario, workload name, end time, cycles/µs calibration) — including a
@@ -21,11 +19,25 @@ record stream:
   record count, compressed byte length) plus the mask and sched members'
   byte lengths;
 * one member per step segment: up to ``segment_steps`` step records in the
-  tracer's canonical ``(start, job, rank)`` order;
-* one member with the mask-change records (omitted when there are none);
-* one final member with the scheduler-timeline records (queue samples, node
-  allocation samples, job lifecycle rows — see :mod:`repro.obs.sched`;
-  omitted when the run recorded none).
+  tracer's canonical ``(start, job, rank)`` order, **run-length encoded** as
+  one ``{"record": "steps", "runs": [...]}`` line (see below);
+* one member with the mask-change records, one JSON line each (omitted when
+  there are none);
+* one final member with the scheduler-timeline records, one JSON line each
+  (queue samples, node allocation samples, job lifecycle rows — see
+  :mod:`repro.obs.sched`; omitted when the run recorded none).
+
+A rank's consecutive steps are usually identical but for their start, and
+the runner emits step ``j + 1`` at exactly ``start + duration`` of step
+``j`` (the boundaries are the same left-fold additions).  A segment therefore
+stores each such stretch once, as a run ``[job, rank, node, start,
+duration, phase, nthreads, thread_utilisation, ipc, work_units, count]``:
+record ``i + 1`` of a run is record ``i`` with ``start = start +
+duration``.  Runs are listed in order of first appearance in the segment's
+canonical order and never span segments; decoding expands them and restores
+the canonical order with a stable sort.  The encoder extends a run only on
+repr-equal fields (``1`` and ``1.0``, or ``0.0`` and ``-0.0``, break it), so
+the decoded records equal the recorded ones exactly.
 
 Because the header carries every member's compressed length, a reader seeks
 straight to any segment and inflates only the time windows a query touches
@@ -43,15 +55,18 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, repeat
+from operator import is_, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.campaign.spec import RunSpec
-from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
+from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer, _step_order
 from repro.obs.log import get_logger
 from repro.obs.sched import SchedTimeline
 from repro.store.content import (
@@ -89,11 +104,16 @@ DEFAULT_TRACE_ROOT = Path("benchmarks") / "results" / "traces"
 #:   (queue/node/lifecycle records) with its byte length in the header's
 #:   ``sched_bytes``.  The tier is a cache, so v3 artifacts are misses that
 #:   ``gc`` collects, like every older format.
-TRACE_FORMAT_VERSION = 4
+#: * 5 — each step segment member is one run-length line (``"record":
+#:   "steps"``) instead of one JSONL line per step; the header, segment table,
+#:   mask and sched members are unchanged.  ``gzip.decompress`` of the whole
+#:   file no longer yields the flat record stream — ``traces export --format
+#:   jsonl`` rebuilds it.  v4 artifacts are misses that ``gc`` collects.
+TRACE_FORMAT_VERSION = 5
 
 #: Step records per segment member.  Small enough that an interval query
-#: over a million-step trace inflates a sliver, large enough that gzip
-#: still sees repetitive JSONL to compress well.
+#: over a million-step trace inflates a sliver, large enough that most of a
+#: rank's uniform stretch folds into few runs.
 DEFAULT_SEGMENT_STEPS = 2048
 
 
@@ -103,6 +123,96 @@ def _gzip_member(text: str) -> bytes:
     with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as stream:
         stream.write(text.encode("utf-8"))
     return buffer.getvalue()
+
+
+def _same(a, b) -> bool:
+    """``a == b`` and serialised alike: ``1`` and ``1.0`` (or ``True``), and
+    ``0.0`` and ``-0.0``, compare equal but are not the same here."""
+    if a is b:
+        return True
+    if type(a) is not type(b) or a != b:
+        return False
+    if type(a) is float:
+        return a != 0.0 or math.copysign(1.0, a) == math.copysign(1.0, b)
+    if type(a) is tuple or type(a) is list:
+        return all(map(_same, a, b))
+    return True
+
+
+#: Every StepRecord field but ``start``.
+_fields_but_start = itemgetter(0, 1, 2, 4, 5, 6, 7, 8, 9)
+
+
+def _encode_runs(chunk: list[StepRecord]) -> tuple[list[list], float]:
+    """Run-length encode one non-empty segment's steps (canonical order).
+
+    One run per stretch of a (job, rank)'s steps in which each step starts
+    exactly where the previous one ended and is otherwise the same, listed
+    in order of first appearance.  Also returns the segment's ``t1``, the
+    latest step end.
+    """
+    runs: list[list] = []
+    #: (job, rank) -> [open run, its last step's other fields, that step's end]
+    open_runs: dict[tuple, list] = {}
+    t1 = chunk[0].end
+    for step in chunk:
+        start = step.start
+        end = start + step.duration
+        if end > t1:
+            t1 = end
+        fields = _fields_but_start(step)
+        key = step[:2]
+        slot = open_runs.get(key)
+        # Within a runner batch the other fields are the very same objects,
+        # so the identity test settles nearly every step.
+        if (
+            slot is not None
+            and _same(start, slot[2])
+            and (all(map(is_, fields, slot[1])) or all(map(_same, fields, slot[1])))
+        ):
+            slot[0][-1] += 1
+            slot[1] = fields
+            slot[2] = end
+        else:
+            run = [*step, 1]
+            runs.append(run)
+            open_runs[key] = [run, fields, end]
+    return runs, t1
+
+
+def _decode_runs(runs: list[list], where: str) -> list[StepRecord]:
+    """Expand a segment's runs back into its steps in canonical order.
+
+    The stable sort restores the canonical order exactly: a (job, rank)'s
+    runs follow one another in that order, so steps whose ``(start, job,
+    rank)`` keys tie keep their recorded relative order.
+    """
+    steps: list[StepRecord] = []
+    for *fields, count in runs:
+        if type(count) is not int or count < 1:
+            raise ValueError(f"{where} has a run of count {count!r}")
+        job, rank, node, start, duration, phase, nthreads, util, ipc, work = fields
+        # ``accumulate`` performs the encoder's ``start + duration`` chain.
+        starts = accumulate(repeat(duration, count - 1), initial=start)
+        steps.extend(
+            map(
+                StepRecord._make,
+                zip(
+                    repeat(job),
+                    repeat(rank),
+                    repeat(node),
+                    starts,
+                    repeat(duration),
+                    repeat(phase),
+                    repeat(nthreads),
+                    repeat(tuple(util)),
+                    repeat(ipc),
+                    repeat(work),
+                ),
+            )
+        )
+    steps.sort(key=_step_order)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -174,13 +284,26 @@ class TraceEntry:
         )
 
     def segment_steps(self, index: int) -> list[StepRecord]:
-        """The step records of one segment, inflating it on first touch."""
+        """The step records of one segment, inflating it on first touch.
+
+        Raises ``ValueError`` when the segment's runs do not decode to
+        exactly the table's record count ``n``.
+        """
         if index not in self._inflated:
             meta = self.segments[index]
+            where = f"{self.path} segment {index}"
             records = self._member_records(
-                self._segment_offset(index), int(meta["bytes"]), "step"
+                self._segment_offset(index), int(meta["bytes"]), "steps"
             )
-            self._inflated[index] = [StepRecord.from_record(r) for r in records]
+            steps = _decode_runs(
+                [run for record in records for run in record["runs"]], where
+            )
+            if len(steps) != int(meta["n"]):
+                raise ValueError(
+                    f"{where} decodes to {len(steps)} step(s), "
+                    f"segment table says {meta['n']}"
+                )
+            self._inflated[index] = steps
         return self._inflated[index]
 
     def mask_records(self) -> list[MaskChangeRecord]:
@@ -369,12 +492,13 @@ class TraceStore(ContentStore):
         segment_table: list[dict] = []
         for start in range(0, len(steps), self.segment_steps):
             chunk = steps[start : start + self.segment_steps]
-            blob = _records_member([step.to_record() for step in chunk])
+            runs, t1 = _encode_runs(chunk)
+            blob = _records_member([{"record": "steps", "runs": runs}])
             segment_blobs.append(blob)
             segment_table.append(
                 {
                     "t0": chunk[0].start,
-                    "t1": max(step.end for step in chunk),
+                    "t1": t1,
                     "n": len(chunk),
                     "bytes": len(blob),
                 }

@@ -5,9 +5,9 @@ The load-bearing contracts:
 * **Event-driven probe** — the controller pushes every lifecycle edge to the
   probe; queue depth is correct even mid-scheduling-pass (skipped jobs stay
   pending), and batched/unbatched executions record identical timelines.
-* **Trace format v4** — the sched member round-trips byte-identically, v3
-  artifacts are cache misses that ``gc`` collects, and a truncated sched
-  member is a cache miss.
+* **Trace format v5** — the sched member round-trips byte-identically, v3
+  and v4 artifacts are cache misses that ``gc`` collects, and a truncated
+  sched member is a cache miss.
 * **Warm == cold** — fairness/utilization queries over a stored artifact
   equal the live run's answers exactly, with zero simulation.
 * **Starvation regression** (ROADMAP item 4's pinned numbers) — under
@@ -261,11 +261,11 @@ class TestSchedPersistence:
         path = store.put(run, result)
         return run, result, store, path
 
-    def test_v4_round_trip_and_warm_equals_cold(self, stored):
+    def test_v5_round_trip_and_warm_equals_cold(self, stored):
         run, result, store, _path = stored
         entry = store.get(run)
         assert entry is not None
-        assert entry.header["version"] == 4
+        assert entry.header["version"] == 5
         assert entry.header["nsched"] == len(result.sched)
         assert entry.sched == result.sched
 
@@ -295,8 +295,8 @@ class TestSchedPersistence:
         assert entry.segments_inflated == 0
 
     def test_v3_artifact_is_a_miss_and_gc_collects_it(self, stored, tmp_path):
-        # Hand-build a v3 artifact from the v4 one: drop the trailing sched
-        # member and rewrite the header without the v4 fields.  The trace
+        # Hand-build a v3 artifact from the current one: drop the trailing
+        # sched member and rewrite the header without the v4 fields.  The trace
         # tier is a cache, so the old format is a miss that gc collects.
         run, _result, store, path = stored
         data = path.read_bytes()
@@ -321,6 +321,37 @@ class TestSchedPersistence:
         assert run not in v3_store
         assert v3_store.gc() == [content_key(run)]
         assert not v3_path.exists() and len(v3_store) == 0
+
+    def test_v4_artifact_is_a_miss_and_gc_collects_it(self, stored, tmp_path):
+        # Hand-build a v4 artifact from the v5 one: re-encode every step
+        # segment as one JSONL line per step and stamp version 4.  No v4
+        # reader is kept, so the old format is a miss that gc collects.
+        run, _result, store, path = stored
+        from repro.traces.store import _gzip_member, _records_member
+
+        data = path.read_bytes()
+        entry = store.get(run)
+        blobs = [
+            _records_member([step.to_record() for step in entry.segment_steps(i)])
+            for i in range(len(entry.segments))
+        ]
+        header = dict(
+            entry.header,
+            version=4,
+            segments=[dict(seg, bytes=len(b)) for seg, b in zip(entry.segments, blobs)],
+        )
+        v4_store = TraceStore(tmp_path)
+        v4_path = v4_store.path_for(content_key(run))
+        v4_path.parent.mkdir(parents=True, exist_ok=True)
+        v4_path.write_bytes(
+            _gzip_member(json.dumps(header, sort_keys=True) + "\n")
+            + b"".join(blobs)
+            + data[entry._segment_offset(len(entry.segments)) :]
+        )
+        assert v4_store.get(run) is None
+        assert run not in v4_store
+        assert v4_store.gc() == [content_key(run)]
+        assert not v4_path.exists() and len(v4_store) == 0
 
     def test_truncated_sched_member_is_a_miss(self, stored, tmp_path):
         run, result, _store, _path = stored

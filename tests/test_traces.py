@@ -1,7 +1,9 @@
 """Tests of the content-addressed trace tier (`repro.traces`).
 
 Covers the store round trip (byte-identical artifacts, exact float
-equality), the two-tier campaign memoisation contract ("skip execution only
+equality), the run-length step segments (differential round trips of
+generated cells and of a hand-built tracer that forces every kind of run
+break, doctored run counts raising), the two-tier campaign memoisation contract ("skip execution only
 when both tiers hit"), scenario replay equality against live executions, the
 query engine, the CLI, merge/sharding, and the reader edge cases the
 satellites call out (empty tracer, horizon-0 run, mask-change-only trace,
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import random
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.campaign import (
     ClusterRef,
     HighPriorityWorkloadRef,
     RunSpec,
+    SchedulerRef,
     SyntheticWorkloadRef,
     execute_run,
     run_campaign,
@@ -28,7 +32,15 @@ from repro.campaign import (
 from repro.experiments.usecase1 import imbalance_trace, scenario_timelines
 from repro.experiments.usecase2 import run_usecase2
 from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
-from repro.results import ParaverTraceSink, ResultStore, content_key, prv_text, read_prv
+from repro.results import (
+    ParaverTraceSink,
+    ResultStore,
+    content_key,
+    pcf_text,
+    prv_text,
+    read_prv,
+    row_text,
+)
 from repro.results.sinks import EV_STEP_IPC_MILLI
 from repro.traces import (
     TRACE_FORMAT_VERSION,
@@ -60,6 +72,32 @@ def traced_run():
         cluster=ClusterRef(nnodes=4),
     )
     return run, execute_run(run, trace=True)
+
+
+def store_and_reload(
+    tmp_path, tracer: Tracer, scenario: str = SERIAL, segment_steps: int = 2048
+):
+    """Round-trip a hand-built tracer through a TraceStore artifact."""
+    from repro.workload.runner import ScenarioResult
+
+    run = RunSpec(
+        index=0,
+        scenario=scenario,
+        workload=SyntheticWorkloadRef(spec=SMALL, seed=99),
+        cluster=ClusterRef(nnodes=4),
+    )
+    ends = [s.end for s in tracer]
+    result = ScenarioResult(
+        scenario=scenario,
+        workload=run.workload.build(),
+        metrics=None,
+        tracer=tracer,
+        jobs={},
+        end_time=max(ends) if ends else 0.0,
+    )
+    store = TraceStore(tmp_path, segment_steps=segment_steps)
+    store.put(run, result)
+    return store.get(run)
 
 
 class TestTraceStoreRoundTrip:
@@ -379,32 +417,8 @@ class TestTraceReader:
 class TestReaderEdgeCases:
     """Satellite: read_prv/read_jsonl edge cases through the compressed tier."""
 
-    @staticmethod
-    def _store_and_reload(tmp_path, tracer: Tracer, scenario: str = SERIAL):
-        """Round-trip a hand-built tracer through a TraceStore artifact."""
-        from repro.workload.runner import ScenarioResult
-
-        run = RunSpec(
-            index=0,
-            scenario=scenario,
-            workload=SyntheticWorkloadRef(spec=SMALL, seed=99),
-            cluster=ClusterRef(nnodes=4),
-        )
-        ends = [s.end for s in tracer]
-        result = ScenarioResult(
-            scenario=scenario,
-            workload=run.workload.build(),
-            metrics=None,
-            tracer=tracer,
-            jobs={},
-            end_time=max(ends) if ends else 0.0,
-        )
-        store = TraceStore(tmp_path)
-        store.put(run, result)
-        return store.get(run)
-
     def test_empty_tracer_round_trip(self, tmp_path):
-        entry = self._store_and_reload(tmp_path, Tracer())
+        entry = store_and_reload(tmp_path, Tracer())
         assert len(entry.tracer) == 0
         assert entry.tracer.mask_changes() == []
         reader = TraceReader(entry)
@@ -425,7 +439,7 @@ class TestReaderEdgeCases:
                 nthreads=2, thread_utilisation=(1.0, 1.0), ipc=1.5, work_units=1.0,
             )
         )
-        entry = self._store_and_reload(tmp_path, tracer)
+        entry = store_and_reload(tmp_path, tracer)
         reader = TraceReader(entry)
         assert reader.job_intervals() == {"j": (0.0, 0.0)}
         assert reader.view().horizon() == 0.0
@@ -440,7 +454,7 @@ class TestReaderEdgeCases:
         tracer.record_mask_change(
             MaskChangeRecord(job="j", rank=0, time=1.0, old_threads=4, new_threads=2)
         )
-        entry = self._store_and_reload(tmp_path, tracer, scenario=DROM)
+        entry = store_and_reload(tmp_path, tracer, scenario=DROM)
         assert len(entry.tracer) == 0
         assert entry.tracer.mask_changes() == tracer.mask_changes()
         reader = TraceReader(entry)
@@ -468,6 +482,135 @@ class TestReaderEdgeCases:
             int(line.split(marker, 1)[1].split(":", 1)[0]) for line in ipc_events
         ]
         assert values == expected
+
+
+class TestRunLengthSegments:
+    """Format v5: the run-length step segments decode to exactly the live
+    tracer's records, and a doctored run count never reads silently."""
+
+    CELLS = [
+        (njobs, scenario, backfill, 1.3 if backfill and njobs == 4 else None)
+        for njobs in (4, 12)
+        for backfill in (False, True)
+        for scenario in (SERIAL, DROM)
+    ]
+
+    @staticmethod
+    def _cell(njobs, scenario, backfill, interference):
+        return RunSpec(
+            index=0,
+            scenario=scenario,
+            workload=SyntheticWorkloadRef(
+                spec=WorkloadSpec(
+                    njobs=njobs, mean_interarrival=60.0, work_scale=0.04, iterations=40
+                ),
+                seed=njobs,
+            ),
+            cluster=ClusterRef(nnodes=4),
+            interference_factor=interference,
+            scheduler=SchedulerRef(backfill=backfill),
+        )
+
+    @pytest.mark.parametrize("njobs,scenario,backfill,interference", CELLS)
+    def test_generated_cells_round_trip(
+        self, njobs, scenario, backfill, interference, tmp_path
+    ):
+        run = self._cell(njobs, scenario, backfill, interference)
+        result = execute_run(run, trace=True)
+        live = list(result.tracer)
+        store = TraceStore(tmp_path, segment_steps=64)
+        store.put(run, result)
+        assert len(store.get(run).segments) > 1
+
+        rng = random.Random(f"{njobs}/{scenario}/{backfill}")
+        for _ in range(4):
+            # A fresh entry each time, so every window reads lazily.
+            entry = store.get(run)
+            lo = rng.uniform(0.0, result.end_time)
+            hi = rng.uniform(lo, result.end_time)
+            assert entry.steps_between(lo, hi) == [
+                s for s in live if s.start <= hi and s.end >= lo
+            ]
+            count = rng.randrange(len(live) + 2)
+            assert store.get(run).head_steps(count) == live[:count]
+
+        tracer = store.get(run).tracer
+        assert list(tracer) == live
+        assert repr(list(tracer)) == repr(live)
+        assert tracer.mask_changes() == result.tracer.mask_changes()
+        assert prv_text(tracer) == prv_text(result.tracer)
+        assert pcf_text(tracer) == pcf_text(result.tracer)
+        assert row_text(tracer) == row_text(result.tracer)
+
+    def test_run_breaks_round_trip_repr_exactly(self, tmp_path):
+        def step(start, duration=1.0, rank=0, **changes):
+            fields = dict(
+                job="j", rank=rank, node="n0", start=start, duration=duration,
+                phase="p", nthreads=2, thread_utilisation=(1.0, 0.5), ipc=1.5,
+                work_units=1.0,
+            )
+            fields.update(changes)
+            return StepRecord(**fields)
+
+        steps = [
+            step(0.0), step(1.0), step(2.0),
+            step(5.0), step(6.0),  # idle gap
+            step(7.0, duration=0.0), step(7.0, duration=0.0),  # zero-duration
+            step(7.0), step(8.0, thread_utilisation=(0.8, 0.4)),  # laggard scale
+            step(9.0, thread_utilisation=(0.8, 0.4)),
+            step(10.0, work_units=1), step(11.0, work_units=1.0),  # int vs float
+            step(12.0, ipc=0.0), step(13.0, ipc=-0.0), step(14.0, ipc=0.0),
+            step(-0.0, rank=1), step(1.0, rank=1), step(0.0, rank=2),
+            step(1.0, rank=2),
+        ]
+        tracer = Tracer()
+        tracer.record_steps(steps)
+        entry = store_and_reload(tmp_path, tracer, segment_steps=6)
+        assert repr(list(entry.tracer)) == repr(list(tracer))
+        for index in range(len(entry.segments)):
+            entry.segment_steps(index)  # every segment decodes to its ``n``
+
+    @staticmethod
+    def _doctor_count(entry, index, recount):
+        """Rewrite segment ``index`` with its longest run's count replaced by
+        ``recount(count)``, patching the header's byte table to match."""
+        from repro.traces.store import _gzip_member
+
+        data = entry.path.read_bytes()
+        offset = entry._segment_offset(index)
+        length = entry.segments[index]["bytes"]
+        member = json.loads(gzip.decompress(data[offset : offset + length]))
+        longest = max(member["runs"], key=lambda run: run[-1])
+        assert longest[-1] > 1
+        longest[-1] = recount(longest[-1])
+        blob = _gzip_member(json.dumps(member, sort_keys=True) + "\n")
+        header = json.loads(json.dumps(entry.header))
+        header["segments"][index]["bytes"] = len(blob)
+        entry.path.write_bytes(
+            _gzip_member(json.dumps(header, sort_keys=True) + "\n")
+            + data[entry.header_bytes : offset]
+            + blob
+            + data[offset + length :]
+        )
+
+    @pytest.mark.parametrize(
+        "recount",
+        [lambda n: n - 1, lambda n: n + 1, lambda n: 0],
+        ids=["short", "long", "zero"],
+    )
+    def test_doctored_run_count_raises(self, traced_run, tmp_path, recount):
+        run, result = traced_run
+        store = TraceStore(tmp_path, segment_steps=16)
+        store.put(run, result)
+        index = 1
+        self._doctor_count(store.get(run), index, recount)
+        doctored = store.get(run)
+        assert doctored is not None  # the byte-size cross-check still passes
+        assert doctored.segment_steps(0) == list(result.tracer)[:16]
+        with pytest.raises(ValueError, match=f"segment {index}"):
+            doctored.segment_steps(index)
+        with pytest.raises(ValueError, match=f"segment {index}"):
+            list(store.get(run).tracer)
 
 
 class TestTracesCli:
@@ -510,8 +653,10 @@ class TestTracesCli:
         ]) == 0
         assert len(list(out_dir.glob("*.prv"))) == 1
 
-    def test_export_jsonl_is_the_decompressed_artifact(self, populated, tmp_path, capsys):
-        run, _result, store = populated
+    def test_export_jsonl_is_the_flat_record_stream(self, populated, tmp_path, capsys):
+        # Header, steps in canonical order, mask changes, sched records: one
+        # sorted-key record per line, whatever the artifact's encoding.
+        run, result, store = populated
         out_dir = tmp_path / "exported"
         assert traces_main([
             "export", content_key(run)[:10], "--store", str(store.root),
@@ -519,8 +664,22 @@ class TestTracesCli:
         ]) == 0
         exported = list(out_dir.glob("*.jsonl"))
         assert len(exported) == 1
-        raw = gzip.decompress(store.path_for(content_key(run)).read_bytes())
-        assert exported[0].read_bytes() == raw
+        lines = exported[0].read_text().splitlines()
+        assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in lines)
+        records = [json.loads(line) for line in lines]
+        assert records[0] == store.get(run).header
+        nsteps, nmasks = len(result.tracer), len(result.tracer.mask_changes())
+        assert result.tracer.mask_changes(), "the fixture should change masks"
+        steps = records[1 : 1 + nsteps]
+        masks = records[1 + nsteps : 1 + nsteps + nmasks]
+        assert [StepRecord.from_record(r) for r in steps] == list(result.tracer)
+        assert steps == [s.to_record() for s in result.tracer]
+        assert [MaskChangeRecord.from_record(r) for r in masks] == (
+            result.tracer.mask_changes()
+        )
+        sched = records[1 + nsteps + nmasks :]
+        assert len(sched) == len(result.sched) > 0
+        assert all(r["record"] not in ("step", "mask_change") for r in sched)
 
     def test_gc_collects_stale_artifact(self, populated, capsys):
         run, _result, store = populated
