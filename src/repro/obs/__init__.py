@@ -16,7 +16,7 @@ post-mortemable without perturbing a single artifact byte:
 * :mod:`repro.obs.sched` — the event-driven scheduler probe: queue-depth,
   per-node allocation and job-lifecycle series per run, with fairness
   metrics (wait/bounded-slowdown percentiles) and windowed utilization
-  queries; persisted in the trace artifact (format v4) and answerable warm
+  queries; persisted in the trace artifact (since format v4) and answerable warm
   through :class:`~repro.traces.query.TraceReader`.
 * :mod:`repro.obs.progress` — the live stderr progress line behind
   ``python -m repro.campaign --progress``.

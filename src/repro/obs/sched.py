@@ -24,7 +24,7 @@ black box — nothing recorded what the controller did between ``submit`` and
 Records follow the tracer's ``NamedTuple`` + ``to_record``/``from_record``
 codec convention (floats survive their JSON round trip exactly via
 ``repr``), so the trace store persists a timeline as one more gzip member
-of the artifact (format v4) alongside the step and mask members.
+of the artifact (since format v4) alongside the step and mask members.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 from repro.campaign.spec import RunSpec
 from repro.metrics.paraver import ParaverView
@@ -261,6 +261,15 @@ def read_prv(path: str | os.PathLike) -> tuple[str, list[str], list[str]]:
     return lines[0], states, events
 
 
+def jsonl_record_lines(tracer: Tracer) -> Iterator[str]:
+    """The JSONL record lines of a tracer: one sorted-key line per step in
+    canonical order, then one per mask change."""
+    for step in tracer:
+        yield json.dumps(step.to_record(), sort_keys=True)
+    for change in tracer.mask_changes():
+        yield json.dumps(change.to_record(), sort_keys=True)
+
+
 @dataclass(frozen=True)
 class JsonlTraceSink:
     """Writes one JSONL trace file per run under ``root``."""
@@ -279,14 +288,7 @@ class JsonlTraceSink:
             "workload": result.workload.name,
             "end_time": result.end_time,
         }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(
-            json.dumps(step.to_record(), sort_keys=True) for step in result.tracer
-        )
-        lines.extend(
-            json.dumps(change.to_record(), sort_keys=True)
-            for change in result.tracer.mask_changes()
-        )
+        lines = [json.dumps(header, sort_keys=True), *jsonl_record_lines(result.tracer)]
         root = Path(self.root)
         root.mkdir(parents=True, exist_ok=True)
         path = root / f"{run_stem(run)}.jsonl"

@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from repro.experiments.tables import render_table
-from repro.results.sinks import pcf_text, prv_text, row_text
+from repro.results.sinks import jsonl_record_lines, pcf_text, prv_text, row_text
 from repro.store.cli import StoreCommands
 from repro.traces.query import TraceReader
 from repro.traces.store import DEFAULT_TRACE_ROOT, TraceEntry, TraceStore
@@ -215,13 +215,12 @@ def render_trace(entry: TraceEntry, bin_seconds: float) -> str:
 def jsonl_text(entry: TraceEntry) -> str:
     """The artifact's flat record stream: the header line, one line per
     step in canonical order, then the mask-change and sched lines."""
-    records = [
-        entry.header,
-        *(step.to_record() for step in entry.tracer),
-        *(change.to_record() for change in entry.mask_records()),
-        *entry.sched_records(),
+    lines = [
+        json.dumps(entry.header, sort_keys=True),
+        *jsonl_record_lines(entry.tracer),
+        *(json.dumps(record, sort_keys=True) for record in entry.sched_records()),
     ]
-    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    return "".join(line + "\n" for line in lines)
 
 
 def _render_show(entry: TraceEntry, args: argparse.Namespace) -> str:

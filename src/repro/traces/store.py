@@ -143,28 +143,25 @@ def _same(a, b) -> bool:
 _fields_but_start = itemgetter(0, 1, 2, 4, 5, 6, 7, 8, 9)
 
 
-def _encode_runs(chunk: list[StepRecord]) -> tuple[list[list], float]:
-    """Run-length encode one non-empty segment's steps (canonical order).
+def _encode_runs(chunk: list[StepRecord]) -> list[list]:
+    """Run-length encode one segment's steps (canonical order).
 
     One run per stretch of a (job, rank)'s steps in which each step starts
     exactly where the previous one ended and is otherwise the same, listed
-    in order of first appearance.  Also returns the segment's ``t1``, the
-    latest step end.
+    in order of first appearance.
     """
     runs: list[list] = []
     #: (job, rank) -> [open run, its last step's other fields, that step's end]
     open_runs: dict[tuple, list] = {}
-    t1 = chunk[0].end
     for step in chunk:
         start = step.start
         end = start + step.duration
-        if end > t1:
-            t1 = end
         fields = _fields_but_start(step)
         key = step[:2]
         slot = open_runs.get(key)
-        # Within a runner batch the other fields are the very same objects,
-        # so the identity test settles nearly every step.
+        # Within a runner batch the other fields are the very same objects.
+        # Testing identity first settles nearly every step without one
+        # Python-level ``_same`` call per field.
         if (
             slot is not None
             and _same(start, slot[2])
@@ -177,7 +174,7 @@ def _encode_runs(chunk: list[StepRecord]) -> tuple[list[list], float]:
             run = [*step, 1]
             runs.append(run)
             open_runs[key] = [run, fields, end]
-    return runs, t1
+    return runs
 
 
 def _decode_runs(runs: list[list], where: str) -> list[StepRecord]:
@@ -492,13 +489,13 @@ class TraceStore(ContentStore):
         segment_table: list[dict] = []
         for start in range(0, len(steps), self.segment_steps):
             chunk = steps[start : start + self.segment_steps]
-            runs, t1 = _encode_runs(chunk)
+            runs = _encode_runs(chunk)
             blob = _records_member([{"record": "steps", "runs": runs}])
             segment_blobs.append(blob)
             segment_table.append(
                 {
                     "t0": chunk[0].start,
-                    "t1": t1,
+                    "t1": max(step.start + step.duration for step in chunk),
                     "n": len(chunk),
                     "bytes": len(blob),
                 }

@@ -123,7 +123,7 @@ class ScenarioResult:
     #: Scheduler-level observability: the event-driven queue/allocation/
     #: lifecycle series recorded by the cluster probe (see
     #: :mod:`repro.obs.sched`).  Deterministic, so it persists alongside the
-    #: tracer in the trace artifact (format v4).
+    #: tracer in the trace artifact (since format v4).
     sched: SchedTimeline = field(default_factory=SchedTimeline)
 
     def job(self, label: str) -> Job:
