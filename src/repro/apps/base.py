@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add
 
 from repro.apps.perfmodel import PerformanceProfile, PhaseProfile
 from repro.cpuset.mask import CpuSet
@@ -126,9 +128,7 @@ class RankWorkPlan:
         """
         completed = self.completed_work
         for step, n in self.runs(count):
-            units = step.work_units
-            for _ in range(n):
-                completed += units
+            completed = reduce(add, repeat(step.work_units, n), completed)
         self.completed_work = completed
         self.next_step += count
 

@@ -22,7 +22,10 @@ The workload runner feeds these counters from the application models, and the
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 from repro.core.errors import ProcessNotRegisteredError
 from repro.core.shmem import NodeSharedMemory
@@ -101,30 +104,35 @@ class StatsModule:
             return stats
 
     def record_compute_batch(
-        self, pid: int, intervals: "list[tuple[float, float, int, float]]"
+        self, pid: int, intervals: "list[tuple[float, float, int, float, int]]"
     ) -> ProcessStats:
         """Account a whole batch of execution intervals in one call.
 
-        Each entry is ``(useful_time, idle_time, ncpus, seconds)`` — one
-        step's compute accounting plus its CPU-ownership integral.  The
-        accumulators advance entry by entry, in order, exactly as the same
-        sequence of :meth:`record_compute` + :meth:`record_ownership` calls
-        would (float addition is order-sensitive), but with one lock acquire
-        and one registry lookup for the whole batch.
+        Each entry is ``(useful_time, idle_time, ncpus, seconds, count)`` —
+        ``count`` identical steps' compute accounting plus their
+        CPU-ownership integral.  The accumulators advance step by step, in
+        order, exactly as the same sequence of :meth:`record_compute` +
+        :meth:`record_ownership` calls would (float addition is
+        order-sensitive), but with one lock acquire and one registry lookup
+        for the whole batch.  An invalid entry raises ``ValueError`` and
+        leaves the record untouched.
         """
         with self._lock:
             stats = self._require(pid)
             useful = stats.useful_time
             idle = stats.idle_time
             owned = stats.cpu_seconds_owned
-            for useful_time, idle_time, ncpus, seconds in intervals:
+            for useful_time, idle_time, ncpus, seconds, count in intervals:
                 if useful_time < 0 or idle_time < 0:
                     raise ValueError("times must be non-negative")
                 if ncpus < 0 or seconds < 0:
                     raise ValueError("ncpus and seconds must be non-negative")
-                useful += useful_time
-                idle += idle_time
-                owned += ncpus * seconds
+                if count < 1:
+                    raise ValueError("count must be at least 1")
+                # The left fold of ``count`` additions, one per step.
+                useful = reduce(add, repeat(useful_time, count), useful)
+                idle = reduce(add, repeat(idle_time, count), idle)
+                owned = reduce(add, repeat(ncpus * seconds, count), owned)
             stats.useful_time = useful
             stats.idle_time = idle
             stats.cpu_seconds_owned = owned

@@ -3,7 +3,7 @@
 from repro.metrics.collect import JobMetrics, WorkloadMetrics, relative_improvement
 from repro.metrics.counters import CounterLog, CounterSample
 from repro.metrics.paraver import ParaverView, TimelineRow
-from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
+from repro.metrics.tracing import MaskChangeRecord, StepRecord, StepRun, Tracer
 
 __all__ = [
     "JobMetrics",
@@ -13,6 +13,7 @@ __all__ = [
     "CounterSample",
     "Tracer",
     "StepRecord",
+    "StepRun",
     "MaskChangeRecord",
     "ParaverView",
     "TimelineRow",

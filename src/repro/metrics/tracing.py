@@ -1,28 +1,30 @@
 """Extrae-like execution tracing.
 
 The paper obtains application metrics "by tracing the use cases using Extrae
-and visualizing traces with Paraver".  The tracer below records one
-:class:`StepRecord` per rank per execution step (the malleability-point
-granularity of the simulation) plus mask-change events; Figure 5's per-thread
-utilisation view, Figure 13's timelines and the counter log all derive from
-it.
+and visualizing traces with Paraver".  The tracer below records each rank's
+execution steps (the malleability-point granularity of the simulation) as
+runs of steps alike but for their start (:class:`StepRun`), plus mask-change
+events; Figure 5's utilisation view, Figure 13's timelines and the counter
+log all derive from its per-step :class:`StepRecord` views.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from repro.metrics.counters import CounterLog, CounterSample
-from repro.sim.events import EventLog
 
 
 class StepRecord(NamedTuple):
     """One execution step of one rank.
 
-    A ``NamedTuple`` rather than a dataclass: the runner constructs one of
-    these per rank per step on the simulation hot path, and tuple
-    construction is several times cheaper than a frozen dataclass ``__init__``
-    while keeping the record immutable, hashable and field-comparable.
+    A ``NamedTuple`` rather than a dataclass: the per-step views expand one
+    of these per rank per step, and tuple construction is several times
+    cheaper than a frozen dataclass ``__init__`` while keeping the record
+    immutable, hashable and field-comparable.
     """
 
     job: str
@@ -68,6 +70,43 @@ class StepRecord(NamedTuple):
         return cls(**payload)
 
 
+class StepRun(NamedTuple):
+    """``count`` consecutive steps of one rank, alike but for their start.
+
+    The fields are :class:`StepRecord`'s (``start`` the first step's, floats
+    ``start`` and non-negative ``duration``) plus ``count``.  Step ``i + 1``
+    starts at ``start + duration`` of step ``i``, the very addition the
+    engine clock performs, so a run expands to exactly its records.
+    """
+
+    job: str
+    rank: int
+    node: str
+    start: float
+    duration: float
+    phase: str
+    nthreads: int
+    thread_utilisation: tuple[float, ...]
+    ipc: float
+    work_units: float
+    count: int
+
+    @property
+    def end(self) -> float:
+        """The last step's end (the chain of ``count`` additions)."""
+        return reduce(add, repeat(self.duration, self.count), self.start)
+
+
+def expand_runs(runs: Iterable[StepRun]) -> list[StepRecord]:
+    """The step records of ``runs``, run by run, in recorded order."""
+    steps: list[StepRecord] = []
+    for run in runs:
+        columns = [repeat(value, run.count) for value in run[:10]]
+        columns[3] = accumulate(repeat(run.duration, run.count - 1), initial=run.start)
+        steps.extend(map(StepRecord._make, zip(*columns)))
+    return steps
+
+
 class MaskChangeRecord(NamedTuple):
     """A DROM mask change observed by a rank."""
 
@@ -104,15 +143,19 @@ def _step_order(step: StepRecord) -> tuple[float, str, int]:
 
 
 class Tracer:
-    """Collects step and mask-change records for a whole scenario run."""
+    """Collects step runs and mask-change records for a whole scenario run.
+
+    The per-step views (iteration, :meth:`steps`, :meth:`counter_log`,
+    :meth:`thread_utilisation`) expand and sort the runs on first use.
+    """
 
     def __init__(self, cycles_per_us: float = 2600.0) -> None:
-        self._steps: list[StepRecord] = []
-        #: Lazily sorted canonical view of ``_steps`` (None = dirty).
+        self._runs: list[StepRun] = []
+        self._nsteps = 0
+        #: Lazily expanded canonical view of ``_runs`` (None = stale).
         self._ordered_steps: list[StepRecord] | None = []
         self._mask_changes: list[MaskChangeRecord] = []
         self._cycles_per_us = cycles_per_us
-        self.events = EventLog()
 
     @property
     def cycles_per_us(self) -> float:
@@ -123,17 +166,16 @@ class Tracer:
     # -- recording -------------------------------------------------------------
 
     def record_step(self, record: StepRecord) -> None:
-        self._steps.append(record)
+        """Append one step (a run of one)."""
+        self._runs.append(StepRun(*record, 1))
+        self._nsteps += 1
         self._ordered_steps = None
 
-    def record_steps(self, records: Iterable[StepRecord]) -> None:
-        """Append a whole batch of step records in one call.
-
-        The batched runner hands over one list per (job, batch); the
-        canonical order presented by the queries is unaffected by how the
-        records were chunked.
-        """
-        self._steps.extend(records)
+    def record_steps(self, runs: list[StepRun]) -> None:
+        """Append a list of step runs (the batched runner's per-wake list of
+        one rank); how steps are chunked into runs never shows in a view."""
+        self._runs.extend(runs)
+        self._nsteps += sum(run.count for run in runs)
         self._ordered_steps = None
 
     def record_mask_change(self, record: MaskChangeRecord) -> None:
@@ -141,9 +183,14 @@ class Tracer:
 
     # -- queries ------------------------------------------------------------------
 
+    def runs(self) -> list[StepRun]:
+        """The recorded step runs, in recording order."""
+        return list(self._runs)
+
     def _ordered(self) -> list[StepRecord]:
         if self._ordered_steps is None:
-            self._ordered_steps = sorted(self._steps, key=_step_order)
+            self._ordered_steps = expand_runs(self._runs)
+            self._ordered_steps.sort(key=_step_order)
         return self._ordered_steps
 
     def steps(self, job: str | None = None, rank: int | None = None) -> list[StepRecord]:
@@ -160,21 +207,19 @@ class Tracer:
         return [m for m in self._mask_changes if m.job == job]
 
     def jobs(self) -> list[str]:
-        seen: list[str] = []
-        for step in self._ordered():
-            if step.job not in seen:
-                seen.append(step.job)
-        return seen
+        """Job labels in order of first appearance in the canonical order."""
+        return list(dict.fromkeys(job for _, job in sorted((r.start, r.job) for r in self._runs)))
 
     def span(self, job: str) -> tuple[float, float]:
         """First start and last end of a job's steps."""
-        steps = self.steps(job)
-        if not steps:
+        runs = [run for run in self._runs if run.job == job]
+        if not runs:
             raise ValueError(f"no steps recorded for job {job!r}")
-        return min(s.start for s in steps), max(s.end for s in steps)
+        return min(run.start for run in runs), max(run.end for run in runs)
 
     def __len__(self) -> int:
-        return len(self._steps)
+        """The number of step records (not runs)."""
+        return self._nsteps
 
     def __iter__(self) -> Iterator[StepRecord]:
         return iter(self._ordered())
@@ -216,9 +261,3 @@ class Tracer:
                     )
                 )
         return log
-
-    def merge(self, other: "Tracer") -> None:
-        """Absorb another tracer's records (used when scenarios are composed)."""
-        self._steps.extend(other._steps)
-        self._ordered_steps = None
-        self._mask_changes.extend(other._mask_changes)

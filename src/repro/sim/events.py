@@ -26,9 +26,8 @@ class Event:
 class EventLog:
     """Append-only list of :class:`Event` with simple query helpers.
 
-    Used as the backing store of the Extrae-like tracer and of the metric
-    collectors.  Appends must be non-decreasing in time, which the simulation
-    engine guarantees.
+    Appends must be non-decreasing in time, which the simulation engine
+    guarantees.
     """
 
     def __init__(self) -> None:

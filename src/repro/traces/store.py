@@ -37,7 +37,8 @@ duration``.  Runs are listed in order of first appearance in the segment's
 canonical order and never span segments; decoding expands them and restores
 the canonical order with a stable sort.  The encoder extends a run only on
 repr-equal fields (``1`` and ``1.0``, or ``0.0`` and ``-0.0``, break it), so
-the decoded records equal the recorded ones exactly.
+the decoded records equal the recorded ones exactly.  Both directions work
+on the tracer's own :class:`~repro.metrics.tracing.StepRun` lists.
 
 Because the header carries every member's compressed length, a reader seeks
 straight to any segment and inflates only the time windows a query touches
@@ -60,13 +61,21 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, repeat
 from operator import is_, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.campaign.spec import RunSpec
-from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer, _step_order
+from repro.metrics.tracing import (
+    MaskChangeRecord,
+    StepRecord,
+    StepRun,
+    Tracer,
+    _step_order,
+    expand_runs,
+)
 from repro.obs.log import get_logger
 from repro.obs.sched import SchedTimeline
 from repro.store.content import (
@@ -139,77 +148,83 @@ def _same(a, b) -> bool:
     return True
 
 
-#: Every StepRecord field but ``start``.
+#: Every StepRun field but ``start`` and ``count``.
 _fields_but_start = itemgetter(0, 1, 2, 4, 5, 6, 7, 8, 9)
 
 
-def _encode_runs(chunk: list[StepRecord]) -> list[list]:
-    """Run-length encode one segment's steps (canonical order).
+def _encode_segments(runs: list[StepRun], size: int) -> list[tuple[list[list], dict]]:
+    """Each ``size``-step segment's run list and table entry (``t0``, ``t1``,
+    ``n``) of the canonical step order ``runs`` stand for.
 
-    One run per stretch of a (job, rank)'s steps in which each step starts
-    exactly where the previous one ended and is otherwise the same, listed
-    in order of first appearance.
+    Within a segment, a (job, rank)'s run extends over its next step when
+    that step starts exactly (:func:`_same`) where the last ended and is
+    otherwise the same; runs are listed in order of first appearance.  No
+    step record is built: numpy lays the steps' starts out flat
+    (``np.add.accumulate`` is a run's ``start + duration`` chain bit for
+    bit), and the exact rule runs only where one recorded run meets another.
     """
-    runs: list[list] = []
-    #: (job, rank) -> [open run, its last step's other fields, that step's end]
-    open_runs: dict[tuple, list] = {}
-    for step in chunk:
-        start = step.start
-        end = start + step.duration
-        fields = _fields_but_start(step)
-        key = step[:2]
-        slot = open_runs.get(key)
-        # Within a runner batch the other fields are the very same objects.
-        # Testing identity first settles nearly every step without one
-        # Python-level ``_same`` call per field.
-        if (
-            slot is not None
-            and _same(start, slot[2])
-            and (all(map(is_, fields, slot[1])) or all(map(_same, fields, slot[1])))
-        ):
-            slot[0][-1] += 1
-            slot[1] = fields
-            slot[2] = end
-        else:
-            run = [*step, 1]
-            runs.append(run)
-            open_runs[key] = [run, fields, end]
-    return runs
-
-
-def _decode_runs(runs: list[list], where: str) -> list[StepRecord]:
-    """Expand a segment's runs back into its steps in canonical order.
-
-    The stable sort restores the canonical order exactly: a (job, rank)'s
-    runs follow one another in that order, so steps whose ``(start, job,
-    rank)`` keys tie keep their recorded relative order.
-    """
-    steps: list[StepRecord] = []
-    for *fields, count in runs:
-        if type(count) is not int or count < 1:
-            raise ValueError(f"{where} has a run of count {count!r}")
-        job, rank, node, start, duration, phase, nthreads, util, ipc, work = fields
-        # ``accumulate`` performs the encoder's ``start + duration`` chain.
-        starts = accumulate(repeat(duration, count - 1), initial=start)
-        steps.extend(
-            map(
-                StepRecord._make,
-                zip(
-                    repeat(job),
-                    repeat(rank),
-                    repeat(node),
-                    starts,
-                    repeat(duration),
-                    repeat(phase),
-                    repeat(nthreads),
-                    repeat(tuple(util)),
-                    repeat(ipc),
-                    repeat(work),
-                ),
-            )
+    if not runs:
+        return []
+    # One stream per (job, rank), in canonical key order; recording order
+    # within a stream.  A stable sort of the flat starts then yields the
+    # canonical (start, job, rank) order with ties in recording order.
+    runs = sorted(runs, key=itemgetter(0, 1))
+    counts = np.array([run.count for run in runs])
+    heads = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    durations = np.repeat([run.duration for run in runs], counts).astype(float)
+    starts = durations.copy()
+    starts[heads] = [run.start for run in runs]
+    for head, count in zip(heads[counts > 1].tolist(), counts[counts > 1].tolist()):
+        chain = starts[head : head + count]
+        np.add.accumulate(chain, out=chain)
+    step_ends = starts + durations
+    source = np.repeat(np.arange(len(runs)), counts)
+    stream = np.repeat(
+        np.cumsum([0] + [a[:2] != b[:2] for a, b in zip(runs, runs[1:])]), counts
+    )
+    order = np.argsort(starts, kind="stable")
+    rank_of = np.empty(total, np.intp)
+    rank_of[order] = np.arange(total)
+    segment = rank_of // size
+    # Every stream's steps in canonical order, streams one after another
+    # (already sorted, bar streams recorded out of time order).  A walk step
+    # extends its predecessor's artifact run when both lie in one stream
+    # and segment and it is the next step of the same recorded run.
+    walk = np.argsort(stream * total + rank_of, kind="stable")
+    grouped = (stream[walk[1:]] == stream[walk[:-1]]) & (segment[walk[1:]] == segment[walk[:-1]])
+    is_head = np.zeros(total, bool)
+    is_head[heads] = True
+    extends = grouped & (walk[1:] == walk[:-1] + 1) & ~is_head[walk[1:]]
+    # Where one recorded run meets another, apply the exact rule.
+    at = np.flatnonzero(grouped & ~extends)
+    after, before = walk[at + 1], walk[at]
+    for index, a, b, start, end in zip(
+        *(x.tolist() for x in (at, source[after], source[before], starts[after], step_ends[before]))
+    ):
+        fields, previous = _fields_but_start(runs[a]), _fields_but_start(runs[b])
+        extends[index] = _same(start, end) and (
+            all(map(is_, fields, previous)) or all(map(_same, fields, previous))
         )
-    steps.sort(key=_step_order)
-    return steps
+
+    begins = np.flatnonzero(np.concatenate(([True], ~extends)))
+    firsts = walk[begins]
+    listing = np.argsort(rank_of[firsts])
+    cuts = np.arange(0, total, size)
+    # Each segment's first maximal end, as Python's ``max`` picks it.
+    ends = np.full(len(cuts) * size, -np.inf)
+    ends[:total] = step_ends[order]
+    t1s = ends[cuts + ends.reshape(len(cuts), size).argmax(axis=1)]
+    out = [
+        ([], {"t0": t0, "t1": t1, "n": min(size, total - cut)})
+        for cut, t0, t1 in zip(cuts.tolist(), starts[order[cuts]].tolist(), t1s.tolist())
+    ]
+    firsts, counts = firsts[listing], np.diff(begins, append=total)[listing]
+    for index, start, seg, count in zip(
+        *(x.tolist() for x in (source[firsts], starts[firsts], segment[firsts], counts))
+    ):
+        out[seg][0].append([*runs[index][:3], start, *runs[index][4:10], count])
+    return out
 
 
 @dataclass(frozen=True)
@@ -280,28 +295,37 @@ class TraceEntry:
             int(seg["bytes"]) for seg in self.segments[:index]
         )
 
-    def segment_steps(self, index: int) -> list[StepRecord]:
-        """The step records of one segment, inflating it on first touch.
+    def segment_runs(self, index: int) -> list[StepRun]:
+        """The step runs of one segment, inflating it on first touch.
 
-        Raises ``ValueError`` when the segment's runs do not decode to
-        exactly the table's record count ``n``.
+        Raises ``ValueError`` when the runs do not stand for exactly the
+        table's record count ``n``.
         """
         if index not in self._inflated:
             meta = self.segments[index]
             where = f"{self.path} segment {index}"
-            records = self._member_records(
+            runs: list[StepRun] = []
+            for record in self._member_records(
                 self._segment_offset(index), int(meta["bytes"]), "steps"
-            )
-            steps = _decode_runs(
-                [run for record in records for run in record["runs"]], where
-            )
-            if len(steps) != int(meta["n"]):
+            ):
+                for *fields, util, ipc, work, count in record["runs"]:
+                    if type(count) is not int or count < 1:
+                        raise ValueError(f"{where} has a run of count {count!r}")
+                    runs.append(StepRun(*fields, tuple(util), ipc, work, count))
+            total = sum(run.count for run in runs)
+            if total != int(meta["n"]):
                 raise ValueError(
-                    f"{where} decodes to {len(steps)} step(s), "
-                    f"segment table says {meta['n']}"
+                    f"{where} decodes to {total} step(s), segment table says {meta['n']}"
                 )
-            self._inflated[index] = steps
+            self._inflated[index] = runs
         return self._inflated[index]
+
+    def segment_steps(self, index: int) -> list[StepRecord]:
+        """The step records of one segment, in canonical order (the stable
+        sort keeps steps whose keys tie in their recorded order)."""
+        steps = expand_runs(self.segment_runs(index))
+        steps.sort(key=_step_order)
+        return steps
 
     def mask_records(self) -> list[MaskChangeRecord]:
         """The mask-change records, inflating the mask member on first touch."""
@@ -362,10 +386,10 @@ class TraceEntry:
 
     @cached_property
     def tracer(self) -> Tracer:
-        """The full tracer, assembled from every segment plus the masks."""
+        """The full tracer, assembled from every segment's runs plus the masks."""
         tracer = Tracer(cycles_per_us=self.header.get("cycles_per_us", 2600.0))
         for index in range(len(self.segments)):
-            tracer.record_steps(self.segment_steps(index))
+            tracer.record_steps(self.segment_runs(index))
         for change in self.mask_records():
             tracer.record_mask_change(change)
         return tracer
@@ -483,23 +507,13 @@ class TraceStore(ContentStore):
         """
         key = content_key(run)
         tracer = result.tracer
-        steps = list(tracer)  # canonical (start, job, rank) order
         changes = tracer.mask_changes()
         segment_blobs: list[bytes] = []
         segment_table: list[dict] = []
-        for start in range(0, len(steps), self.segment_steps):
-            chunk = steps[start : start + self.segment_steps]
-            runs = _encode_runs(chunk)
+        for runs, meta in _encode_segments(tracer.runs(), self.segment_steps):
             blob = _records_member([{"record": "steps", "runs": runs}])
             segment_blobs.append(blob)
-            segment_table.append(
-                {
-                    "t0": chunk[0].start,
-                    "t1": max(step.start + step.duration for step in chunk),
-                    "n": len(chunk),
-                    "bytes": len(blob),
-                }
-            )
+            segment_table.append({**meta, "bytes": len(blob)})
         mask_blob = _records_member([change.to_record() for change in changes])
         sched = getattr(result, "sched", None)
         sched_records = sched.to_records() if sched is not None else []

@@ -25,19 +25,19 @@ Two scenarios are provided, matching Section 6:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from repro.apps.base import ApplicationModel, RankWorkPlan
+from repro.apps.base import ApplicationModel, RankWorkPlan, WorkStep
 from repro.core.errors import ProcessNotRegisteredError
 from repro.core.stats import ProcessStats, StatsModule
 from repro.cpuset.distribution import DistributionPolicy
 from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import ClusterTopology, NodeTopology
 from repro.metrics.collect import WorkloadMetrics
-from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
+from repro.metrics.tracing import MaskChangeRecord, StepRecord, StepRun, Tracer
 from repro.obs.sched import ClusterProbe, SchedTimeline
 from repro.runtime.mpi import MpiCommunicator
 from repro.runtime.process import ApplicationProcess, ProcessSpec, ThreadModel
@@ -169,7 +169,8 @@ class ScenarioRunner:
         True (the default) runs the batched fast path: stretches of steps
         that provably cannot observe a mask change, a scheduler event or a
         co-runner change are priced per uniform segment and advanced with a
-        single engine wake, emitting the same per-step records on wake.
+        single engine wake, emitting on wake runs of steps that expand to the
+        same per-step records.
         False runs the one-yield-per-step reference loop.  Both paths
         produce byte-identical metrics, traces and stored artifacts — the
         ``bench_perf_core`` harness gates every release on it.
@@ -255,6 +256,37 @@ def run_both_scenarios(
         )
         results[runner.scenario] = runner.run(workload)
     return results
+
+
+def _utilisation(partition, initial_threads: int, nthreads: int) -> list[float]:
+    """Per-thread busy fraction of one step with ``nthreads`` threads."""
+    utilisation = partition.thread_utilisation(initial_threads, nthreads)
+    return utilisation if partition.is_static else [1.0] * nthreads
+
+
+class _Piece(NamedTuple):
+    """A stretch of one rank's priced steps that are alike but for their
+    start: its per-step stats entry and step-run fields, built once per
+    pricing and shared by every run emitted from it."""
+
+    step: WorkStep
+    scale: float
+    #: ``(useful, idle, ncpus, seconds)`` of one step.
+    stats: tuple[float, float, int, float]
+    #: The :class:`StepRun` fields from ``duration`` to ``work_units``.
+    fields: tuple
+
+    @classmethod
+    def of(cls, step, step_duration, scale, nthreads, utilisation, ipc) -> "_Piece":
+        busy = sum(utilisation) * scale * step_duration
+        idle = max(0.0, nthreads * step_duration - busy)
+        utilisation = tuple(u * scale for u in utilisation)
+        return cls(
+            step,
+            scale,
+            (busy, idle, nthreads, step_duration),
+            (step_duration, step.phase.name, nthreads, utilisation, ipc, step.work_units),
+        )
 
 
 class _RunState:
@@ -535,18 +567,20 @@ class _RunState:
         Each loop iteration takes as many upcoming steps as provably fit
         before the batch horizon (masks, interference and stats readers
         cannot change inside the window), sleeps once to the final step
-        boundary, then emits on wake exactly the records the single-step
-        reference loop would have emitted step by step — same floats, same
-        accumulation order, byte-identical artifacts.
+        boundary, then emits on wake step runs and counted stats entries
+        that stand for exactly the records the single-step reference loop
+        would have emitted step by step — same floats, same accumulation
+        order, byte-identical artifacts.
 
         Steps are priced once per distinct pricing input, not once per
-        batch: the executor keeps the fold of its last pricing (per-rank
-        durations, their per-step max and the absolute boundaries) and
-        consumes it from offset ``o`` for as long as the masks and
-        interference factors stay the same and each wake lands on the
-        fold's own boundary ``o - 1``.  The tail of a left fold is the left
-        fold of the tail started from that boundary, so the cached
-        boundaries are the very floats re-pricing from ``now`` would give.
+        batch: the executor keeps the fold of its last pricing (the
+        absolute boundaries of the per-step max, and per rank the uniform
+        pieces between its ``cuts``) and consumes it from offset ``o`` for
+        as long as the masks and interference factors stay the same and
+        each wake lands on the fold's own boundary ``o - 1``.  The tail of
+        a left fold is the left fold of the tail started from that
+        boundary, so the cached boundaries are the very floats re-pricing
+        from ``now`` would give.
         """
         model = execution.model
         total_ranks = execution.job.spec.ntasks
@@ -558,9 +592,11 @@ class _RunState:
         trace = self.trace
         # The priced fold and the inputs it was priced under.
         key = None
-        per_rank: list[list[float]] = []
-        step_durations: list[float] = []
         boundaries: list[float] = []
+        #: Fold offsets at which some rank's steps stop being uniform, and
+        #: per rank the uniform piece ending at each of them.
+        cuts: list[int] = []
+        pieces: list[list[_Piece]] = []
         o = 0
         while not execution.finished():
             if model.malleable:
@@ -587,15 +623,47 @@ class _RunState:
                     )
                     for rank, mask, interference in zip(ranks, masks, interferences)
                 ]
-                if len(per_rank) == 1:
-                    step_durations = per_rank[0]
-                else:
-                    step_durations = list(map(max, zip(*per_rank)))
+                # ``step_times`` prices one value per plan segment, so every
+                # rank's durations and their per-step maximum are constant
+                # between consecutive segment ends of any rank.
+                plan_runs = [rank.plan.runs(remaining) for rank in ranks]
+                cuts = sorted(
+                    {cut for runs in plan_runs for cut in accumulate(n for _, n in runs)}
+                )
+                step_durations: list[float] = []
+                first = 0
+                for cut in cuts:
+                    step_durations += [max(d[first] for d in per_rank)] * (cut - first)
+                    first = cut
                 # The boundaries are the left fold ``accumulate`` computes —
                 # the exact "now + duration" addition chain the engine clock
                 # performs when the reference loop sleeps one step at a time.
                 boundaries = list(accumulate(step_durations, initial=batch_start))
                 del boundaries[0]
+                pieces = []
+                for rank, mask, durations, runs in zip(ranks, masks, per_rank, plan_runs):
+                    initial_threads = rank.plan.initial_threads
+                    nthreads = mask.count()
+                    utilisation = _utilisation(partition, initial_threads, nthreads)
+                    runs = iter(runs)
+                    rank_pieces: list[_Piece] = []
+                    first = segment_end = 0
+                    for cut in cuts:
+                        if first == segment_end:
+                            step, n = next(runs)
+                            segment_end += n
+                            ipc = trace and model.step_ipc_for_phase(
+                                step.phase, mask, rank.node, initial_threads
+                            )
+                        step_duration = step_durations[first]
+                        # Ranks that finish their step early idle in MPI
+                        # until the slowest rank catches up.
+                        scale = durations[first] / step_duration if step_duration > 0 else 1.0
+                        rank_pieces.append(
+                            _Piece.of(step, step_duration, scale, nthreads, utilisation, ipc)
+                        )
+                        first = cut
+                    pieces.append(rank_pieces)
                 o = 0
                 self.steps_priced += remaining * len(ranks)
 
@@ -627,183 +695,53 @@ class _RunState:
             yield engine.advance_until(batch_end)
 
             # On wake, emit what the reference loop would have recorded at
-            # each intermediate boundary.
-            for rank, mask, durations in zip(ranks, masks, per_rank):
-                nthreads = mask.count()
-                utilisation = partition.thread_utilisation(
-                    rank.plan.initial_threads, nthreads
-                )
-                if not partition.is_static:
-                    utilisation = [1.0] * nthreads
-                busy_fraction = sum(utilisation)
-                plan = rank.plan
-                runs = plan.runs(k)
-                rank_no = rank.rank
-                node_name = rank.node.name
-                initial_threads = plan.initial_threads
-                records: list[StepRecord] = []
-                append_record = records.append
-                stats_entries: list[tuple[float, float, int, float]] = []
-                append_stats = stats_entries.append
-                if durations is step_durations or durations[o:end] == step_durations[o:end]:
-                    # This rank is not the laggard of any step in the window:
-                    # every scale is exactly 1.0, so records share one
-                    # utilisation tuple (``u * 1.0`` is bit-identical to
-                    # ``u``) and the stats entries of an equal-duration
-                    # segment are one shared tuple — the same bytes the
-                    # per-step branch below would produce.
-                    scaled_utilisation = tuple(u * 1.0 for u in utilisation)
-                    if trace:
-                        start = batch_start
-                        first = o
-                        for step, n in runs:
-                            phase = step.phase
-                            phase_name = phase.name
-                            work_units = step.work_units
-                            ipc = model.step_ipc_for_phase(
-                                phase, mask, rank.node, initial_threads
-                            )
-                            for j in range(first, first + n):
-                                append_record(
-                                    StepRecord(
-                                        label,
-                                        rank_no,
-                                        node_name,
-                                        start,
-                                        step_durations[j],
-                                        phase_name,
-                                        nthreads,
-                                        scaled_utilisation,
-                                        ipc,
-                                        work_units,
-                                    )
-                                )
-                                start = boundaries[j]
-                            first += n
-                    j = o
-                    while j < end:
-                        step_duration = step_durations[j]
-                        seg = j + 1
-                        while seg < end and step_durations[seg] == step_duration:
-                            seg += 1
-                        busy_thread_seconds = busy_fraction * step_duration
-                        entry = (
-                            busy_thread_seconds,
-                            max(
-                                0.0,
-                                nthreads * step_duration - busy_thread_seconds,
-                            ),
-                            nthreads,
-                            step_duration,
-                        )
-                        if seg - j == 1:
-                            append_stats(entry)
-                        else:
-                            stats_entries.extend([entry] * (seg - j))
-                        j = seg
-                else:
-                    last_scale: float | None = None
-                    scaled_utilisation = ()
-                    start = batch_start
-                    first = o
-                    for step, n in runs:
-                        if trace:
-                            phase_name = step.phase.name
-                            work_units = step.work_units
-                            ipc = model.step_ipc_for_phase(
-                                step.phase, mask, rank.node, initial_threads
-                            )
-                        for j in range(first, first + n):
-                            step_duration = step_durations[j]
-                            duration = durations[j]
-                            scale = (
-                                duration / step_duration if step_duration > 0 else 1.0
-                            )
-                            if trace:
-                                if scale != last_scale:
-                                    scaled_utilisation = tuple(
-                                        u * scale for u in utilisation
-                                    )
-                                    last_scale = scale
-                                append_record(
-                                    StepRecord(
-                                        label,
-                                        rank_no,
-                                        node_name,
-                                        start,
-                                        step_duration,
-                                        phase_name,
-                                        nthreads,
-                                        scaled_utilisation,
-                                        ipc,
-                                        work_units,
-                                    )
-                                )
-                            busy_thread_seconds = busy_fraction * scale * step_duration
-                            append_stats(
-                                (
-                                    busy_thread_seconds,
-                                    max(
-                                        0.0,
-                                        nthreads * step_duration - busy_thread_seconds,
-                                    ),
-                                    nthreads,
-                                    step_duration,
-                                )
-                            )
-                            start = boundaries[j]
-                        first += n
+            # each intermediate boundary: one step run and one counted stats
+            # entry per piece of the window.
+            for rank, mask, rank_pieces in zip(ranks, masks, pieces):
+                # [piece, first step's start, step count] per window piece.
+                window = []
+                start = batch_start
+                first = o
+                index = bisect_right(cuts, o)
+                while first < end:
+                    stop = min(cuts[index], end)
+                    window.append([rank_pieces[index], start, stop - first])
+                    start = boundaries[stop - 1]
+                    first = stop
+                    index += 1
                 # The reference loop reads the mask again *after* each yield;
                 # only the final step of a batch can observe a different one
                 # (a forced single step crossing an event, where a process
                 # whose runtime reads the shared memory directly sees the
-                # newly assigned mask immediately).  Re-derive the last
-                # record and stats entry from the wake-time mask when so.
+                # newly assigned mask immediately).  Split that step off into
+                # a piece of its own, derived from the wake mask.
                 wake_mask = rank.process.current_mask
                 if wake_mask != mask:
-                    j = end - 1
-                    step_duration = step_durations[j]
-                    scale = (
-                        durations[j] / step_duration if step_duration > 0 else 1.0
-                    )
+                    piece = window[-1][0]
+                    window[-1][2] -= 1
+                    initial_threads = rank.plan.initial_threads
                     nthreads = wake_mask.count()
-                    utilisation = partition.thread_utilisation(
-                        plan.initial_threads, nthreads
+                    utilisation = _utilisation(partition, initial_threads, nthreads)
+                    ipc = model.step_ipc_for_phase(
+                        piece.step.phase, wake_mask, rank.node, initial_threads
                     )
-                    if not partition.is_static:
-                        utilisation = [1.0] * nthreads
-                    busy = sum(utilisation) * scale * step_duration
-                    if records:
-                        last = records[-1]
-                        records[-1] = StepRecord(
-                            job=last.job,
-                            rank=last.rank,
-                            node=last.node,
-                            start=last.start,
-                            duration=last.duration,
-                            phase=last.phase,
-                            nthreads=nthreads,
-                            thread_utilisation=tuple(u * scale for u in utilisation),
-                            ipc=model.step_ipc_for_phase(
-                                runs[-1][0].phase,
-                                wake_mask,
-                                rank.node,
-                                plan.initial_threads,
-                            ),
-                            work_units=last.work_units,
-                        )
-                    stats_entries[-1] = (
-                        busy,
-                        max(0.0, nthreads * step_duration - busy),
-                        nthreads,
-                        step_duration,
+                    piece = _Piece.of(
+                        piece.step, piece.stats[3], piece.scale, nthreads, utilisation, ipc
                     )
-                if records:
-                    self.tracer.record_steps(records)
-                self.stats[node_name].record_compute_batch(
-                    rank.process.spec.pid, stats_entries
+                    start = boundaries[end - 2] if end - 1 > o else batch_start
+                    window.append([piece, start, 1])
+                if trace:
+                    self.tracer.record_steps(
+                        [
+                            StepRun(label, rank.rank, rank.node.name, start, *piece.fields, n)
+                            for piece, start, n in window
+                            if n
+                        ]
+                    )
+                self.stats[rank.node.name].record_compute_batch(
+                    rank.process.spec.pid, [(*piece.stats, n) for piece, _, n in window if n]
                 )
-                plan.advance_many(k)
+                rank.plan.advance_many(k)
                 self.steps_advanced += k
             o = end
         self._complete(execution)

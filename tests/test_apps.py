@@ -12,6 +12,7 @@ from repro.apps import (
     pils_model,
     stream_model,
 )
+from repro.apps.base import RankWorkPlan, WorkStep
 from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import NodeTopology
 from repro.workload import configs
@@ -84,6 +85,8 @@ class TestWorkPlans:
         plan.advance_many(first)
         for _ in range(first):
             walker.advance()
+        # The same left fold of additions, bit for bit.
+        assert plan.completed_work.hex() == walker.completed_work.hex()
         assert plan.runs(5) == [(plan.segments[0][0], 3), (plan.segments[1][0], 2)]
         times = model.step_times(plan, plan.remaining_steps, mask, node, 2)
         expected = []
@@ -92,9 +95,21 @@ class TestWorkPlans:
             walker.advance()
         assert times == expected
         plan.advance_many(plan.remaining_steps)
-        assert plan.finished and plan.completed_work == walker.completed_work
+        assert plan.finished
+        assert plan.completed_work.hex() == walker.completed_work.hex()
         with pytest.raises(IndexError):
             plan.runs(1)
+
+        # Work units whose repeated sums round differently from a product.
+        phase = plan.segments[0][0].phase
+        segments = [(WorkStep(phase, 0.1), 7), (WorkStep(phase, 1 / 3), 11)]
+        plan = RankWorkPlan(rank=0, segments=segments, initial_threads=4)
+        walker = RankWorkPlan(rank=0, segments=segments, initial_threads=4)
+        plan.advance_many(plan.total_steps)
+        while not walker.finished:
+            walker.advance()
+        assert plan.completed_work.hex() == walker.completed_work.hex()
+        assert plan.completed_work != 0.1 * 7 + (1 / 3) * 11
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,9 @@ from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL, ScenarioRunner
 from repro.workload.workloads import Workload, WorkloadJob
 
+# Not named Test*, so the class is not collected a second time here.
+from test_traces import TestRunLengthSegments as RunLengthCells
+
 #: One representative cell per scenario family (each expands to a Serial and
 #: a DROM run): the paper's in-situ pair, a heterogeneous resource request,
 #: the high-priority use case, co-run interference, a non-malleable ablation
@@ -82,22 +85,42 @@ def test_batched_run_is_byte_identical_to_reference(run, tmp_path):
     assert trace_ref.read_bytes() == trace_fast.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        pytest.param(RunSpec(index=0, scenario=DROM, workload=InSituWorkloadRef()), id="drom")
-    ],
-)
+#: TestRunLengthSegments' generated cells: njobs 4/12 x serial/DROM x
+#: fcfs/backfill, interference on two.
+GENERATED = [
+    pytest.param(
+        RunLengthCells._cell(*cell),
+        id=f"generated-n{cell[0]}-{cell[1]}{'-backfill' if cell[2] else ''}",
+    )
+    for cell in RunLengthCells.CELLS
+]
+
+
+@pytest.mark.parametrize("run", CASES + GENERATED)
 def test_batched_tracer_views_match_reference(run):
-    """Derived tracer views (not just serialised bytes) agree too."""
+    """Derived tracer views (not just serialised bytes) agree too: the
+    batched tracer stores runs, the reference loop one step at a time, and
+    every per-step view expanded from the runs is the reference's."""
     reference = execute_run(run, trace=True, batching=False)
     batched = execute_run(run, trace=True, batching=True)
-    assert batched.tracer.steps() == reference.tracer.steps()
-    assert batched.tracer.mask_changes() == reference.tracer.mask_changes()
-    assert batched.tracer.jobs() == reference.tracer.jobs()
-    for job in reference.tracer.jobs():
-        assert batched.tracer.span(job) == reference.tracer.span(job)
     assert batched.end_time == reference.end_time
+    reference, batched = reference.tracer, batched.tracer
+    assert len(batched.runs()) < len(batched)
+    assert len(reference.runs()) == len(reference)
+
+    assert len(batched) == len(reference)
+    assert list(batched) == list(reference)
+    assert repr(list(batched)) == repr(list(reference))
+    assert batched.mask_changes() == reference.mask_changes()
+    assert batched.jobs() == reference.jobs()
+    assert list(batched.counter_log()) == list(reference.counter_log())
+    for job in reference.jobs():
+        assert batched.span(job) == reference.span(job)
+        for rank in sorted({step.rank for step in reference.steps(job)}):
+            assert batched.steps(job, rank) == reference.steps(job, rank)
+            assert batched.thread_utilisation(job, rank) == reference.thread_utilisation(
+                job, rank
+            )
 
 
 @pytest.mark.parametrize("drom_enabled", [False, True], ids=[SERIAL, DROM])

@@ -160,11 +160,6 @@ class TestTracer:
         sim_samples = log.for_job("sim")
         assert all(s.cycles_per_us <= 2600 for s in sim_samples)
 
-    def test_merge(self):
-        a, b = self.make_tracer(), self.make_tracer()
-        a.merge(b)
-        assert len(a) == 8
-
 
 class TestParaverView:
     def test_thread_activity_rows(self):

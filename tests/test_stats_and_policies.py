@@ -71,6 +71,40 @@ class TestStatsModule:
         with pytest.raises(ValueError):
             stats.record_ownership(1, -1, 1.0)
 
+    def test_counted_batch_matches_per_step_calls(self, shmem):
+        # Values whose repeated sums round differently from a product: a
+        # count entry must replay the per-step additions, not multiply.
+        entries = [(0.1, 0.7, 3, 0.3, 7), (1e-9, 0.0, 1, 1 / 3, 1), (2.2, 0.1, 8, 0.05, 13)]
+        shmem.register(1, CpuSet([0]))
+        shmem.register(2, CpuSet([1]))
+        stats = StatsModule(shmem)
+        stats.record_compute(1, 0.5, 0.25)
+        stats.record_compute(2, 0.5, 0.25)
+        stats.record_compute_batch(1, entries)
+        for useful, idle, ncpus, seconds, count in entries:
+            for _ in range(count):
+                stats.record_compute(2, useful, idle)
+                stats.record_ownership(2, ncpus, seconds)
+        batched, stepped = stats.process_stats(1), stats.process_stats(2)
+        for name in ("useful_time", "idle_time", "cpu_seconds_owned"):
+            assert getattr(batched, name).hex() == getattr(stepped, name).hex()
+        assert batched.useful_time != 0.5 + sum(u * n for u, _, _, _, n in entries)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(-1.0, 0.0, 1, 1.0, 1), (1.0, -1.0, 1, 1.0, 1), (1.0, 0.0, -1, 1.0, 1),
+         (1.0, 0.0, 1, -1.0, 1), (1.0, 0.0, 1, 1.0, 0), (1.0, 0.0, 1, 1.0, -2)],
+        ids=["useful", "idle", "ncpus", "seconds", "zero-count", "negative-count"],
+    )
+    def test_invalid_batch_entry_leaves_record_untouched(self, shmem, bad):
+        shmem.register(1, CpuSet([0]))
+        stats = StatsModule(shmem)
+        stats.record_compute_batch(1, [(1.0, 0.5, 2, 3.0, 2)])
+        before = ProcessStats(**vars(stats.process_stats(1)))
+        with pytest.raises(ValueError):
+            stats.record_compute_batch(1, [(1.0, 0.5, 2, 3.0, 4), bad])
+        assert stats.process_stats(1) == before
+
     def test_node_summary_aggregates(self, shmem):
         shmem.register(1, CpuSet.from_range(0, 8))
         shmem.register(2, CpuSet.from_range(8, 16))

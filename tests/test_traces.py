@@ -31,7 +31,13 @@ from repro.campaign import (
 )
 from repro.experiments.usecase1 import imbalance_trace, scenario_timelines
 from repro.experiments.usecase2 import run_usecase2
-from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
+from repro.metrics.tracing import (
+    MaskChangeRecord,
+    StepRecord,
+    StepRun,
+    Tracer,
+    expand_runs,
+)
 from repro.results import (
     ParaverTraceSink,
     ResultStore,
@@ -564,11 +570,55 @@ class TestRunLengthSegments:
             step(1.0, rank=2),
         ]
         tracer = Tracer()
-        tracer.record_steps(steps)
+        for record in steps:
+            tracer.record_step(record)
         entry = store_and_reload(tmp_path, tracer, segment_steps=6)
         assert repr(list(entry.tracer)) == repr(list(tracer))
         for index in range(len(entry.segments)):
             entry.segment_steps(index)  # every segment decodes to its ``n``
+
+    def test_runs_write_the_artifact_single_steps_write(self, tmp_path):
+        # The reference loop records one step at a time, the batched runner
+        # hands over runs: the artifact may not tell them apart.
+        def run(job, rank, start, duration, count, phase="p", util=(1.0, 0.5)):
+            return StepRun(job, rank, "n0", start, duration, phase, len(util), util,
+                           1.5, 2.0, count)
+
+        head = run("a", 0, 0.0, 0.1, 40)
+        runs = [
+            run("b", 0, 0.0, 0.3, 90),  # ties with "a" at 0.0: the label decides
+            head,
+            run("a", 0, head.end, 0.1, 60),  # continues ``head`` across a cut
+            run("a", 1, 0.0, 0.1, 70, util=(0.75,)),
+            run("a", 0, head.end + 6.0, 0.1, 30, phase="q"),  # after an idle gap
+            run("b", 1, 5.0, 0.0, 3),  # zero-duration steps tie on start
+            run("b", 0, 27.0, 0.3, 1),
+        ]
+        single = Tracer()
+        for step in expand_runs(runs):
+            single.record_step(step)
+        batched = Tracer()
+        batched.record_steps(runs)
+        assert len(batched.runs()) < len(single.runs()) == len(single) == len(batched)
+
+        paths = []
+        for name, tracer in (("single", single), ("runs", batched)):
+            entry = store_and_reload(tmp_path / name, tracer, segment_steps=64)
+            assert len(entry.segments) == 5
+            assert list(entry.tracer) == list(single)
+            paths.append(entry.path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # Segment 0 opens with "a" rank 0 (labels break the tie at t=0), and
+        # the two recorded runs of its 100-step stretch merge: one run per
+        # segment it crosses.
+        entry = store_and_reload(tmp_path / "runs", batched, segment_steps=64)
+        assert entry.segment_runs(0)[0][:2] == ("a", 0)
+        stretch = [
+            [r.count for r in entry.segment_runs(i) if r[:2] == ("a", 0) and r.phase == "p"]
+            for i in range(len(entry.segments))
+        ]
+        assert [len(counts) for counts in stretch] == [1, 1, 1, 1, 0]
+        assert sum(map(sum, stretch)) == 100
 
     @staticmethod
     def _doctor_count(entry, index, recount):
