@@ -52,11 +52,13 @@ from repro.workload.generator import WorkloadSpec
 SPEEDUP_GATE = 1.6
 EXECUTORS = 2
 
-#: Deliberately heavy cells (~0.25 s each): per-cell orchestration overhead
-#: (asyncio round trip + RunSpec pickle) must be negligible against real
-#: simulation work for the throughput gate to measure anything honest.
+#: Deliberately heavy cells (~0.25 s each on a 2-vCPU x86 VM, Python 3.11):
+#: pool start-up and per-cell orchestration overhead (asyncio round trip +
+#: RunSpec pickle) must be negligible against real simulation work for the
+#: throughput gate to measure anything honest.  Batched step pricing costs
+#: per batch, not per iteration, so the weight comes from the job count.
 SWEEP_WORKLOADS = WorkloadSpec(
-    njobs=8,
+    njobs=30,
     iterations=8000,
     work_scale=0.5,
     name="distributed",

@@ -42,7 +42,6 @@ from repro.obs.telemetry import DISABLED, Span, Telemetry
 from repro.workload.runner import DROM, SERIAL, ScenarioResult, ScenarioRunner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
-    from repro.results.sinks import TraceSink
     from repro.results.store import ResultStore
     from repro.traces.query import ScenarioReplay
     from repro.traces.store import TraceStore
@@ -125,7 +124,6 @@ def _annotate_sched(span: Span, result: ScenarioResult) -> None:
 def run_scenario_pair(
     workload: WorkloadRef,
     trace: bool = True,
-    sinks: Iterable["TraceSink"] = (),
     store: "ResultStore | None" = None,
     trace_store: "TraceStore | None" = None,
     telemetry: Telemetry | None = None,
@@ -133,23 +131,18 @@ def run_scenario_pair(
 ) -> dict[str, "ScenarioResult | ScenarioReplay"]:
     """Serial and DROM full results of one workload (the experiments' idiom).
 
-    ``sinks`` receive each scenario's full result (tracing is forced on when
-    any sink is given), so the figure experiments export their traces through
-    the same sink API as campaigns.
-
     ``store``/``trace_store`` are the two content-addressed tiers.  When
     *both* are given and both hit for a scenario, execution is skipped and a
     :class:`~repro.traces.query.ScenarioReplay` (metrics row + stored
-    tracer, same reporting interface) is returned instead; on any miss the
-    scenario executes with tracing on and both tiers are written back.  This
+    tracer, same reporting interface) is returned instead; on any miss
+    (including a trace artifact with a corrupt segment) the scenario
+    executes with tracing on and both tiers are written back.  This
     is what lets the trace-based figure experiments regenerate from a warm
-    store without simulating.  Unlike campaign cache hits, replays *do*
-    carry a full tracer, so sinks are fed on both paths.
+    store without simulating.
 
     ``telemetry`` records one ``cell`` span per scenario (with a ``replay``
     child on double hits, the usual execution children otherwise).
     """
-    sinks = tuple(sinks)
     obs = telemetry if telemetry is not None else DISABLED
     results: dict[str, ScenarioResult] = {}
     for i, scenario in enumerate((SERIAL, DROM)):
@@ -157,11 +150,19 @@ def run_scenario_pair(
         with obs.span("cell", index=i, run_id=run.run_id, cached=False) as cell:
             result = None
             if store is not None and trace_store is not None:
+                from repro.store.content import READ_ERRORS
+                from repro.traces.query import replay_scenario
+
                 row = store.get(run)
                 entry = trace_store.get(run) if row is not None else None
-                if row is not None and entry is not None:
-                    from repro.traces.query import replay_scenario
-
+                if entry is not None:
+                    try:
+                        # ``get`` checks only the header and member sizes; a
+                        # corrupt segment must read as a miss, not a crash.
+                        entry.tracer
+                    except READ_ERRORS:
+                        entry = None
+                if entry is not None:
                     with obs.span("replay"):
                         result = replay_scenario(run, row, entry)
                     cell.attrs["cached"] = True
@@ -169,7 +170,7 @@ def run_scenario_pair(
                     cell.count("trace_hit", 1)
                     _log.debug("cell %s: replayed from both tiers", run.cell_id)
             if result is None:
-                capture = trace or bool(sinks) or trace_store is not None
+                capture = trace or trace_store is not None
                 result = execute_run(run, trace=capture, telemetry=obs)
                 if store is not None:
                     with obs.span("store_write") as span:
@@ -179,8 +180,6 @@ def run_scenario_pair(
                     with obs.span("trace_write") as span:
                         path = trace_store.put(run, result)
                         span.count("bytes", path.stat().st_size)
-            for sink in sinks:
-                sink.write(run, result)
         results[scenario] = result
     return results
 
@@ -232,7 +231,6 @@ def summarise_run(run: RunSpec, result: ScenarioResult) -> RunMetrics:
 
 def _execute_and_summarise(
     run: RunSpec,
-    sinks: tuple["TraceSink", ...] = (),
     trace_store: "TraceStore | None" = None,
     store: "ResultStore | None" = None,
     clock_factory=None,
@@ -240,8 +238,8 @@ def _execute_and_summarise(
     """Execute and persist one cell — what every local executor runs
     (module-level so it pickles).
 
-    Tracing is enabled only when sinks or the trace tier want the full
-    trace; each worker writes its own runs' store entries and trace files
+    Tracing is enabled only when the trace tier wants the full trace; each
+    worker writes its own runs' store entries and trace artifacts
     (both tiers are keyed per run, so concurrent workers never collide — and
     same-cell collisions write atomically).
 
@@ -253,13 +251,9 @@ def _execute_and_summarise(
     """
     obs = Telemetry(clock_factory=clock_factory) if clock_factory is not None else DISABLED
     with obs.span("cell", index=run.index, run_id=run.run_id, cached=False) as cell:
-        result = execute_run(
-            run, trace=bool(sinks) or trace_store is not None, telemetry=obs
-        )
+        result = execute_run(run, trace=trace_store is not None, telemetry=obs)
         with obs.span("summarise"):
             row = summarise_run(run, result)
-        for sink in sinks:
-            sink.write(run, result)
         if store is not None:
             with obs.span("store_write") as span:
                 path = store.put(row)
@@ -410,7 +404,6 @@ def execute_runs(
     runs: Iterable[RunSpec],
     workers: int = 1,
     store: "ResultStore | None" = None,
-    sinks: Iterable["TraceSink"] = (),
     trace_store: "TraceStore | None" = None,
     telemetry: Telemetry | None = None,
     progress: "bool | TextIO" = False,
@@ -427,7 +420,6 @@ def execute_runs(
     if workers <= 0:
         raise ValueError("workers must be positive")
     runs = list(runs)
-    sinks = tuple(sinks)
     executors = _as_executors(executor)
     journal = _as_manifest(manifest)
     obs = telemetry if telemetry is not None else DISABLED
@@ -547,7 +539,6 @@ def execute_runs(
                     slots = min(workers, len(misses))
                     executors = [LocalPoolExecutor(slots=slots, name=f"pool[{slots}]")]
                 context = WorkerContext(
-                    sinks=sinks,
                     store=store,
                     trace_store=trace_store,
                     clock_factory=clock_factory,
@@ -682,7 +673,6 @@ def run_campaign(
     spec: CampaignSpec,
     workers: int = 1,
     store: "ResultStore | None" = None,
-    sinks: Iterable["TraceSink"] = (),
     trace_store: "TraceStore | None" = None,
     telemetry: Telemetry | None = None,
     progress: "bool | TextIO" = False,
@@ -729,10 +719,6 @@ def run_campaign(
     completion — what :func:`resume_campaign` replays after a crash so only
     the cells missing from the store tiers re-execute.
 
-    ``sinks`` receive the full :class:`~repro.workload.runner.ScenarioResult`
-    of every run that actually executes (cache hits carry no tracer, so they
-    are not re-exported).
-
     ``telemetry`` records the campaign's span tree: one ``campaign`` root
     whose children are the per-cell trees in run-index order (cache hits
     appear as closed ``cell`` spans marked ``cached=True``; ``executor=``
@@ -746,7 +732,6 @@ def run_campaign(
         spec.expand(),
         workers=workers,
         store=store,
-        sinks=sinks,
         trace_store=trace_store,
         telemetry=telemetry,
         progress=progress,
@@ -762,7 +747,6 @@ def resume_campaign(
     manifest,
     store: "ResultStore",
     workers: int = 1,
-    sinks: Iterable["TraceSink"] = (),
     trace_store: "TraceStore | None" = None,
     telemetry: Telemetry | None = None,
     progress: "bool | TextIO" = False,
@@ -806,7 +790,6 @@ def resume_campaign(
         runs,
         workers=workers,
         store=store,
-        sinks=sinks,
         trace_store=trace_store,
         telemetry=telemetry,
         progress=progress,

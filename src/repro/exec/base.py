@@ -11,7 +11,7 @@ idles the others.
 The contract is deliberately tiny:
 
 * :meth:`Executor.start` receives the campaign's :class:`WorkerContext`
-  (store tiers, sinks, telemetry clock factory) **once** — invariant context
+  (store tiers, telemetry clock factory) **once** — invariant context
   never crosses the wire per cell.
 * :meth:`Executor.run_cell` awaits one cell and returns its
   ``(RunMetrics, Span | None)`` pair, exactly what the campaign runner's
@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.campaign.runner import RunMetrics
     from repro.campaign.spec import RunSpec
     from repro.obs.telemetry import Span
-    from repro.results.sinks import TraceSink
     from repro.results.store import ResultStore
     from repro.traces.store import TraceStore
 
@@ -71,7 +70,6 @@ class WorkerContext:
     per cell.
     """
 
-    sinks: tuple["TraceSink", ...] = ()
     store: "ResultStore | None" = None
     trace_store: "TraceStore | None" = None
     clock_factory: Callable | None = None

@@ -69,7 +69,6 @@ def _execute_in(
 
     return _execute_and_summarise(
         run,
-        sinks=context.sinks,
         trace_store=context.trace_store,
         store=context.store,
         clock_factory=context.clock_factory,

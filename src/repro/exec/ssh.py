@@ -182,11 +182,6 @@ class SSHExecutor(Executor):
         return channel
 
     async def start(self, context: WorkerContext) -> None:
-        if context.sinks:
-            raise ValueError(
-                f"{self.name}: trace sinks cannot cross the SSH transport; "
-                "run sink-exporting campaigns on a local executor"
-            )
         if context.trace_store is not None and not self.shared_filesystem:
             raise ValueError(
                 f"{self.name}: the trace tier needs shared_filesystem=True — "

@@ -283,18 +283,17 @@ def scenario_timelines(
     simulator_config: str = "Conf. 1",
     analytics: str = "Pils",
     analytics_config: str = "Conf. 2",
-    sinks=(),
     store=None,
     trace_store=None,
 ) -> dict[str, ScenarioTimeline]:
     """Reproduce the Figure 3 schematic from actual simulated runs.
 
-    ``sinks`` export both scenarios' traces via the
-    :class:`~repro.results.sinks.TraceSink` API.  With both store tiers
-    given, warm calls replay stored traces instead of simulating.
+    With both store tiers given, warm calls replay stored traces instead of
+    simulating, and ``python -m repro.traces export`` re-emits either
+    scenario's trace as ``.prv``/JSONL.
     """
     ref = InSituWorkloadRef(simulator, simulator_config, analytics, analytics_config)
-    results = run_scenario_pair(ref, sinks=sinks, store=store, trace_store=trace_store)
+    results = run_scenario_pair(ref, store=store, trace_store=trace_store)
     workload = results[DROM].workload
     timelines: dict[str, ScenarioTimeline] = {}
     for scenario, result in results.items():

@@ -187,23 +187,21 @@ def usecase2_responses(
 
 
 def run_usecase2(
-    second_submit: float = 120.0, sinks=(), store=None, trace_store=None
+    second_submit: float = 120.0, store=None, trace_store=None
 ) -> UseCase2Result:
     """Run both scenarios of use case 2 through the campaign API.
-
-    ``sinks`` (:class:`~repro.results.sinks.TraceSink` instances) receive
-    both scenarios' full results — the paper's Figure 13 timelines come from
-    exactly these traces, so exporting them as ``.prv``/JSONL makes the
-    use case inspectable post hoc.
 
     ``store``/``trace_store`` are the metrics and trace tiers: scenarios
     whose cells hit in both are replayed instead of simulated (Figures 13
     and 14 after one cold run), and misses write both tiers back.  The
-    cells share their content keys with :func:`usecase2_responses`'s
-    campaign, so one warm store serves Figures 13–15 together.
+    paper's Figure 13 timelines come from exactly these traces, so
+    ``python -m repro.traces export`` makes the use case inspectable post
+    hoc as ``.prv``/JSONL.  The cells share their content keys with
+    :func:`usecase2_responses`'s campaign, so one warm store serves
+    Figures 13–15 together.
     """
     ref = HighPriorityWorkloadRef(second_submit=second_submit)
-    results = run_scenario_pair(ref, sinks=sinks, store=store, trace_store=trace_store)
+    results = run_scenario_pair(ref, store=store, trace_store=trace_store)
     workload = results[DROM].workload
     return UseCase2Result(
         serial=results[SERIAL],

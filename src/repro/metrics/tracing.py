@@ -44,7 +44,7 @@ class StepRecord(NamedTuple):
         return self.start + self.duration
 
     def to_record(self) -> dict:
-        """JSON-able representation (the JSONL sink / trace-store schema).
+        """JSON-able representation (the JSONL export / trace-store schema).
 
         Floats serialise via ``repr`` (shortest-round-trip exact), so a step
         survives the JSON round trip with exact float equality.
@@ -117,7 +117,7 @@ class MaskChangeRecord(NamedTuple):
     new_threads: int
 
     def to_record(self) -> dict:
-        """JSON-able representation (the JSONL sink / trace-store schema)."""
+        """JSON-able representation (the JSONL export / trace-store schema)."""
         return {
             "record": "mask_change",
             "job": self.job,
@@ -136,7 +136,7 @@ class MaskChangeRecord(NamedTuple):
 #: label, then rank.  Recording order is an artifact of event interleaving —
 #: a job that batches k steps appends them at its wake, a single-stepping job
 #: appends one record per wake — so every view (queries, figure renderings,
-#: sink and store serialisations) reads through this order instead, making
+#: exports and store serialisations) reads through this order instead, making
 #: batched and unbatched executions of the same scenario indistinguishable.
 def _step_order(step: StepRecord) -> tuple[float, str, int]:
     return (step.start, step.job, step.rank)

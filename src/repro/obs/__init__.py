@@ -22,8 +22,9 @@ post-mortemable without perturbing a single artifact byte:
   ``python -m repro.campaign --progress``.
 * :mod:`repro.obs.log` — structured stdlib logging (``REPRO_LOG`` /
   ``--log-level``) for the previously silent campaign, store and gc paths.
-* :mod:`repro.obs.bench` — the schema-versioned benchmark trajectory behind
-  ``benchmarks/history.py`` and ``python -m repro.obs bench report``.
+
+The performance record is drombench (``benchmarks/drombench/``), which
+measures end-to-end and per-layer numbers through these spans.
 
 Hard contract: telemetry is observational only.  Content keys, stored rows
 and trace artifacts are byte-identical with telemetry on or off, and the

@@ -12,9 +12,9 @@ package makes it *persistent and reusable*:
   ``run_campaign(..., store=...)`` consults the store first and simulates
   only the misses; cached and fresh campaigns aggregate byte-identically.
   Stores merge by key union, which is the cross-host sharding path.
-* :mod:`repro.results.sinks` — opt-in per-run trace sinks: a Paraver-style
-  ``.prv`` export and a JSONL export of the full execution trace, fed by
-  ``run_campaign(..., sinks=...)`` / ``run_scenario_pair(..., sinks=...)``.
+* :mod:`repro.results.sinks` — the Paraver-style ``.prv`` (with its
+  ``.pcf``/``.row`` companions) and JSONL renderers behind ``python -m
+  repro.traces export``.
 * :mod:`repro.results.query` — list / show / diff reporting over stores,
   also available as ``python -m repro.results ls|show|diff|gc``.
 
@@ -30,17 +30,7 @@ from repro.results.query import (
     render_entry,
     render_store_table,
 )
-from repro.results.sinks import (
-    JsonlTraceSink,
-    ParaverTraceSink,
-    TraceSink,
-    pcf_text,
-    prv_text,
-    read_jsonl_trace,
-    row_text,
-    read_prv,
-    run_stem,
-)
+from repro.results.sinks import pcf_text, prv_text, read_prv, row_text
 from repro.results.store import (
     DEFAULT_STORE_ROOT,
     STORE_FORMAT_VERSION,
@@ -59,15 +49,10 @@ __all__ = [
     "content_key",
     "spec_contents",
     "spec_from_contents",
-    "TraceSink",
-    "ParaverTraceSink",
-    "JsonlTraceSink",
     "prv_text",
     "pcf_text",
     "row_text",
     "read_prv",
-    "read_jsonl_trace",
-    "run_stem",
     "StoreDiff",
     "diff_stores",
     "render_diff",

@@ -10,18 +10,19 @@ Subcommands::
     export KEY [--store ROOT] [--format prv|jsonl] [--out DIR]
     gc     [--store ROOT] [filters] [--delete]    collect artifacts
 
-``export`` re-emits one stored cell on demand — a ``.prv``-style trace
-(through the same renderer as the live
-:class:`~repro.results.sinks.ParaverTraceSink`, so the bytes match a
-per-run sink export) with its ``.pcf``/``.row`` companion files so the
-real Paraver UI can open it, or the flat JSONL record stream (header,
-steps in canonical order, mask changes, scheduler timeline; one sorted-key
-record per line).
+``export`` is how a trace leaves the store: it re-emits one stored cell on
+demand — a ``.prv``-style trace (rendered by :mod:`repro.results.sinks`,
+byte-identical to rendering the live run's tracer) with its ``.pcf``/``.row``
+companion files so the real Paraver UI can open it, or the flat JSONL record
+stream (header, steps in canonical order, mask changes, scheduler timeline;
+one sorted-key record per line).
 File names use the content key alone, so re-exports overwrite instead of
 accumulating.  ``show --head N`` and windowed queries route through the
 artifact's segment table, inflating only the slices they touch.
-``gc`` is a dry run unless ``--delete`` is given; unreadable or old-format
-artifacts are always candidates.
+An artifact whose members fail to inflate or decode makes ``show`` and
+``export`` report the error on stderr and exit 1.  ``gc`` is a dry run
+unless ``--delete`` is given; unreadable or old-format artifacts are always
+candidates.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from pathlib import Path
 from repro.experiments.tables import render_table
 from repro.results.sinks import jsonl_record_lines, pcf_text, prv_text, row_text
 from repro.store.cli import StoreCommands
+from repro.store.content import READ_ERRORS
 from repro.traces.query import TraceReader
 from repro.traces.store import DEFAULT_TRACE_ROOT, TraceEntry, TraceStore
 
@@ -247,6 +249,15 @@ COMMANDS = StoreCommands(
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except READ_ERRORS as exc:
+        # A member that passed ``get``'s size checks but fails to inflate.
+        print(f"{args.command}: unreadable trace artifact: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(args: argparse.Namespace) -> int:
     code = COMMANDS.run(args)
     if code is not None:
         return code

@@ -613,14 +613,6 @@ class TestSSHExecutor:
         assert "repro.exec.worker" in argv[-1]
         assert "/opt/repro" in argv[-1]
 
-    def test_sinks_are_rejected(self):
-        class _Sink:
-            def write(self, run, result):  # pragma: no cover - never called
-                pass
-
-        with pytest.raises(ValueError, match="sinks"):
-            asyncio.run(SSHExecutor().start(WorkerContext(sinks=(_Sink(),))))
-
     def test_unshared_trace_tier_is_rejected(self, tmp_path):
         # Only the metrics row crosses the wire: without a shared filesystem
         # the trace tier would never fill and every re-run re-simulates.

@@ -1,27 +1,11 @@
-"""Tests of the per-run trace sinks (.prv-style + JSONL) and their round trips."""
+"""Tests of the ``.prv``-style renderer behind ``python -m repro.traces export``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.campaign import (
-    CampaignSpec,
-    ClusterRef,
-    RunSpec,
-    SyntheticWorkloadRef,
-    execute_run,
-    run_campaign,
-    run_scenario_pair,
-)
-from repro.results import (
-    JsonlTraceSink,
-    ParaverTraceSink,
-    ResultStore,
-    content_key,
-    read_jsonl_trace,
-    read_prv,
-    run_stem,
-)
+from repro.campaign import ClusterRef, RunSpec, SyntheticWorkloadRef, execute_run
+from repro.results import prv_text, read_prv, row_text
 from repro.results.sinks import EV_THREAD_COUNT
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL
@@ -40,73 +24,43 @@ def traced_run():
     return run, execute_run(run, trace=True)
 
 
-class TestJsonlSink:
-    def test_round_trip(self, traced_run, tmp_path):
-        run, result = traced_run
-        path = JsonlTraceSink(tmp_path).write(run, result)
-        assert path.name == f"{run_stem(run)}.jsonl"
-        header, tracer = read_jsonl_trace(path)
-        assert header["key"] == content_key(run)
-        assert header["scenario"] == run.scenario
-        assert header["end_time"] == result.end_time
-        # The trace itself survives byte-exactly (floats round-trip via repr).
-        assert tracer.steps() == result.tracer.steps()
-        assert tracer.mask_changes() == result.tracer.mask_changes()
-
-    def test_rewrite_overwrites(self, traced_run, tmp_path):
-        run, result = traced_run
-        sink = JsonlTraceSink(tmp_path)
-        first = sink.write(run, result).read_text()
-        assert sink.write(run, result).read_text() == first
-        assert len(list(tmp_path.glob("*.jsonl"))) == 1
-
-    def test_same_cell_from_two_campaigns_writes_one_file(self, traced_run, tmp_path):
-        # Regression: run_stem used to embed the grid index, so the same
-        # cell reached from two campaigns accumulated duplicate files,
-        # contradicting the content-addressing contract.  The index now
-        # survives only as a JSON header field.
-        import dataclasses
-        import json
-
-        run, result = traced_run
-        moved = dataclasses.replace(run, index=17)
-        assert content_key(moved) == content_key(run)
-        assert run_stem(moved) == run_stem(run)
-        sink = JsonlTraceSink(tmp_path)
-        sink.write(run, result)
-        path = sink.write(moved, result)
-        assert len(list(tmp_path.glob("*.jsonl"))) == 1
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["index"] == 17
-        # The sidecar run id carries no grid index (it is shared by design).
-        assert not header["run_id"].split("|", 1)[0].isdigit()
-
-    def test_header_required(self, tmp_path):
-        bad = tmp_path / "x.jsonl"
-        step = {
-            "record": "step", "job": "j", "rank": 0, "node": "n0", "start": 0.0,
-            "duration": 1.0, "phase": "p", "nthreads": 1,
-            "thread_utilisation": [1.0], "ipc": 1.0, "work_units": 1.0,
-        }
-        import json
-
-        bad.write_text(json.dumps(step) + "\n")
-        with pytest.raises(ValueError, match="no run header"):
-            read_jsonl_trace(bad)
-
-    def test_unknown_record_rejected(self, tmp_path):
-        bad = tmp_path / "x.jsonl"
-        bad.write_text('{"record": "mystery"}\n')
-        with pytest.raises(ValueError, match="unknown record"):
-            read_jsonl_trace(bad)
+def _write_prv(tmp_path, tracer):
+    path = tmp_path / "trace.prv"
+    path.write_text(prv_text(tracer))
+    return path
 
 
 class TestParaverSink:
+    """``prv_text`` written out and split back up by ``read_prv``."""
+
+    def test_rank_widths_match_a_per_step_walk(self, traced_run):
+        # The header's task list and the .row thread rows name each rank's
+        # widest team, read from runs; a per-step walk must agree.
+        _run, result = traced_run
+        tracer = result.tracer
+        widths = {
+            (job, rank): max(step.nthreads for step in tracer.steps(job, rank))
+            for job in tracer.jobs()
+            for rank in sorted({step.rank for step in tracer.steps(job)})
+        }
+        assert len(set(widths.values())) > 1, "DROM run should vary team sizes"
+        apps = [
+            f"{len(ranks)}({','.join(f'{widths[job, r]}:{r + 1}' for r in ranks)})"
+            for job in tracer.jobs()
+            for ranks in [sorted(r for j, r in widths if j == job)]
+        ]
+        header = prv_text(tracer).splitlines()[0]
+        assert header.endswith(f"):{len(apps)}:{':'.join(apps)}")
+        threads = row_text(tracer).split("LEVEL THREAD SIZE ")[1].splitlines()[1:]
+        assert threads == [
+            f"{job}.{rank + 1}.{t + 1}"
+            for (job, rank), width in widths.items()
+            for t in range(width)
+        ]
+
     def test_prv_structure(self, traced_run, tmp_path):
-        run, result = traced_run
-        path = ParaverTraceSink(tmp_path).write(run, result)
-        assert path.name == f"{run_stem(run)}.prv"
-        header, states, events = read_prv(path)
+        _run, result = traced_run
+        header, states, events = read_prv(_write_prv(tmp_path, result.tracer))
         assert header.startswith("#Paraver")
         # One state record per step per thread.
         expected_states = sum(step.nthreads for step in result.tracer)
@@ -120,8 +74,8 @@ class TestParaverSink:
         assert times == sorted(times)
 
     def test_mask_change_events_carry_team_size(self, traced_run, tmp_path):
-        run, result = traced_run
-        _header, _states, events = read_prv(ParaverTraceSink(tmp_path).write(run, result))
+        _run, result = traced_run
+        _header, _states, events = read_prv(_write_prv(tmp_path, result.tracer))
         changes = result.tracer.mask_changes()
         assert changes, "DROM run should observe mask changes"
         marker = f":{EV_THREAD_COUNT}:"
@@ -133,8 +87,8 @@ class TestParaverSink:
     def test_mask_change_events_carry_the_ranks_node(self, traced_run, tmp_path):
         # The cpu field of a mask-change event must match the node the
         # (job, rank) runs on in the state records, not a fixed placeholder.
-        run, result = traced_run
-        _header, states, events = read_prv(ParaverTraceSink(tmp_path).write(run, result))
+        _run, result = traced_run
+        _header, states, events = read_prv(_write_prv(tmp_path, result.tracer))
         rank_cpu = {}
         for line in states:
             fields = line.split(":")
@@ -164,66 +118,6 @@ class TestParaverSink:
             cluster=ClusterRef(nnodes=4),
         )
         result = execute_run(run, trace=False)  # tracer stays empty
-        header, states, events = read_prv(ParaverTraceSink(tmp_path).write(run, result))
+        header, states, events = read_prv(_write_prv(tmp_path, result.tracer))
         assert header.startswith("#Paraver")
         assert states == [] and events == []
-
-
-class TestCampaignSinkIntegration:
-    def test_traced_campaign_writes_one_pair_per_run(self, tmp_path):
-        spec = CampaignSpec(
-            name="sinks",
-            workloads=(SyntheticWorkloadRef(spec=SMALL, seed=0),),
-            clusters=(ClusterRef(nnodes=4),),
-        )
-        sinks = (ParaverTraceSink(tmp_path / "prv"), JsonlTraceSink(tmp_path / "jsonl"))
-        result = run_campaign(spec, sinks=sinks)
-        assert result.executed == spec.nruns
-        prv = sorted((tmp_path / "prv").glob("*.prv"))
-        jsonl = sorted((tmp_path / "jsonl").glob("*.jsonl"))
-        assert len(prv) == len(jsonl) == spec.nruns
-        # Stems pair up across the two sinks and embed the content keys.
-        assert [p.stem for p in prv] == [j.stem for j in jsonl]
-        for run in spec.expand():
-            assert run_stem(run) in {p.stem for p in prv}
-
-    def test_pooled_campaign_writes_the_same_files(self, tmp_path):
-        spec = CampaignSpec(
-            name="sinks-pool",
-            workloads=(SyntheticWorkloadRef(spec=SMALL, seed=0),),
-            clusters=(ClusterRef(nnodes=4),),
-        )
-        serial_dir, pooled_dir = tmp_path / "serial", tmp_path / "pooled"
-        run_campaign(spec, workers=1, sinks=(JsonlTraceSink(serial_dir),))
-        run_campaign(spec, workers=2, sinks=(JsonlTraceSink(pooled_dir),))
-        serial_files = sorted(serial_dir.glob("*.jsonl"))
-        pooled_files = sorted(pooled_dir.glob("*.jsonl"))
-        assert [p.name for p in serial_files] == [p.name for p in pooled_files]
-        for a, b in zip(serial_files, pooled_files):
-            assert a.read_text() == b.read_text()
-
-    def test_cache_hits_are_not_re_exported(self, tmp_path):
-        spec = CampaignSpec(
-            name="sinks-store",
-            workloads=(SyntheticWorkloadRef(spec=SMALL, seed=0),),
-            clusters=(ClusterRef(nnodes=4),),
-        )
-        store = ResultStore(tmp_path / "store")
-        run_campaign(spec, store=store)
-        warm = run_campaign(
-            spec, store=store, sinks=(JsonlTraceSink(tmp_path / "traces"),)
-        )
-        assert warm.executed == 0
-        assert not (tmp_path / "traces").exists()
-
-    def test_scenario_pair_sinks(self, tmp_path):
-        results = run_scenario_pair(
-            SyntheticWorkloadRef(spec=SMALL, seed=1),
-            cluster=ClusterRef(nnodes=4),
-            sinks=(JsonlTraceSink(tmp_path),),
-        )
-        files = sorted(tmp_path.glob("*.jsonl"))
-        assert len(files) == 2
-        assert {SERIAL, DROM} == set(results)
-        scenarios = {read_jsonl_trace(f)[0]["scenario"] for f in files}
-        assert scenarios == {SERIAL, DROM}

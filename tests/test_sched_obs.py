@@ -47,12 +47,6 @@ from repro.obs import (
     validate_chrome_trace,
     write_summary,
 )
-from repro.obs.bench import (
-    append_history,
-    history_row,
-    load_history,
-    render_report,
-)
 from repro.obs.log import configure, resolve_level
 from repro.obs.sched import SLOWDOWN_BOUND
 from repro.results.store import ResultStore, content_key
@@ -548,88 +542,6 @@ class TestLogFallback:
     def test_resolve_level_still_strict(self):
         with pytest.raises(ValueError, match="unknown log level"):
             resolve_level("chatty")
-
-
-class TestBenchHistory:
-    REPORT = {
-        "gate": {"minimum_speedup": 5.0, "passed": True},
-        "aggregate": {
-            "speedup": 10.0,
-            "cells": 4,
-            "span_seconds": {"simulate": 2.0, "summarise": 0.5},
-        },
-    }
-
-    def test_history_row_distils_report(self):
-        row = history_row("core", self.REPORT, commit="abc1234", timestamp=1)
-        assert row["gate"] == "core"
-        assert row["passed"] is True
-        assert row["speedup"] == 10.0
-        assert row["span_seconds"] == {"simulate": 2.0, "summarise": 0.5}
-        assert row["commit"] == "abc1234"
-        # shape-tolerant: a report with no aggregate still rows up
-        sparse = history_row("store", {"gate": {"passed": False}})
-        assert sparse["passed"] is False and sparse["span_seconds"] == {}
-
-    def test_append_is_idempotent_per_gate(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        row = history_row("core", self.REPORT, commit="abc", timestamp=1)
-        assert append_history(path, [row]) == 1
-        assert append_history(path, [dict(row, timestamp=2)]) == 0
-        changed = history_row(
-            "core", {**self.REPORT, "aggregate": {"speedup": 11.0}}, commit="def"
-        )
-        assert append_history(path, [changed]) == 1
-        assert len(load_history(path)) == 2
-
-    def test_torn_tail_is_ignored(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        append_history(path, [history_row("core", self.REPORT)])
-        with open(path, "a") as stream:
-            stream.write('{"record": "bench", "gate": "core"')  # torn
-        assert len(load_history(path)) == 1
-
-    def test_report_flags_regressions(self):
-        fast = history_row("core", self.REPORT, commit="aaa")
-        slow = history_row(
-            "core",
-            {
-                "gate": {"passed": True},
-                "aggregate": {
-                    "speedup": 6.0,  # -40% vs 10x
-                    "span_seconds": {"simulate": 4.0},  # +60% vs 2.5s total
-                },
-            },
-            commit="bbb",
-        )
-        text, nregressions = render_report([fast, slow])
-        assert nregressions == 2
-        assert "REGRESSION" in text and "speedup 10.00x -> 6.00x" in text
-        text, nregressions = render_report([fast, dict(fast, commit="ccc")])
-        assert nregressions == 0 and "no regressions" in text
-
-    def test_cli_report(self, tmp_path, capsys):
-        from repro.obs.__main__ import main as obs_main
-
-        path = tmp_path / "history.jsonl"
-        append_history(
-            path,
-            [
-                history_row("core", self.REPORT, commit="aaa"),
-                history_row(
-                    "core",
-                    {"gate": {"passed": True}, "aggregate": {"speedup": 2.0}},
-                    commit="bbb",
-                ),
-            ],
-        )
-        assert obs_main(["bench", "report", "--history", str(path)]) == 0
-        assert "REGRESSION" in capsys.readouterr().out
-        assert (
-            obs_main(["bench", "report", "--history", str(path), "--strict"]) == 1
-        )
-        assert obs_main(["bench", "report", "--history", str(tmp_path / "no")]) == 0
-        assert "empty" in capsys.readouterr().out
 
 
 class TestTracesCli:

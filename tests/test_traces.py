@@ -39,7 +39,6 @@ from repro.metrics.tracing import (
     expand_runs,
 )
 from repro.results import (
-    ParaverTraceSink,
     ResultStore,
     content_key,
     pcf_text,
@@ -78,6 +77,15 @@ def traced_run():
         cluster=ClusterRef(nnodes=4),
     )
     return run, execute_run(run, trace=True)
+
+
+def flip_segment_byte(store: TraceStore, run: RunSpec) -> None:
+    """Corrupt one byte inside the first step segment of ``run``'s artifact,
+    keeping its size, so ``get``'s header and size checks still pass."""
+    path = store.path_for(content_key(run))
+    data = bytearray(path.read_bytes())
+    data[store.get(run).header_bytes + 20] ^= 0xFF
+    path.write_bytes(bytes(data))
 
 
 def store_and_reload(
@@ -304,29 +312,37 @@ class TestScenarioReplay:
                     live.job_utilisation(job)
                 )
 
-    def test_sinks_are_fed_on_replays(self, tmp_path):
-        # Regression: replays carry a full tracer, so a warm pair must still
-        # export through its sinks (the pre-tier behaviour), byte-identically.
-        from repro.results import JsonlTraceSink
-
+    def test_corrupt_segment_is_a_miss(self, tmp_path):
+        # A flipped byte inside a segment member passes ``get`` but fails to
+        # inflate; the pair must re-simulate and rewrite both tiers instead of
+        # returning a replay whose tracer raises.
         ref = SyntheticWorkloadRef(spec=SMALL, seed=0)
         store = ResultStore(tmp_path / "m")
         traces = TraceStore(tmp_path / "t")
-        cold_dir, warm_dir = tmp_path / "cold", tmp_path / "warm"
-        run_scenario_pair(
-            ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces,
-            sinks=(JsonlTraceSink(cold_dir),),
+        cold = run_scenario_pair(
+            ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces
         )
+        artifacts = {}
+        for scenario in (SERIAL, DROM):
+            run = RunSpec(
+                index=0, scenario=scenario, workload=ref, cluster=ClusterRef(nnodes=4)
+            )
+            path = traces.path_for(content_key(run))
+            artifacts[path] = path.read_bytes()
+            flip_segment_byte(traces, run)
+            assert traces.get(run) is not None  # the size checks pass
+        again = run_scenario_pair(
+            ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces
+        )
+        assert all(not r.replayed for r in again.values())
+        for scenario in (SERIAL, DROM):
+            assert again[scenario].tracer.steps() == cold[scenario].tracer.steps()
+        for path, data in artifacts.items():
+            assert path.read_bytes() == data
         warm = run_scenario_pair(
-            ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces,
-            sinks=(JsonlTraceSink(warm_dir),),
+            ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces
         )
         assert all(r.replayed for r in warm.values())
-        cold_files = sorted(p.name for p in cold_dir.glob("*.jsonl"))
-        warm_files = sorted(p.name for p in warm_dir.glob("*.jsonl"))
-        assert cold_files == warm_files and len(warm_files) == 2
-        for name in warm_files:
-            assert (warm_dir / name).read_text() == (cold_dir / name).read_text()
 
     def test_metrics_only_store_still_executes(self, tmp_path):
         # Without the trace tier the pair must not try to replay.
@@ -685,9 +701,26 @@ class TestTracesCli:
         assert traces_main(["show", "ffff", "--store", str(store.root)]) == 1
         assert "no trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["show"], ["show", "--head", "5"], ["export", "--format", "prv"],
+         ["export", "--format", "jsonl"]],
+        ids=["show", "show-head", "export-prv", "export-jsonl"],
+    )
+    def test_corrupt_segment_exits_1(self, populated, tmp_path, capsys, command):
+        run, _result, store = populated
+        flip_segment_byte(store, run)
+        name, *flags = command
+        assert traces_main([
+            name, content_key(run)[:10], "--store", str(store.root), *flags,
+            *(["--out", str(tmp_path / "out")] if name == "export" else []),
+        ]) == 1
+        assert "unreadable trace artifact" in capsys.readouterr().err
+
     def test_export_prv_matches_live_sink(self, populated, tmp_path, capsys):
+        # The exported Paraver triple is the renderers' output for the live
+        # run's tracer, byte for byte.
         run, result, store = populated
-        live = ParaverTraceSink(tmp_path / "live").write(run, result)
         out_dir = tmp_path / "exported"
         assert traces_main([
             "export", content_key(run)[:10], "--store", str(store.root),
@@ -695,7 +728,9 @@ class TestTracesCli:
         ]) == 0
         exported = list(out_dir.glob("*.prv"))
         assert len(exported) == 1
-        assert exported[0].read_text() == live.read_text()
+        assert exported[0].read_text() == prv_text(result.tracer)
+        assert exported[0].with_suffix(".pcf").read_text() == pcf_text(result.tracer)
+        assert exported[0].with_suffix(".row").read_text() == row_text(result.tracer)
         # Re-export overwrites (content-keyed stem), never accumulates.
         assert traces_main([
             "export", content_key(run)[:10], "--store", str(store.root),
