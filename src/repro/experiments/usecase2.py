@@ -24,8 +24,7 @@ import numpy as np
 from repro.campaign.runner import run_campaign, run_scenario_pair
 from repro.campaign.spec import CampaignSpec, HighPriorityWorkloadRef
 from repro.metrics.collect import relative_improvement
-from repro.metrics.counters import CounterLog
-from repro.metrics.paraver import ParaverView
+from repro.traces.query import TraceReader
 from repro.workload.runner import DROM, SERIAL, ScenarioResult
 
 
@@ -65,18 +64,18 @@ class UseCase2Result:
 
     def cycles_rendering(self, scenario: str, bin_seconds: float = 200.0) -> str:
         """ASCII equivalent of Figure 13's per-job width/cycles timeline."""
-        result = self.serial if scenario == SERIAL else self.drom
-        view = ParaverView(result.tracer, bin_seconds=bin_seconds)
-        return view.render_job_widths([self.nest_label, self.coreneuron_label])
+        return self._reader(scenario).render_job_widths(
+            [self.nest_label, self.coreneuron_label], bin_seconds=bin_seconds
+        )
 
     # -- Figure 14: IPC histograms ----------------------------------------------------------
 
-    def counter_log(self, scenario: str) -> CounterLog:
+    def _reader(self, scenario: str) -> TraceReader:
         result = self.serial if scenario == SERIAL else self.drom
-        return result.tracer.counter_log()
+        return TraceReader(result.tracer)
 
     def mean_ipc(self, scenario: str, job: str) -> float:
-        return self.counter_log(scenario).mean_ipc(job)
+        return self._reader(scenario).mean_ipc(job)
 
     def ipc_comparison(self) -> dict[str, tuple[float, float]]:
         """job -> (serial mean IPC, DROM mean IPC); the two should be close."""
@@ -87,15 +86,11 @@ class UseCase2Result:
 
     def ipc_histograms(self, scenario: str, bins: int = 20) -> dict[str, np.ndarray]:
         """job -> aggregated IPC histogram over all threads (Figure 14)."""
-        log = self.counter_log(scenario)
-        out: dict[str, np.ndarray] = {}
-        for job in (self.nest_label, self.coreneuron_label):
-            per_thread = log.ipc_histogram(job, bins=bins)
-            total = np.zeros(bins)
-            for counts in per_thread.values():
-                total += counts
-            out[job] = total
-        return out
+        reader = self._reader(scenario)
+        return {
+            job: reader.ipc_histogram(job, bins=bins)
+            for job in (self.nest_label, self.coreneuron_label)
+        }
 
     # -- Figure 15: average response time ---------------------------------------------------------
 

@@ -1,7 +1,11 @@
-"""Metrics: system-level timings, hardware-counter proxies, tracing, Paraver views."""
+"""Metrics: system-level timings, step tracing and Paraver views.
+
+The per-thread counter proxies the paper reads from Extrae (IPC, cycles/µs)
+are not logged separately: they derive from the tracer's step runs, and
+:class:`~repro.traces.query.TraceReader` answers Figure 14's IPC queries.
+"""
 
 from repro.metrics.collect import JobMetrics, WorkloadMetrics, relative_improvement
-from repro.metrics.counters import CounterLog, CounterSample
 from repro.metrics.paraver import ParaverView, TimelineRow
 from repro.metrics.tracing import MaskChangeRecord, StepRecord, StepRun, Tracer
 
@@ -9,8 +13,6 @@ __all__ = [
     "JobMetrics",
     "WorkloadMetrics",
     "relative_improvement",
-    "CounterLog",
-    "CounterSample",
     "Tracer",
     "StepRecord",
     "StepRun",

@@ -1,14 +1,15 @@
 """Paraver-like trace analysis and ASCII rendering.
 
 Paraver displays one row per thread with time on the X axis and a colour per
-metric value.  The functions here produce the same views as text: a
-per-thread timeline of thread counts or cycles/µs, binned over time, rendered
-with a small character ramp.  They back the Figure 5 and Figure 13 benchmark
+metric value.  The functions here produce the same views as text: per-thread
+busy fractions or per-job thread counts, binned over time, rendered with a
+small character ramp.  They back the Figure 5 and Figure 13 benchmark
 output and the `examples/insitu_analytics.py` visualisation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,64 +42,61 @@ class ParaverView:
     """Builds binned per-thread timelines from a :class:`Tracer`."""
 
     def __init__(self, tracer: Tracer, bin_seconds: float = 50.0) -> None:
-        if bin_seconds <= 0:
-            raise ValueError("bin_seconds must be positive")
+        if not (math.isfinite(bin_seconds) and bin_seconds > 0):
+            raise ValueError("bin_seconds must be positive and finite")
         self.tracer = tracer
         self.bin_seconds = bin_seconds
 
     # -- timelines -------------------------------------------------------------------
 
     def horizon(self) -> float:
-        ends = [step.end for step in self.tracer]
-        return max(ends) if ends else 0.0
+        """The last step end of the whole trace (0 for an empty one)."""
+        return max((run.end for run in self.tracer.runs()), default=0.0)
 
     def _nbins(self) -> int:
         return int(np.ceil(self.horizon() / self.bin_seconds)) + 1
 
+    def _binned(self, samples) -> dict:
+        """key -> time-binned, time-weighted average of ``value`` over the
+        ``(key, start, end, value)`` samples (0 in bins none overlaps)."""
+        nbins = self._nbins()
+        width = self.bin_seconds
+        sums, weights = {}, {}
+        for key, start, end, value in samples:
+            if key not in sums:
+                sums[key], weights[key] = np.zeros(nbins), np.zeros(nbins)
+            acc, weight = sums[key], weights[key]
+            for b in range(int(start // width), int(end // width) + 1):
+                lo = max(start, b * width)
+                hi = min(end, (b + 1) * width)
+                if hi <= lo:
+                    continue
+                acc[b] += value * (hi - lo)
+                weight[b] += hi - lo
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return {
+                key: np.where(weights[key] > 0, sums[key] / np.maximum(weights[key], 1e-12), 0.0)
+                for key in sums
+            }
+
     def thread_activity(self, job: str) -> list[TimelineRow]:
         """One row per (rank, thread): time-binned busy fraction."""
-        nbins = self._nbins()
-        rows: dict[tuple[int, int], np.ndarray] = {}
-        weights: dict[tuple[int, int], np.ndarray] = {}
-        for step in self.tracer.steps(job):
-            for thread, util in enumerate(step.thread_utilisation):
-                key = (step.rank, thread)
-                rows.setdefault(key, np.zeros(nbins))
-                weights.setdefault(key, np.zeros(nbins))
-                first = int(step.start // self.bin_seconds)
-                last = int(step.end // self.bin_seconds)
-                for b in range(first, last + 1):
-                    lo = max(step.start, b * self.bin_seconds)
-                    hi = min(step.end, (b + 1) * self.bin_seconds)
-                    if hi <= lo:
-                        continue
-                    rows[key][b] += util * (hi - lo)
-                    weights[key][b] += hi - lo
-        out: list[TimelineRow] = []
-        for key in sorted(rows):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                values = np.where(weights[key] > 0, rows[key] / np.maximum(weights[key], 1e-12), 0.0)
-            out.append(TimelineRow(label=f"{job} r{key[0]} t{key[1]}", values=values))
-        return out
+        rows = self._binned(
+            ((step.rank, thread), step.start, step.end, util)
+            for step in self.tracer.steps(job)
+            for thread, util in enumerate(step.thread_utilisation)
+        )
+        return [
+            TimelineRow(label=f"{job} r{rank} t{thread}", values=rows[rank, thread])
+            for rank, thread in sorted(rows)
+        ]
 
     def job_thread_count(self, job: str) -> TimelineRow:
         """Aggregate thread count of a job over time (the Figure 3/13 shape)."""
-        nbins = self._nbins()
-        values = np.zeros(nbins)
-        weights = np.zeros(nbins)
-        for step in self.tracer.steps(job):
-            first = int(step.start // self.bin_seconds)
-            last = int(step.end // self.bin_seconds)
-            for b in range(first, last + 1):
-                lo = max(step.start, b * self.bin_seconds)
-                hi = min(step.end, (b + 1) * self.bin_seconds)
-                if hi <= lo:
-                    continue
-                values[b] += step.nthreads * (hi - lo)
-                weights[b] += hi - lo
-        with np.errstate(invalid="ignore", divide="ignore"):
-            averaged = np.where(weights > 0, values / np.maximum(weights, 1e-12), 0.0)
-        return TimelineRow(label=job, values=averaged)
+        rows = self._binned(
+            (job, step.start, step.end, step.nthreads) for step in self.tracer.steps(job)
+        )
+        return TimelineRow(label=job, values=rows.get(job, np.zeros(self._nbins())))
 
     # -- rendering ----------------------------------------------------------------------
 

@@ -4,8 +4,8 @@ The paper obtains application metrics "by tracing the use cases using Extrae
 and visualizing traces with Paraver".  The tracer below records each rank's
 execution steps (the malleability-point granularity of the simulation) as
 runs of steps alike but for their start (:class:`StepRun`), plus mask-change
-events; Figure 5's utilisation view, Figure 13's timelines and the counter
-log all derive from its per-step :class:`StepRecord` views.
+events; Figure 5's utilisation view and Figure 13's timelines derive from its
+per-step :class:`StepRecord` views, Figure 14's IPC histograms from the runs.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from functools import reduce
 from itertools import accumulate, repeat
 from operator import add
 from typing import Iterable, Iterator, NamedTuple
-
-from repro.metrics.counters import CounterLog, CounterSample
 
 
 class StepRecord(NamedTuple):
@@ -145,23 +143,16 @@ def _step_order(step: StepRecord) -> tuple[float, str, int]:
 class Tracer:
     """Collects step runs and mask-change records for a whole scenario run.
 
-    The per-step views (iteration, :meth:`steps`, :meth:`counter_log`,
-    :meth:`thread_utilisation`) expand and sort the runs on first use.
+    The per-step views (iteration, :meth:`steps`, :meth:`thread_utilisation`)
+    expand and sort the runs on first use.
     """
 
-    def __init__(self, cycles_per_us: float = 2600.0) -> None:
+    def __init__(self) -> None:
         self._runs: list[StepRun] = []
         self._nsteps = 0
         #: Lazily expanded canonical view of ``_runs`` (None = stale).
         self._ordered_steps: list[StepRecord] | None = []
         self._mask_changes: list[MaskChangeRecord] = []
-        self._cycles_per_us = cycles_per_us
-
-    @property
-    def cycles_per_us(self) -> float:
-        """Nominal cycles/µs the counter log scales by — persisted with the
-        trace so a replayed tracer derives identical counter samples."""
-        return self._cycles_per_us
 
     # -- recording -------------------------------------------------------------
 
@@ -243,21 +234,3 @@ class Tracer:
                 busy[thread] = busy.get(thread, 0.0) + util * step.duration
                 total[thread] = total.get(thread, 0.0) + step.duration
         return {t: busy[t] / total[t] for t in sorted(busy)}
-
-    def counter_log(self) -> CounterLog:
-        """Expand step records into per-thread counter samples (Figures 13/14)."""
-        log = CounterLog()
-        for step in self._ordered():
-            for thread, util in enumerate(step.thread_utilisation):
-                log.record(
-                    CounterSample(
-                        job=step.job,
-                        rank=step.rank,
-                        thread=thread,
-                        start=step.start,
-                        duration=step.duration,
-                        ipc=step.ipc * util,
-                        cycles_per_us=self._cycles_per_us * util,
-                    )
-                )
-        return log

@@ -12,7 +12,8 @@ Figures 3, 5, 13, 14):
   :class:`~repro.metrics.tracing.Tracer`.
 * :mod:`repro.traces.query` — the lazy
   :class:`~repro.traces.query.TraceReader` query engine (job timelines,
-  mask-change sequences, IPC series/histograms, ParaverView renderings) and
+  mask-change sequences, IPC series, Figure 14's IPC histograms and mean
+  IPC, ParaverView renderings) and
   :func:`~repro.traces.query.replay_scenario`, which rebuilds a
   scenario-result replay from the two tiers so trace figures regenerate
   without simulating.

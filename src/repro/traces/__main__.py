@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +41,19 @@ from repro.traces.query import TraceReader
 from repro.traces.store import DEFAULT_TRACE_ROOT, TraceEntry, TraceStore
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse ``type`` that converts and accepts only ``ok`` values."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.traces",
@@ -48,9 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     COMMANDS.add_ls(sub)
     show = COMMANDS.add_show(sub, help="show one trace's timelines")
-    show.add_argument("--bin-seconds", type=float, default=100.0,
+    show.add_argument("--bin-seconds", default=100.0,
+                      type=_checked(float, lambda v: math.isfinite(v) and v > 0,
+                                    "a finite number > 0"),
                       help="timeline bin width in seconds (default 100)")
-    show.add_argument("--head", type=int, default=None, metavar="N",
+    show.add_argument("--head", default=None, metavar="N",
+                      type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
                       help="print the first N step records instead of the "
                            "timelines (inflates only the leading segments)")
     show.add_argument("--sched", action="store_true",

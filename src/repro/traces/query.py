@@ -4,8 +4,9 @@ Two layers:
 
 * :class:`TraceReader` — the figure-level queries over one trace (live or
   stored): per-job timelines, DROM mask-change sequences, per-step IPC
-  series and histograms, and :class:`~repro.metrics.paraver.ParaverView`
-  renderings.  It is deliberately lazy-friendly: constructed from a
+  series, Figure 14's IPC histograms (from the step runs) and mean IPC,
+  and :class:`~repro.metrics.paraver.ParaverView` renderings.  It is
+  deliberately lazy-friendly: constructed from a
   :class:`~repro.traces.store.TraceEntry` it only inflates the artifact when
   a query first needs the records.
 * :func:`replay_scenario` — rebuilds a :class:`ScenarioReplay` from the two
@@ -26,7 +27,6 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from repro.campaign.spec import RunSpec
-from repro.metrics.counters import CounterLog
 from repro.metrics.paraver import ParaverView
 from repro.metrics.tracing import MaskChangeRecord, Tracer
 from repro.obs.sched import FairnessSummary, JobLifecycleRecord, NodeSample, SchedTimeline
@@ -185,18 +185,34 @@ class TraceReader:
         traces inflate only the touched segments."""
         return [(s.start, s.ipc) for s in self.steps_between(lo, hi, job=job, rank=rank)]
 
-    def counter_log(self) -> CounterLog:
-        return self.tracer.counter_log()
-
     def ipc_histogram(
         self, job: str, bins: int = 20, range_: tuple[float, float] = (0.0, 2.0)
     ) -> np.ndarray:
-        """IPC histogram aggregated over all the job's threads."""
-        per_thread = self.counter_log().ipc_histogram(job, bins=bins, range_=range_)
-        total = np.zeros(bins)
-        for counts in per_thread.values():
-            total += counts
-        return total
+        """IPC histogram aggregated over all the job's threads (float64
+        counts of ``ipc * utilisation``, one per thread per step).  Each run's
+        values weigh ``count``, so any chunking of steps into runs agrees."""
+        runs = [run for run in self.tracer.runs() if run.job == job]
+        values = [run.ipc * util for run in runs for util in run.thread_utilisation]
+        weights = [run.count for run in runs for _util in run.thread_utilisation]
+        counts, _edges = np.histogram(
+            np.array(values, float), bins=bins, range=range_, weights=np.array(weights, np.int64)
+        )
+        return counts.astype(np.float64)
+
+    def mean_ipc(self, job: str) -> float:
+        """Duration-weighted mean of the per-thread IPC ``ipc * utilisation``
+        over every step of a job (the plain mean if no step takes time)."""
+        samples = [
+            (step.ipc * util, step.duration)
+            for step in self.tracer.steps(job)
+            for util in step.thread_utilisation
+        ]
+        if not samples:
+            raise ValueError(f"no IPC samples for job {job!r}")
+        total_time = sum(duration for _ipc, duration in samples)
+        if total_time == 0:
+            return float(np.mean([ipc for ipc, _duration in samples]))
+        return sum(ipc * duration for ipc, duration in samples) / total_time
 
 
 # -- scenario replay -----------------------------------------------------------------

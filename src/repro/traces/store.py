@@ -67,6 +67,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.apps.perfmodel import NOMINAL_CYCLES_PER_US
 from repro.campaign.spec import RunSpec
 from repro.metrics.tracing import (
     MaskChangeRecord,
@@ -298,7 +299,9 @@ class TraceEntry:
     def segment_runs(self, index: int) -> list[StepRun]:
         """The step runs of one segment, inflating it on first touch.
 
-        Raises ``ValueError`` when the runs do not stand for exactly the
+        Raises ``ValueError`` when a run's count is not a positive integer,
+        its duration is negative or not finite, or its utilisations do not
+        number its threads, and when the runs do not stand for exactly the
         table's record count ``n``.
         """
         if index not in self._inflated:
@@ -309,9 +312,17 @@ class TraceEntry:
                 self._segment_offset(index), int(meta["bytes"]), "steps"
             ):
                 for *fields, util, ipc, work, count in record["runs"]:
+                    run = StepRun(*fields, tuple(util), ipc, work, count)
                     if type(count) is not int or count < 1:
                         raise ValueError(f"{where} has a run of count {count!r}")
-                    runs.append(StepRun(*fields, tuple(util), ipc, work, count))
+                    if not (math.isfinite(run.duration) and run.duration >= 0):
+                        raise ValueError(f"{where} has a run of duration {run.duration!r}")
+                    if len(run.thread_utilisation) != run.nthreads:
+                        raise ValueError(
+                            f"{where} has a run of {run.nthreads} thread(s) with "
+                            f"{len(run.thread_utilisation)} utilisation(s)"
+                        )
+                    runs.append(run)
             total = sum(run.count for run in runs)
             if total != int(meta["n"]):
                 raise ValueError(
@@ -387,7 +398,7 @@ class TraceEntry:
     @cached_property
     def tracer(self) -> Tracer:
         """The full tracer, assembled from every segment's runs plus the masks."""
-        tracer = Tracer(cycles_per_us=self.header.get("cycles_per_us", 2600.0))
+        tracer = Tracer()
         for index in range(len(self.segments)):
             tracer.record_steps(self.segment_runs(index))
         for change in self.mask_records():
@@ -527,7 +538,7 @@ class TraceStore(ContentStore):
             "scenario": run.scenario,
             "workload": result.workload.name,
             "end_time": result.end_time,
-            "cycles_per_us": tracer.cycles_per_us,
+            "cycles_per_us": NOMINAL_CYCLES_PER_US,
             "nsteps": len(tracer),
             "nmask_changes": len(changes),
             "segments": segment_table,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.campaign.runner import execute_run, summarise_run
@@ -24,6 +25,7 @@ from repro.campaign.spec import (
 )
 from repro.results.store import ResultStore
 from repro.slurm.jobs import ResourceRequest
+from repro.traces.query import TraceReader
 from repro.traces.store import TraceStore
 from repro.workload import configs
 from repro.workload.generator import WorkloadSpec
@@ -100,7 +102,8 @@ GENERATED = [
 def test_batched_tracer_views_match_reference(run):
     """Derived tracer views (not just serialised bytes) agree too: the
     batched tracer stores runs, the reference loop one step at a time, and
-    every per-step view expanded from the runs is the reference's."""
+    every per-step view expanded from the runs, and every reader query
+    answered from them, is the reference's."""
     reference = execute_run(run, trace=True, batching=False)
     batched = execute_run(run, trace=True, batching=True)
     assert batched.end_time == reference.end_time
@@ -113,8 +116,15 @@ def test_batched_tracer_views_match_reference(run):
     assert repr(list(batched)) == repr(list(reference))
     assert batched.mask_changes() == reference.mask_changes()
     assert batched.jobs() == reference.jobs()
-    assert list(batched.counter_log()) == list(reference.counter_log())
+    readers = TraceReader(batched), TraceReader(reference)
+    assert readers[0].view().horizon() == readers[1].view().horizon()
     for job in reference.jobs():
+        histograms = [reader.ipc_histogram(job) for reader in readers]
+        assert histograms[0].dtype == histograms[1].dtype == np.float64
+        assert histograms[0].tolist() == histograms[1].tolist()
+        assert readers[0].mean_ipc(job) == readers[1].mean_ipc(job)
+        assert readers[0].render_job_widths() == readers[1].render_job_widths()
+        assert readers[0].render_thread_activity(job) == readers[1].render_thread_activity(job)
         assert batched.span(job) == reference.span(job)
         for rank in sorted({step.rank for step in reference.steps(job)}):
             assert batched.steps(job, rank) == reference.steps(job, rank)

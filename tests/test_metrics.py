@@ -1,4 +1,4 @@
-"""Tests of metrics collection, counters, tracing and the Paraver views."""
+"""Tests of metrics collection, tracing, the IPC queries and the Paraver views."""
 
 from __future__ import annotations
 
@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.metrics.collect import JobMetrics, WorkloadMetrics, relative_improvement
-from repro.metrics.counters import CounterLog, CounterSample
 from repro.metrics.paraver import ParaverView
 from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
 from repro.slurm.jobs import Job, JobSpec
+from repro.traces.query import TraceReader
 
 
 def finished_job(name, submit, start, end):
@@ -61,59 +61,46 @@ class TestWorkloadMetrics:
         assert jm.response_time == 25.0
 
 
-class TestCounterLog:
-    def make_log(self):
-        log = CounterLog()
-        for t in range(4):
-            log.record(CounterSample("sim", rank=0, thread=t, start=0.0, duration=10.0,
-                                     ipc=1.0 + 0.1 * t, cycles_per_us=2600))
-            log.record(CounterSample("sim", rank=0, thread=t, start=10.0, duration=10.0,
-                                     ipc=1.0, cycles_per_us=2600))
-        log.record(CounterSample("ana", rank=0, thread=0, start=5.0, duration=5.0,
-                                 ipc=0.5, cycles_per_us=1300))
-        return log
+def one_thread_step(start, duration, ipc, job="j"):
+    return StepRecord(
+        job=job, rank=0, node="n0", start=start, duration=duration, phase="p",
+        nthreads=1, thread_utilisation=(1.0,), ipc=ipc, work_units=1.0,
+    )
 
-    def test_basic_queries(self):
-        log = self.make_log()
-        assert len(log) == 9
-        assert log.jobs() == ["sim", "ana"]
-        assert len(log.for_job("ana")) == 1
 
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            CounterLog().record(CounterSample("x", 0, 0, 0.0, -1.0, 1.0, 2600))
+class TestIpcQueries:
+    """Figure 14's per-thread IPC (step IPC times thread utilisation)."""
 
     def test_mean_ipc_weighted_by_duration(self):
-        log = CounterLog()
-        log.record(CounterSample("j", 0, 0, 0.0, 10.0, 1.0, 2600))
-        log.record(CounterSample("j", 0, 0, 10.0, 30.0, 2.0, 2600))
-        assert log.mean_ipc("j") == pytest.approx((1.0 * 10 + 2.0 * 30) / 40)
+        tracer = Tracer()
+        tracer.record_step(one_thread_step(0.0, 10.0, 1.0))
+        tracer.record_step(one_thread_step(10.0, 30.0, 2.0))
+        assert TraceReader(tracer).mean_ipc("j") == pytest.approx((1.0 * 10 + 2.0 * 30) / 40)
+
+    def test_mean_ipc_of_zero_duration_steps_is_the_plain_mean(self):
+        tracer = Tracer()
+        tracer.record_step(one_thread_step(0.0, 0.0, 1.0))
+        tracer.record_step(one_thread_step(0.0, 0.0, 2.0))
+        assert TraceReader(tracer).mean_ipc("j") == 1.5
 
     def test_mean_ipc_missing_job(self):
         with pytest.raises(ValueError):
-            CounterLog().mean_ipc("nope")
+            TraceReader(Tracer()).mean_ipc("nope")
 
-    def test_histogram_per_thread(self):
-        log = self.make_log()
-        hist = log.ipc_histogram("sim", bins=10, range_=(0.0, 2.0))
-        assert set(hist.keys()) == {(0, t) for t in range(4)}
-        assert all(counts.sum() == 2 for counts in hist.values())
-
-    def test_most_frequent_ipc(self):
-        log = self.make_log()
-        assert 0.9 <= log.most_frequent_ipc("sim") <= 1.4
-
-    def test_cycles_timeline_bins(self):
-        log = self.make_log()
-        timeline = log.cycles_timeline("sim", bin_seconds=10.0)
-        values = timeline[(0, 0)]
-        assert values[0] == pytest.approx(2600)
-        assert values[1] == pytest.approx(2600)
-
-    def test_extend(self):
-        log = CounterLog()
-        log.extend([CounterSample("j", 0, 0, 0.0, 1.0, 1.0, 2600)])
-        assert len(log) == 1
+    def test_histogram_counts_each_thread_step(self):
+        tracer = Tracer()
+        # Per-thread IPC 1.05, 1.15, 1.25, 1.35 in the first step, 1.0 in the second.
+        for start, utils, ipc in ((0.0, (0.525, 0.575, 0.625, 0.675), 2.0), (10.0, (1.0,) * 4, 1.0)):
+            tracer.record_step(StepRecord(
+                job="sim", rank=0, node="n0", start=start, duration=10.0, phase="p",
+                nthreads=4, thread_utilisation=utils, ipc=ipc, work_units=1.0,
+            ))
+        tracer.record_step(one_thread_step(5.0, 5.0, 0.5, job="ana"))
+        reader = TraceReader(tracer)
+        hist = reader.ipc_histogram("sim", bins=10, range_=(0.0, 2.0))
+        assert hist.dtype == np.float64
+        assert hist.tolist() == [0.0] * 5 + [2.0 + 4.0, 2.0] + [0.0] * 3
+        assert not reader.ipc_histogram("ghost").any()
 
 
 class TestTracer:
@@ -152,14 +139,6 @@ class TestTracer:
         with pytest.raises(ValueError):
             tracer.thread_utilisation("sim", 99)
 
-    def test_counter_log_expansion(self):
-        tracer = self.make_tracer()
-        log = tracer.counter_log()
-        # 3 steps x 4 threads + 1 step x 2 threads
-        assert len(log) == 14
-        sim_samples = log.for_job("sim")
-        assert all(s.cycles_per_us <= 2600 for s in sim_samples)
-
 
 class TestParaverView:
     def test_thread_activity_rows(self):
@@ -192,6 +171,11 @@ class TestParaverView:
     def test_invalid_bin_size(self):
         with pytest.raises(ValueError):
             ParaverView(Tracer(), bin_seconds=0.0)
+
+    @pytest.mark.parametrize("bin_seconds", [float("nan"), float("inf")])
+    def test_non_finite_bin_size(self, bin_seconds):
+        with pytest.raises(ValueError, match="bin_seconds"):
+            ParaverView(Tracer(), bin_seconds=bin_seconds)
 
     def test_empty_tracer_horizon_zero(self):
         view = ParaverView(Tracer(), bin_seconds=10.0)

@@ -3,7 +3,7 @@
 Covers the store round trip (byte-identical artifacts, exact float
 equality), the run-length step segments (differential round trips of
 generated cells and of a hand-built tracer that forces every kind of run
-break, doctored run counts raising), the two-tier campaign memoisation contract ("skip execution only
+break, doctored run counts, durations and utilisations raising), the two-tier campaign memoisation contract ("skip execution only
 when both tiers hit"), scenario replay equality against live executions, the
 query engine, the CLI, merge/sharding, and the reader edge cases the
 satellites call out (empty tracer, horizon-0 run, mask-change-only trace,
@@ -16,6 +16,7 @@ import gzip
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.campaign import (
@@ -86,6 +87,35 @@ def flip_segment_byte(store: TraceStore, run: RunSpec) -> None:
     data = bytearray(path.read_bytes())
     data[store.get(run).header_bytes + 20] ^= 0xFF
     path.write_bytes(bytes(data))
+
+
+def doctor_run(entry, index: int, edit) -> None:
+    """Rewrite segment ``index`` of ``entry``'s artifact with its longest run
+    (a ``[job, rank, node, start, duration, phase, nthreads,
+    thread_utilisation, ipc, work_units, count]`` list) replaced by
+    ``edit(run)``, patching the header's byte table to match."""
+    from repro.traces.store import _gzip_member
+
+    data = entry.path.read_bytes()
+    offset = entry._segment_offset(index)
+    length = entry.segments[index]["bytes"]
+    member = json.loads(gzip.decompress(data[offset : offset + length]))
+    longest = max(member["runs"], key=lambda run: run[-1])
+    assert longest[-1] > 1
+    longest[:] = edit(longest)
+    blob = _gzip_member(json.dumps(member, sort_keys=True) + "\n")
+    header = json.loads(json.dumps(entry.header))
+    header["segments"][index]["bytes"] = len(blob)
+    entry.path.write_bytes(
+        _gzip_member(json.dumps(header, sort_keys=True) + "\n")
+        + data[entry.header_bytes : offset]
+        + blob
+        + data[offset + length :]
+    )
+
+
+def negative_duration(run: list) -> list:
+    return [*run[:4], -1.0, *run[5:]]
 
 
 def store_and_reload(
@@ -312,6 +342,24 @@ class TestScenarioReplay:
                     live.job_utilisation(job)
                 )
 
+    def test_doctored_duration_is_a_miss(self, tmp_path):
+        # A run with a negative duration decodes as corrupt: the pair
+        # re-simulates instead of replaying it.
+        ref = SyntheticWorkloadRef(spec=SMALL, seed=0)
+        store = ResultStore(tmp_path / "m")
+        traces = TraceStore(tmp_path / "t")
+        cold = run_scenario_pair(
+            ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces
+        )
+        run = RunSpec(index=0, scenario=DROM, workload=ref, cluster=ClusterRef(nnodes=4))
+        doctor_run(traces.get(run), 0, negative_duration)
+        again = run_scenario_pair(
+            ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces
+        )
+        assert again[SERIAL].replayed and not again[DROM].replayed
+        assert again[DROM].tracer.steps() == cold[DROM].tracer.steps()
+        assert list(traces.get(run).tracer) == list(cold[DROM].tracer)
+
     def test_corrupt_segment_is_a_miss(self, tmp_path):
         # A flipped byte inside a segment member passes ``get`` but fails to
         # inflate; the pair must re-simulate and rewrite both tiers instead of
@@ -427,13 +475,26 @@ class TestTraceReader:
                 assert series[0] == (0.0, changes[0].old_threads)
                 assert series[1:] == [(c.time, c.new_threads) for c in changes]
 
-    def test_ipc_histogram_matches_counter_log(self, traced_run):
-        _run, result = traced_run
-        reader = TraceReader(result.tracer)
-        job = result.tracer.jobs()[0]
-        total = reader.ipc_histogram(job)
-        per_thread = result.tracer.counter_log().ipc_histogram(job)
-        assert total.sum() == sum(c.sum() for c in per_thread.values())
+    def test_ipc_histogram_matches_per_step_reference(self, traced_run, tmp_path):
+        # Reference: one histogram per (rank, thread) over the per-step
+        # values ``ipc * utilisation``, summed into float64 counts.  Live and
+        # stored readers answer exactly that, dtype included.
+        run, result = traced_run
+        store = TraceStore(tmp_path)
+        store.put(run, result)
+        for job in result.tracer.jobs():
+            per_thread: dict = {}
+            for step in result.tracer.steps(job):
+                for thread, util in enumerate(step.thread_utilisation):
+                    per_thread.setdefault((step.rank, thread), []).append(step.ipc * util)
+            expected = np.zeros(20)
+            for values in per_thread.values():
+                expected += np.histogram(np.asarray(values), bins=20, range=(0.0, 2.0))[0]
+            assert expected.sum() > 0
+            for reader in (TraceReader(result.tracer), TraceReader(store.get(run))):
+                got = reader.ipc_histogram(job)
+                assert got.dtype == np.float64
+                assert got.tolist() == expected.tolist()
 
 
 class TestReaderEdgeCases:
@@ -636,29 +697,6 @@ class TestRunLengthSegments:
         assert [len(counts) for counts in stretch] == [1, 1, 1, 1, 0]
         assert sum(map(sum, stretch)) == 100
 
-    @staticmethod
-    def _doctor_count(entry, index, recount):
-        """Rewrite segment ``index`` with its longest run's count replaced by
-        ``recount(count)``, patching the header's byte table to match."""
-        from repro.traces.store import _gzip_member
-
-        data = entry.path.read_bytes()
-        offset = entry._segment_offset(index)
-        length = entry.segments[index]["bytes"]
-        member = json.loads(gzip.decompress(data[offset : offset + length]))
-        longest = max(member["runs"], key=lambda run: run[-1])
-        assert longest[-1] > 1
-        longest[-1] = recount(longest[-1])
-        blob = _gzip_member(json.dumps(member, sort_keys=True) + "\n")
-        header = json.loads(json.dumps(entry.header))
-        header["segments"][index]["bytes"] = len(blob)
-        entry.path.write_bytes(
-            _gzip_member(json.dumps(header, sort_keys=True) + "\n")
-            + data[entry.header_bytes : offset]
-            + blob
-            + data[offset + length :]
-        )
-
     @pytest.mark.parametrize(
         "recount",
         [lambda n: n - 1, lambda n: n + 1, lambda n: 0],
@@ -669,7 +707,7 @@ class TestRunLengthSegments:
         store = TraceStore(tmp_path, segment_steps=16)
         store.put(run, result)
         index = 1
-        self._doctor_count(store.get(run), index, recount)
+        doctor_run(store.get(run), index, lambda r: [*r[:-1], recount(r[-1])])
         doctored = store.get(run)
         assert doctored is not None  # the byte-size cross-check still passes
         assert doctored.segment_steps(0) == list(result.tracer)[:16]
@@ -677,6 +715,35 @@ class TestRunLengthSegments:
             doctored.segment_steps(index)
         with pytest.raises(ValueError, match=f"segment {index}"):
             list(store.get(run).tracer)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            negative_duration,
+            lambda r: [*r[:4], float("nan"), *r[5:]],
+            lambda r: [*r[:4], float("inf"), *r[5:]],
+            lambda r: [*r[:7], r[7][:-1], *r[8:]],
+            lambda r: [*r[:7], [*r[7], 1.0], *r[8:]],
+        ],
+        ids=["negative-duration", "nan-duration", "inf-duration",
+             "short-utilisation", "long-utilisation"],
+    )
+    def test_doctored_run_field_raises(self, traced_run, tmp_path, edit):
+        # A run whose duration is not a finite non-negative number, or whose
+        # utilisations do not number its threads, fails to decode like a
+        # doctored count: the artifact reads as corrupt, never as data.
+        run, result = traced_run
+        store = TraceStore(tmp_path, segment_steps=16)
+        store.put(run, result)
+        doctor_run(store.get(run), 1, edit)
+        doctored = store.get(run)
+        assert doctored is not None
+        assert doctored.segment_steps(0) == list(result.tracer)[:16]
+        with pytest.raises(ValueError, match="segment 1"):
+            doctored.segment_runs(1)
+        with pytest.raises(ValueError, match="segment 1"):
+            TraceReader(store.get(run)).ipc_histogram(result.tracer.jobs()[0])
+
 
 
 class TestTracesCli:
@@ -716,6 +783,31 @@ class TestTracesCli:
             *(["--out", str(tmp_path / "out")] if name == "export" else []),
         ]) == 1
         assert "unreadable trace artifact" in capsys.readouterr().err
+
+    def test_doctored_duration_exits_1(self, populated, tmp_path, capsys):
+        run, _result, store = populated
+        doctor_run(store.get(run), 0, negative_duration)
+        key = content_key(run)[:10]
+        for argv in (["show", key], ["export", key, "--out", str(tmp_path / "out")]):
+            assert traces_main([*argv, "--store", str(store.root)]) == 1
+            assert "duration -1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--bin-seconds", "0"), ("--bin-seconds", "-5"), ("--bin-seconds", "nan"),
+         ("--head", "-3"), ("--head", "0")],
+        ids=["bin-seconds=0", "bin-seconds=-5", "bin-seconds=nan", "head=-3", "head=0"],
+    )
+    def test_bad_show_argument_is_a_usage_error(self, populated, capsys, flag, value):
+        run, _result, store = populated
+        with pytest.raises(SystemExit) as exited:
+            traces_main([
+                "show", content_key(run)[:10], "--store", str(store.root), flag, value,
+            ])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}" in err
+        assert "unreadable" not in err
 
     def test_export_prv_matches_live_sink(self, populated, tmp_path, capsys):
         # The exported Paraver triple is the renderers' output for the live
