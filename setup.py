@@ -3,7 +3,7 @@
 The reproduction environment is offline and has no ``wheel`` package, so the
 PEP 517/660 editable-install path (which builds a wheel) is unavailable.
 Keeping a ``setup.py`` lets ``pip install -e .`` fall back to the classic
-``setup.py develop`` route; all real metadata lives in ``pyproject.toml``.
+``setup.py develop`` route.  It is the package's only metadata file.
 """
 
 from setuptools import find_packages, setup

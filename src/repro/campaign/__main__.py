@@ -26,6 +26,12 @@ from repro.campaign.spec import (
     SchedulerRef,
     SyntheticWorkloadRef,
 )
+from repro.store.cli import (
+    non_negative_finite,
+    non_negative_int,
+    positive_finite,
+    positive_int,
+)
 from repro.workload.generator import (
     BURSTY,
     POISSON,
@@ -56,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0,
                        help="base seed for workload generation: workload i "
                             "uses seed+i (default 0)")
-    sweep.add_argument("--workers", type=int, default=1,
+    sweep.add_argument("--workers", type=positive_int, default=1,
                        help="worker processes (default 1 = in-process)")
     sweep.add_argument("--backfill", choices=("off", "on", "both"), default="off",
                        help="controller backfill: off, on, or sweep both "
@@ -105,14 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
                            "is rebuilt from the journal (grid flags are "
                            "ignored) and only cells missing from the store "
                            "tiers re-execute; requires --store")
-    dist.add_argument("--cell-timeout", type=float, default=None, metavar="S",
+    dist.add_argument("--cell-timeout", type=positive_finite, default=None,
+                      metavar="S",
                       help="per-cell timeout in seconds for --workers N>1 "
                            "and --executor (timed-out cells retry; default "
                            "none)")
-    dist.add_argument("--retries", type=int, default=2,
+    dist.add_argument("--retries", type=non_negative_int, default=2,
                       help="extra attempts per cell on transient executor "
                            "failures (default 2)")
-    dist.add_argument("--backoff", type=float, default=0.5, metavar="S",
+    dist.add_argument("--backoff", type=non_negative_finite, default=0.5,
+                      metavar="S",
                       help="base retry backoff in seconds, doubled per "
                            "attempt (default 0.5)")
     dist.add_argument("--submit", action="store_true",

@@ -419,6 +419,9 @@ def execute_runs(
     parameter contract."""
     if workers <= 0:
         raise ValueError("workers must be positive")
+    from repro.exec.orchestrator import check_retry_policy
+
+    check_retry_policy(timeout, retries, backoff)
     runs = list(runs)
     executors = _as_executors(executor)
     journal = _as_manifest(manifest)
@@ -694,9 +697,12 @@ def run_campaign(
     workers receive the invariant campaign context once.  Pools and
     executors get per-cell ``timeout``, bounded ``retries`` with exponential
     ``backoff`` on transient failures, and graceful degradation when a
-    backend dies.  Every choice returns identical results for the same
-    spec: each run is a pure function of its :class:`RunSpec` and rows are
-    aggregated in run-index order regardless of completion order.
+    backend dies.  Whatever the executor, a ``timeout`` that is not
+    ``None`` or a finite number > 0, negative ``retries`` or a negative or
+    non-finite ``backoff`` raises :class:`ValueError`.  Every choice returns
+    identical results for the same spec: each run is a pure function of its
+    :class:`RunSpec` and rows are aggregated in run-index order regardless
+    of completion order.
 
     ``store`` memoises execution on the run's content hash: cells already in
     the :class:`~repro.results.store.ResultStore` are served from it (no

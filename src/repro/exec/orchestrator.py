@@ -34,6 +34,7 @@ with per-executor in-flight counts, and the returned per-executor
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -358,6 +359,17 @@ async def _orchestrate(
     return outcome
 
 
+def check_retry_policy(timeout: float | None, retries: int, backoff: float) -> None:
+    """Raise :class:`ValueError` unless ``timeout`` is ``None`` or a finite
+    number > 0, ``retries`` is >= 0 and ``backoff`` is a finite number >= 0."""
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    if not (math.isfinite(backoff) and backoff >= 0):
+        raise ValueError(f"backoff must be a finite number >= 0, got {backoff!r}")
+
+
 def orchestrate(
     runs: Sequence["RunSpec"],
     executors: Sequence[Executor],
@@ -380,10 +392,7 @@ def orchestrate(
     e.g. the telemetry's fresh clock) enables the per-executor
     ``(time, queue_depth, in_flight)`` series on the returned stats.
     """
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if backoff < 0:
-        raise ValueError("backoff must be >= 0")
+    check_retry_policy(timeout, retries, backoff)
     if not executors:
         raise ValueError("at least one executor is required")
     return asyncio.run(

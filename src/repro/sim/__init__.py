@@ -2,29 +2,19 @@
 
 The paper's evaluation measures wall-clock behaviour of workloads on real
 MareNostrum III nodes.  This reproduction replaces the hardware with a
-discrete-event simulation: every component that "takes time" (an application
-iteration, a SLURM scheduling pass, a DLB poll interval) is advanced by the
-engine in simulated seconds.  The engine is deterministic — identical inputs
-produce identical timelines — which is what makes the figure-regeneration
-benchmarks reproducible.
-
-Public API
-----------
-* :class:`~repro.sim.engine.SimulationEngine` — event loop with a virtual
-  clock, one-shot and periodic events, and generator-based processes.
-* :class:`~repro.sim.engine.SimProcess` — handle of a running process.
-* :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventLog` —
-  timestamped records used by tracing and metrics.
+discrete-event simulation: the scenario runner advances every rank's
+application steps on :class:`SimulationEngine` in simulated seconds,
+interleaved with SLURM submissions and scheduling passes.  Processes sleep by
+yielding :class:`Timeout` (a delay) or :class:`WakeAt` (an absolute
+instant); misuse raises :class:`SimulationError`.  Identical inputs produce
+identical timelines, which makes the figure benchmarks reproducible.
 """
 
-from repro.sim.engine import SimulationEngine, SimProcess, Timeout, ProcessExit
-from repro.sim.events import Event, EventLog
+from repro.sim.engine import SimulationEngine, SimulationError, Timeout, WakeAt
 
 __all__ = [
     "SimulationEngine",
-    "SimProcess",
+    "SimulationError",
     "Timeout",
-    "ProcessExit",
-    "Event",
-    "EventLog",
+    "WakeAt",
 ]

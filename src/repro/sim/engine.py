@@ -1,25 +1,18 @@
 """Deterministic discrete-event simulation engine.
 
-The engine keeps a priority queue of ``(time, priority, seq, action)`` entries
-and a virtual clock.  Two kinds of actions are supported:
-
-* plain callbacks scheduled with :meth:`SimulationEngine.call_at` /
-  :meth:`SimulationEngine.call_after` / :meth:`SimulationEngine.call_every`;
-* generator-based *processes* spawned with :meth:`SimulationEngine.spawn`.
-  A process yields :class:`Timeout` objects (or bare ``float`` delays) to
-  advance the clock, another :class:`SimProcess` to join it, or a list of
-  processes to join them all.
-
-Determinism: ties in time are broken by an explicit priority and then by a
-monotonically increasing sequence number, so two runs of the same scenario
-produce identical event orders.
+A virtual clock over a priority queue of ``(time, priority, seq, callback,
+args)`` entries.  Callbacks are scheduled with :meth:`SimulationEngine.call_at`;
+generator *processes* started with :meth:`SimulationEngine.spawn` sleep by
+yielding :class:`Timeout` or :class:`WakeAt`.  Ties in time break by priority,
+then by a monotonically increasing sequence number, so two runs of the same
+scenario produce identical event orders.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Iterator
 
 
 class SimulationError(RuntimeError):
@@ -51,133 +44,29 @@ class WakeAt:
     time: float
 
 
-class ProcessExit(Exception):
-    """Raised by a process body to terminate itself early with a value."""
-
-    def __init__(self, value: Any = None) -> None:
-        super().__init__(value)
-        self.value = value
-
-
-ProcessGenerator = Generator[Any, Any, Any]
-
-
-class SimProcess:
-    """Handle of a spawned process.
-
-    Attributes
-    ----------
-    name:
-        Human-readable identifier (shows up in error messages and traces).
-    finished:
-        Whether the generator has run to completion (or was killed).
-    value:
-        Return value of the generator (``StopIteration.value``), or the value
-        passed to :meth:`kill`.
-    """
-
-    __slots__ = (
-        "_engine",
-        "name",
-        "_gen",
-        "finished",
-        "value",
-        "started_at",
-        "finished_at",
-        "priority",
-        "_waiters",
-    )
-
-    def __init__(
-        self,
-        engine: "SimulationEngine",
-        name: str,
-        gen: ProcessGenerator,
-        priority: int = 0,
-    ) -> None:
-        self._engine = engine
-        self.name = name
-        self._gen = gen
-        self.finished = False
-        self.value: Any = None
-        self.started_at = engine.now
-        self.finished_at: float | None = None
-        #: Tie-break priority of every wake event of this process.  Processes
-        #: with distinct priorities interleave deterministically at equal
-        #: instants regardless of *when* their wakes were pushed — which is
-        #: what makes the batched and single-step execution paths order
-        #: same-time wakes identically.
-        self.priority = priority
-        self._waiters: list[Callable[[Any], None]] = []
-
-    def __repr__(self) -> str:
-        state = "finished" if self.finished else "running"
-        return f"SimProcess({self.name!r}, {state})"
-
-    def on_finish(self, callback: Callable[[Any], None]) -> None:
-        """Register ``callback(value)`` to run when the process finishes.
-
-        If the process has already finished the callback runs immediately.
-        """
-        if self.finished:
-            callback(self.value)
-        else:
-            self._waiters.append(callback)
-
-    def kill(self, value: Any = None) -> None:
-        """Terminate the process at the current simulated time."""
-        if self.finished:
-            return
-        self.value = value
-        self._finish()
-
-    def _finish(self) -> None:
-        self.finished = True
-        self.finished_at = self._engine.now
-        self._gen.close()
-        waiters, self._waiters = self._waiters, []
-        for waiter in waiters:
-            waiter(self.value)
-
-
 class SimulationEngine:
-    """The event loop.
+    """The event loop."""
 
-    Examples
-    --------
-    >>> engine = SimulationEngine()
-    >>> out = []
-    >>> def worker(engine, label):
-    ...     yield Timeout(1.0)
-    ...     out.append((engine.now, label))
-    >>> _ = engine.spawn(worker(engine, "a"), name="a")
-    >>> _ = engine.spawn(worker(engine, "b"), name="b")
-    >>> engine.run()
-    1.0
-    >>> out
-    [(1.0, 'a'), (1.0, 'b')]
-    """
-
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         # Entries are (time, priority, seq, callback, args): storing the
         # callable and its arguments directly (instead of a per-call lambda
         # closure) keeps the hot path allocation-light.  ``seq`` is unique,
         # so comparisons never reach the callback.
         self._queue: list[tuple[float, int, int, Callable[..., Any], tuple]] = []
         self._seq = 0
-        self._processes: list[SimProcess] = []
         self._running = False
         self._executed = 0
-
-    # -- clock ------------------------------------------------------------
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
 
-    # -- scheduling callbacks ----------------------------------------------
+    @property
+    def events_executed(self) -> int:
+        """Total events dispatched so far (the perf harness's events/sec)."""
+        return self._executed
 
     def call_at(
         self, time: float, callback: Callable[..., Any], *args: Any, priority: int = 0
@@ -193,132 +82,32 @@ class SimulationEngine:
         )
         self._seq += 1
 
-    def call_after(
-        self, delay: float, callback: Callable[..., Any], *args: Any, priority: int = 0
-    ) -> None:
-        """Run ``callback(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimulationError("delay must be non-negative")
-        self.call_at(self._now + delay, callback, *args, priority=priority)
-
-    def call_every(
-        self,
-        interval: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        until: float | None = None,
-        priority: int = 0,
-    ) -> None:
-        """Run ``callback(*args)`` every ``interval`` seconds.
-
-        The first invocation happens one interval from now; invocations stop
-        once the clock passes ``until`` (if given) or the queue drains.
-        """
-        if interval <= 0:
-            raise SimulationError("interval must be positive")
-
-        def tick() -> None:
-            if until is not None and self._now > until:
-                return
-            callback(*args)
-            self.call_after(interval, tick, priority=priority)
-
-        self.call_after(interval, tick, priority=priority)
-
-    # -- processes ----------------------------------------------------------
-
-    def spawn(
-        self, gen: ProcessGenerator, name: str | None = None, priority: int = 0
-    ) -> SimProcess:
-        """Register a generator as a process starting at the current time.
+    def spawn(self, gen: Iterator, name: str, priority: int = 0) -> None:
+        """Start the process ``gen`` as an event at the current time.
 
         ``priority`` tie-breaks this process's wake events against same-time
         events of other priorities (lower runs first); processes of equal
         priority fall back to scheduling order.
         """
-        process = SimProcess(
-            self, name or f"proc-{len(self._processes)}", gen, priority=priority
-        )
-        self._processes.append(process)
-        # Start the process as an immediate event so spawn order == start order.
-        self.call_at(self._now, self._step, process, None, priority=priority)
-        return process
+        self.call_at(self._now, self._step, gen, name, priority, priority=priority)
 
-    def processes(self) -> list[SimProcess]:
-        return list(self._processes)
-
-    def _resume(self, process: SimProcess, value: Any) -> None:
-        self.call_at(self._now, self._step, process, value, priority=process.priority)
-
-    def _step(self, process: SimProcess, send_value: Any) -> None:
-        if process.finished:
-            return
+    def _step(self, gen: Iterator, name: str, priority: int) -> None:
         try:
-            yielded = process._gen.send(send_value)
-        except StopIteration as stop:
-            process.value = stop.value
-            process._finish()
+            yielded = next(gen)
+        except StopIteration:
             return
-        except ProcessExit as exit_:
-            process.value = exit_.value
-            process._finish()
-            return
-        self._handle_yield(process, yielded)
-
-    def _handle_yield(self, process: SimProcess, yielded: Any) -> None:
-        priority = process.priority
-        if yielded is None:
-            # Cooperative reschedule at the same instant (after pending events).
-            self.call_at(self._now, self._step, process, None, priority=priority)
-        elif isinstance(yielded, Timeout):
-            self.call_after(yielded.delay, self._step, process, None, priority=priority)
+        if isinstance(yielded, Timeout):
+            time = self._now + yielded.delay
         elif isinstance(yielded, WakeAt):
-            self.call_at(
-                max(yielded.time, self._now), self._step, process, None,
-                priority=priority,
-            )
-        elif isinstance(yielded, (int, float)) and not isinstance(yielded, bool):
-            if yielded < 0:
-                raise SimulationError(
-                    f"process {process.name!r} yielded a negative delay ({yielded})"
-                )
-            self.call_after(float(yielded), self._step, process, None, priority=priority)
-        elif isinstance(yielded, SimProcess):
-            yielded.on_finish(lambda value: self._resume(process, value))
-        elif isinstance(yielded, (list, tuple)) and all(
-            isinstance(p, SimProcess) for p in yielded
-        ):
-            self._wait_all(process, list(yielded))
+            time = max(yielded.time, self._now)
         else:
             raise SimulationError(
-                f"process {process.name!r} yielded an unsupported value: {yielded!r}"
+                f"process {name!r} yielded an unsupported value: {yielded!r}"
             )
+        self.call_at(time, self._step, gen, name, priority, priority=priority)
 
-    def _wait_all(self, waiter: SimProcess, targets: list[SimProcess]) -> None:
-        remaining = {id(p) for p in targets if not p.finished}
-        if not remaining:
-            self._resume(waiter, [p.value for p in targets])
-            return
-
-        def make_callback(target: SimProcess) -> Callable[[Any], None]:
-            def on_done(_value: Any) -> None:
-                remaining.discard(id(target))
-                if not remaining:
-                    self._resume(waiter, [p.value for p in targets])
-
-            return on_done
-
-        for target in targets:
-            if not target.finished:
-                target.on_finish(make_callback(target))
-
-    # -- running --------------------------------------------------------------
-
-    def run(self, until: float | None = None) -> float:
-        """Process events until the queue drains or the clock reaches ``until``.
-
-        Returns the final simulated time.
-        """
+    def run(self) -> float:
+        """Process events until the queue drains; returns the final time."""
         if self._running:
             raise SimulationError("engine is already running")
         self._running = True
@@ -326,54 +115,12 @@ class SimulationEngine:
         executed = 0
         try:
             while queue:
-                entry = queue[0]
-                time = entry[0]
-                if until is not None and time > until:
-                    self._now = until
-                    break
-                heapq.heappop(queue)
+                time, _, _, callback, args = heapq.heappop(queue)
                 if time > self._now:
                     self._now = time
-                entry[3](*entry[4])
+                callback(*args)
                 executed += 1
         finally:
             self._running = False
             self._executed += executed
-        if until is not None and not self._queue and self._now < until:
-            self._now = until
         return self._now
-
-    @property
-    def events_executed(self) -> int:
-        """Total events dispatched so far (the perf harness's events/sec)."""
-        return self._executed
-
-    def peek(self) -> float | None:
-        """Time of the next pending event, or ``None`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else None
-
-    def next_event_time(self) -> float | None:
-        """Time of the next pending event, or ``None`` if the queue is empty.
-
-        The skip-ahead primitive: a process deciding how far it may batch
-        uninterrupted work can compare candidate wake instants against the
-        next externally-visible instant of the simulation.  Note the result
-        may equal :attr:`now` — events at the current instant (with pending
-        sequence numbers) still count as external.
-        """
-        return self._queue[0][0] if self._queue else None
-
-    def advance_until(self, time: float) -> WakeAt:
-        """Token for a bounded skip-ahead: ``yield engine.advance_until(t)``.
-
-        The process sleeps until the absolute instant ``t`` (clamped to
-        ``now``), landing on exactly that float — no delay re-addition.
-        Events scheduled before ``t`` still run at their own times; the
-        caller is responsible for choosing a ``t`` it may legally sleep
-        through (typically bounded by :meth:`next_event_time`).
-        """
-        return WakeAt(time)
-
-    def pending(self) -> int:
-        """Number of queued events."""
-        return len(self._queue)

@@ -10,12 +10,37 @@ and output use — and add their tier-only commands (``diff``/``merge``,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from repro.store.content import ContentStore
+
+
+def checked(convert, ok, rule: str):
+    """An argparse ``type`` that converts and accepts only ``ok`` values."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+#: Ready-made types for the store and campaign CLIs' numeric flags.
+positive_int = checked(int, lambda v: v >= 1, "an integer >= 1")
+non_negative_int = checked(int, lambda v: v >= 0, "an integer >= 0")
+positive_finite = checked(
+    float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"
+)
+non_negative_finite = checked(
+    float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"
+)
 
 
 @dataclass(frozen=True)
@@ -45,7 +70,7 @@ class StoreCommands:
     def add_ls(self, sub) -> None:
         ls = sub.add_parser("ls", help=f"list stored {self.cell}s")
         self.add_store(ls)
-        ls.add_argument("--limit", type=int, default=None, metavar="N",
+        ls.add_argument("--limit", type=positive_int, default=None, metavar="N",
                         help="print at most N rows")
         ls.add_argument("--prefix", default=None,
                         help="only list keys starting with this hex prefix")
@@ -68,10 +93,11 @@ class StoreCommands:
                              "label contains this")
         gc.add_argument("--all", action="store_true",
                         help=f"collect every {self.entry}")
-        gc.add_argument("--lru", type=int, default=None, metavar="BYTES",
+        gc.add_argument("--lru", type=non_negative_int, default=None, metavar="BYTES",
                         help=f"evict least-recently-read {self.entries} until "
                              "the survivors total at most BYTES")
-        gc.add_argument("--max-age", type=float, default=None, metavar="SECONDS",
+        gc.add_argument("--max-age", type=non_negative_finite, default=None,
+                        metavar="SECONDS",
                         help=f"also collect {self.entries} whose file is older "
                              "than this")
         gc.add_argument("--delete", action="store_true",

@@ -312,13 +312,13 @@ class ContentStore:
         rows = self.index.live_entries()
         out: list[IndexEntry] = []
         for key in sorted(rows):
+            if limit is not None and len(out) >= limit:
+                break
             if prefix is not None and not key.startswith(prefix):
                 continue
             if rows[key].summary is None:
                 continue
             out.append(rows[key])
-            if limit is not None and len(out) >= limit:
-                break
         return out
 
     def entries(self) -> Iterator:

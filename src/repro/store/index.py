@@ -46,6 +46,7 @@ key's recency is the line number of its last ``entry``/``read`` record, so
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -489,7 +490,15 @@ class StoreIndex:
         key's last ``entry``/``read`` record — until the remaining entries
         total at most that many bytes.  ``exclude`` lists keys already
         doomed by the caller (their bytes don't count against the budget).
+        A negative ``lru_bytes`` or a negative or non-finite ``max_age``
+        raises :class:`ValueError`.
         """
+        if lru_bytes is not None and lru_bytes < 0:
+            raise ValueError(f"lru_bytes must be >= 0, got {lru_bytes!r}")
+        if max_age is not None and not (math.isfinite(max_age) and max_age >= 0):
+            raise ValueError(
+                f"max_age must be a finite number >= 0, got {max_age!r}"
+            )
         if lru_bytes is None and max_age is None:
             return []
         live = self.scan()

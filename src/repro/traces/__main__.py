@@ -29,29 +29,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from repro.experiments.tables import render_table
 from repro.results.sinks import jsonl_record_lines, pcf_text, prv_text, row_text
-from repro.store.cli import StoreCommands
+from repro.store.cli import StoreCommands, positive_finite, positive_int
 from repro.store.content import READ_ERRORS
 from repro.traces.query import TraceReader
 from repro.traces.store import DEFAULT_TRACE_ROOT, TraceEntry, TraceStore
-
-
-def _checked(convert, ok, rule: str):
-    """An argparse ``type`` that converts and accepts only ``ok`` values."""
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
-        return value
-    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,11 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     COMMANDS.add_ls(sub)
     show = COMMANDS.add_show(sub, help="show one trace's timelines")
     show.add_argument("--bin-seconds", default=100.0,
-                      type=_checked(float, lambda v: math.isfinite(v) and v > 0,
-                                    "a finite number > 0"),
+                      type=positive_finite,
                       help="timeline bin width in seconds (default 100)")
     show.add_argument("--head", default=None, metavar="N",
-                      type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
+                      type=positive_int,
                       help="print the first N step records instead of the "
                            "timelines (inflates only the leading segments)")
     show.add_argument("--sched", action="store_true",

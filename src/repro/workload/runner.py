@@ -41,7 +41,7 @@ from repro.metrics.tracing import MaskChangeRecord, StepRecord, StepRun, Tracer
 from repro.obs.sched import ClusterProbe, SchedTimeline
 from repro.runtime.mpi import MpiCommunicator
 from repro.runtime.process import ApplicationProcess, ProcessSpec, ThreadModel
-from repro.sim.engine import SimulationEngine, Timeout
+from repro.sim.engine import SimulationEngine, Timeout, WakeAt
 from repro.slurm.jobs import Job, JobSpec
 from repro.slurm.launcher import JobLaunch, Srun
 from repro.slurm.slurmd import Slurmd
@@ -692,7 +692,7 @@ class _RunState:
             self._batch_end[job_id] = batch_end
             self.batches_executed += 1
 
-            yield engine.advance_until(batch_end)
+            yield WakeAt(batch_end)
 
             # On wake, emit what the reference loop would have recorded at
             # each intermediate boundary: one step run and one counted stats

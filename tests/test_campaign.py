@@ -417,6 +417,24 @@ class TestCli:
                 campaign_cli(base + ["--shard", shard])
             capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--workers", "0"], ["--workers", "-2"], ["--retries", "-1"],
+         ["--backoff", "-1"], ["--backoff", "nan"],
+         ["--cell-timeout", "-5", "--workers", "2"],
+         ["--cell-timeout", "0", "--workers", "2"], ["--cell-timeout", "nan"]],
+        ids=["workers=0", "workers=-2", "retries=-1", "backoff=-1", "backoff=nan",
+             "cell-timeout=-5", "cell-timeout=0", "cell-timeout=nan"],
+    )
+    def test_cli_bad_executor_argument_is_a_usage_error(self, capsys, flags):
+        base = ["--workloads", "1", "--njobs", "2", "--work-scale", "0.04",
+                "--iterations", "12"]
+        with pytest.raises(SystemExit) as exited:
+            campaign_cli(base + flags)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flags[0]}" in err
+
     def test_cli_size_mix_and_heavy_tailed_exclusive(self, capsys):
         with pytest.raises(SystemExit):
             campaign_cli(

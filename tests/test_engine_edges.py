@@ -1,107 +1,27 @@
-"""Engine edge cases: periodic-callback boundaries, kill-while-joined,
-yield validation, horizon semantics, and the skip-ahead API added for the
-batched fast path (``WakeAt`` / ``next_event_time`` / ``advance_until`` /
-per-process wake priorities)."""
+"""Engine edge cases: yield validation, the absolute ``WakeAt`` wake the
+batched fast path relies on, and per-process wake priorities."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import (
-    SimProcess,
-    SimulationEngine,
-    SimulationError,
-    Timeout,
-    WakeAt,
-)
-
-
-class TestCallEveryUntilBoundary:
-    def test_tick_exactly_at_until_still_fires(self):
-        engine = SimulationEngine()
-        ticks = []
-        engine.call_every(1.0, lambda: ticks.append(engine.now), until=3.0)
-        engine.run()
-        # The tick landing exactly on the boundary runs; the next one does not.
-        assert ticks == [1.0, 2.0, 3.0]
-
-    def test_until_between_ticks_drops_the_next_tick(self):
-        engine = SimulationEngine()
-        ticks = []
-        engine.call_every(1.0, lambda: ticks.append(engine.now), until=2.5)
-        engine.run()
-        assert ticks == [1.0, 2.0]
-
-    def test_until_before_first_tick_fires_nothing(self):
-        engine = SimulationEngine()
-        ticks = []
-        engine.call_every(2.0, lambda: ticks.append(engine.now), until=1.0)
-        engine.run()
-        assert ticks == []
-
-
-class TestKillWhileJoined:
-    def test_killing_a_joined_process_resumes_the_waiter(self):
-        engine = SimulationEngine()
-        resumed = []
-
-        def sleeper():
-            yield Timeout(100.0)
-            return "never"
-
-        def waiter(target):
-            value = yield target
-            resumed.append((engine.now, value))
-
-        target = engine.spawn(sleeper(), name="sleeper")
-        engine.spawn(waiter(target), name="waiter")
-        engine.call_at(5.0, target.kill, "stopped")
-        engine.run()
-        assert resumed == [(5.0, "stopped")]
-        assert target.finished and target.value == "stopped"
-        assert target.finished_at == 5.0
-
-    def test_kill_after_finish_is_a_noop(self):
-        engine = SimulationEngine()
-
-        def quick():
-            yield Timeout(1.0)
-            return "done"
-
-        process = engine.spawn(quick(), name="quick")
-        engine.run()
-        process.kill("ignored")
-        assert process.value == "done"
-
-    def test_wait_all_with_one_target_killed(self):
-        engine = SimulationEngine()
-        collected = []
-
-        def sleeper(delay):
-            yield Timeout(delay)
-            return delay
-
-        def waiter(targets):
-            values = yield targets
-            collected.append((engine.now, values))
-
-        fast = engine.spawn(sleeper(1.0), name="fast")
-        slow = engine.spawn(sleeper(50.0), name="slow")
-        engine.spawn(waiter([fast, slow]), name="waiter")
-        engine.call_at(2.0, slow.kill, "cut")
-        engine.run()
-        assert collected == [(2.0, [1.0, "cut"])]
+from repro.sim.engine import SimulationEngine, SimulationError, Timeout, WakeAt
 
 
 class TestYieldValidation:
-    def test_negative_numeric_yield_is_rejected(self):
+    @pytest.mark.parametrize(
+        "value",
+        [None, 2.0, -1.0, True, (n for n in ()), []],
+        ids=["none", "number", "negative", "bool", "generator", "list"],
+    )
+    def test_unsupported_yield_is_rejected(self, value):
         engine = SimulationEngine()
 
         def bad():
-            yield -1.0
+            yield value
 
         engine.spawn(bad(), name="bad")
-        with pytest.raises(SimulationError, match="negative delay"):
+        with pytest.raises(SimulationError, match="unsupported"):
             engine.run()
 
     def test_bool_yield_is_not_a_delay(self):
@@ -121,44 +41,7 @@ class TestYieldValidation:
             Timeout(-0.5)
 
 
-class TestRunUntilHorizon:
-    def test_event_exactly_at_horizon_runs_and_clock_stops_there(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.call_at(5.0, lambda: fired.append(engine.now))
-        engine.call_at(6.0, lambda: fired.append(engine.now))
-        assert engine.run(until=5.0) == 5.0
-        assert fired == [5.0]
-        assert engine.pending() == 1
-
-    def test_wake_at_exactly_at_horizon_runs(self):
-        engine = SimulationEngine()
-        woke = []
-
-        def proc():
-            yield WakeAt(5.0)
-            woke.append(engine.now)
-
-        engine.spawn(proc(), name="proc")
-        engine.run(until=5.0)
-        assert woke == [5.0]
-
-
 class TestSkipAheadApi:
-    def test_next_event_time_peeks_the_queue(self):
-        engine = SimulationEngine()
-        assert engine.next_event_time() is None
-        engine.call_at(3.0, lambda: None)
-        engine.call_at(7.0, lambda: None)
-        assert engine.next_event_time() == 3.0
-        assert engine.peek() == engine.next_event_time()
-
-    def test_advance_until_returns_a_wake_token(self):
-        engine = SimulationEngine()
-        token = engine.advance_until(4.5)
-        assert isinstance(token, WakeAt)
-        assert token.time == 4.5
-
     def test_wake_at_lands_on_the_exact_float(self):
         # The point of WakeAt over Timeout: no "now + delay" re-addition, so
         # a left-fold-accumulated boundary is hit bit-for-bit.
@@ -167,7 +50,7 @@ class TestSkipAheadApi:
         seen = []
 
         def proc():
-            yield engine.advance_until(target)
+            yield WakeAt(target)
             seen.append(engine.now)
 
         engine.spawn(proc(), name="proc")
@@ -230,16 +113,3 @@ class TestSpawnPriorities:
         engine.call_at(1.0, lambda: order.append("event"))
         engine.run()
         assert order == ["event", "wake"]
-
-    def test_process_repr_and_handle_state(self):
-        engine = SimulationEngine()
-
-        def quick():
-            yield Timeout(1.0)
-
-        process = engine.spawn(quick(), name="quick", priority=4)
-        assert isinstance(process, SimProcess)
-        assert process.priority == 4
-        assert "running" in repr(process)
-        engine.run()
-        assert "finished" in repr(process)

@@ -419,6 +419,27 @@ class TestOrchestratorFaults:
         assert any(busy.get("scripted") == 1 for busy, _ in seen)
         assert any(depth > 0 for _, depth in seen)
 
+    @pytest.mark.parametrize(
+        "policy,message",
+        [({"timeout": 0.0}, "timeout"), ({"timeout": -5.0}, "timeout"),
+         ({"timeout": float("nan")}, "timeout"), ({"timeout": float("inf")}, "timeout"),
+         ({"backoff": float("nan")}, "backoff"), ({"backoff": float("inf")}, "backoff")],
+        ids=["timeout=0", "timeout=-5", "timeout=nan", "timeout=inf", "backoff=nan",
+             "backoff=inf"],
+    )
+    @pytest.mark.parametrize("entry", ["orchestrate", "execute_runs"])
+    def test_invalid_retry_policy_rejected(self, entry, policy, message):
+        # execute_runs checks with workers=1 too, whose in-process executor
+        # never applies the timeout.
+        runs = small_sweep(nworkloads=1).expand()[:1]
+        with pytest.raises(ValueError, match=f"{message} must be a finite number"):
+            if entry == "orchestrate":
+                orchestrate(
+                    runs, [_InProcessExecutor()], WorkerContext(), retries=0, **policy
+                )
+            else:
+                execute_runs("bad-policy", runs, workers=1, retries=0, **policy)
+
     def test_no_executors_rejected(self):
         with pytest.raises(ValueError, match="at least one executor"):
             orchestrate([], [], WorkerContext())

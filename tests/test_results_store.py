@@ -347,6 +347,23 @@ class TestResultsCli:
         assert "removed 2" in capsys.readouterr().out
         assert len(populated) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["ls", "--limit", "0"], ["ls", "--limit", "-1"],
+         ["gc", "--lru", "-1", "--delete"], ["gc", "--max-age", "-100", "--delete"],
+         ["gc", "--max-age", "nan"], ["gc", "--max-age", "inf"]],
+        ids=["limit=0", "limit=-1", "lru=-1", "max-age=-100", "max-age=nan",
+             "max-age=inf"],
+    )
+    def test_bad_numeric_argument_is_a_usage_error(self, populated, capsys, argv):
+        command, flag, *rest = argv
+        with pytest.raises(SystemExit) as exited:
+            results_cli([command, "--store", str(populated.root), flag, *rest])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}" in err
+        assert len(populated) == 2
+
     def test_gc_scenario_filter(self, populated, capsys):
         root = str(populated.root)
         assert results_cli(

@@ -232,6 +232,19 @@ class TestRetentionAndCompaction:
         index.scan()
         assert index.retention_doomed(lru_bytes=0, exclude={"aa", "bb", "cc"}) == []
 
+    @pytest.mark.parametrize(
+        "policy",
+        [{"lru_bytes": -1}, {"max_age": -100.0}, {"max_age": float("nan")},
+         {"max_age": float("inf")}],
+        ids=["lru=-1", "max-age=-100", "max-age=nan", "max-age=inf"],
+    )
+    def test_invalid_policy_is_rejected(self, tmp_path, policy):
+        index = make_index(make_store(tmp_path))
+        index.scan()
+        (name,) = policy
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            index.retention_doomed(**policy)
+
     def test_compaction_keeps_state_and_lru_order(self, tmp_path):
         root = make_store(tmp_path)
         index = make_index(root)
@@ -290,6 +303,12 @@ class TestResultStoreIntegration:
             p.name: p.read_bytes() for p in sorted(store.root.glob("*.json"))
         } == baseline
         assert index_path.exists()  # scan re-created it
+
+    def test_summaries_limit_zero_is_empty(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        run_campaign(small_spec(), store=store)
+        assert store.summaries(limit=0) == []
+        assert len(store.summaries(limit=1)) == 1
 
     def test_summaries_match_entries(self, tmp_path):
         store = ResultStore(tmp_path / "store")

@@ -809,6 +809,25 @@ class TestTracesCli:
         assert "usage:" in err and f"argument {flag}" in err
         assert "unreadable" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["ls", "--limit", "0"], ["ls", "--limit", "-1"],
+         ["gc", "--lru", "-1", "--delete"], ["gc", "--max-age", "-100", "--delete"],
+         ["gc", "--max-age", "nan"], ["gc", "--max-age", "inf"]],
+        ids=["limit=0", "limit=-1", "lru=-1", "max-age=-100", "max-age=nan",
+             "max-age=inf"],
+    )
+    def test_bad_numeric_store_argument_is_a_usage_error(self, populated, capsys, argv):
+        run, _result, store = populated
+        command, flag, *rest = argv
+        with pytest.raises(SystemExit) as exited:
+            traces_main([command, "--store", str(store.root), flag, *rest])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}" in err
+        assert "unreadable" not in err
+        assert store.path_for(content_key(run)).exists()
+
     def test_export_prv_matches_live_sink(self, populated, tmp_path, capsys):
         # The exported Paraver triple is the renderers' output for the live
         # run's tracer, byte for byte.
