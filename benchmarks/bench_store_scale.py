@@ -14,9 +14,9 @@ replay (and one stat on the root).  This harness is the gate:
   stay **zero-execution and byte-identical** with the index present, absent
   (deleted), and truncated mid-way — the index is derived metadata, never
   ground truth;
-* stores one real trace with a small segment size and asserts windowed
-  ``TraceReader`` queries equal the full-inflation results while inflating
-  only the touched segments.
+* stores one real trace and asserts windowed ``TraceReader`` queries
+  equal the full-inflation results while reading only the stored runs
+  (the full tracer is never assembled).
 
 The whole report lands in ``BENCH_store.json``.  Run standalone (tier-1
 does not collect ``benchmarks/``)::
@@ -226,12 +226,13 @@ def bench_byte_identity(work: Path) -> dict:
 
 
 def bench_windowed_queries(work: Path) -> dict:
-    """Windowed results equal full inflation while touching fewer segments."""
+    """Windowed results equal full inflation, read from the stored runs
+    without assembling the full tracer."""
     run = RunSpec(
         index=0,
         scenario=DROM,
-        # A longer trace than the identity sweep's, so the small segment
-        # size yields plenty of time-windowed segments to skip.
+        # A longer trace than the identity sweep's, so each window is a
+        # small slice of the steps.
         workload=SyntheticWorkloadRef(
             spec=WorkloadSpec(
                 njobs=2, mean_interarrival=90.0, work_scale=0.04, iterations=150
@@ -241,7 +242,7 @@ def bench_windowed_queries(work: Path) -> dict:
         cluster=ClusterRef(nnodes=4),
     )
     result = execute_run(run, trace=True)
-    store = TraceStore(work / "traces-windowed", segment_steps=32)
+    store = TraceStore(work / "traces-windowed")
     store.put(run, result)
     steps = list(result.tracer)
     windows = [
@@ -255,15 +256,14 @@ def bench_windowed_queries(work: Path) -> dict:
         expected = [s for s in steps if s.start <= hi and s.end >= lo]
         got = TraceReader(entry).steps_between(lo, hi)
         assert got == expected, "windowed query diverged from full inflation"
-        assert entry.segments_inflated < len(entry.segments), (
-            "windowed query inflated every segment"
+        assert "tracer" not in entry.__dict__, (
+            "windowed query assembled the full tracer"
         )
         checked.append(
             {
                 "window": [lo, hi],
                 "matched_steps": len(got),
-                "segments_inflated": entry.segments_inflated,
-                "segments_total": len(entry.segments),
+                "stored_runs": len(entry.runs),
             }
         )
     return {"steps": len(steps), "windows": checked, "equal_to_full_inflation": True}
@@ -298,8 +298,7 @@ def run_harness(out: Path) -> dict:
         print(
             "  windowed queries: "
             + ", ".join(
-                f"{w['matched_steps']} steps from "
-                f"{w['segments_inflated']}/{w['segments_total']} segments"
+                f"{w['matched_steps']} steps from {w['stored_runs']} runs"
                 for w in windows["windows"]
             )
         )

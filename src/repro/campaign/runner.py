@@ -135,7 +135,7 @@ def run_scenario_pair(
     *both* are given and both hit for a scenario, execution is skipped and a
     :class:`~repro.traces.query.ScenarioReplay` (metrics row + stored
     tracer, same reporting interface) is returned instead; on any miss
-    (including a trace artifact with a corrupt segment) the scenario
+    (including a trace artifact with a corrupt member) the scenario
     executes with tracing on and both tiers are written back.  This
     is what lets the trace-based figure experiments regenerate from a warm
     store without simulating.
@@ -158,7 +158,8 @@ def run_scenario_pair(
                 if entry is not None:
                     try:
                         # ``get`` checks only the header and member sizes; a
-                        # corrupt segment must read as a miss, not a crash.
+                        # corrupt steps or mask member must read as a miss,
+                        # not a crash.
                         entry.tracer
                     except READ_ERRORS:
                         entry = None

@@ -391,13 +391,19 @@ def orchestrate(
     queue_depth)`` on every dispatch/completion edge.  ``clock`` (seconds,
     e.g. the telemetry's fresh clock) enables the per-executor
     ``(time, queue_depth, in_flight)`` series on the returned stats.
+    No runs start no executor: the outcome is empty but for the stats.
     """
     check_retry_policy(timeout, retries, backoff)
     if not executors:
         raise ValueError("at least one executor is required")
+    runs = list(runs)
+    if not runs:
+        return OrchestrationOutcome(
+            stats={record.name: record for record in _named_stats(executors).values()}
+        )
     return asyncio.run(
         _orchestrate(
-            list(runs),
+            runs,
             list(executors),
             context if context is not None else WorkerContext(),
             timeout,

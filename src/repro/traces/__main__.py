@@ -17,8 +17,8 @@ companion files so the real Paraver UI can open it, or the flat JSONL record
 stream (header, steps in canonical order, mask changes, scheduler timeline;
 one sorted-key record per line).
 File names use the content key alone, so re-exports overwrite instead of
-accumulating.  ``show --head N`` and windowed queries route through the
-artifact's segment table, inflating only the slices they touch.
+accumulating.  ``show --sched`` inflates only the sched member, never a
+step.
 An artifact whose members fail to inflate or decode makes ``show`` and
 ``export`` report the error on stderr and exit 1.  ``gc`` is a dry run
 unless ``--delete`` is given; unreadable or old-format artifacts are always
@@ -53,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="timeline bin width in seconds (default 100)")
     show.add_argument("--head", default=None, metavar="N",
                       type=positive_int,
-                      help="print the first N step records instead of the "
-                           "timelines (inflates only the leading segments)")
+                      help="print the first N step records, in canonical "
+                           "order, instead of the timelines")
     show.add_argument("--sched", action="store_true",
                       help="print the scheduler timeline instead: job "
                            "lifecycle table, fairness summary and queue "
@@ -102,9 +102,8 @@ def render_trace_table(
 
 
 def render_trace_head(entry: TraceEntry, count: int) -> str:
-    """The first ``count`` step records in canonical order — inflating only
-    the leading segments of the artifact."""
-    steps = entry.head_steps(count)
+    """The first ``count`` step records in canonical order."""
+    steps = entry.tracer.steps()[:count]
     if not steps:
         return "(no step records)"
     table = render_table(
@@ -125,15 +124,15 @@ def render_trace_head(entry: TraceEntry, count: int) -> str:
     )
     return (
         table
-        + f"\n({len(steps)} of {entry.header.get('nsteps', '?')} step record(s); "
-        f"{entry.segments_inflated} of {len(entry.segments)} segment(s) inflated)"
+        + f"\n({len(steps)} of {entry.header.get('nsteps', '?')} step record(s), "
+        f"{len(entry.runs)} stored run(s))"
     )
 
 
 def render_trace_sched(entry: TraceEntry) -> str:
     """The scheduler timeline of one trace: lifecycle table, fairness
     summary and queue-depth series — served entirely from the artifact's
-    ``sched`` member (zero simulation, no step segment inflates)."""
+    ``sched`` member (zero simulation, no step member is touched)."""
     timeline = entry.sched
     if not len(timeline):
         return "(no scheduler records)"
@@ -222,7 +221,7 @@ def jsonl_text(entry: TraceEntry) -> str:
     lines = [
         json.dumps(entry.header, sort_keys=True),
         *jsonl_record_lines(entry.tracer),
-        *(json.dumps(record, sort_keys=True) for record in entry.sched_records()),
+        *(json.dumps(record, sort_keys=True) for record in entry.sched_records),
     ]
     return "".join(line + "\n" for line in lines)
 

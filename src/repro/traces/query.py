@@ -20,15 +20,23 @@ Two layers:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from repro.campaign.spec import RunSpec
 from repro.metrics.paraver import ParaverView
-from repro.metrics.tracing import MaskChangeRecord, Tracer
+from repro.metrics.tracing import (
+    MaskChangeRecord,
+    StepRecord,
+    Tracer,
+    _step_order,
+    expand_runs,
+)
 from repro.obs.sched import FairnessSummary, JobLifecycleRecord, NodeSample, SchedTimeline
 from repro.traces.store import TraceEntry
 
@@ -120,27 +128,29 @@ class TraceReader:
         hi: float,
         job: str | None = None,
         rank: int | None = None,
-    ):
+    ) -> list[StepRecord]:
         """Every step record overlapping the ``[lo, hi]`` time interval
         (``start <= hi and end >= lo``), in canonical ``(start, job, rank)``
         order, optionally restricted to one job/rank.
 
-        On a stored artifact whose full tracer has not yet been
-        assembled, this routes through the entry's segment table and
-        inflates only the segments whose time window overlaps the query —
-        the results are identical to filtering the fully inflated tracer.
+        Served from the step runs (a stored entry's :attr:`~repro.traces.
+        store.TraceEntry.runs`, never its assembled tracer): each run's own
+        left fold of step boundaries is bisected to the overlapping slice,
+        and only that slice expands to records.
         """
         source = self._source
-        if isinstance(source, TraceEntry) and "tracer" not in source.__dict__:
-            steps = source.steps_between(lo, hi)
-        else:
-            steps = [
-                s for s in self.tracer if s.start <= hi and s.end >= lo
-            ]
-        if job is not None:
-            steps = [s for s in steps if s.job == job]
-        if rank is not None:
-            steps = [s for s in steps if s.rank == rank]
+        runs = source.runs if isinstance(source, TraceEntry) else source.runs()
+        steps: list[StepRecord] = []
+        for run in runs:
+            if run.start > hi or job not in (None, run.job) or rank not in (None, run.rank):
+                continue
+            # starts[i] is step i's start and starts[i + 1] its end.
+            starts = list(accumulate(repeat(run.duration, run.count), initial=run.start))
+            first = bisect_left(starts, lo, 1) - 1
+            last = bisect_right(starts, hi, 0, run.count)
+            if first < last:
+                steps += expand_runs([run._replace(start=starts[first], count=last - first)])
+        steps.sort(key=_step_order)
         return steps
 
     # -- scheduler timeline (fairness / utilization; ROADMAP item 4) ---------------
@@ -174,7 +184,8 @@ class TraceReader:
     # -- IPC (Figure 14) ----------------------------------------------------------
 
     def ipc_series(self, job: str, rank: int | None = None) -> list[tuple[float, float]]:
-        """(step start, step IPC) in recording order."""
+        """(step start, step IPC) of the job's steps in canonical ``(start,
+        job, rank)`` order."""
         return [(s.start, s.ipc) for s in self.tracer.steps(job, rank)]
 
     def ipc_series_between(
@@ -182,7 +193,7 @@ class TraceReader:
     ) -> list[tuple[float, float]]:
         """(step start, step IPC) restricted to steps overlapping
         ``[lo, hi]`` — windowed like :meth:`steps_between`, so stored
-        traces inflate only the touched segments."""
+        traces expand only the overlapping slices of their runs."""
         return [(s.start, s.ipc) for s in self.steps_between(lo, hi, job=job, rank=rank)]
 
     def ipc_histogram(

@@ -10,41 +10,43 @@ tiers thus address the same cell by the same hash — a key found in both
 means "this simulation's reporting is fully reconstructable without
 re-simulating".
 
-Artifact layout (format v5): one ``<key>.jsonl.gz`` file per cell, written
+Artifact layout (format v6): one ``<key>.jsonl.gz`` file per cell, written
 as a sequence of **concatenated gzip members**:
 
 * the first member holds the versioned run header line (spec contents,
-  scenario, workload name, end time, cycles/µs calibration) — including a
-  ``segments`` table of time-windowed step chunks (first start, last end,
-  record count, compressed byte length) plus the mask and sched members'
-  byte lengths;
-* one member per step segment: up to ``segment_steps`` step records in the
-  tracer's canonical ``(start, job, rank)`` order, **run-length encoded** as
-  one ``{"record": "steps", "runs": [...]}`` line (see below);
+  scenario, workload name, end time, cycles/µs calibration, step and
+  mask-change counts) plus the compressed byte lengths of the members after
+  it (``steps_bytes``, ``mask_bytes``, ``sched_bytes``);
+* one member with the step records, **run-length encoded** as one
+  ``{"record": "steps", "runs": [...]}`` line (omitted when there are no
+  steps; see below);
 * one member with the mask-change records, one JSON line each (omitted when
   there are none);
 * one final member with the scheduler-timeline records, one JSON line each
   (queue samples, node allocation samples, job lifecycle rows — see
   :mod:`repro.obs.sched`; omitted when the run recorded none).
 
-A rank's consecutive steps are usually identical but for their start, and
-the runner emits step ``j + 1`` at exactly ``start + duration`` of step
-``j`` (the boundaries are the same left-fold additions).  A segment therefore
-stores each such stretch once, as a run ``[job, rank, node, start,
-duration, phase, nthreads, thread_utilisation, ipc, work_units, count]``:
-record ``i + 1`` of a run is record ``i`` with ``start = start +
-duration``.  Runs are listed in order of first appearance in the segment's
-canonical order and never span segments; decoding expands them and restores
-the canonical order with a stable sort.  The encoder extends a run only on
-repr-equal fields (``1`` and ``1.0``, or ``0.0`` and ``-0.0``, break it), so
-the decoded records equal the recorded ones exactly.  Both directions work
-on the tracer's own :class:`~repro.metrics.tracing.StepRun` lists.
+The steps member stores the tracer's own
+:class:`~repro.metrics.tracing.StepRun` lists, canonicalised once: each run
+is a list ``[job, rank, node, start, duration, phase, nthreads,
+thread_utilisation, ipc, work_units, count]`` — record ``i + 1`` of a run is
+record ``i`` with ``start = start + duration``, the very left fold the
+engine clock performs.  The runs are listed stable-sorted by ``(job, rank,
+start)``, and a run folds into the previous one when it continues it: same
+job and rank, starting exactly where the previous run ended, every other
+field the same.  "The same" is repr-equal (``1`` and ``1.0``, or ``0.0``
+and ``-0.0``, break a run), so the decoded records equal the recorded ones
+exactly, and however a recording chunked a rank's steps into runs (one step
+at a time, or batched) the maximal runs it stands for — and so the artifact
+bytes — are the same.  Decoding hands the runs to a
+:class:`~repro.metrics.tracing.Tracer`, whose per-step views restore the
+canonical ``(start, job, rank)`` order.
 
 Because the header carries every member's compressed length, a reader seeks
-straight to any segment and inflates only the time windows a query touches
-— and validates the artifact's total byte size up front, so a truncated
-copy reads as a miss even though its header member is intact.  Floats
-serialise via ``repr`` and every member is written with a zeroed gzip
+straight to the member a query needs (``show --sched`` never touches the
+steps) — and validates the artifact's total byte size up front, so a
+truncated copy reads as a miss even though its header member is intact.
+Floats serialise via ``repr`` and every member is written with a zeroed gzip
 mtime, so the same tracer always produces byte-identical artifacts —
 re-puts are idempotent, and shard stores merge by plain file union like the
 metrics tier.  Everything but this codec lives in
@@ -57,26 +59,16 @@ import gzip
 import io
 import json
 import math
-import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from operator import is_, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.apps.perfmodel import NOMINAL_CYCLES_PER_US
 from repro.campaign.spec import RunSpec
-from repro.metrics.tracing import (
-    MaskChangeRecord,
-    StepRecord,
-    StepRun,
-    Tracer,
-    _step_order,
-    expand_runs,
-)
+from repro.metrics.tracing import MaskChangeRecord, StepRun, Tracer
 from repro.obs.log import get_logger
 from repro.obs.sched import SchedTimeline
 from repro.store.content import (
@@ -119,12 +111,12 @@ DEFAULT_TRACE_ROOT = Path("benchmarks") / "results" / "traces"
 #:   mask and sched members are unchanged.  ``gzip.decompress`` of the whole
 #:   file no longer yields the flat record stream — ``traces export --format
 #:   jsonl`` rebuilds it.  v4 artifacts are misses that ``gc`` collects.
-TRACE_FORMAT_VERSION = 5
-
-#: Step records per segment member.  Small enough that an interval query
-#: over a million-step trace inflates a sliver, large enough that most of a
-#: rank's uniform stretch folds into few runs.
-DEFAULT_SEGMENT_STEPS = 2048
+#: * 6 — one steps member holding the tracer's runs canonicalised (sorted
+#:   by ``(job, rank, start)``, continuing runs folded) instead of
+#:   2048-step time-window segments; the header's ``segments`` table becomes
+#:   the member's ``steps_bytes``.  v5 artifacts are misses that ``gc``
+#:   collects.
+TRACE_FORMAT_VERSION = 6
 
 
 def _gzip_member(text: str) -> bytes:
@@ -153,78 +145,24 @@ def _same(a, b) -> bool:
 _fields_but_start = itemgetter(0, 1, 2, 4, 5, 6, 7, 8, 9)
 
 
-def _encode_segments(runs: list[StepRun], size: int) -> list[tuple[list[list], dict]]:
-    """Each ``size``-step segment's run list and table entry (``t0``, ``t1``,
-    ``n``) of the canonical step order ``runs`` stand for.
-
-    Within a segment, a (job, rank)'s run extends over its next step when
-    that step starts exactly (:func:`_same`) where the last ended and is
-    otherwise the same; runs are listed in order of first appearance.  No
-    step record is built: numpy lays the steps' starts out flat
-    (``np.add.accumulate`` is a run's ``start + duration`` chain bit for
-    bit), and the exact rule runs only where one recorded run meets another.
+def _canonical_runs(runs: list[StepRun]) -> list[list]:
+    """The steps member's run lists: ``runs`` stable-sorted by ``(job, rank,
+    start)``, each folded into the previous one when it starts exactly
+    (:func:`_same`) where that one ended and every other field is the same.
     """
-    if not runs:
-        return []
-    # One stream per (job, rank), in canonical key order; recording order
-    # within a stream.  A stable sort of the flat starts then yields the
-    # canonical (start, job, rank) order with ties in recording order.
-    runs = sorted(runs, key=itemgetter(0, 1))
-    counts = np.array([run.count for run in runs])
-    heads = np.cumsum(counts) - counts
-    total = int(counts.sum())
-    durations = np.repeat([run.duration for run in runs], counts).astype(float)
-    starts = durations.copy()
-    starts[heads] = [run.start for run in runs]
-    for head, count in zip(heads[counts > 1].tolist(), counts[counts > 1].tolist()):
-        chain = starts[head : head + count]
-        np.add.accumulate(chain, out=chain)
-    step_ends = starts + durations
-    source = np.repeat(np.arange(len(runs)), counts)
-    stream = np.repeat(
-        np.cumsum([0] + [a[:2] != b[:2] for a, b in zip(runs, runs[1:])]), counts
-    )
-    order = np.argsort(starts, kind="stable")
-    rank_of = np.empty(total, np.intp)
-    rank_of[order] = np.arange(total)
-    segment = rank_of // size
-    # Every stream's steps in canonical order, streams one after another
-    # (already sorted, bar streams recorded out of time order).  A walk step
-    # extends its predecessor's artifact run when both lie in one stream
-    # and segment and it is the next step of the same recorded run.
-    walk = np.argsort(stream * total + rank_of, kind="stable")
-    grouped = (stream[walk[1:]] == stream[walk[:-1]]) & (segment[walk[1:]] == segment[walk[:-1]])
-    is_head = np.zeros(total, bool)
-    is_head[heads] = True
-    extends = grouped & (walk[1:] == walk[:-1] + 1) & ~is_head[walk[1:]]
-    # Where one recorded run meets another, apply the exact rule.
-    at = np.flatnonzero(grouped & ~extends)
-    after, before = walk[at + 1], walk[at]
-    for index, a, b, start, end in zip(
-        *(x.tolist() for x in (at, source[after], source[before], starts[after], step_ends[before]))
-    ):
-        fields, previous = _fields_but_start(runs[a]), _fields_but_start(runs[b])
-        extends[index] = _same(start, end) and (
-            all(map(is_, fields, previous)) or all(map(_same, fields, previous))
-        )
-
-    begins = np.flatnonzero(np.concatenate(([True], ~extends)))
-    firsts = walk[begins]
-    listing = np.argsort(rank_of[firsts])
-    cuts = np.arange(0, total, size)
-    # Each segment's first maximal end, as Python's ``max`` picks it.
-    ends = np.full(len(cuts) * size, -np.inf)
-    ends[:total] = step_ends[order]
-    t1s = ends[cuts + ends.reshape(len(cuts), size).argmax(axis=1)]
-    out = [
-        ([], {"t0": t0, "t1": t1, "n": min(size, total - cut)})
-        for cut, t0, t1 in zip(cuts.tolist(), starts[order[cuts]].tolist(), t1s.tolist())
-    ]
-    firsts, counts = firsts[listing], np.diff(begins, append=total)[listing]
-    for index, start, seg, count in zip(
-        *(x.tolist() for x in (source[firsts], starts[firsts], segment[firsts], counts))
-    ):
-        out[seg][0].append([*runs[index][:3], start, *runs[index][4:10], count])
+    out: list[list] = []
+    previous = end = None
+    for run in sorted(runs, key=itemgetter(0, 1, 3)):
+        if (
+            out
+            and _same(run.start, end)
+            and all(map(_same, _fields_but_start(run), _fields_but_start(previous)))
+        ):
+            out[-1][-1] += run.count
+        else:
+            out.append(list(run))
+            previous = run
+        end = run.end
     return out
 
 
@@ -232,20 +170,18 @@ def _encode_segments(runs: list[StepRun], size: int) -> list[tuple[list[list], d
 class TraceEntry:
     """One stored trace: its key, validated header, and lazy record access.
 
-    The header member is read eagerly for listing and version checks; step
-    segments inflate individually on first touch (cached per entry), so
-    windowed queries over a long trace never decompress the parts they
-    don't visit, and ``ls`` never inflates a single body byte.
+    The header member is read eagerly for listing and version checks; the
+    steps, mask and sched members each inflate on first touch (cached per
+    entry), so ``show --sched`` never decompresses a step, and ``ls`` never
+    inflates a single body byte.
     """
 
     key: str
     path: Path
     header: dict
-    #: Compressed byte length of the header member — the first segment's
+    #: Compressed byte length of the header member — the steps member's
     #: file offset.  Zero only for hand-built entries that never read lazily.
     header_bytes: int = 0
-    #: Per-entry cache of inflated members (segment index or ``"mask"``).
-    _inflated: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def contents(self) -> dict:
@@ -256,18 +192,12 @@ class TraceEntry:
     def run(self) -> RunSpec:
         return spec_from_contents(self.contents)
 
-    # -- lazy segment access -----------------------------------------------------
-
-    @property
-    def segments(self) -> list[dict]:
-        """The header's segment table: ``{"t0", "t1", "n", "bytes"}`` per
-        step chunk, in canonical step order."""
-        return self.header["segments"]
+    # -- lazy member access --------------------------------------------------------
 
     @property
     def segments_inflated(self) -> int:
-        """How many step segments this entry has decompressed so far."""
-        return sum(1 for key in self._inflated if isinstance(key, int))
+        """1 once the steps member has been decoded (:attr:`runs`), else 0."""
+        return int("runs" in self.__dict__)
 
     def _member_records(
         self, offset: int, length: int, kind: str | None = None
@@ -291,117 +221,67 @@ class TraceEntry:
                     )
         return records
 
-    def _segment_offset(self, index: int) -> int:
-        return self.header_bytes + sum(
-            int(seg["bytes"]) for seg in self.segments[:index]
-        )
-
-    def segment_runs(self, index: int) -> list[StepRun]:
-        """The step runs of one segment, inflating it on first touch.
+    @cached_property
+    def runs(self) -> list[StepRun]:
+        """The stored step runs, in the artifact's canonical run order.
 
         Raises ``ValueError`` when a run's count is not a positive integer,
         its duration is negative or not finite, or its utilisations do not
         number its threads, and when the runs do not stand for exactly the
-        table's record count ``n``.
+        header's ``nsteps`` records.
         """
-        if index not in self._inflated:
-            meta = self.segments[index]
-            where = f"{self.path} segment {index}"
-            runs: list[StepRun] = []
-            for record in self._member_records(
-                self._segment_offset(index), int(meta["bytes"]), "steps"
-            ):
-                for *fields, util, ipc, work, count in record["runs"]:
-                    run = StepRun(*fields, tuple(util), ipc, work, count)
-                    if type(count) is not int or count < 1:
-                        raise ValueError(f"{where} has a run of count {count!r}")
-                    if not (math.isfinite(run.duration) and run.duration >= 0):
-                        raise ValueError(f"{where} has a run of duration {run.duration!r}")
-                    if len(run.thread_utilisation) != run.nthreads:
-                        raise ValueError(
-                            f"{where} has a run of {run.nthreads} thread(s) with "
-                            f"{len(run.thread_utilisation)} utilisation(s)"
-                        )
-                    runs.append(run)
-            total = sum(run.count for run in runs)
-            if total != int(meta["n"]):
-                raise ValueError(
-                    f"{where} decodes to {total} step(s), segment table says {meta['n']}"
-                )
-            self._inflated[index] = runs
-        return self._inflated[index]
+        where = f"{self.path} steps member"
+        runs: list[StepRun] = []
+        steps_bytes = int(self.header["steps_bytes"])
+        for record in self._member_records(self.header_bytes, steps_bytes, "steps"):
+            for *fields, util, ipc, work, count in record["runs"]:
+                run = StepRun(*fields, tuple(util), ipc, work, count)
+                if type(count) is not int or count < 1:
+                    raise ValueError(f"{where} has a run of count {count!r}")
+                if not (math.isfinite(run.duration) and run.duration >= 0):
+                    raise ValueError(f"{where} has a run of duration {run.duration!r}")
+                if len(run.thread_utilisation) != run.nthreads:
+                    raise ValueError(
+                        f"{where} has a run of {run.nthreads} thread(s) with "
+                        f"{len(run.thread_utilisation)} utilisation(s)"
+                    )
+                runs.append(run)
+        total = sum(run.count for run in runs)
+        if total != int(self.header["nsteps"]):
+            raise ValueError(
+                f"{where} decodes to {total} step(s), header says {self.header['nsteps']}"
+            )
+        return runs
 
-    def segment_steps(self, index: int) -> list[StepRecord]:
-        """The step records of one segment, in canonical order (the stable
-        sort keeps steps whose keys tie in their recorded order)."""
-        steps = expand_runs(self.segment_runs(index))
-        steps.sort(key=_step_order)
-        return steps
-
+    @cached_property
     def mask_records(self) -> list[MaskChangeRecord]:
         """The mask-change records, inflating the mask member on first touch."""
-        if "mask" not in self._inflated:
-            records = self._member_records(
-                self._segment_offset(len(self.segments)),
-                int(self.header["mask_bytes"]),
-                "mask_change",
-            )
-            self._inflated["mask"] = [MaskChangeRecord.from_record(r) for r in records]
-        return self._inflated["mask"]
+        offset = self.header_bytes + int(self.header["steps_bytes"])
+        records = self._member_records(offset, int(self.header["mask_bytes"]), "mask_change")
+        return [MaskChangeRecord.from_record(record) for record in records]
 
-    def steps_between(self, lo: float, hi: float) -> list[StepRecord]:
-        """Every step overlapping ``[lo, hi]`` (``start <= hi and end >=
-        lo``), inflating only the segments whose time window overlaps.
-
-        Sound because a segment's ``t0`` is its first step's start (the
-        canonical order sorts by start, so the minimum) and ``t1`` is the
-        maximum step end — any step overlapping the query makes its
-        segment's window overlap too.
-        """
-        matches: list[StepRecord] = []
-        for index, seg in enumerate(self.segments):
-            if float(seg["t0"]) <= hi and float(seg["t1"]) >= lo:
-                matches.extend(
-                    step
-                    for step in self.segment_steps(index)
-                    if step.start <= hi and step.end >= lo
-                )
-        return matches
-
-    def head_steps(self, count: int) -> list[StepRecord]:
-        """The first ``count`` steps in canonical order, inflating only the
-        leading segments."""
-        head: list[StepRecord] = []
-        for index in range(len(self.segments)):
-            if len(head) >= count:
-                break
-            head.extend(self.segment_steps(index))
-        return head[:count]
-
+    @cached_property
     def sched_records(self) -> list[dict]:
         """The raw scheduler-timeline records, inflating the sched member on
         first touch (empty for sched-less runs)."""
-        if "sched" not in self._inflated:
-            offset = self._segment_offset(len(self.segments)) + int(
-                self.header["mask_bytes"]
-            )
-            self._inflated["sched"] = self._member_records(
-                offset, int(self.header["sched_bytes"])
-            )
-        return self._inflated["sched"]
+        offset = (
+            self.header_bytes
+            + int(self.header["steps_bytes"])
+            + int(self.header["mask_bytes"])
+        )
+        return self._member_records(offset, int(self.header["sched_bytes"]))
 
     @cached_property
     def sched(self) -> SchedTimeline:
         """The run's scheduler timeline (empty for sched-less runs)."""
-        return SchedTimeline.from_records(self.sched_records())
+        return SchedTimeline.from_records(self.sched_records)
 
     @cached_property
     def tracer(self) -> Tracer:
-        """The full tracer, assembled from every segment's runs plus the masks."""
+        """The full tracer, assembled from the stored runs plus the masks."""
         tracer = Tracer()
-        for index in range(len(self.segments)):
-            tracer.record_steps(self.segment_runs(index))
-        for change in self.mask_records():
+        tracer.record_steps(self.runs)
+        for change in self.mask_records:
             tracer.record_mask_change(change)
         return tracer
 
@@ -455,14 +335,14 @@ def _header_span(path: Path) -> tuple[dict, int]:
         )
     expected = (
         header_bytes
-        + sum(int(seg["bytes"]) for seg in header["segments"])
+        + int(header["steps_bytes"])
         + int(header["mask_bytes"])
         + int(header["sched_bytes"])
     )
     actual = path.stat().st_size
     if actual != expected:
         raise ValueError(
-            f"trace {path.name} holds {actual} byte(s), segment table "
+            f"trace {path.name} holds {actual} byte(s), its header "
             f"expects {expected} — truncated or corrupt"
         )
     return header, header_bytes
@@ -478,7 +358,7 @@ def _records_member(records) -> bytes:
 
 
 class TraceStore(ContentStore):
-    """Content-addressed, mergeable store of full run traces: one chunked
+    """Content-addressed, mergeable store of full run traces: one multi-member
     gzip JSONL artifact per cell, keyed like the metrics tier."""
 
     SUFFIX = ".jsonl.gz"
@@ -491,16 +371,6 @@ class TraceStore(ContentStore):
     get = ContentStore.get
     scan = ContentStore.scan
 
-    def __init__(
-        self,
-        root: str | os.PathLike = DEFAULT_TRACE_ROOT,
-        segment_steps: int = DEFAULT_SEGMENT_STEPS,
-    ) -> None:
-        if segment_steps <= 0:
-            raise ValueError("segment_steps must be positive")
-        super().__init__(root)
-        self.segment_steps = segment_steps
-
     def _decode(self, key: str, path: Path) -> TraceEntry:
         header, header_bytes = _header_span(path)
         return TraceEntry(key=key, path=path, header=header, header_bytes=header_bytes)
@@ -512,19 +382,14 @@ class TraceStore(ContentStore):
         """Persist one executed run's full trace under its content key.
 
         Idempotent overwrite: the serialisation is deterministic (stable
-        record order, sorted JSON keys, gzip mtimes pinned to 0, a fixed
-        ``segment_steps`` chunking), so re-puts of the same cell write
-        byte-identical artifacts.
+        canonical runs, sorted JSON keys, gzip mtimes pinned to 0), so re-puts
+        of the same cell write byte-identical artifacts.
         """
         key = content_key(run)
         tracer = result.tracer
         changes = tracer.mask_changes()
-        segment_blobs: list[bytes] = []
-        segment_table: list[dict] = []
-        for runs, meta in _encode_segments(tracer.runs(), self.segment_steps):
-            blob = _records_member([{"record": "steps", "runs": runs}])
-            segment_blobs.append(blob)
-            segment_table.append({**meta, "bytes": len(blob)})
+        runs = _canonical_runs(tracer.runs())
+        steps_blob = _records_member([{"record": "steps", "runs": runs}] if runs else [])
         mask_blob = _records_member([change.to_record() for change in changes])
         sched = getattr(result, "sched", None)
         sched_records = sched.to_records() if sched is not None else []
@@ -541,23 +406,23 @@ class TraceStore(ContentStore):
             "cycles_per_us": NOMINAL_CYCLES_PER_US,
             "nsteps": len(tracer),
             "nmask_changes": len(changes),
-            "segments": segment_table,
+            "steps_bytes": len(steps_blob),
             "mask_bytes": len(mask_blob),
             "sched_bytes": len(sched_blob),
             "nsched": len(sched_records),
         }
         data = (
             _gzip_member(json.dumps(header, sort_keys=True) + "\n")
-            + b"".join(segment_blobs)
+            + steps_blob
             + mask_blob
             + sched_blob
         )
         path = self._write(key, data, _summarise_header(header))
         _log.debug(
-            "put %s (%s, %d step record(s), %d segment(s))",
+            "put %s (%s, %d step record(s), %d run(s))",
             key[:12],
             run.cell_id,
             len(tracer),
-            len(segment_table),
+            len(runs),
         )
         return path

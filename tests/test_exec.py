@@ -4,10 +4,12 @@ manifests, the subprocess worker protocol and Slurm submission."""
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import io
 import json
 import logging
 import multiprocessing
+import threading
 import time
 
 import pytest
@@ -335,6 +337,30 @@ class TestUnifiedPath:
 
 
 class TestOrchestratorFaults:
+    def test_no_runs_return_without_starting_an_executor(self):
+        # Run in a daemon thread: a call that waits on an empty queue fails
+        # the test at the timeout instead of hanging the suite.
+        started: list[str] = []
+
+        class _Recording(_InProcessExecutor):
+            async def start(self, context):
+                started.append(self.name)
+                await super().start(context)
+
+        done: concurrent.futures.Future = concurrent.futures.Future()
+
+        def call():
+            try:
+                done.set_result(orchestrate([], [_Recording("a"), _Recording("a")]))
+            except BaseException as exc:
+                done.set_exception(exc)
+
+        threading.Thread(target=call, daemon=True).start()
+        outcome = done.result(timeout=5)
+        assert outcome.results == [] and started == []
+        assert list(outcome.stats) == ["a", "a#2"]
+        assert all(s.dispatched == 0 and not s.died for s in outcome.stats.values())
+
     def test_flaky_executor_retries_with_backoff(self, serial_result):
         flaky = _FlakyExecutor()
         runs = small_sweep().expand()

@@ -255,11 +255,11 @@ class TestSchedPersistence:
         path = store.put(run, result)
         return run, result, store, path
 
-    def test_v5_round_trip_and_warm_equals_cold(self, stored):
+    def test_v6_round_trip_and_warm_equals_cold(self, stored):
         run, result, store, _path = stored
         entry = store.get(run)
         assert entry is not None
-        assert entry.header["version"] == 5
+        assert entry.header["version"] == 6
         assert entry.header["nsched"] == len(result.sched)
         assert entry.sched == result.sched
 
@@ -282,10 +282,10 @@ class TestSchedPersistence:
     def test_sched_member_inflates_lazily(self, stored):
         run, _result, store, _path = stored
         entry = store.get(run)
-        assert "sched" not in entry._inflated
-        entry.sched_records()
-        assert "sched" in entry._inflated
-        # and it never inflated a step segment to answer
+        assert "sched_records" not in entry.__dict__
+        entry.sched_records
+        assert "sched_records" in entry.__dict__
+        # and it never touched the steps member to answer
         assert entry.segments_inflated == 0
 
     def test_v3_artifact_is_a_miss_and_gc_collects_it(self, stored, tmp_path):
@@ -316,36 +316,37 @@ class TestSchedPersistence:
         assert v3_store.gc() == [content_key(run)]
         assert not v3_path.exists() and len(v3_store) == 0
 
-    def test_v4_artifact_is_a_miss_and_gc_collects_it(self, stored, tmp_path):
-        # Hand-build a v4 artifact from the v5 one: re-encode every step
-        # segment as one JSONL line per step and stamp version 4.  No v4
-        # reader is kept, so the old format is a miss that gc collects.
+    def test_v5_artifact_is_a_miss_and_gc_collects_it(self, stored, tmp_path):
+        # Hand-build a v5 artifact from the v6 one: the same run-length steps
+        # member, but as the one segment of a v5 header's ``segments`` table.
+        # No v5 reader is kept, so the old format is a miss that gc collects.
         run, _result, store, path = stored
-        from repro.traces.store import _gzip_member, _records_member
+        from repro.traces.store import _gzip_member
 
         data = path.read_bytes()
         entry = store.get(run)
-        blobs = [
-            _records_member([step.to_record() for step in entry.segment_steps(i)])
-            for i in range(len(entry.segments))
-        ]
-        header = dict(
-            entry.header,
-            version=4,
-            segments=[dict(seg, bytes=len(b)) for seg, b in zip(entry.segments, blobs)],
+        steps = list(entry.tracer)
+        header = {k: v for k, v in entry.header.items() if k != "steps_bytes"}
+        header.update(
+            version=5,
+            segments=[{
+                "t0": steps[0].start,
+                "t1": max(step.end for step in steps),
+                "n": len(steps),
+                "bytes": entry.header["steps_bytes"],
+            }],
         )
-        v4_store = TraceStore(tmp_path)
-        v4_path = v4_store.path_for(content_key(run))
-        v4_path.parent.mkdir(parents=True, exist_ok=True)
-        v4_path.write_bytes(
+        v5_store = TraceStore(tmp_path)
+        v5_path = v5_store.path_for(content_key(run))
+        v5_path.parent.mkdir(parents=True, exist_ok=True)
+        v5_path.write_bytes(
             _gzip_member(json.dumps(header, sort_keys=True) + "\n")
-            + b"".join(blobs)
-            + data[entry._segment_offset(len(entry.segments)) :]
+            + data[entry.header_bytes :]
         )
-        assert v4_store.get(run) is None
-        assert run not in v4_store
-        assert v4_store.gc() == [content_key(run)]
-        assert not v4_path.exists() and len(v4_store) == 0
+        assert v5_store.get(run) is None
+        assert run not in v5_store
+        assert v5_store.gc() == [content_key(run)]
+        assert not v5_path.exists() and len(v5_store) == 0
 
     def test_truncated_sched_member_is_a_miss(self, stored, tmp_path):
         run, result, _store, _path = stored

@@ -359,16 +359,18 @@ class TestResultStoreIntegration:
 
 class TestTraceStoreIntegration:
     def test_windowed_query_equals_full_inflation(self, traced_run, tmp_path):
+        from repro.traces import TraceReader
+
         run, result = traced_run
-        store = TraceStore(tmp_path / "traces", segment_steps=8)
+        store = TraceStore(tmp_path / "traces")
         store.put(run, result)
         entry = store.get(run)
         steps = list(result.tracer)
-        assert len(entry.segments) > 1
         lo, hi = steps[3].start, steps[9].end
         expected = [s for s in steps if s.start <= hi and s.end >= lo]
-        assert entry.steps_between(lo, hi) == expected
-        assert 0 < entry.segments_inflated < len(entry.segments)
+        assert TraceReader(entry).steps_between(lo, hi) == expected
+        # The window reads the stored runs, not the assembled tracer.
+        assert entry.segments_inflated == 1 and "tracer" not in entry.__dict__
         # Fully inflating afterwards gives the same records.
         assert [
             s for s in entry.tracer if s.start <= hi and s.end >= lo
@@ -378,7 +380,7 @@ class TestTraceStoreIntegration:
         from repro.traces import TraceReader
 
         run, result = traced_run
-        store = TraceStore(tmp_path / "traces", segment_steps=8)
+        store = TraceStore(tmp_path / "traces")
         store.put(run, result)
         entry = store.get(run)
         reader = TraceReader(entry)
@@ -390,23 +392,18 @@ class TestTraceStoreIntegration:
         assert reader.ipc_series_between(lo, hi, job) == live.ipc_series_between(
             lo, hi, job
         )
-        assert entry.segments_inflated < len(entry.segments)
-
-    def test_head_steps_inflates_leading_segments_only(self, traced_run, tmp_path):
-        run, result = traced_run
-        store = TraceStore(tmp_path / "traces", segment_steps=8)
-        store.put(run, result)
-        entry = store.get(run)
-        assert entry.head_steps(5) == list(result.tracer)[:5]
-        assert entry.segments_inflated == 1
+        assert "tracer" not in entry.__dict__
+        # Once the tracer is assembled, the same windows still agree.
+        assert len(reader.tracer) == len(steps)
+        assert reader.steps_between(lo, hi) == live.steps_between(lo, hi)
 
     def test_truncated_artifact_is_a_miss(self, traced_run, tmp_path):
         run, result = traced_run
-        store = TraceStore(tmp_path / "traces", segment_steps=8)
+        store = TraceStore(tmp_path / "traces")
         path = store.put(run, result)
         raw = path.read_bytes()
         path.write_bytes(raw[:-20])  # header member intact, body short
-        assert TraceStore(store.root, segment_steps=8).get(run) is None
+        assert TraceStore(store.root).get(run) is None
 
     def test_traces_cli_head_limit_and_paraver_companions(
         self, traced_run, tmp_path, capsys
@@ -421,7 +418,7 @@ class TestTraceStoreIntegration:
             ["show", key[:12], "--store", str(store.root), "--head", "3"]
         ) == 0
         out = capsys.readouterr().out
-        assert "3 of" in out and "segment(s) inflated" in out
+        assert "3 of" in out and "stored run(s)" in out
         out_dir = tmp_path / "export"
         assert traces_cli(
             ["export", key[:12], "--store", str(store.root), "--out", str(out_dir)]

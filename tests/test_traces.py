@@ -1,9 +1,10 @@
 """Tests of the content-addressed trace tier (`repro.traces`).
 
 Covers the store round trip (byte-identical artifacts, exact float
-equality), the run-length step segments (differential round trips of
+equality), the run-length steps member (differential round trips of
 generated cells and of a hand-built tracer that forces every kind of run
-break, doctored run counts, durations and utilisations raising), the two-tier campaign memoisation contract ("skip execution only
+break, recording-independent bytes, doctored run counts, durations and
+utilisations raising), the two-tier campaign memoisation contract ("skip execution only
 when both tiers hit"), scenario replay equality against live executions, the
 query engine, the CLI, merge/sharding, and the reader edge cases the
 satellites call out (empty tracer, horizon-0 run, mask-change-only trace,
@@ -80,8 +81,8 @@ def traced_run():
     return run, execute_run(run, trace=True)
 
 
-def flip_segment_byte(store: TraceStore, run: RunSpec) -> None:
-    """Corrupt one byte inside the first step segment of ``run``'s artifact,
+def flip_steps_byte(store: TraceStore, run: RunSpec) -> None:
+    """Corrupt one byte inside the steps member of ``run``'s artifact,
     keeping its size, so ``get``'s header and size checks still pass."""
     path = store.path_for(content_key(run))
     data = bytearray(path.read_bytes())
@@ -89,26 +90,24 @@ def flip_segment_byte(store: TraceStore, run: RunSpec) -> None:
     path.write_bytes(bytes(data))
 
 
-def doctor_run(entry, index: int, edit) -> None:
-    """Rewrite segment ``index`` of ``entry``'s artifact with its longest run
+def doctor_run(entry, edit) -> None:
+    """Rewrite the steps member of ``entry``'s artifact with its longest run
     (a ``[job, rank, node, start, duration, phase, nthreads,
     thread_utilisation, ipc, work_units, count]`` list) replaced by
-    ``edit(run)``, patching the header's byte table to match."""
+    ``edit(run)``, patching the header's ``steps_bytes`` to match."""
     from repro.traces.store import _gzip_member
 
     data = entry.path.read_bytes()
-    offset = entry._segment_offset(index)
-    length = entry.segments[index]["bytes"]
+    offset = entry.header_bytes
+    length = entry.header["steps_bytes"]
     member = json.loads(gzip.decompress(data[offset : offset + length]))
     longest = max(member["runs"], key=lambda run: run[-1])
     assert longest[-1] > 1
     longest[:] = edit(longest)
     blob = _gzip_member(json.dumps(member, sort_keys=True) + "\n")
-    header = json.loads(json.dumps(entry.header))
-    header["segments"][index]["bytes"] = len(blob)
+    header = dict(entry.header, steps_bytes=len(blob))
     entry.path.write_bytes(
         _gzip_member(json.dumps(header, sort_keys=True) + "\n")
-        + data[entry.header_bytes : offset]
         + blob
         + data[offset + length :]
     )
@@ -118,9 +117,7 @@ def negative_duration(run: list) -> list:
     return [*run[:4], -1.0, *run[5:]]
 
 
-def store_and_reload(
-    tmp_path, tracer: Tracer, scenario: str = SERIAL, segment_steps: int = 2048
-):
+def store_and_reload(tmp_path, tracer: Tracer, scenario: str = SERIAL):
     """Round-trip a hand-built tracer through a TraceStore artifact."""
     from repro.workload.runner import ScenarioResult
 
@@ -139,7 +136,7 @@ def store_and_reload(
         jobs={},
         end_time=max(ends) if ends else 0.0,
     )
-    store = TraceStore(tmp_path, segment_steps=segment_steps)
+    store = TraceStore(tmp_path)
     store.put(run, result)
     return store.get(run)
 
@@ -352,7 +349,7 @@ class TestScenarioReplay:
             ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces
         )
         run = RunSpec(index=0, scenario=DROM, workload=ref, cluster=ClusterRef(nnodes=4))
-        doctor_run(traces.get(run), 0, negative_duration)
+        doctor_run(traces.get(run), negative_duration)
         again = run_scenario_pair(
             ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces
         )
@@ -361,7 +358,7 @@ class TestScenarioReplay:
         assert list(traces.get(run).tracer) == list(cold[DROM].tracer)
 
     def test_corrupt_segment_is_a_miss(self, tmp_path):
-        # A flipped byte inside a segment member passes ``get`` but fails to
+        # A flipped byte inside the steps member passes ``get`` but fails to
         # inflate; the pair must re-simulate and rewrite both tiers instead of
         # returning a replay whose tracer raises.
         ref = SyntheticWorkloadRef(spec=SMALL, seed=0)
@@ -377,7 +374,7 @@ class TestScenarioReplay:
             )
             path = traces.path_for(content_key(run))
             artifacts[path] = path.read_bytes()
-            flip_segment_byte(traces, run)
+            flip_steps_byte(traces, run)
             assert traces.get(run) is not None  # the size checks pass
         again = run_scenario_pair(
             ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces
@@ -568,8 +565,10 @@ class TestReaderEdgeCases:
 
 
 class TestRunLengthSegments:
-    """Format v5: the run-length step segments decode to exactly the live
-    tracer's records, and a doctored run count never reads silently."""
+    """Format v6: the single run-length steps member decodes to exactly the
+    live tracer's records, its bytes do not depend on how the steps were
+    chunked or ordered when recorded, and a doctored run never reads
+    silently."""
 
     CELLS = [
         (njobs, scenario, backfill, 1.3 if backfill and njobs == 4 else None)
@@ -594,6 +593,11 @@ class TestRunLengthSegments:
             scheduler=SchedulerRef(backfill=backfill),
         )
 
+    @staticmethod
+    def _run(job, rank, start, duration, count, phase="p", util=(1.0, 0.5)):
+        return StepRun(job, rank, "n0", start, duration, phase, len(util), util,
+                       1.5, 2.0, count)
+
     @pytest.mark.parametrize("njobs,scenario,backfill,interference", CELLS)
     def test_generated_cells_round_trip(
         self, njobs, scenario, backfill, interference, tmp_path
@@ -601,21 +605,23 @@ class TestRunLengthSegments:
         run = self._cell(njobs, scenario, backfill, interference)
         result = execute_run(run, trace=True)
         live = list(result.tracer)
-        store = TraceStore(tmp_path, segment_steps=64)
+        store = TraceStore(tmp_path)
         store.put(run, result)
-        assert len(store.get(run).segments) > 1
+        assert len(store.get(run).runs) < len(result.tracer.runs())
 
         rng = random.Random(f"{njobs}/{scenario}/{backfill}")
         for _ in range(4):
-            # A fresh entry each time, so every window reads lazily.
+            # A fresh entry each time: windows read the runs, never the
+            # assembled tracer.
             entry = store.get(run)
             lo = rng.uniform(0.0, result.end_time)
             hi = rng.uniform(lo, result.end_time)
-            assert entry.steps_between(lo, hi) == [
-                s for s in live if s.start <= hi and s.end >= lo
-            ]
+            expected = [s for s in live if s.start <= hi and s.end >= lo]
+            assert TraceReader(entry).steps_between(lo, hi) == expected
+            assert TraceReader(result.tracer).steps_between(lo, hi) == expected
+            assert "tracer" not in entry.__dict__
             count = rng.randrange(len(live) + 2)
-            assert store.get(run).head_steps(count) == live[:count]
+            assert store.get(run).tracer.steps()[:count] == live[:count]
 
         tracer = store.get(run).tracer
         assert list(tracer) == live
@@ -649,23 +655,19 @@ class TestRunLengthSegments:
         tracer = Tracer()
         for record in steps:
             tracer.record_step(record)
-        entry = store_and_reload(tmp_path, tracer, segment_steps=6)
+        entry = store_and_reload(tmp_path, tracer)
         assert repr(list(entry.tracer)) == repr(list(tracer))
-        for index in range(len(entry.segments)):
-            entry.segment_steps(index)  # every segment decodes to its ``n``
+        assert [run.count for run in entry.runs] == [3, 2, 2, 1, 2, 1, 1, 1, 1, 1, 2, 2]
 
     def test_runs_write_the_artifact_single_steps_write(self, tmp_path):
         # The reference loop records one step at a time, the batched runner
         # hands over runs: the artifact may not tell them apart.
-        def run(job, rank, start, duration, count, phase="p", util=(1.0, 0.5)):
-            return StepRun(job, rank, "n0", start, duration, phase, len(util), util,
-                           1.5, 2.0, count)
-
+        run = self._run
         head = run("a", 0, 0.0, 0.1, 40)
         runs = [
             run("b", 0, 0.0, 0.3, 90),  # ties with "a" at 0.0: the label decides
             head,
-            run("a", 0, head.end, 0.1, 60),  # continues ``head`` across a cut
+            run("a", 0, head.end, 0.1, 60),  # continues ``head``
             run("a", 1, 0.0, 0.1, 70, util=(0.75,)),
             run("a", 0, head.end + 6.0, 0.1, 30, phase="q"),  # after an idle gap
             run("b", 1, 5.0, 0.0, 3),  # zero-duration steps tie on start
@@ -680,22 +682,39 @@ class TestRunLengthSegments:
 
         paths = []
         for name, tracer in (("single", single), ("runs", batched)):
-            entry = store_and_reload(tmp_path / name, tracer, segment_steps=64)
-            assert len(entry.segments) == 5
+            entry = store_and_reload(tmp_path / name, tracer)
             assert list(entry.tracer) == list(single)
             paths.append(entry.path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        # Segment 0 opens with "a" rank 0 (labels break the tie at t=0), and
-        # the two recorded runs of its 100-step stretch merge: one run per
-        # segment it crosses.
-        entry = store_and_reload(tmp_path / "runs", batched, segment_steps=64)
-        assert entry.segment_runs(0)[0][:2] == ("a", 0)
-        stretch = [
-            [r.count for r in entry.segment_runs(i) if r[:2] == ("a", 0) and r.phase == "p"]
-            for i in range(len(entry.segments))
+        # The 100-step stretch recorded as two runs is stored as one.
+        assert [
+            r.count for r in entry.runs if r[:2] == ("a", 0) and r.phase == "p"
+        ] == [100]
+
+    def test_out_of_order_recording_writes_the_sorted_bytes(self, tmp_path):
+        # Runs of one stream recorded out of time order (and streams
+        # interleaved) store like the sorted recording, folded alike.
+        run = self._run
+        first = run("a", 0, 0.0, 0.25, 8)
+        runs = [
+            first,
+            run("a", 0, first.end, 0.25, 4),
+            run("a", 0, 5.0, 0.5, 6, phase="q"),
+            run("a", 1, 0.0, 0.5, 5),
+            run("b", 0, 1.0, 0.0, 2),
         ]
-        assert [len(counts) for counts in stretch] == [1, 1, 1, 1, 0]
-        assert sum(map(sum, stretch)) == 100
+        shuffled = Tracer()
+        shuffled.record_steps([runs[2], runs[4], runs[1], runs[3], runs[0]])
+        ordered = Tracer()
+        ordered.record_steps(runs)
+        paths = [
+            store_and_reload(tmp_path / name, tracer).path
+            for name, tracer in (("shuffled", shuffled), ("ordered", ordered))
+        ]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        entry = store_and_reload(tmp_path / "again", shuffled)
+        assert [r.count for r in entry.runs] == [12, 6, 5, 2]
+        assert list(entry.tracer) == list(ordered)
 
     @pytest.mark.parametrize(
         "recount",
@@ -704,16 +723,16 @@ class TestRunLengthSegments:
     )
     def test_doctored_run_count_raises(self, traced_run, tmp_path, recount):
         run, result = traced_run
-        store = TraceStore(tmp_path, segment_steps=16)
+        store = TraceStore(tmp_path)
         store.put(run, result)
-        index = 1
-        doctor_run(store.get(run), index, lambda r: [*r[:-1], recount(r[-1])])
+        doctor_run(store.get(run), lambda r: [*r[:-1], recount(r[-1])])
         doctored = store.get(run)
         assert doctored is not None  # the byte-size cross-check still passes
-        assert doctored.segment_steps(0) == list(result.tracer)[:16]
-        with pytest.raises(ValueError, match=f"segment {index}"):
-            doctored.segment_steps(index)
-        with pytest.raises(ValueError, match=f"segment {index}"):
+        # Only the steps member is corrupt: the members after it still read.
+        assert doctored.mask_records == result.tracer.mask_changes()
+        with pytest.raises(ValueError, match="steps member"):
+            doctored.runs
+        with pytest.raises(ValueError, match="steps member"):
             list(store.get(run).tracer)
 
     @pytest.mark.parametrize(
@@ -733,17 +752,18 @@ class TestRunLengthSegments:
         # utilisations do not number its threads, fails to decode like a
         # doctored count: the artifact reads as corrupt, never as data.
         run, result = traced_run
-        store = TraceStore(tmp_path, segment_steps=16)
+        store = TraceStore(tmp_path)
         store.put(run, result)
-        doctor_run(store.get(run), 1, edit)
+        doctor_run(store.get(run), edit)
         doctored = store.get(run)
         assert doctored is not None
-        assert doctored.segment_steps(0) == list(result.tracer)[:16]
-        with pytest.raises(ValueError, match="segment 1"):
-            doctored.segment_runs(1)
-        with pytest.raises(ValueError, match="segment 1"):
+        assert doctored.mask_records == result.tracer.mask_changes()
+        with pytest.raises(ValueError, match="steps member"):
+            doctored.runs
+        with pytest.raises(ValueError, match="steps member"):
             TraceReader(store.get(run)).ipc_histogram(result.tracer.jobs()[0])
-
+        with pytest.raises(ValueError, match="steps member"):
+            TraceReader(store.get(run)).steps_between(0.0, result.end_time)
 
 
 class TestTracesCli:
@@ -776,7 +796,7 @@ class TestTracesCli:
     )
     def test_corrupt_segment_exits_1(self, populated, tmp_path, capsys, command):
         run, _result, store = populated
-        flip_segment_byte(store, run)
+        flip_steps_byte(store, run)
         name, *flags = command
         assert traces_main([
             name, content_key(run)[:10], "--store", str(store.root), *flags,
@@ -786,7 +806,7 @@ class TestTracesCli:
 
     def test_doctored_duration_exits_1(self, populated, tmp_path, capsys):
         run, _result, store = populated
-        doctor_run(store.get(run), 0, negative_duration)
+        doctor_run(store.get(run), negative_duration)
         key = content_key(run)[:10]
         for argv in (["show", key], ["export", key, "--out", str(tmp_path / "out")]):
             assert traces_main([*argv, "--store", str(store.root)]) == 1
