@@ -35,9 +35,9 @@ def build_partition():
         ("mn3-2", 9003, 0.35), ("mn3-3", 9004, 0.35),
     ):
         slurmds[node_name].shmem.register(pid, CpuSet.from_range(0, 16))
-        stats[node_name].record_ownership(pid, 16, 100.0)
-        stats[node_name].record_compute(pid, useful_time=16 * 100.0 * utilisation,
-                                        idle_time=16 * 100.0 * (1 - utilisation))
+        useful = 16 * 100.0 * utilisation
+        idle = 16 * 100.0 * (1 - utilisation)
+        stats[node_name].record_compute_batch(pid, [(useful, idle, 16, 100.0, 1)])
     return cluster, stats
 
 

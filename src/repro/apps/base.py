@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import add
 
 from repro.apps.perfmodel import PerformanceProfile, PhaseProfile
@@ -51,11 +51,11 @@ class WorkStep:
 
 @dataclass
 class RankWorkPlan:
-    """Mutable per-rank execution state: remaining steps plus bookkeeping.
+    """Mutable per-rank execution state: the run-length plan and a cursor.
 
-    The plan is run-length: ``segments`` holds ``(step, count)`` runs of
-    identical steps in execution order, so pricing, advancing and emitting
-    a stretch of steps costs O(segments) lookups instead of O(steps).
+    ``segments`` holds ``(step, count)`` runs of identical steps in
+    execution order, so pricing, advancing and emitting a stretch of steps
+    costs O(segments) lookups instead of O(steps).
     """
 
     rank: int
@@ -64,7 +64,6 @@ class RankWorkPlan:
     #: data partition; never changes even when the mask shrinks/expands).
     initial_threads: int
     next_step: int = 0
-    completed_work: float = 0.0
     #: Cumulative step count at the end of each segment.
     _ends: list[int] = field(init=False, repr=False, compare=False)
 
@@ -74,11 +73,6 @@ class RankWorkPlan:
     @property
     def total_steps(self) -> int:
         return self._ends[-1] if self._ends else 0
-
-    @property
-    def steps(self) -> list[WorkStep]:
-        """Per-step view of the whole plan (a fresh list; not a hot path)."""
-        return [step for step, count in self.segments for _ in range(count)]
 
     @property
     def finished(self) -> bool:
@@ -95,13 +89,7 @@ class RankWorkPlan:
 
     def runs(self, count: int) -> list[tuple[WorkStep, int]]:
         """``(step, n)`` runs covering the next ``count`` steps, in order."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count > self.remaining_steps:
-            raise IndexError(
-                f"rank {self.rank} has {self.remaining_steps} steps left, "
-                f"cannot take {count}"
-            )
+        self._check_count(count)
         out: list[tuple[WorkStep, int]] = []
         position = self.next_step
         index = bisect_right(self._ends, position)
@@ -113,24 +101,19 @@ class RankWorkPlan:
             index += 1
         return out
 
-    def advance(self) -> WorkStep:
-        step = self.current_step()
-        self.next_step += 1
-        self.completed_work += step.work_units
-        return step
-
     def advance_many(self, count: int) -> None:
-        """Advance ``count`` steps in one call (the batched fast path).
-
-        ``completed_work`` accumulates step by step, in the same order as
-        ``count`` individual :meth:`advance` calls — float addition is not
-        associative, so summing first would drift from the single-step path.
-        """
-        completed = self.completed_work
-        for step, n in self.runs(count):
-            completed = reduce(add, repeat(step.work_units, n), completed)
-        self.completed_work = completed
+        """Move past the next ``count`` steps."""
+        self._check_count(count)
         self.next_step += count
+
+    def _check_count(self, count: int) -> None:
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if count > self.remaining_steps:
+            raise IndexError(
+                f"rank {self.rank} has {self.remaining_steps} steps left, "
+                f"cannot take {count}"
+            )
 
 
 @dataclass(frozen=True)
@@ -192,26 +175,6 @@ class ApplicationModel:
 
     # -- timing ------------------------------------------------------------------------
 
-    def step_time(
-        self,
-        plan: RankWorkPlan,
-        mask: CpuSet,
-        topology: NodeTopology,
-        total_ranks: int,
-        interference: float = 1.0,
-    ) -> float:
-        """Wall-clock duration of the rank's next step with the given mask."""
-        step = plan.current_step()
-        return self.profile.iteration_time(
-            phase=step.phase,
-            work_units=step.work_units,
-            mask=mask,
-            topology=topology,
-            initial_threads=plan.initial_threads,
-            total_ranks=total_ranks,
-            interference=interference,
-        )
-
     def step_times(
         self,
         plan: RankWorkPlan,
@@ -224,8 +187,7 @@ class ApplicationModel:
         """Durations of the plan's next ``count`` steps under a fixed mask.
 
         One :meth:`PerformanceProfile.iteration_time` evaluation per
-        run-length segment, replicated across it — each returned float is
-        exactly what a per-step :meth:`step_time` call would have produced.
+        run-length segment, replicated across it.
         """
         out: list[float] = []
         for step, n in plan.runs(count):
@@ -240,15 +202,6 @@ class ApplicationModel:
             )
             out += [duration] * n
         return out
-
-    def step_ipc(
-        self, plan: RankWorkPlan, mask: CpuSet, topology: NodeTopology
-    ) -> float:
-        """Average per-thread IPC during the rank's next step."""
-        step = plan.current_step()
-        return self.step_ipc_for_phase(
-            step.phase, mask, topology, plan.initial_threads
-        )
 
     def step_ipc_for_phase(
         self,
@@ -279,8 +232,9 @@ class ApplicationModel:
         # Nominal mask: the first threads_per_rank CPUs of the node, i.e. the
         # placement the task/affinity plugin gives an uncontended rank.
         mask = CpuSet.from_range(0, min(config.threads_per_rank, topology.ncpus))
-        total = 0.0
-        while not plan.finished:
-            total += self.step_time(plan, mask, topology, total_ranks=config.mpi_ranks)
-            plan.advance()
-        return total
+        durations = self.step_times(
+            plan, plan.total_steps, mask, topology, total_ranks=config.mpi_ranks
+        )
+        # A left fold, step by step: builtin ``sum`` compensates float
+        # rounding on Python 3.12+, which would change the last bits.
+        return reduce(add, durations, 0.0)

@@ -15,6 +15,7 @@ whichever process executes the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -44,6 +45,16 @@ POLICY_REGISTRY: dict[str, type[DistributionPolicy]] = {
 }
 
 
+def _check_submit(name: str, submit: float) -> None:
+    if not (math.isfinite(submit) and submit >= 0):
+        raise ValueError(f"{name} must be finite and non-negative")
+
+
+def _check_interference(factor: float | None) -> None:
+    if factor is not None and not (math.isfinite(factor) and factor > 0):
+        raise ValueError("interference_factor must be None or finite and positive")
+
+
 @dataclass(frozen=True)
 class ClusterRef:
     """Reference to a cluster topology, buildable in any process.
@@ -63,6 +74,8 @@ class ClusterRef:
             raise ValueError(f"unknown cluster kind {self.kind!r}")
         if self.nnodes <= 0:
             raise ValueError("nnodes must be positive")
+        if self.sockets < 1 or self.cores_per_socket < 1:
+            raise ValueError("sockets and cores_per_socket must be at least 1")
 
     def build(self) -> ClusterTopology:
         if self.kind == "mn3":
@@ -131,6 +144,9 @@ class InSituWorkloadRef:
     simulator_kwargs: tuple[tuple[str, object], ...] = ()
     analytics_nodes: int | None = None
 
+    def __post_init__(self) -> None:
+        _check_submit("analytics_submit", self.analytics_submit)
+
     def build(self) -> Workload:
         return in_situ_workload(
             self.simulator,
@@ -158,6 +174,9 @@ class HighPriorityWorkloadRef:
     """The paper's use-case-2 workload (NEST + high-priority CoreNeuron)."""
 
     second_submit: float = 120.0
+
+    def __post_init__(self) -> None:
+        _check_submit("second_submit", self.second_submit)
 
     def build(self) -> Workload:
         return high_priority_workload(second_submit=self.second_submit)
@@ -232,6 +251,7 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.scenario not in (SERIAL, DROM):
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        _check_interference(self.interference_factor)
 
     @property
     def run_id(self) -> str:
@@ -287,6 +307,7 @@ class CampaignSpec:
             raise ValueError("a campaign needs at least one policy entry")
         if not self.schedulers:
             raise ValueError("a campaign needs at least one scheduler entry")
+        _check_interference(self.interference_factor)
 
     def expand(self) -> list[RunSpec]:
         """Expand the grid into its run list (stable order and indices)."""

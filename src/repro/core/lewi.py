@@ -7,11 +7,13 @@ other processes of the same node can borrow them to widen their thread teams;
 when the lender resumes it reclaims its CPUs.
 
 DROM itself does not need LeWI, but the paper presents them as the two modules
-of the same framework (Figure 1), and the ablation benchmarks use LeWI to
-contrast *intra-job* malleability (load balancing) with DROM's *inter-job*
-malleability (resource management).  The implementation below provides the
-lend / borrow / reclaim cycle over the same :class:`NodeSharedMemory` process
-entries that DROM manages, so the two modules compose.
+of the same framework (Figure 1); this module is that figure's companion,
+contrasting *intra-job* malleability (load balancing) with DROM's *inter-job*
+malleability (resource management).  No scenario, campaign or benchmark path
+uses it: ``tests/test_lewi.py`` and ``examples/custom_administrator.py``
+exercise it.  The implementation below provides the lend / borrow / reclaim
+cycle over the same :class:`NodeSharedMemory` process entries that DROM
+manages, so the two modules compose.
 """
 
 from __future__ import annotations

@@ -91,30 +91,18 @@ class StatsModule:
 
     # -- process side -------------------------------------------------------------
 
-    def record_compute(
-        self, pid: int, useful_time: float, idle_time: float = 0.0
-    ) -> ProcessStats:
-        """Add one execution interval's useful/idle seconds for ``pid``."""
-        if useful_time < 0 or idle_time < 0:
-            raise ValueError("times must be non-negative")
-        with self._lock:
-            stats = self._require(pid)
-            stats.useful_time += useful_time
-            stats.idle_time += idle_time
-            return stats
-
     def record_compute_batch(
         self, pid: int, intervals: "list[tuple[float, float, int, float, int]]"
     ) -> ProcessStats:
-        """Account a whole batch of execution intervals in one call.
+        """Account execution intervals for ``pid``: the only compute write.
 
-        Each entry is ``(useful_time, idle_time, ncpus, seconds, count)`` —
-        ``count`` identical steps' compute accounting plus their
-        CPU-ownership integral.  The accumulators advance step by step, in
-        order, exactly as the same sequence of :meth:`record_compute` +
-        :meth:`record_ownership` calls would (float addition is
-        order-sensitive), but with one lock acquire and one registry lookup
-        for the whole batch.  An invalid entry raises ``ValueError`` and
+        Each entry is ``(useful_time, idle_time, ncpus, seconds, count)``:
+        ``count`` identical steps' useful and idle seconds plus their
+        CPU-ownership integral (``ncpus * seconds`` per step).  The
+        accumulators advance step by step, in order (float addition is
+        order-sensitive), so one count-``k`` entry accumulates exactly as
+        ``k`` count-1 entries do.  One lock acquire and one registry lookup
+        serve the whole list.  An invalid entry raises ``ValueError`` and
         leaves the record untouched.
         """
         with self._lock:
@@ -145,15 +133,6 @@ class StatsModule:
         with self._lock:
             stats = self._require(pid)
             stats.mpi_time += mpi_time
-            return stats
-
-    def record_ownership(self, pid: int, ncpus: int, seconds: float) -> ProcessStats:
-        """Account ``ncpus`` owned for ``seconds`` (utilisation denominator)."""
-        if ncpus < 0 or seconds < 0:
-            raise ValueError("ncpus and seconds must be non-negative")
-        with self._lock:
-            stats = self._require(pid)
-            stats.cpu_seconds_owned += ncpus * seconds
             return stats
 
     def record_mask_change(self, pid: int) -> ProcessStats:

@@ -143,8 +143,10 @@ def _step_order(step: StepRecord) -> tuple[float, str, int]:
 class Tracer:
     """Collects step runs and mask-change records for a whole scenario run.
 
-    The per-step views (iteration, :meth:`steps`, :meth:`thread_utilisation`)
-    expand and sort the runs on first use.
+    Steps are written only as :class:`StepRun`\\ s (:meth:`record_steps`);
+    :class:`StepRecord` is the read side.  The per-step views (iteration,
+    :meth:`steps`, :meth:`thread_utilisation`) expand and sort the runs on
+    first use.
     """
 
     def __init__(self) -> None:
@@ -156,15 +158,10 @@ class Tracer:
 
     # -- recording -------------------------------------------------------------
 
-    def record_step(self, record: StepRecord) -> None:
-        """Append one step (a run of one)."""
-        self._runs.append(StepRun(*record, 1))
-        self._nsteps += 1
-        self._ordered_steps = None
-
     def record_steps(self, runs: list[StepRun]) -> None:
-        """Append a list of step runs (the batched runner's per-wake list of
-        one rank); how steps are chunked into runs never shows in a view."""
+        """Append a list of step runs: the runner's per-wake list of one
+        rank, runs of one in its reference loop.  How steps are chunked
+        into runs never shows in a view."""
         self._runs.extend(runs)
         self._nsteps += sum(run.count for run in runs)
         self._ordered_steps = None

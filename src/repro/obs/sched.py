@@ -29,9 +29,12 @@ of the artifact (since format v4) alongside the step and mask members.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+
+# The telemetry summary's nearest-rank convention, shared by the fairness
+# percentiles.
+from repro.obs.export import _percentile
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.slurm.jobs import Job
@@ -156,15 +159,6 @@ class JobLifecycleRecord(NamedTuple):
     @classmethod
     def from_record(cls, record: dict) -> "JobLifecycleRecord":
         return cls(**{k: v for k, v in record.items() if k != "record"})
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 when empty) — the
-    same convention as the telemetry summary's cell wall-clock block."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, math.ceil(q * len(sorted_values)) - 1)
-    return sorted_values[rank]
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,10 @@ anything unreadable, and the maintenance verbs (``load``/``summaries``/
 ``entries``/``remove``/``gc``/``merge``).  A tier is only its codec: the
 class attributes ``SUFFIX``, ``VERSION``, ``KIND`` and ``NOUN``, a
 :meth:`~ContentStore._decode` hook turning one file into the tier's entry
-(raising one of :data:`READ_ERRORS` on stale or corrupt input) and a
-:meth:`~ContentStore._summarise` hook producing the entry's ``ls`` row.
+(raising one of :data:`READ_ERRORS` on stale or corrupt input), an optional
+:meth:`~ContentStore._verify` hook checking the parts a lookup leaves
+unread, and a :meth:`~ContentStore._summarise` hook producing the entry's
+``ls`` row.
 """
 
 from __future__ import annotations
@@ -199,6 +201,11 @@ class ContentStore:
         ``None`` when the entry cannot render."""
         raise NotImplementedError
 
+    def _verify(self, entry) -> None:
+        """Check what :meth:`_decode` leaves unread, raising one of
+        :data:`READ_ERRORS` on a corrupt entry; :meth:`gc` and
+        :meth:`merge` call it, lookups do not.  A no-op by default."""
+
     def _bind(self, run: RunSpec, entry):
         """What :meth:`get` returns for a decoded hit on ``run`` (the entry
         itself unless the tier rebinds it to the requesting spec)."""
@@ -344,7 +351,8 @@ class ContentStore:
         max_age: float | None = None,
         now: float | None = None,
     ) -> list[str]:
-        """Collect entries: unreadable/old-format files always, plus any whose
+        """Collect entries: unreadable, old-format or corrupt
+        (:meth:`_verify`) files always, plus any whose
         decoded entry satisfies ``predicate``, plus the retention policies'
         picks — ``max_age`` dooms entries whose file is older than that many
         seconds, ``lru_bytes`` then evicts least-recently-read entries until
@@ -354,6 +362,7 @@ class ContentStore:
         for key in self.keys():
             try:
                 entry = self._read(key)
+                self._verify(entry)
             except READ_ERRORS:
                 doomed.append(key)
                 continue
@@ -384,8 +393,8 @@ class ContentStore:
 
         Returns the number of entries copied.  With ``overwrite=False`` keys
         already present locally win, which is safe because entries are pure
-        functions of their key's spec.  Old-format or unreadable source
-        entries are never imported, and a stale or unreadable local file
+        functions of their key's spec.  Old-format, unreadable or corrupt
+        (:meth:`_verify`) source entries are never imported, and such a local file
         never shadows a current incoming one — cells whose serialised
         contents survived a schema bump keep their key, so a pre-bump shard
         must not block the post-bump entry.
@@ -399,12 +408,13 @@ class ContentStore:
                 # reading the source store — and the single-pass scan above
                 # means absent keys cost no filesystem probe at all.
                 try:
-                    self._read(key)
+                    self._verify(self._read(key))
                     continue
                 except READ_ERRORS:
-                    pass  # stale or unreadable: the incoming entry wins
+                    pass  # stale, unreadable or corrupt: the incoming entry wins
             try:
                 entry = other._read(key)
+                other._verify(entry)
                 data = entry.path.read_bytes()
             except READ_ERRORS:
                 continue

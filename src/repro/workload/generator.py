@@ -15,6 +15,7 @@ pool) with identical results.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -71,8 +72,8 @@ class AppMixEntry:
             raise ValueError(
                 f"{self.app} has no configuration {self.config!r}"
             )
-        if self.weight < 0:
-            raise ValueError("weight must be non-negative")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError("weight must be finite and non-negative")
 
     @property
     def thread_model(self) -> ThreadModel:
@@ -106,8 +107,8 @@ class SizeMixEntry:
     def __post_init__(self) -> None:
         if self.nodes <= 0:
             raise ValueError("nodes must be positive")
-        if self.weight < 0:
-            raise ValueError("weight must be non-negative")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError("weight must be finite and non-negative")
         if self.min_nodes is not None and not 1 <= self.min_nodes <= self.nodes:
             raise ValueError("min_nodes must be in [1, nodes]")
         if self.max_nodes is not None and self.max_nodes < self.nodes:
@@ -204,8 +205,8 @@ class WorkloadSpec:
             raise ValueError("njobs must be positive")
         if self.arrival not in (POISSON, UNIFORM, BURSTY):
             raise ValueError(f"unknown arrival process {self.arrival!r}")
-        if self.mean_interarrival < 0:
-            raise ValueError("mean_interarrival must be non-negative")
+        if not (math.isfinite(self.mean_interarrival) and self.mean_interarrival >= 0):
+            raise ValueError("mean_interarrival must be finite and non-negative")
         if not self.app_mix:
             raise ValueError("app_mix must not be empty")
         if sum(e.weight for e in self.app_mix) <= 0:
@@ -214,8 +215,8 @@ class WorkloadSpec:
             raise ValueError("priority_levels must not be empty")
         if self.nodes <= 0:
             raise ValueError("nodes must be positive")
-        if self.work_scale <= 0:
-            raise ValueError("work_scale must be positive")
+        if not (math.isfinite(self.work_scale) and self.work_scale > 0):
+            raise ValueError("work_scale must be finite and positive")
         if self.iterations is not None and self.iterations <= 0:
             raise ValueError("iterations must be positive")
         if self.size_mix and sum(e.weight for e in self.size_mix) <= 0:

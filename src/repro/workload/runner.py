@@ -37,7 +37,7 @@ from repro.cpuset.distribution import DistributionPolicy
 from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import ClusterTopology, NodeTopology
 from repro.metrics.collect import WorkloadMetrics
-from repro.metrics.tracing import MaskChangeRecord, StepRecord, StepRun, Tracer
+from repro.metrics.tracing import MaskChangeRecord, StepRun, Tracer
 from repro.obs.sched import ClusterProbe, SchedTimeline
 from repro.runtime.mpi import MpiCommunicator
 from repro.runtime.process import ApplicationProcess, ProcessSpec, ThreadModel
@@ -171,7 +171,8 @@ class ScenarioRunner:
         co-runner change are priced per uniform segment and advanced with a
         single engine wake, emitting on wake runs of steps that expand to the
         same per-step records.
-        False runs the one-yield-per-step reference loop.  Both paths
+        False runs the one-yield-per-step reference loop, which writes the
+        same accounting as runs of one.  Both paths
         produce byte-identical metrics, traces and stored artifacts — the
         ``bench_perf_core`` harness gates every release on it.
     """
@@ -473,8 +474,18 @@ class _RunState:
     # -- execution ------------------------------------------------------------------------------
 
     def _execute(self, execution: JobExecution):
+        """The one-step-per-yield reference loop (``batching=False``).
+
+        Every rank polls, prices its next step, sleeps one step and then
+        writes it through the same APIs as :meth:`_execute_batched`: a run
+        of one, a count-1 stats entry and ``advance_many(1)``.  It keeps
+        none of the batching logic (fold cache, cuts, windows, horizon,
+        wake-mask split), which is what the byte-identity gates check.
+        """
         model = execution.model
         total_ranks = execution.job.spec.ntasks
+        label = execution.label
+        partition = model.profile.partition
         while not execution.finished():
             # Malleability point: every rank polls DROM before the next
             # iteration (PMPI / OMPT / task-scheduling point).
@@ -482,63 +493,45 @@ class _RunState:
                 for rank in execution.ranks:
                     rank.process.poll_malleability()
 
-            durations: list[float] = []
-            for rank in execution.ranks:
-                mask = rank.process.current_mask
-                interference = self._interference(execution, rank)
-                durations.append(
-                    model.step_time(
-                        rank.plan,
-                        mask,
-                        rank.node,
-                        total_ranks=total_ranks,
-                        interference=interference,
-                    )
-                )
+            durations = [
+                model.step_times(
+                    rank.plan,
+                    1,
+                    rank.process.current_mask,
+                    rank.node,
+                    total_ranks=total_ranks,
+                    interference=self._interference(execution, rank),
+                )[0]
+                for rank in execution.ranks
+            ]
             self.steps_priced += len(durations)
             step_duration = max(durations)
             start = self.engine.now
             yield Timeout(step_duration)
 
             for rank, duration in zip(execution.ranks, durations):
+                # Read after the yield: a runtime that reads the shared
+                # memory directly sees a mask written mid-step.
                 mask = rank.process.current_mask
                 nthreads = mask.count()
-                utilisation = model.profile.partition.thread_utilisation(
-                    rank.plan.initial_threads, nthreads
+                initial_threads = rank.plan.initial_threads
+                step = rank.plan.current_step()
+                ipc = self.trace and model.step_ipc_for_phase(
+                    step.phase, mask, rank.node, initial_threads
                 )
-                if not model.profile.partition.is_static:
-                    utilisation = [1.0] * nthreads
                 # Ranks that finish their step early idle in MPI until the
                 # slowest rank catches up.
                 scale = duration / step_duration if step_duration > 0 else 1.0
-                step = rank.plan.current_step()
+                utilisation = _utilisation(partition, initial_threads, nthreads)
+                piece = _Piece.of(step, step_duration, scale, nthreads, utilisation, ipc)
                 if self.trace:
-                    self.tracer.record_step(
-                        StepRecord(
-                            job=execution.label,
-                            rank=rank.rank,
-                            node=rank.node.name,
-                            start=start,
-                            duration=step_duration,
-                            phase=step.phase.name,
-                            nthreads=nthreads,
-                            thread_utilisation=tuple(u * scale for u in utilisation),
-                            ipc=model.step_ipc(rank.plan, mask, rank.node),
-                            work_units=step.work_units,
-                        )
+                    self.tracer.record_steps(
+                        [StepRun(label, rank.rank, rank.node.name, start, *piece.fields, 1)]
                     )
-                # DROM statistics module: useful vs idle thread-seconds and
-                # CPU ownership, later consumable by scheduling policies.
-                node_stats = self.stats[rank.node.name]
-                busy_thread_seconds = sum(utilisation) * scale * step_duration
-                owned_thread_seconds = nthreads * step_duration
-                node_stats.record_compute(
-                    rank.process.spec.pid,
-                    useful_time=busy_thread_seconds,
-                    idle_time=max(0.0, owned_thread_seconds - busy_thread_seconds),
+                self.stats[rank.node.name].record_compute_batch(
+                    rank.process.spec.pid, [(*piece.stats, 1)]
                 )
-                node_stats.record_ownership(rank.process.spec.pid, nthreads, step_duration)
-                rank.plan.advance()
+                rank.plan.advance_many(1)
                 self.steps_advanced += 1
         self._complete(execution)
 
@@ -568,9 +561,9 @@ class _RunState:
         before the batch horizon (masks, interference and stats readers
         cannot change inside the window), sleeps once to the final step
         boundary, then emits on wake step runs and counted stats entries
-        that stand for exactly the records the single-step reference loop
-        would have emitted step by step — same floats, same accumulation
-        order, byte-identical artifacts.
+        that accumulate exactly as the reference loop's runs of one and
+        count-1 entries — same floats, same accumulation order,
+        byte-identical artifacts.
 
         Steps are priced once per distinct pricing input, not once per
         batch: the executor keeps the fold of its last pricing (the

@@ -12,7 +12,6 @@ from repro.apps import (
     pils_model,
     stream_model,
 )
-from repro.apps.base import RankWorkPlan, WorkStep
 from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import NodeTopology
 from repro.workload import configs
@@ -42,18 +41,18 @@ class TestWorkPlans:
         model = nest_model()
         config = AppConfig("Conf. 1", 2, 16)
         plan = model.build_rank_plan(0, config)
-        total = sum(step.work_units for step in plan.steps)
+        total = sum(step.work_units * n for step, n in plan.segments)
         assert total == pytest.approx(model.total_work / config.mpi_ranks)
 
     def test_plan_has_one_step_per_iteration_at_least(self):
         model = nest_model(iterations=100)
         plan = model.build_rank_plan(0, AppConfig("c", 2, 16))
-        assert len(plan.steps) >= 100
+        assert plan.total_steps >= 100
 
     def test_every_phase_present_in_plan(self):
         model = coreneuron_model()
         plan = model.build_rank_plan(0, AppConfig("c", 2, 16))
-        assert {s.phase.name for s in plan.steps} == {"model-setup", "solve"}
+        assert {step.phase.name for step, _ in plan.segments} == {"model-setup", "solve"}
 
     def test_plans_built_per_rank(self):
         model = pils_model(total_work=100)
@@ -64,52 +63,45 @@ class TestWorkPlans:
     def test_plan_advance_and_finish(self):
         model = stream_model(iterations=5)
         plan = model.build_rank_plan(0, AppConfig("c", 2, 2))
-        n = len(plan.steps)
+        n = sum(count for _, count in plan.segments)
         for _ in range(n):
             assert not plan.finished
-            plan.advance()
+            plan.advance_many(1)
         assert plan.finished
         assert plan.remaining_steps == 0
         with pytest.raises(IndexError):
             plan.current_step()
+        with pytest.raises(IndexError):
+            plan.advance_many(1)
+        with pytest.raises(ValueError):
+            plan.advance_many(-1)
+        assert plan.next_step == n
 
     def test_run_length_plan_matches_per_step_walk(self, node):
         model = coreneuron_model(iterations=50)
         config = AppConfig("c", 2, 16)
         plan = model.build_rank_plan(0, config)
         walker = model.build_rank_plan(0, config)
-        assert len(plan.segments) == 2 and plan.total_steps == len(plan.steps)
+        assert len(plan.segments) == 2
+        assert plan.total_steps == sum(count for _, count in plan.segments)
         mask = CpuSet.from_range(0, 12)
         # Start mid-segment so the window straddles the phase boundary.
         first = plan.segments[0][1] - 3
         plan.advance_many(first)
         for _ in range(first):
-            walker.advance()
-        # The same left fold of additions, bit for bit.
-        assert plan.completed_work.hex() == walker.completed_work.hex()
+            walker.advance_many(1)
+        assert plan.next_step == walker.next_step == first
         assert plan.runs(5) == [(plan.segments[0][0], 3), (plan.segments[1][0], 2)]
         times = model.step_times(plan, plan.remaining_steps, mask, node, 2)
         expected = []
         while not walker.finished:
-            expected.append(model.step_time(walker, mask, node, 2))
-            walker.advance()
+            expected.append(model.step_times(walker, 1, mask, node, 2)[0])
+            walker.advance_many(1)
         assert times == expected
         plan.advance_many(plan.remaining_steps)
         assert plan.finished
-        assert plan.completed_work.hex() == walker.completed_work.hex()
         with pytest.raises(IndexError):
             plan.runs(1)
-
-        # Work units whose repeated sums round differently from a product.
-        phase = plan.segments[0][0].phase
-        segments = [(WorkStep(phase, 0.1), 7), (WorkStep(phase, 1 / 3), 11)]
-        plan = RankWorkPlan(rank=0, segments=segments, initial_threads=4)
-        walker = RankWorkPlan(rank=0, segments=segments, initial_threads=4)
-        plan.advance_many(plan.total_steps)
-        while not walker.finished:
-            walker.advance()
-        assert plan.completed_work.hex() == walker.completed_work.hex()
-        assert plan.completed_work != 0.1 * 7 + (1 / 3) * 11
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -178,15 +170,17 @@ class TestMalleabilityVariants:
         # advance past the init phase so both plans sit on a solve step
         for plan in (plan_full, plan_shrunk):
             while plan.current_step().phase.name != "simulate":
-                plan.advance()
-        t_full = model.step_time(plan_full, CpuSet.from_range(0, 16), node, 2)
-        t_shrunk = model.step_time(plan_shrunk, CpuSet.from_range(0, 15), node, 2)
+                plan.advance_many(1)
+        [t_full] = model.step_times(plan_full, 1, CpuSet.from_range(0, 16), node, 2)
+        [t_shrunk] = model.step_times(plan_shrunk, 1, CpuSet.from_range(0, 15), node, 2)
         assert t_shrunk > t_full
 
     def test_step_ipc_positive(self, node):
         model = coreneuron_model()
         plan = model.build_rank_plan(0, AppConfig("Conf. 1", 2, 16))
-        assert model.step_ipc(plan, CpuSet.from_range(0, 16), node) > 0
+        phase = plan.current_step().phase
+        mask = CpuSet.from_range(0, 16)
+        assert model.step_ipc_for_phase(phase, mask, node, plan.initial_threads) > 0
 
 
 class TestTable1Configs:

@@ -21,7 +21,7 @@ from repro.campaign import (
 from repro.campaign.__main__ import main as campaign_cli
 from repro.cpuset.distribution import SocketAwareEquipartition
 from repro.workload import configs
-from repro.workload.generator import WorkloadSpec
+from repro.workload.generator import AppMixEntry, SizeMixEntry, WorkloadSpec
 from repro.workload.runner import DROM, SERIAL, ScenarioRunner
 from repro.workload.workloads import Workload, WorkloadJob
 
@@ -83,6 +83,39 @@ class TestSpecExpansion:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
             PolicyRef("round-robin")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: WorkloadSpec(work_scale=float("nan")),
+            lambda: WorkloadSpec(work_scale=float("inf")),
+            lambda: WorkloadSpec(mean_interarrival=float("nan")),
+            lambda: WorkloadSpec(mean_interarrival=float("inf")),
+            lambda: AppMixEntry("STREAM", "Conf. 1", weight=float("nan")),
+            lambda: AppMixEntry("STREAM", "Conf. 1", weight=float("inf")),
+            lambda: SizeMixEntry(nodes=2, weight=float("nan")),
+            lambda: InSituWorkloadRef(analytics_submit=float("nan")),
+            lambda: InSituWorkloadRef(analytics_submit=-1.0),
+            lambda: HighPriorityWorkloadRef(second_submit=float("inf")),
+            lambda: HighPriorityWorkloadRef(second_submit=-1.0),
+            lambda: RunSpec(index=0, scenario=SERIAL, workload=HighPriorityWorkloadRef(),
+                            interference_factor=float("nan")),
+            lambda: RunSpec(index=0, scenario=SERIAL, workload=HighPriorityWorkloadRef(),
+                            interference_factor=0.0),
+            lambda: small_sweep(interference_factor=float("inf")),
+            lambda: small_sweep(interference_factor=-2.0),
+            lambda: ClusterRef(kind="uniform", sockets=0),
+            lambda: ClusterRef(kind="uniform", cores_per_socket=0),
+        ],
+        ids=["work-scale-nan", "work-scale-inf", "interarrival-nan", "interarrival-inf",
+             "app-weight-nan", "app-weight-inf", "size-weight-nan", "analytics-submit-nan",
+             "analytics-submit-negative", "second-submit-inf", "second-submit-negative",
+             "run-interference-nan", "run-interference-zero", "campaign-interference-inf",
+             "campaign-interference-negative", "sockets-0", "cores-per-socket-0"],
+    )
+    def test_non_finite_or_out_of_range_input_rejected(self, build):
+        with pytest.raises(ValueError, match="must be"):
+            build()
 
     def test_policy_ref_builds_registry_class(self):
         assert isinstance(PolicyRef("socket").build(), SocketAwareEquipartition)
@@ -434,6 +467,23 @@ class TestCli:
         assert exited.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and f"argument {flags[0]}" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--work-scale", "nan"], "work_scale"), (["--work-scale", "inf"], "work_scale"),
+         (["--mean-interarrival", "nan"], "mean_interarrival"),
+         (["--sockets", "0"], "sockets"), (["--cores-per-socket", "0"], "cores_per_socket")],
+        ids=["work-scale=nan", "work-scale=inf", "mean-interarrival=nan", "sockets=0",
+             "cores-per-socket=0"],
+    )
+    def test_cli_bad_workload_or_cluster_argument_is_a_usage_error(self, capsys, flags, message):
+        base = ["--workloads", "1", "--njobs", "2", "--work-scale", "0.04",
+                "--iterations", "12"]
+        with pytest.raises(SystemExit) as exited:
+            campaign_cli(base + flags)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and message in err
 
     def test_cli_size_mix_and_heavy_tailed_exclusive(self, capsys):
         with pytest.raises(SystemExit):

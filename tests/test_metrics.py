@@ -7,7 +7,7 @@ import pytest
 
 from repro.metrics.collect import JobMetrics, WorkloadMetrics, relative_improvement
 from repro.metrics.paraver import ParaverView
-from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer
+from repro.metrics.tracing import MaskChangeRecord, StepRecord, StepRun, Tracer
 from repro.slurm.jobs import Job, JobSpec
 from repro.traces.query import TraceReader
 
@@ -61,6 +61,11 @@ class TestWorkloadMetrics:
         assert jm.response_time == 25.0
 
 
+def record_step(tracer, record):
+    """Record one step as a run of one, as the reference loop does."""
+    tracer.record_steps([StepRun(*record, 1)])
+
+
 def one_thread_step(start, duration, ipc, job="j"):
     return StepRecord(
         job=job, rank=0, node="n0", start=start, duration=duration, phase="p",
@@ -73,14 +78,14 @@ class TestIpcQueries:
 
     def test_mean_ipc_weighted_by_duration(self):
         tracer = Tracer()
-        tracer.record_step(one_thread_step(0.0, 10.0, 1.0))
-        tracer.record_step(one_thread_step(10.0, 30.0, 2.0))
+        record_step(tracer, one_thread_step(0.0, 10.0, 1.0))
+        record_step(tracer, one_thread_step(10.0, 30.0, 2.0))
         assert TraceReader(tracer).mean_ipc("j") == pytest.approx((1.0 * 10 + 2.0 * 30) / 40)
 
     def test_mean_ipc_of_zero_duration_steps_is_the_plain_mean(self):
         tracer = Tracer()
-        tracer.record_step(one_thread_step(0.0, 0.0, 1.0))
-        tracer.record_step(one_thread_step(0.0, 0.0, 2.0))
+        record_step(tracer, one_thread_step(0.0, 0.0, 1.0))
+        record_step(tracer, one_thread_step(0.0, 0.0, 2.0))
         assert TraceReader(tracer).mean_ipc("j") == 1.5
 
     def test_mean_ipc_missing_job(self):
@@ -91,11 +96,11 @@ class TestIpcQueries:
         tracer = Tracer()
         # Per-thread IPC 1.05, 1.15, 1.25, 1.35 in the first step, 1.0 in the second.
         for start, utils, ipc in ((0.0, (0.525, 0.575, 0.625, 0.675), 2.0), (10.0, (1.0,) * 4, 1.0)):
-            tracer.record_step(StepRecord(
+            record_step(tracer, StepRecord(
                 job="sim", rank=0, node="n0", start=start, duration=10.0, phase="p",
                 nthreads=4, thread_utilisation=utils, ipc=ipc, work_units=1.0,
             ))
-        tracer.record_step(one_thread_step(5.0, 5.0, 0.5, job="ana"))
+        record_step(tracer, one_thread_step(5.0, 5.0, 0.5, job="ana"))
         reader = TraceReader(tracer)
         hist = reader.ipc_histogram("sim", bins=10, range_=(0.0, 2.0))
         assert hist.dtype == np.float64
@@ -107,12 +112,12 @@ class TestTracer:
     def make_tracer(self):
         tracer = Tracer()
         for i in range(3):
-            tracer.record_step(StepRecord(
+            record_step(tracer, StepRecord(
                 job="sim", rank=0, node="n0", start=10.0 * i, duration=10.0,
                 phase="solve", nthreads=4,
                 thread_utilisation=(1.0, 1.0, 0.5, 0.5), ipc=1.2, work_units=5.0,
             ))
-        tracer.record_step(StepRecord(
+        record_step(tracer, StepRecord(
             job="ana", rank=0, node="n0", start=5.0, duration=10.0, phase="compute",
             nthreads=2, thread_utilisation=(1.0, 1.0), ipc=1.8, work_units=3.0,
         ))

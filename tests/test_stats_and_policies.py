@@ -41,16 +41,15 @@ class TestStatsModule:
     def test_recording_requires_registration(self, shmem):
         stats = StatsModule(shmem)
         with pytest.raises(ProcessNotRegisteredError):
-            stats.record_compute(99, 1.0)
+            stats.record_compute_batch(99, [(1.0, 0.0, 1, 1.0, 1)])
         with pytest.raises(ProcessNotRegisteredError):
             stats.process_stats(99)
 
     def test_accumulation(self, shmem):
         shmem.register(1, CpuSet.from_range(0, 4))
         stats = StatsModule(shmem)
-        stats.record_compute(1, useful_time=30.0, idle_time=10.0)
+        stats.record_compute_batch(1, [(30.0, 10.0, 4, 10.0, 1)])
         stats.record_mpi(1, 5.0)
-        stats.record_ownership(1, ncpus=4, seconds=10.0)
         stats.record_mask_change(1)
         record = stats.process_stats(1)
         assert record.useful_time == 30.0
@@ -65,26 +64,25 @@ class TestStatsModule:
         shmem.register(1, CpuSet([0]))
         stats = StatsModule(shmem)
         with pytest.raises(ValueError):
-            stats.record_compute(1, -1.0)
+            stats.record_compute_batch(1, [(-1.0, 0.0, 1, 1.0, 1)])
         with pytest.raises(ValueError):
             stats.record_mpi(1, -1.0)
         with pytest.raises(ValueError):
-            stats.record_ownership(1, -1, 1.0)
+            stats.record_compute_batch(1, [(1.0, 0.0, -1, 1.0, 1)])
 
     def test_counted_batch_matches_per_step_calls(self, shmem):
         # Values whose repeated sums round differently from a product: a
-        # count entry must replay the per-step additions, not multiply.
+        # count-k entry must replay k count-1 entries' additions, not multiply.
         entries = [(0.1, 0.7, 3, 0.3, 7), (1e-9, 0.0, 1, 1 / 3, 1), (2.2, 0.1, 8, 0.05, 13)]
         shmem.register(1, CpuSet([0]))
         shmem.register(2, CpuSet([1]))
         stats = StatsModule(shmem)
-        stats.record_compute(1, 0.5, 0.25)
-        stats.record_compute(2, 0.5, 0.25)
+        for pid in (1, 2):
+            stats.record_compute_batch(pid, [(0.5, 0.25, 1, 0.5, 1)])
         stats.record_compute_batch(1, entries)
-        for useful, idle, ncpus, seconds, count in entries:
+        for *entry, count in entries:
             for _ in range(count):
-                stats.record_compute(2, useful, idle)
-                stats.record_ownership(2, ncpus, seconds)
+                stats.record_compute_batch(2, [(*entry, 1)])
         batched, stepped = stats.process_stats(1), stats.process_stats(2)
         for name in ("useful_time", "idle_time", "cpu_seconds_owned"):
             assert getattr(batched, name).hex() == getattr(stepped, name).hex()
@@ -109,10 +107,8 @@ class TestStatsModule:
         shmem.register(1, CpuSet.from_range(0, 8))
         shmem.register(2, CpuSet.from_range(8, 16))
         stats = StatsModule(shmem)
-        stats.record_compute(1, 80.0, 20.0)
-        stats.record_ownership(1, 8, 12.5)       # 100 cpu-seconds
-        stats.record_compute(2, 40.0, 60.0)
-        stats.record_ownership(2, 8, 12.5)
+        stats.record_compute_batch(1, [(80.0, 20.0, 8, 12.5, 1)])  # 100 cpu-seconds
+        stats.record_compute_batch(2, [(40.0, 60.0, 8, 12.5, 1)])
         summary = stats.node_summary()
         assert summary.nprocesses == 2
         assert summary.cpus_owned == 16
@@ -127,7 +123,7 @@ class TestStatsModule:
     def test_drop_removes_record(self, shmem):
         shmem.register(1, CpuSet([0]))
         stats = StatsModule(shmem)
-        stats.record_compute(1, 1.0)
+        stats.record_compute_batch(1, [(1.0, 0.0, 1, 1.0, 1)])
         stats.drop(1)
         assert stats.pids() == []
 

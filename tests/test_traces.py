@@ -81,13 +81,18 @@ def traced_run():
     return run, execute_run(run, trace=True)
 
 
-def flip_steps_byte(store: TraceStore, run: RunSpec) -> None:
-    """Corrupt one byte inside the steps member of ``run``'s artifact,
-    keeping its size, so ``get``'s header and size checks still pass."""
-    path = store.path_for(content_key(run))
-    data = bytearray(path.read_bytes())
-    data[store.get(run).header_bytes + 20] ^= 0xFF
-    path.write_bytes(bytes(data))
+def flip_member_byte(store: TraceStore, run: RunSpec, member: str = "steps") -> None:
+    """Corrupt one byte inside a member (``steps``, ``mask`` or ``sched``)
+    of ``run``'s artifact, keeping its size, so ``get``'s header and size
+    checks still pass."""
+    entry = store.get(run)
+    offset = entry.header_bytes
+    for before in ("steps", "mask", "sched")[: ("steps", "mask", "sched").index(member)]:
+        offset += entry.header[f"{before}_bytes"]
+    assert entry.header[f"{member}_bytes"] > 20
+    data = bytearray(entry.path.read_bytes())
+    data[offset + 20] ^= 0xFF
+    entry.path.write_bytes(bytes(data))
 
 
 def doctor_run(entry, edit) -> None:
@@ -115,6 +120,11 @@ def doctor_run(entry, edit) -> None:
 
 def negative_duration(run: list) -> list:
     return [*run[:4], -1.0, *run[5:]]
+
+
+def record_step(tracer: Tracer, record: StepRecord) -> None:
+    """Record one step as a run of one, as the reference loop does."""
+    tracer.record_steps([StepRun(*record, 1)])
 
 
 def store_and_reload(tmp_path, tracer: Tracer, scenario: str = SERIAL):
@@ -217,6 +227,28 @@ class TestTraceStoreRoundTrip:
         assert fresh.merge(store) == 0
         assert store.gc() == [content_key(run)]
         assert not path.exists()
+
+    @pytest.mark.parametrize("member", ["steps", "mask", "sched"])
+    def test_corrupt_member_is_collected_and_never_merged(
+        self, traced_run, tmp_path, member
+    ):
+        run, result = traced_run
+        key = content_key(run)
+        store = TraceStore(tmp_path / "corrupt")
+        good = TraceStore(tmp_path / "good")
+        store.put(run, result)
+        cold = good.put(run, result).read_bytes()
+        flip_member_byte(store, run, member)
+        assert store.get(run) is not None  # the header and size checks pass
+        # merge never imports it, and an incoming good entry replaces it.
+        fresh = TraceStore(tmp_path / "fresh")
+        assert fresh.merge(store) == 0 and len(fresh) == 0
+        assert store.merge(good) == 1
+        assert store.path_for(key).read_bytes() == cold
+        flip_member_byte(store, run, member)
+        assert store.gc(dry_run=True) == [key]
+        assert store.gc() == [key]
+        assert len(store) == 0
 
     def test_load_by_prefix(self, traced_run, tmp_path):
         run, result = traced_run
@@ -374,7 +406,7 @@ class TestScenarioReplay:
             )
             path = traces.path_for(content_key(run))
             artifacts[path] = path.read_bytes()
-            flip_steps_byte(traces, run)
+            flip_member_byte(traces, run)
             assert traces.get(run) is not None  # the size checks pass
         again = run_scenario_pair(
             ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces
@@ -388,6 +420,25 @@ class TestScenarioReplay:
             ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces
         )
         assert all(r.replayed for r in warm.values())
+
+    def test_gc_then_warm_campaign_backfills_a_corrupt_member(self, tmp_path):
+        # The warm scan reads headers only, so a flipped byte inside the
+        # steps member counts as a trace hit until gc collects the file;
+        # the next warm campaign then re-simulates it into the cold bytes.
+        spec = small_spec()
+        store = ResultStore(tmp_path / "m")
+        traces = TraceStore(tmp_path / "t")
+        run_campaign(spec, store=store, trace_store=traces)
+        run = spec.expand()[1]
+        path = traces.path_for(content_key(run))
+        cold = path.read_bytes()
+        flip_member_byte(traces, run)
+        assert run_campaign(spec, store=store, trace_store=traces).executed == 0
+        assert traces.gc(dry_run=True) == [content_key(run)]
+        assert traces.gc() == [content_key(run)]
+        warm = run_campaign(spec, store=store, trace_store=traces)
+        assert warm.executed == warm.backfilled == 1
+        assert path.read_bytes() == cold
 
     def test_metrics_only_store_still_executes(self, tmp_path):
         # Without the trace tier the pair must not try to replay.
@@ -513,7 +564,8 @@ class TestReaderEdgeCases:
         # All steps have zero duration at t=0: the horizon is 0 but the
         # trace is non-empty, and every derived view must stay well-formed.
         tracer = Tracer()
-        tracer.record_step(
+        record_step(
+            tracer,
             StepRecord(
                 job="j", rank=0, node="n0", start=0.0, duration=0.0, phase="p",
                 nthreads=2, thread_utilisation=(1.0, 1.0), ipc=1.5, work_units=1.0,
@@ -654,7 +706,7 @@ class TestRunLengthSegments:
         ]
         tracer = Tracer()
         for record in steps:
-            tracer.record_step(record)
+            record_step(tracer, record)
         entry = store_and_reload(tmp_path, tracer)
         assert repr(list(entry.tracer)) == repr(list(tracer))
         assert [run.count for run in entry.runs] == [3, 2, 2, 1, 2, 1, 1, 1, 1, 1, 2, 2]
@@ -675,7 +727,7 @@ class TestRunLengthSegments:
         ]
         single = Tracer()
         for step in expand_runs(runs):
-            single.record_step(step)
+            record_step(single, step)
         batched = Tracer()
         batched.record_steps(runs)
         assert len(batched.runs()) < len(single.runs()) == len(single) == len(batched)
@@ -796,7 +848,7 @@ class TestTracesCli:
     )
     def test_corrupt_segment_exits_1(self, populated, tmp_path, capsys, command):
         run, _result, store = populated
-        flip_steps_byte(store, run)
+        flip_member_byte(store, run)
         name, *flags = command
         assert traces_main([
             name, content_key(run)[:10], "--store", str(store.root), *flags,
@@ -907,6 +959,16 @@ class TestTracesCli:
         assert traces_main(["gc", "--store", str(store.root), "--delete"]) == 0
         assert "removed 1" in capsys.readouterr().out
         assert not path.exists()
+
+
+    def test_gc_collects_corrupt_member(self, populated, capsys):
+        run, _result, store = populated
+        flip_member_byte(store, run)
+        assert traces_main(["gc", "--store", str(store.root)]) == 0
+        assert "would remove 1" in capsys.readouterr().out
+        assert traces_main(["gc", "--store", str(store.root), "--delete"]) == 0
+        assert "removed 1" in capsys.readouterr().out
+        assert not store.path_for(content_key(run)).exists()
 
 
 class TestMergeCliWithTraces:
