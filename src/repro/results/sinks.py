@@ -6,13 +6,15 @@ are rendered as timelines (Figures 3, 5, 13).  Here the trace tier
 ``python -m repro.traces export --format prv|jsonl`` renders a stored cell
 through this module:
 
-* :func:`prv_text` — a ``.prv``-style export in the spirit of the Paraver
-  trace format: a ``#Paraver`` header (with the run's horizon from
-  :class:`~repro.metrics.paraver.ParaverView`), ``1:`` state records (one per
-  step per thread) and ``2:`` event records (thread-count changes from DROM
-  mask updates, per-step IPC and phase).  Times are integer microseconds.
-  :func:`pcf_text` and :func:`row_text` are its ``.pcf``/``.row`` companions,
-  so the real Paraver UI can open it; :func:`read_prv` splits one back up.
+* :func:`prv_lines` — a ``.prv``-style export in the spirit of the Paraver
+  trace format, streamed line by line: a ``#Paraver`` header (with the run's
+  horizon from :class:`~repro.metrics.paraver.ParaverView`), ``1:`` state
+  records (one per step per thread) and ``2:`` event records (thread-count
+  changes from DROM mask updates, per-step IPC and phase), in time order.
+  Times are integer microseconds.  :func:`prv_text` is the same text as one
+  string.  :func:`pcf_text` and :func:`row_text` are its ``.pcf``/``.row``
+  companions, so the real Paraver UI can open it; :func:`read_prv` splits
+  one back up.
 * :func:`jsonl_record_lines` — one sorted-key JSON object per record,
   trivially loadable from any analysis environment.
 """
@@ -71,10 +73,19 @@ def _us(t: float) -> int:
     return int(round(t * 1_000_000))
 
 
-def prv_text(tracer: Tracer) -> str:
-    """The ``.prv``-style rendering of a tracer (header + sorted records).
+def prv_lines(tracer: Tracer) -> Iterator[str]:
+    """The ``.prv``-style rendering of a tracer, one newline-terminated line
+    at a time: the header, the phase-name comments, then the records in
+    ``(µs, class, recording order)`` order.
 
-    A live tracer and its stored artifact render byte-identically.
+    Records sharing a µs instant go state records (class 0) first, then
+    step events (class 1), then mask-change events (class 2).  The
+    canonical step view is sorted by start and rounding to µs is monotone,
+    so states and step events come out of one walk already in order; only
+    the few mask changes are sorted, by ``(µs, recording index)``.  Each
+    step's start and end round once, and each (node, job, rank) builds its
+    line prefixes once.  A live tracer and its stored artifact render
+    byte-identically.
     """
     view = ParaverView(tracer) if len(tracer) else None
     ftime = _us(view.horizon()) if view is not None else 0
@@ -84,9 +95,6 @@ def prv_text(tracer: Tracer) -> str:
     appl = {job: i + 1 for i, job in enumerate(jobs)}
     nodes = layout.nodes
     cpu = {node: i + 1 for i, node in enumerate(nodes)}
-    # Where each rank runs, for records that don't carry a node themselves
-    # (mask changes).
-    rank_cpu = {rank: cpu[node] for rank, node in layout.rank_node.items()}
     phases = layout.phases
     phase_id = {name: i + 1 for i, name in enumerate(phases)}
 
@@ -98,61 +106,77 @@ def prv_text(tracer: Tracer) -> str:
         appl_list.append(
             f"{len(widths)}({','.join(f'{t}:{r + 1}' for r, t in widths.items())})"
         )
-    header = (
+    yield (
         "#Paraver (01/01/2000 at 00:00)"
         f":{ftime}_us:{max(len(nodes), 1)}({','.join('1' for _ in nodes) or '1'})"
-        f":{len(jobs)}:{':'.join(appl_list)}"
+        f":{len(jobs)}:{':'.join(appl_list)}\n"
     )
-
-    # (time, sort class, recording sequence, line): same-time records keep
-    # their recording order, so re-exports are deterministic.
-    records: list[tuple[int, int, int, str]] = []
-    for step in tracer:
-        for thread in range(step.nthreads):
-            records.append(
-                (
-                    _us(step.start),
-                    0,
-                    len(records),
-                    f"{STATE_RUNNING}:{cpu[step.node]}:{appl[step.job]}"
-                    f":{step.rank + 1}:{thread + 1}"
-                    f":{_us(step.start)}:{_us(step.end)}:{STATE_RUNNING}",
-                )
-            )
-        records.append(
-            (
-                _us(step.start),
-                1,
-                len(records),
-                f"2:{cpu[step.node]}:{appl[step.job]}:{step.rank + 1}:1"
-                f":{_us(step.start)}"
-                f":{EV_STEP_IPC_MILLI}:{int(round(step.ipc * 1000))}"
-                f":{EV_STEP_PHASE}:{phase_id[step.phase]}",
-            )
-        )
-    for change in tracer.mask_changes():
-        job_appl = appl.get(change.job)
-        if job_appl is None:
-            continue  # job produced no steps; nothing to anchor the event to
-        records.append(
-            (
-                _us(change.time),
-                2,
-                len(records),
-                f"2:{rank_cpu.get((change.job, change.rank), 1)}"
-                f":{job_appl}:{change.rank + 1}:1:{_us(change.time)}"
-                f":{EV_THREAD_COUNT}:{change.new_threads}",
-            )
-        )
-    records.sort(key=lambda r: (r[0], r[1], r[2]))
-
-    lines = [header]
     # Phase-name table as comments, so the .prv stays self-describing
     # without a separate .pcf file.
     for name in phases:
-        lines.append(f"# phase {phase_id[name]} {name}")
-    lines.extend(line for _t, _c, _s, line in records)
-    return "\n".join(lines) + "\n"
+        yield f"# phase {phase_id[name]} {name}\n"
+
+    # Mask changes anchor to the node their rank runs on (cpu 1 for a rank
+    # without steps); a job that produced no steps has nothing to anchor
+    # its events to.
+    masks = []
+    for index, change in enumerate(tracer.mask_changes()):
+        if change.job in appl:
+            time = _us(change.time)
+            rank_cpu = cpu.get(layout.rank_node.get((change.job, change.rank)), 1)
+            masks.append((
+                time,
+                index,
+                f"2:{rank_cpu}:{appl[change.job]}:{change.rank + 1}:1:{time}"
+                f":{EV_THREAD_COUNT}:{change.new_threads}\n",
+            ))
+    masks.sort()
+    sent = 0  # mask-change events yielded so far
+
+    # (node, job, rank) -> (state-line prefix per thread, event-line prefix)
+    prefixes: dict[tuple[str, str, int], tuple[list[str], str]] = {}
+    states: list[str] = []
+    events: list[str] = []
+    instant = None
+    for step in tracer:
+        start = _us(step.start)
+        if start != instant:
+            # The previous instant is complete; mask changes before this
+            # one follow it.
+            yield from states
+            yield from events
+            states.clear()
+            events.clear()
+            while sent < len(masks) and masks[sent][0] < start:
+                yield masks[sent][2]
+                sent += 1
+            instant = start
+        key = (step.node, step.job, step.rank)
+        prefix = prefixes.get(key)
+        if prefix is None:
+            fields = f"{cpu[step.node]}:{appl[step.job]}:{step.rank + 1}"
+            width = layout.widths[step.job][step.rank]
+            prefix = prefixes[key] = (
+                [f"{STATE_RUNNING}:{fields}:{thread + 1}:" for thread in range(width)],
+                f"2:{fields}:1:",
+            )
+        threads, event = prefix
+        tail = f"{start}:{_us(step.end)}:{STATE_RUNNING}\n"
+        states.extend([thread + tail for thread in threads[: step.nthreads]])
+        events.append(
+            f"{event}{start}:{EV_STEP_IPC_MILLI}:{int(round(step.ipc * 1000))}"
+            f":{EV_STEP_PHASE}:{phase_id[step.phase]}\n"
+        )
+    yield from states
+    yield from events
+    for _time, _index, line in masks[sent:]:
+        yield line
+
+
+def prv_text(tracer: Tracer) -> str:
+    """The ``.prv``-style rendering of a tracer as one string: the joined
+    :func:`prv_lines`."""
+    return "".join(prv_lines(tracer))
 
 
 def pcf_text(tracer: Tracer) -> str:

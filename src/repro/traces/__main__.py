@@ -19,8 +19,11 @@ one sorted-key record per line).
 File names use the content key alone, so re-exports overwrite instead of
 accumulating.  ``show --sched`` inflates only the sched member, never a
 step.
+``export`` streams the ``.prv`` and ``.jsonl`` lines into the file.
 An artifact whose members fail to inflate or decode makes ``show`` and
-``export`` report the error on stderr and exit 1.  ``gc`` is a dry run
+``export`` report the error on stderr and exit 1; ``export`` decodes every
+member it needs first, so it then writes nothing.  An output ``export``
+cannot write is reported as such, also with exit 1.  ``gc`` is a dry run
 unless ``--delete`` is given; unreadable or old-format artifacts are always
 candidates.
 """
@@ -31,9 +34,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from repro.experiments.tables import render_table
-from repro.results.sinks import jsonl_record_lines, pcf_text, prv_text, row_text
+from repro.metrics.tracing import Tracer
+from repro.results.sinks import jsonl_record_lines, pcf_text, prv_lines, row_text
 from repro.store.cli import StoreCommands, positive_finite, positive_int
 from repro.store.content import READ_ERRORS
 from repro.traces.query import TraceReader
@@ -215,15 +220,17 @@ def render_trace(entry: TraceEntry, bin_seconds: float) -> str:
     return "\n".join(lines)
 
 
-def jsonl_text(entry: TraceEntry) -> str:
-    """The artifact's flat record stream: the header line, one line per
-    step in canonical order, then the mask-change and sched lines."""
-    lines = [
-        json.dumps(entry.header, sort_keys=True),
-        *jsonl_record_lines(entry.tracer),
-        *(json.dumps(record, sort_keys=True) for record in entry.sched_records),
-    ]
-    return "".join(line + "\n" for line in lines)
+def jsonl_lines(
+    header: dict, tracer: Tracer, sched_records: list[dict]
+) -> Iterator[str]:
+    """An artifact's flat record stream, one newline-terminated line at a
+    time: the header line, one line per step in canonical order, then the
+    mask-change and sched lines."""
+    yield json.dumps(header, sort_keys=True) + "\n"
+    for line in jsonl_record_lines(tracer):
+        yield line + "\n"
+    for record in sched_records:
+        yield json.dumps(record, sort_keys=True) + "\n"
 
 
 def _render_show(entry: TraceEntry, args: argparse.Namespace) -> str:
@@ -267,20 +274,28 @@ def _run(args: argparse.Namespace) -> int:
     entry = COMMANDS.load(TraceStore(args.store), args.key)
     if entry is None:
         return 1
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = f"{entry.header['scenario']}-{entry.key[:12]}"
+    # Decode every member the format needs before touching the output, so
+    # a corrupt artifact leaves no file behind and a write error is never
+    # mistaken for one.
+    tracer = entry.tracer
     if args.format == "prv":
-        # Emit the Paraver triple: the .prv record stream plus the .pcf
-        # event/value dictionary and .row axis labels the real Paraver
-        # UI needs to open it.
-        path = out / f"{stem}.prv"
-        path.write_text(prv_text(entry.tracer))
-        (out / f"{stem}.pcf").write_text(pcf_text(entry.tracer))
-        (out / f"{stem}.row").write_text(row_text(entry.tracer))
+        lines = prv_lines(tracer)
     else:
-        path = out / f"{stem}.jsonl"
-        path.write_text(jsonl_text(entry))
+        lines = jsonl_lines(entry.header, tracer, entry.sched_records)
+    out = Path(args.out)
+    path = out / f"{entry.header['scenario']}-{entry.key[:12]}.{args.format}"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as stream:
+            stream.writelines(lines)
+        if args.format == "prv":
+            # The .pcf event/value dictionary and .row axis labels the real
+            # Paraver UI needs to open the .prv.
+            path.with_suffix(".pcf").write_text(pcf_text(tracer))
+            path.with_suffix(".row").write_text(row_text(tracer))
+    except OSError as exc:
+        print(f"export: cannot write {exc.filename or path}: {exc}", file=sys.stderr)
+        return 1
     print(f"exported {entry.key[:12]} -> {path}")
     return 0
 

@@ -865,6 +865,42 @@ class TestTracesCli:
             assert "duration -1.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "fmt,member",
+        [("prv", "steps"), ("prv", "mask"), ("jsonl", "steps"), ("jsonl", "sched")],
+    )
+    def test_corrupt_member_leaves_no_export_behind(
+        self, populated, tmp_path, capsys, fmt, member
+    ):
+        # Every member the format reads decodes before the output is
+        # touched, so a corrupt one is reported as such and writes nothing.
+        run, _result, store = populated
+        flip_member_byte(store, run, member)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert traces_main([
+            "export", content_key(run)[:10], "--store", str(store.root),
+            "--format", fmt, "--out", str(out_dir),
+        ]) == 1
+        assert "unreadable trace artifact" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["prv", "jsonl"])
+    def test_unwritable_out_is_a_write_error(self, populated, tmp_path, capsys, fmt):
+        # --out naming an existing file: the artifact is fine, the output
+        # directory cannot be made.
+        run, _result, store = populated
+        not_a_dir = tmp_path / "f"
+        not_a_dir.touch()
+        assert traces_main([
+            "export", content_key(run)[:10], "--store", str(store.root),
+            "--format", fmt, "--out", str(not_a_dir),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"export: cannot write {not_a_dir}: " in err
+        assert "unreadable" not in err
+        assert not_a_dir.read_bytes() == b""
+
+    @pytest.mark.parametrize(
         "flag,value",
         [("--bin-seconds", "0"), ("--bin-seconds", "-5"), ("--bin-seconds", "nan"),
          ("--head", "-3"), ("--head", "0")],
