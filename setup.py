@@ -18,5 +18,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
+    # Only figure queries (IPC histograms, binned timelines) use numpy and
+    # import it on first call; campaigns, workers and the store CLIs run
+    # without it.
     install_requires=["numpy>=1.24"],
 )

@@ -258,11 +258,13 @@ def _execute_and_summarise(
         if store is not None:
             with obs.span("store_write") as span:
                 path = store.put(row)
-                span.count("bytes", path.stat().st_size)
+                if obs.enabled:
+                    span.count("bytes", path.stat().st_size)
         if trace_store is not None:
             with obs.span("trace_write") as span:
                 path = trace_store.put(run, result)
-                span.count("bytes", path.stat().st_size)
+                if obs.enabled:
+                    span.count("bytes", path.stat().st_size)
         cell.count("events", result.events_executed)
     return row, (obs.roots[0] if obs.enabled else None)
 

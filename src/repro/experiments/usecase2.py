@@ -18,14 +18,16 @@ The paper reports three observations, each regenerated here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.campaign.runner import run_campaign, run_scenario_pair
 from repro.campaign.spec import CampaignSpec, HighPriorityWorkloadRef
 from repro.metrics.collect import relative_improvement
 from repro.traces.query import TraceReader
 from repro.workload.runner import DROM, SERIAL, ScenarioResult
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.metrics.tracing import Tracer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Character ramp from idle to fully busy.
 _RAMP = " .:-=+*#%@"
@@ -54,11 +56,13 @@ class ParaverView:
         return max((run.end for run in self.tracer.runs()), default=0.0)
 
     def _nbins(self) -> int:
-        return int(np.ceil(self.horizon() / self.bin_seconds)) + 1
+        return int(math.ceil(self.horizon() / self.bin_seconds)) + 1
 
     def _binned(self, samples) -> dict:
         """key -> time-binned, time-weighted average of ``value`` over the
         ``(key, start, end, value)`` samples (0 in bins none overlaps)."""
+        import numpy as np
+
         nbins = self._nbins()
         width = self.bin_seconds
         sums, weights = {}, {}
@@ -93,6 +97,8 @@ class ParaverView:
 
     def job_thread_count(self, job: str) -> TimelineRow:
         """Aggregate thread count of a job over time (the Figure 3/13 shape)."""
+        import numpy as np
+
         rows = self._binned(
             (job, step.start, step.end, step.nthreads) for step in self.tracer.steps(job)
         )

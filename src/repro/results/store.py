@@ -34,6 +34,7 @@ from repro.obs.log import get_logger
 from repro.store.content import (
     ContentStore,
     content_key,
+    contents_key,
     spec_contents,
     spec_from_contents,
 )
@@ -104,21 +105,26 @@ def metrics_from_payload(run: RunSpec, payload: dict) -> RunMetrics:
 # -- the store ------------------------------------------------------------------------
 
 
-def _summarise_entry(contents: dict, metrics: dict) -> dict | None:
+def _summary(run: RunSpec, metrics: dict) -> dict:
     """The render-ready fields of one entry — everything the ``ls`` table
     prints, precomputed once at write/index time so listings never rebuild
     N specs."""
+    return {
+        "scenario": run.scenario,
+        "workload": run.workload.label,
+        "cluster": run.cluster.label,
+        "policy": run.policy.name if run.policy is not None else "default",
+        "scheduler": run.scheduler.label,
+        "total_run_time": metrics["total_run_time"],
+        "average_response_time": metrics["average_response_time"],
+    }
+
+
+def _summarise_entry(contents: dict, metrics: dict) -> dict | None:
+    """:func:`_summary` of stored contents (``None`` when they are
+    malformed) — the index rebuild path."""
     try:
-        run = spec_from_contents(contents)
-        return {
-            "scenario": contents["scenario"],
-            "workload": run.workload.label,
-            "cluster": run.cluster.label,
-            "policy": contents["policy"] or "default",
-            "scheduler": run.scheduler.label,
-            "total_run_time": metrics["total_run_time"],
-            "average_response_time": metrics["average_response_time"],
-        }
+        return _summary(spec_from_contents(contents), metrics)
     except (KeyError, TypeError, ValueError):
         return None
 
@@ -178,8 +184,8 @@ class ResultStore(ContentStore):
 
     def put(self, row: RunMetrics) -> Path:
         """Persist one row under its content key (idempotent overwrite)."""
-        key = content_key(row.run)
         contents = spec_contents(row.run)
+        key = contents_key(contents)
         metrics = metrics_to_payload(row)
         payload = {
             "version": STORE_FORMAT_VERSION,
@@ -189,6 +195,6 @@ class ResultStore(ContentStore):
             "metrics": metrics,
         }
         data = (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode("utf-8")
-        path = self._write(key, data, _summarise_entry(contents, metrics))
+        path = self._write(key, data, _summary(row.run, metrics))
         _log.debug("put %s (%s)", key[:12], row.run.cell_id)
         return path

@@ -27,7 +27,7 @@ import hashlib
 import json
 import os
 import zlib
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -59,8 +59,30 @@ READ_ERRORS = (OSError, ValueError, KeyError, TypeError, EOFError, zlib.error)
 # -- canonical spec (de)serialisation ------------------------------------------------
 
 
+#: Field names of each spec dataclass :func:`_plain` has walked.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+_LEAVES = (str, int, float, bool, type(None))
+
+
+def _plain(value):
+    """``dataclasses.asdict`` for the frozen spec dataclasses, without its
+    deep copy of every leaf: spec leaves are immutable, so they are shared."""
+    cls = type(value)
+    if cls in _LEAVES:
+        return value
+    if cls is tuple:
+        return tuple(_plain(item) for item in value)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        if not is_dataclass(cls):
+            return value
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return {name: _plain(getattr(value, name)) for name in names}
+
+
 def _workload_to_dict(ref: WorkloadRef) -> dict:
-    payload = asdict(ref)
+    payload = _plain(ref)
     payload["type"] = type(ref).__name__
     return payload
 
@@ -114,9 +136,9 @@ def spec_contents(run: RunSpec) -> dict:
     return {
         "scenario": run.scenario,
         "workload": _workload_to_dict(run.workload),
-        "cluster": asdict(run.cluster),
+        "cluster": _plain(run.cluster),
         "policy": run.policy.name if run.policy is not None else None,
-        "scheduler": asdict(run.scheduler),
+        "scheduler": _plain(run.scheduler),
         "interference_factor": run.interference_factor,
     }
 
@@ -136,10 +158,16 @@ def spec_from_contents(contents: dict, index: int = 0) -> RunSpec:
     )
 
 
+def contents_key(contents: dict) -> str:
+    """Hex SHA-256 of :func:`spec_contents`' canonical JSON — the key of
+    contents a caller already built."""
+    payload = json.dumps(contents, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def content_key(run: RunSpec) -> str:
     """Stable content hash of a run spec (hex SHA-256 of its canonical JSON)."""
-    payload = json.dumps(spec_contents(run), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return contents_key(spec_contents(run))
 
 
 # -- the store ------------------------------------------------------------------------

@@ -440,6 +440,7 @@ class StoreIndex:
         if state is None:
             return  # recency hints are best-effort; never force a rebuild
         self._append(state, records)
+        self._maybe_compact(state)
 
     # -- compaction --------------------------------------------------------------
 

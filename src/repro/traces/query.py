@@ -26,8 +26,6 @@ from functools import cached_property
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Union
 
-import numpy as np
-
 from repro.campaign.spec import RunSpec
 from repro.metrics.paraver import ParaverView
 from repro.metrics.tracing import (
@@ -41,6 +39,8 @@ from repro.obs.sched import FairnessSummary, JobLifecycleRecord, NodeSample, Sch
 from repro.traces.store import TraceEntry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    import numpy as np
+
     from repro.campaign.runner import RunMetrics
     from repro.workload.workloads import Workload
 
@@ -202,6 +202,8 @@ class TraceReader:
         """IPC histogram aggregated over all the job's threads (float64
         counts of ``ipc * utilisation``, one per thread per step).  Each run's
         values weigh ``count``, so any chunking of steps into runs agrees."""
+        import numpy as np
+
         runs = [run for run in self.tracer.runs() if run.job == job]
         values = [run.ipc * util for run in runs for util in run.thread_utilisation]
         weights = [run.count for run in runs for _util in run.thread_utilisation]
@@ -222,6 +224,8 @@ class TraceReader:
             raise ValueError(f"no IPC samples for job {job!r}")
         total_time = sum(duration for _ipc, duration in samples)
         if total_time == 0:
+            import numpy as np
+
             return float(np.mean([ipc for ipc, _duration in samples]))
         return sum(ipc * duration for ipc, duration in samples) / total_time
 

@@ -73,7 +73,7 @@ from repro.obs.log import get_logger
 from repro.obs.sched import SchedTimeline
 from repro.store.content import (
     ContentStore,
-    content_key,
+    contents_key,
     spec_contents,
     spec_from_contents,
 )
@@ -289,18 +289,23 @@ class TraceEntry:
 # -- the store ------------------------------------------------------------------------
 
 
-def _summarise_header(header: dict) -> dict | None:
+def _summary(run: RunSpec, header: dict) -> dict:
     """The render-ready fields of one artifact header — everything the
     ``ls`` table prints, precomputed at write/index time."""
+    return {
+        "scenario": header["scenario"],
+        "workload": run.workload.label,
+        "nsteps": header["nsteps"],
+        "nmask_changes": header["nmask_changes"],
+        "end_time": header["end_time"],
+    }
+
+
+def _summarise_header(header: dict) -> dict | None:
+    """:func:`_summary` of a stored header (``None`` when it is
+    malformed) — the index rebuild path."""
     try:
-        run = spec_from_contents(header["run"])
-        return {
-            "scenario": header["scenario"],
-            "workload": run.workload.label,
-            "nsteps": header["nsteps"],
-            "nmask_changes": header["nmask_changes"],
-            "end_time": header["end_time"],
-        }
+        return _summary(spec_from_contents(header["run"]), header)
     except (KeyError, TypeError, ValueError):
         return None
 
@@ -392,7 +397,8 @@ class TraceStore(ContentStore):
         canonical runs, sorted JSON keys, gzip mtimes pinned to 0), so re-puts
         of the same cell write byte-identical artifacts.
         """
-        key = content_key(run)
+        contents = spec_contents(run)
+        key = contents_key(contents)
         tracer = result.tracer
         changes = tracer.mask_changes()
         runs = _canonical_runs(tracer.runs())
@@ -405,7 +411,7 @@ class TraceStore(ContentStore):
             "record": "run",
             "version": TRACE_FORMAT_VERSION,
             "key": key,
-            "run": spec_contents(run),
+            "run": contents,
             "run_id": run.cell_id,
             "scenario": run.scenario,
             "workload": result.workload.name,
@@ -424,7 +430,7 @@ class TraceStore(ContentStore):
             + mask_blob
             + sched_blob
         )
-        path = self._write(key, data, _summarise_header(header))
+        path = self._write(key, data, _summary(run, header))
         _log.debug(
             "put %s (%s, %d step record(s), %d run(s))",
             key[:12],

@@ -249,9 +249,11 @@ class TestRetentionAndCompaction:
         root = make_store(tmp_path)
         index = make_index(root)
         index.scan()
-        for _ in range(120):  # inflate the journal well past the floor
-            index.note_read("bb")
-            index.flush_reads()
+        # Inflate the journal well past the floor with raw read records, as
+        # a writer that never compacted on read flushes would have left it.
+        with open(index.path, "a", encoding="utf-8") as stream:
+            for _ in range(120):
+                stream.write(json.dumps({"key": "bb", "record": "read"}) + "\n")
         before = len(index.path.read_text().splitlines())
         assert before > 64
         # The next maintenance write compacts in place.
@@ -271,6 +273,28 @@ class TestRetentionAndCompaction:
         size = (root / "aa.json").stat().st_size
         doomed = fresh.retention_doomed(lru_bytes=2 * size)
         assert "bb" not in doomed
+
+    def test_read_flushes_compact_the_journal(self, tmp_path):
+        """A read-only process must not grow the journal without bound:
+        read flushes compact like writes do, and keep LRU order."""
+        from repro.store.index import _COMPACT_FACTOR, _COMPACT_FLOOR
+
+        root = make_store(tmp_path, keys=("aa", "bb", "cc", "dd"))
+        index = make_index(root)
+        index.scan()
+        for _ in range(100):
+            for key in ("aa", "bb", "cc", "dd"):
+                index.note_read(key)
+            index.flush_reads()
+        index.note_read("aa")  # "aa" ends hottest, "bb" coldest
+        index.flush_reads()
+        assert index.scan() == {"aa", "bb", "cc", "dd"}
+        lines = len(index.path.read_text().splitlines())
+        assert lines <= max(_COMPACT_FLOOR, _COMPACT_FACTOR * 4) + 1
+        size = (root / "aa.json").stat().st_size
+        doomed = index.retention_doomed(lru_bytes=2 * size)
+        assert doomed == ["bb", "cc"]
+        assert make_index(root).retention_doomed(lru_bytes=2 * size) == doomed
 
     def test_gc_under_replay_never_loses_ground_truth(self, tmp_path):
         """One object gc-removes entries while a second replays the same
