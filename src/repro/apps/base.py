@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import accumulate
-from operator import add
+from typing import Iterator
 
 from repro.apps.perfmodel import PerformanceProfile, PhaseProfile
+from repro.core.floats import repeat_add
 from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import NodeTopology
 
@@ -190,6 +190,22 @@ class ApplicationModel:
         run-length segment, replicated across it.
         """
         out: list[float] = []
+        for duration, n in self._segment_times(
+            plan, count, mask, topology, total_ranks, interference
+        ):
+            out += [duration] * n
+        return out
+
+    def _segment_times(
+        self,
+        plan: RankWorkPlan,
+        count: int,
+        mask: CpuSet,
+        topology: NodeTopology,
+        total_ranks: int,
+        interference: float = 1.0,
+    ) -> Iterator[tuple[float, int]]:
+        """``(duration, n)`` per run-length segment of the next ``count`` steps."""
         for step, n in plan.runs(count):
             duration = self.profile.iteration_time(
                 phase=step.phase,
@@ -200,8 +216,7 @@ class ApplicationModel:
                 total_ranks=total_ranks,
                 interference=interference,
             )
-            out += [duration] * n
-        return out
+            yield duration, n
 
     def step_ipc_for_phase(
         self,
@@ -232,9 +247,10 @@ class ApplicationModel:
         # Nominal mask: the first threads_per_rank CPUs of the node, i.e. the
         # placement the task/affinity plugin gives an uncontended rank.
         mask = CpuSet.from_range(0, min(config.threads_per_rank, topology.ncpus))
-        durations = self.step_times(
-            plan, plan.total_steps, mask, topology, total_ranks=config.mpi_ranks
-        )
-        # A left fold, step by step: builtin ``sum`` compensates float
-        # rounding on Python 3.12+, which would change the last bits.
-        return reduce(add, durations, 0.0)
+        # The left fold of the per-step durations, one segment at a time.
+        runtime = 0.0
+        for duration, n in self._segment_times(
+            plan, plan.total_steps, mask, topology, config.mpi_ranks
+        ):
+            runtime = repeat_add(runtime, duration, n)
+        return runtime

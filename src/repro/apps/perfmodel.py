@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.floats import left_sum
 from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import NodeTopology
 
@@ -155,7 +156,7 @@ class MemoryBandwidthModel:
         """GB/s the mask can sustain on the node."""
         if mask.is_empty():
             return 0.0
-        socket_cap = sum(
+        socket_cap = left_sum(
             socket.memory_bandwidth_gbs
             for socket in topology.sockets
             if not socket.cpus.isdisjoint(mask)
@@ -209,7 +210,7 @@ class PerformanceProfile:
     partition: StaticPartition = StaticPartition(chunks_per_thread=0)
 
     def __post_init__(self) -> None:
-        total = sum(phase.work_fraction for phase in self.phases)
+        total = left_sum(phase.work_fraction for phase in self.phases)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(
                 f"phase work fractions of {self.name!r} must sum to 1, got {total}"

@@ -26,6 +26,7 @@ from repro.campaign.spec import (
     SchedulerRef,
     SyntheticWorkloadRef,
 )
+from repro.core.floats import left_sum
 from repro.store.cli import (
     non_negative_finite,
     non_negative_int,
@@ -507,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
                 for s, d in pairs
                 if s.average_response_time > 0
             ]
-            mean_gain = sum(gains) / len(gains) if gains else 0.0
+            mean_gain = left_sum(gains) / len(gains) if gains else 0.0
             print(
                 f"\nDROM vs Serial over {len(pairs)} workload cells: "
                 f"mean average-response-time gain {100 * mean_gain:+.1f}%"

@@ -154,11 +154,9 @@ class NodeSharedMemory:
 
             stolen_from: dict[int, CpuSet] = {}
             for other in self._entries.values():
-                if other.pid == pid:
+                if other.pid == pid or other.assigned_mask.isdisjoint(mask):
                     continue
                 overlap = other.assigned_mask & mask
-                if overlap.is_empty():
-                    continue
                 if not steal:
                     raise CpuOwnershipError(
                         f"CPUs {overlap.to_list_string()} requested for pid {pid} are "
@@ -261,11 +259,9 @@ class NodeSharedMemory:
             if mask.is_empty():
                 raise ValueError(f"refusing to assign an empty mask to pid {pid}")
             for other in self._entries.values():
-                if other.pid == pid:
+                if other.pid == pid or other.assigned_mask.isdisjoint(mask):
                     continue
                 overlap = other.assigned_mask & mask
-                if overlap.is_empty():
-                    continue
                 if not steal:
                     raise CpuOwnershipError(
                         f"CPUs {overlap.to_list_string()} are assigned to pid "

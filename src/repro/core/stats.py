@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import reduce
-from itertools import repeat
-from operator import add
+from math import inf
 
 from repro.core.errors import ProcessNotRegisteredError
+from repro.core.floats import left_sum, repeat_add
 from repro.core.shmem import NodeSharedMemory
 
 
@@ -98,12 +97,15 @@ class StatsModule:
 
         Each entry is ``(useful_time, idle_time, ncpus, seconds, count)``:
         ``count`` identical steps' useful and idle seconds plus their
-        CPU-ownership integral (``ncpus * seconds`` per step).  The
-        accumulators advance step by step, in order (float addition is
-        order-sensitive), so one count-``k`` entry accumulates exactly as
-        ``k`` count-1 entries do.  One lock acquire and one registry lookup
-        serve the whole list.  An invalid entry raises ``ValueError`` and
-        leaves the record untouched.
+        CPU-ownership integral (``ncpus * seconds`` per step).  Each
+        accumulator ends where ``count`` in-order per-step additions would
+        leave it (float addition is order-sensitive, and ``count * x`` can
+        differ in the last bits), so one count-``k`` entry accumulates
+        exactly as ``k`` count-1 entries do; :func:`repeat_add` gets there
+        in O(binades crossed), not O(count).  One lock acquire and one
+        registry lookup serve the whole list.  A negative or non-finite
+        field, or a count below 1, raises ``ValueError`` and leaves the
+        record untouched.
         """
         with self._lock:
             stats = self._require(pid)
@@ -111,25 +113,30 @@ class StatsModule:
             idle = stats.idle_time
             owned = stats.cpu_seconds_owned
             for useful_time, idle_time, ncpus, seconds, count in intervals:
-                if useful_time < 0 or idle_time < 0:
-                    raise ValueError("times must be non-negative")
-                if ncpus < 0 or seconds < 0:
-                    raise ValueError("ncpus and seconds must be non-negative")
-                if count < 1:
+                if not (0.0 <= useful_time < inf and 0.0 <= idle_time < inf):
+                    raise ValueError("times must be finite and non-negative")
+                if not (0 <= ncpus < inf and 0.0 <= seconds < inf):
+                    raise ValueError("ncpus and seconds must be finite and non-negative")
+                if count == 1:
+                    useful += useful_time
+                    idle += idle_time
+                    owned += ncpus * seconds
+                elif count > 1:
+                    # The left fold of ``count`` additions, one per step.
+                    useful = repeat_add(useful, useful_time, count)
+                    idle = repeat_add(idle, idle_time, count)
+                    owned = repeat_add(owned, ncpus * seconds, count)
+                else:
                     raise ValueError("count must be at least 1")
-                # The left fold of ``count`` additions, one per step.
-                useful = reduce(add, repeat(useful_time, count), useful)
-                idle = reduce(add, repeat(idle_time, count), idle)
-                owned = reduce(add, repeat(ncpus * seconds, count), owned)
             stats.useful_time = useful
             stats.idle_time = idle
             stats.cpu_seconds_owned = owned
             return stats
 
     def record_mpi(self, pid: int, mpi_time: float) -> ProcessStats:
-        """Add time spent inside MPI calls."""
-        if mpi_time < 0:
-            raise ValueError("mpi_time must be non-negative")
+        """Add time spent inside MPI calls (finite and non-negative)."""
+        if not 0.0 <= mpi_time < inf:
+            raise ValueError("mpi_time must be finite and non-negative")
         with self._lock:
             stats = self._require(pid)
             stats.mpi_time += mpi_time
@@ -173,9 +180,9 @@ class StatsModule:
                     parallel_efficiency=0.0,
                     total_mask_changes=0,
                 )
-            owned = sum(r.cpu_seconds_owned for r in records)
-            useful = sum(r.useful_time for r in records)
-            busy = sum(r.useful_time + r.idle_time + r.mpi_time for r in records)
+            owned = left_sum(r.cpu_seconds_owned for r in records)
+            useful = left_sum(r.useful_time for r in records)
+            busy = left_sum(r.useful_time + r.idle_time + r.mpi_time for r in records)
             return NodeStatsSummary(
                 node=self._shmem.name,
                 nprocesses=len(records),

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from repro.core.floats import left_sum
 from repro.slurm.jobs import Job, JobState
 
 
@@ -79,7 +80,7 @@ class WorkloadMetrics:
 
     @property
     def average_response_time(self) -> float:
-        return sum(j.response_time for j in self.jobs) / len(self.jobs)
+        return left_sum(j.response_time for j in self.jobs) / len(self.jobs)
 
     @property
     def makespan_end(self) -> float:

@@ -10,10 +10,10 @@ per-step :class:`StepRecord` views, Figure 14's IPC histograms from the runs.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import accumulate, repeat
-from operator import add
 from typing import Iterable, Iterator, NamedTuple
+
+from repro.core.floats import repeat_add
 
 
 class StepRecord(NamedTuple):
@@ -91,8 +91,10 @@ class StepRun(NamedTuple):
 
     @property
     def end(self) -> float:
-        """The last step's end (the chain of ``count`` additions)."""
-        return reduce(add, repeat(self.duration, self.count), self.start)
+        """The last step's end: the chain of ``count`` additions of
+        ``duration`` to ``start``, evaluated by :func:`repeat_add` in
+        O(binades crossed) with the chain's exact result."""
+        return repeat_add(self.start, self.duration, self.count)
 
 
 def expand_runs(runs: Iterable[StepRun]) -> list[StepRecord]:

@@ -25,6 +25,8 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.core.floats import left_sum
+
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.obs.telemetry import Span, Telemetry
 
@@ -81,7 +83,7 @@ def summarise(telemetry: "Telemetry") -> dict:
     executed = [c for c in cells if not c.attrs.get("cached")]
     cached = [c for c in cells if c.attrs.get("cached")]
     durations = sorted(c.duration for c in executed)
-    wall_clock = campaign.duration if campaign is not None else sum(durations)
+    wall_clock = campaign.duration if campaign is not None else left_sum(durations)
 
     simulate = [s for s in all_spans if s.name == "simulate"]
     events = _counter_total(simulate, "events")
@@ -135,7 +137,7 @@ def summarise(telemetry: "Telemetry") -> dict:
         "cell_wall_clock": {
             "p50": _percentile(durations, 0.50),
             "p95": _percentile(durations, 0.95),
-            "mean": (sum(durations) / len(durations)) if durations else 0.0,
+            "mean": (left_sum(durations) / len(durations)) if durations else 0.0,
             "max": durations[-1] if durations else 0.0,
         },
         "scheduler": {

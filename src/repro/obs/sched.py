@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
+from repro.core.floats import left_sum
+
 # The telemetry summary's nearest-rank convention, shared by the fairness
 # percentiles.
 from repro.obs.export import _percentile
@@ -193,7 +195,7 @@ def fairness_from_rows(rows: Iterable[JobLifecycleRecord]) -> FairnessSummary:
     return FairnessSummary(
         njobs=len(rows),
         started=len(waits),
-        mean_wait=(sum(waits) / len(waits)) if waits else 0.0,
+        mean_wait=(left_sum(waits) / len(waits)) if waits else 0.0,
         p50_wait=_percentile(waits, 0.50),
         p95_wait=_percentile(waits, 0.95),
         max_wait=waits[-1] if waits else 0.0,

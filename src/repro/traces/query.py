@@ -27,6 +27,7 @@ from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Union
 
 from repro.campaign.spec import RunSpec
+from repro.core.floats import left_sum
 from repro.metrics.paraver import ParaverView
 from repro.metrics.tracing import (
     MaskChangeRecord,
@@ -222,12 +223,12 @@ class TraceReader:
         ]
         if not samples:
             raise ValueError(f"no IPC samples for job {job!r}")
-        total_time = sum(duration for _ipc, duration in samples)
+        total_time = left_sum(duration for _ipc, duration in samples)
         if total_time == 0:
             import numpy as np
 
             return float(np.mean([ipc for ipc, _duration in samples]))
-        return sum(ipc * duration for ipc, duration in samples) / total_time
+        return left_sum(ipc * duration for ipc, duration in samples) / total_time
 
 
 # -- scenario replay -----------------------------------------------------------------

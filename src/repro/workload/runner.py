@@ -32,6 +32,7 @@ from typing import Callable, NamedTuple
 
 from repro.apps.base import ApplicationModel, RankWorkPlan, WorkStep
 from repro.core.errors import ProcessNotRegisteredError
+from repro.core.floats import left_sum
 from repro.core.stats import ProcessStats, StatsModule
 from repro.cpuset.distribution import DistributionPolicy
 from repro.cpuset.mask import CpuSet
@@ -132,8 +133,8 @@ class ScenarioResult:
     def job_utilisation(self, label: str) -> float:
         """Aggregate CPU utilisation of one job (useful / owned CPU-seconds)."""
         records = self.job_stats.get(label, [])
-        owned = sum(r.cpu_seconds_owned for r in records)
-        useful = sum(r.useful_time for r in records)
+        owned = left_sum(r.cpu_seconds_owned for r in records)
+        useful = left_sum(r.useful_time for r in records)
         return min(1.0, useful / owned) if owned > 0 else 0.0
 
 
@@ -279,7 +280,7 @@ class _Piece(NamedTuple):
 
     @classmethod
     def of(cls, step, step_duration, scale, nthreads, utilisation, ipc) -> "_Piece":
-        busy = sum(utilisation) * scale * step_duration
+        busy = left_sum(utilisation) * scale * step_duration
         idle = max(0.0, nthreads * step_duration - busy)
         utilisation = tuple(u * scale for u in utilisation)
         return cls(

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
 
+from repro.core.stats import ProcessStats
 from repro.metrics.collect import JobMetrics, WorkloadMetrics, relative_improvement
 from repro.metrics.paraver import ParaverView
 from repro.metrics.tracing import MaskChangeRecord, StepRecord, StepRun, Tracer
@@ -59,6 +63,33 @@ class TestWorkloadMetrics:
         assert jm.wait_time == 5.0
         assert jm.run_time == 20.0
         assert jm.response_time == 25.0
+
+
+class TestSumsAreLeftFolds:
+    """Rows are left folds of float additions on every Python: builtin
+    ``sum`` compensates rounding on 3.12+ and would give 1e16 + 2 here."""
+
+    VALUES = [1.0, 1e16, 1.0]
+
+    def test_average_response_time(self):
+        jobs = [finished_job(f"j{i}", 0.0, 0.0, end) for i, end in enumerate(self.VALUES)]
+        expected = reduce(add, self.VALUES, 0.0) / len(self.VALUES)
+        assert WorkloadMetrics.from_jobs(jobs).average_response_time.hex() == expected.hex()
+
+    def test_job_utilisation(self):
+        from repro.workload.runner import ScenarioResult
+
+        owned = [4e16] * len(self.VALUES)
+        records = [
+            ProcessStats(pid=pid, useful_time=useful, cpu_seconds_owned=cpu_seconds)
+            for pid, (useful, cpu_seconds) in enumerate(zip(self.VALUES, owned))
+        ]
+        result = ScenarioResult(
+            scenario="serial", workload=None, metrics=None, tracer=Tracer(), jobs={},
+            end_time=0.0, job_stats={"j": records},
+        )
+        expected = reduce(add, self.VALUES, 0.0) / reduce(add, owned, 0.0)
+        assert result.job_utilisation("j").hex() == expected.hex()
 
 
 def record_step(tracer, record):

@@ -7,6 +7,8 @@ performance data that the scheduler can consult, and using it to choose
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.errors import ProcessNotRegisteredError
@@ -102,6 +104,28 @@ class TestStatsModule:
         with pytest.raises(ValueError):
             stats.record_compute_batch(1, [(1.0, 0.5, 2, 3.0, 4), bad])
         assert stats.process_stats(1) == before
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [0, 1, 2, 3], ids=["useful", "idle", "ncpus", "seconds"])
+    def test_non_finite_batch_entry_leaves_record_untouched(self, shmem, field, value):
+        shmem.register(1, CpuSet([0]))
+        stats = StatsModule(shmem)
+        stats.record_compute_batch(1, [(1.0, 0.5, 2, 3.0, 2)])
+        before = ProcessStats(**vars(stats.process_stats(1)))
+        bad = [1.0, 0.5, 2, 3.0, 40]
+        bad[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            stats.record_compute_batch(1, [(1.0, 0.5, 2, 3.0, 4), tuple(bad)])
+        assert stats.process_stats(1) == before
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_mpi_time_leaves_record_untouched(self, shmem, value):
+        shmem.register(1, CpuSet([0]))
+        stats = StatsModule(shmem)
+        stats.record_mpi(1, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            stats.record_mpi(1, value)
+        assert stats.process_stats(1).mpi_time == 2.0
 
     def test_node_summary_aggregates(self, shmem):
         shmem.register(1, CpuSet.from_range(0, 8))
