@@ -186,17 +186,17 @@ class ApplicationModel:
     ) -> list[float]:
         """Durations of the plan's next ``count`` steps under a fixed mask.
 
-        One :meth:`PerformanceProfile.iteration_time` evaluation per
-        run-length segment, replicated across it.
+        One float per step: :meth:`segment_times` replicated across each
+        segment (the single-step reference loop asks for ``count = 1``).
         """
         out: list[float] = []
-        for duration, n in self._segment_times(
+        for duration, n in self.segment_times(
             plan, count, mask, topology, total_ranks, interference
         ):
             out += [duration] * n
         return out
 
-    def _segment_times(
+    def segment_times(
         self,
         plan: RankWorkPlan,
         count: int,
@@ -205,7 +205,11 @@ class ApplicationModel:
         total_ranks: int,
         interference: float = 1.0,
     ) -> Iterator[tuple[float, int]]:
-        """``(duration, n)`` per run-length segment of the next ``count`` steps."""
+        """``(duration, n)`` per run-length segment of the next ``count`` steps.
+
+        One :meth:`PerformanceProfile.iteration_time` evaluation per segment:
+        the batched runner prices through this, in O(segments).
+        """
         for step, n in plan.runs(count):
             duration = self.profile.iteration_time(
                 phase=step.phase,
@@ -249,7 +253,7 @@ class ApplicationModel:
         mask = CpuSet.from_range(0, min(config.threads_per_rank, topology.ncpus))
         # The left fold of the per-step durations, one segment at a time.
         runtime = 0.0
-        for duration, n in self._segment_times(
+        for duration, n in self.segment_times(
             plan, plan.total_steps, mask, topology, config.mpi_ranks
         ):
             runtime = repeat_add(runtime, duration, n)

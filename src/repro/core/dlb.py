@@ -141,9 +141,8 @@ class DlbProcess:
         """
         self._require_init()
         self.polls += 1
-        new_mask = self._shmem.poll(self.pid)
+        new_mask, current = self._shmem.poll_update(self.pid)
         if new_mask is None:
-            current = self._shmem.get_mask(self.pid)
             return DlbError.DLB_NOUPDT, current.count(), None
         self.updates += 1
         return DlbError.DLB_SUCCESS, new_mask.count(), new_mask

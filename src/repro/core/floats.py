@@ -4,7 +4,9 @@ The simulator's accumulators (the stats counters, a step run's end, an
 application's standalone runtime) are defined as left folds of per-step
 float additions, because that is what the single-step reference loop
 computes.  :func:`repeat_add` returns the same float as ``count`` such
-additions in O(binades crossed) instead of O(count), and :func:`left_sum`
+additions in O(binades crossed) instead of O(count), :func:`fold_below`
+counts, in the same time, how many such additions stay below a bound (the
+simulated clock's step boundaries before an event), and :func:`left_sum`
 is the plain left fold that builtin ``sum`` stopped being on Python 3.12
 (which compensates float rounding, CPython gh-100425), so rows stay the
 same on every supported Python.
@@ -75,3 +77,52 @@ def repeat_add(total: float, x: float, count: int) -> float:
             return nxt
         prev, total, step = total, nxt, d
     return total
+
+
+def fold_below(total: float, x: float, count: int, bound: float) -> tuple[int, float]:
+    """``(n, t)``: how many of the ``count`` additions of
+    ``reduce(add, repeat(x, count), total)`` give a value below ``bound``,
+    and the fold ``t`` after those ``n`` additions.
+
+    The fold never decreases, so the first addition that reaches ``bound``
+    ends the count.  A steady step (see :func:`repeat_add`) jumps to the
+    last value below both the binade's last float and ``bound``: while
+    ``t + m*d`` stays in the binade it is exact, so one division finds the
+    largest ``m`` with ``t + m*d < bound`` up to a tie at the bound itself,
+    which one exact comparison settles.
+    """
+    n = 0
+    if count < _CUTOFF or not (0.0 <= total < inf and 0.0 <= x < inf):
+        while n < count:
+            nxt = total + x
+            if not nxt < bound:
+                break
+            total = nxt
+            n += 1
+        return n, total
+    prev, step = total, -1.0
+    while n < count:
+        nxt = total + x
+        if not nxt < bound:
+            break
+        n += 1
+        d = nxt - total
+        if d == step:
+            e = _exponent(nxt)
+            if _exponent(prev) == e:
+                # As in repeat_add; ``bound`` below the binade's last float
+                # is in the binade too, so ``bound - nxt`` is exact and the
+                # floor of the quotient is ``m`` or, on a tie, ``m + 1``.
+                limit = ldexp(_BELOW_ONE, e)
+                m = min(count - n, int((limit - nxt) / d))
+                if bound <= limit:
+                    m = min(m, int((bound - nxt) / d))
+                    if not nxt + m * d < bound:
+                        m -= 1
+                n += m
+                nxt += m * d
+        elif d == 0.0:
+            # Every further addition returns ``nxt``, which is below ``bound``.
+            return count, nxt
+        prev, total, step = total, nxt, d
+    return n, total

@@ -301,13 +301,21 @@ class NodeSharedMemory:
 
         Acknowledges the assignment (the entry becomes clean).
         """
+        return self.poll_update(pid)[0]
+
+    def poll_update(self, pid: int) -> tuple[CpuSet | None, CpuSet]:
+        """:meth:`poll` and the process's mask after it, under one lock.
+
+        Returns ``(new mask or None, assigned mask)``; once polled, the
+        assigned mask is the one the process runs with.
+        """
         with self._lock:
             entry = self._require(pid)
-            if not entry.dirty:
-                return None
-            entry.current_mask = entry.assigned_mask
-            entry.updates_applied += 1
-            return entry.current_mask
+            if entry.dirty:
+                entry.current_mask = entry.assigned_mask
+                entry.updates_applied += 1
+                return entry.current_mask, entry.current_mask
+            return None, entry.assigned_mask
 
     def set_async_callback(self, pid: int, callback: MaskCallback | None) -> None:
         """Install (or clear) the asynchronous-mode callback of ``pid``."""

@@ -25,14 +25,14 @@ Two scenarios are provided, matching Section 6:
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from repro.apps.base import ApplicationModel, RankWorkPlan, WorkStep
 from repro.core.errors import ProcessNotRegisteredError
-from repro.core.floats import left_sum
+from repro.core.floats import fold_below, left_sum, repeat_add
 from repro.core.stats import ProcessStats, StatsModule
 from repro.cpuset.distribution import DistributionPolicy
 from repro.cpuset.mask import CpuSet
@@ -45,6 +45,7 @@ from repro.runtime.process import ApplicationProcess, ProcessSpec, ThreadModel
 from repro.sim.engine import SimulationEngine, Timeout, WakeAt
 from repro.slurm.jobs import Job, JobSpec
 from repro.slurm.launcher import JobLaunch, Srun
+from repro.slurm.policies import LowestUtilisationFirst, build_node_policy
 from repro.slurm.slurmd import Slurmd
 from repro.slurm.slurmctld import Slurmctld
 from repro.workload.workloads import Workload, WorkloadJob
@@ -266,6 +267,49 @@ def _utilisation(partition, initial_threads: int, nthreads: int) -> list[float]:
     return utilisation if partition.is_static else [1.0] * nthreads
 
 
+def _cut(
+    cuts: list[int],
+    durations: list[float],
+    enters: list[float],
+    o: int,
+    start: float,
+    horizon: float | None,
+    strict: bool,
+) -> tuple[int, float]:
+    """``(end, wake)``: the fold offset and the instant at which a batch
+    that starts at offset ``o`` and instant ``start`` ends.
+
+    Without a horizon the batch takes the whole fold.  Otherwise it ends
+    with the first step whose end reaches or passes the horizon, that step
+    included.  No event comes before the horizon (a fence only moves earlier
+    at an event, which clamps it), so only that last step can see one,
+    mid-step or at its end, just as in the reference loop: its wake re-reads
+    the masks (the wake-mask split), and an event at the very instant runs
+    first (priority 0 beats every executor).  What such an event must not
+    see is a step the reference loop has already recorded and the batch
+    has not: under ``strict`` (an event reads the running jobs'
+    statistics), the batch ends strictly before the horizon, or is a single
+    step if none fits.  ``fold_below`` walks each stretch's left fold to
+    the horizon in O(binades crossed).
+    """
+    if horizon is None:
+        return cuts[-1], enters[-1]
+    i = bisect_right(cuts, o)
+    first, t = o, start
+    while True:
+        n, t = fold_below(t, durations[i], cuts[i] - first, horizon)
+        first += n
+        if first < cuts[i]:
+            break
+        i += 1
+        if i == len(cuts):
+            return first, t
+    if strict and first > o:
+        return first, t
+    # Step ``first`` is the first to end at or after the horizon.
+    return first + 1, t + durations[i]
+
+
 class _Piece(NamedTuple):
     """A stretch of one rank's priced steps that are alike but for their
     start: its per-step stats entry and step-run fields, built once per
@@ -310,13 +354,18 @@ class _RunState:
         }
         # Event-driven scheduler probe: on by default, cost O(events).
         self.probe = ClusterProbe()
+        node_policy = self._resolve_node_policy(runner.node_policy)
         self.ctld = Slurmctld(
             runner.cluster,
             drom_enabled=runner.drom_enabled,
             backfill=runner.backfill,
-            node_policy=self._resolve_node_policy(runner.node_policy),
+            node_policy=node_policy,
             probe=self.probe,
         )
+        #: Whether a scheduler event reads the statistics that running jobs
+        #: record on wake: then batches end strictly before the horizon
+        #: (see _cut).  Only the lowest-utilisation policy does.
+        self._strict_horizon = isinstance(node_policy, LowestUtilisationFirst)
         self.srun = Srun(self.slurmds)
         self.tracer = Tracer()
         self.jobs_by_label: dict[str, Job] = {}
@@ -349,8 +398,6 @@ class _RunState:
         """Build a by-name node policy against this run's statistics."""
         if policy is None or not isinstance(policy, str):
             return policy
-        from repro.slurm.policies import build_node_policy
-
         return build_node_policy(policy, self._node_utilisation)
 
     def _node_utilisation(self, name: str) -> float | None:
@@ -539,13 +586,14 @@ class _RunState:
     def _batch_horizon(self, job_id: int) -> float | None:
         """Earliest instant an *external* side effect may occur, or None.
 
-        A batch for ``job_id`` may extend to this instant (inclusive) but
-        never past it: pending submits and other jobs' completions are the
-        only events that write masks, change co-runner sets or read the
-        statistics modules.  Other jobs' intermediate wakes are inert — they
-        only append trace/stats records nobody reads mid-flight — so they do
-        not bound the batch, which is what lets co-running jobs skip ahead
-        together instead of leapfrogging one step at a time.
+        A batch for ``job_id`` may not take a step that starts at or after
+        this instant (see :func:`_cut`): pending submits and other jobs'
+        completions are the only events that write masks, change co-runner
+        sets or read the statistics modules.  Other jobs' intermediate wakes
+        are inert — they only append trace/stats records nobody reads
+        mid-flight — so they do not bound the batch, which is what lets
+        co-running jobs skip ahead together instead of leapfrogging one step
+        at a time.
         """
         horizon = self._pending_submits[0] if self._pending_submits else None
         for other_id, fence in self._fences.items():
@@ -558,23 +606,25 @@ class _RunState:
     def _execute_batched(self, execution: JobExecution):
         """Batched step advancement: the fast path of :meth:`_execute`.
 
-        Each loop iteration takes as many upcoming steps as provably fit
-        before the batch horizon (masks, interference and stats readers
-        cannot change inside the window), sleeps once to the final step
-        boundary, then emits on wake step runs and counted stats entries
-        that accumulate exactly as the reference loop's runs of one and
-        count-1 entries — same floats, same accumulation order,
-        byte-identical artifacts.
+        Each loop iteration takes as many upcoming steps as provably fit the
+        batch horizon (masks, interference and stats readers cannot change
+        inside the window), sleeps once to the final step boundary, then
+        emits on wake step runs and counted stats entries that accumulate
+        exactly as the reference loop's runs of one and count-1 entries —
+        same floats, same accumulation order, byte-identical artifacts.
 
-        Steps are priced once per distinct pricing input, not once per
-        batch: the executor keeps the fold of its last pricing (the
-        absolute boundaries of the per-step max, and per rank the uniform
-        pieces between its ``cuts``) and consumes it from offset ``o`` for
-        as long as the masks and interference factors stay the same and
-        each wake lands on the fold's own boundary ``o - 1``.  The tail of
-        a left fold is the left fold of the tail started from that
-        boundary, so the cached boundaries are the very floats re-pricing
-        from ``now`` would give.
+        Steps are priced once per plan segment and per distinct pricing
+        input, not per step or per batch.  The executor keeps the fold of
+        its last pricing as uniform stretches between its ``cuts``: per
+        stretch the step duration (the slowest rank's) and the instant its
+        first step starts, and per rank the piece it emits.  It consumes the
+        fold from offset ``o`` for as long as the masks and interference
+        factors stay the same and each wake lands on the previous batch's
+        end.  A stretch's step boundaries are the left fold of its duration
+        from its entry instant, which :func:`repeat_add` and
+        :func:`fold_below` evaluate in O(binades crossed), so the batch ends,
+        the fence and the piece starts are the very floats the reference
+        loop's clock reaches, and no per-step list is ever built.
         """
         model = execution.model
         total_ranks = execution.job.spec.ntasks
@@ -586,12 +636,17 @@ class _RunState:
         trace = self.trace
         # The priced fold and the inputs it was priced under.
         key = None
-        boundaries: list[float] = []
-        #: Fold offsets at which some rank's steps stop being uniform, and
-        #: per rank the uniform piece ending at each of them.
+        #: Fold offsets at which some rank's steps stop being uniform: stretch
+        #: ``i`` runs from ``cuts[i - 1]`` (0 for the first) to ``cuts[i]``.
         cuts: list[int] = []
+        #: Per stretch, its step duration (the maximum over ranks).
+        durations: list[float] = []
+        #: Per stretch, the instant its first step starts; then the fold's end.
+        enters: list[float] = []
+        #: Per rank, the piece each stretch emits.
         pieces: list[list[_Piece]] = []
         o = 0
+        batch_end = None
         while not execution.finished():
             if model.malleable:
                 for rank in ranks:
@@ -602,87 +657,82 @@ class _RunState:
             interferences = [self._interference(execution, rank) for rank in ranks]
             batch_start = engine.now
             # Re-price from ``now`` unless the inputs match the fold's key
-            # and this wake landed exactly on its boundary ``o - 1``.
-            if (masks, interferences) != key or boundaries[o - 1] != batch_start:
+            # and this wake landed exactly on the previous batch's end.
+            if (masks, interferences) != key or batch_start != batch_end:
                 key = (masks, interferences)
                 remaining = min(rank.plan.remaining_steps for rank in ranks)
-                per_rank = [
-                    model.step_times(
-                        rank.plan,
-                        remaining,
-                        mask,
-                        rank.node,
-                        total_ranks=total_ranks,
-                        interference=interference,
-                    )
-                    for rank, mask, interference in zip(ranks, masks, interferences)
-                ]
-                # ``step_times`` prices one value per plan segment, so every
-                # rank's durations and their per-step maximum are constant
-                # between consecutive segment ends of any rank.
                 plan_runs = [rank.plan.runs(remaining) for rank in ranks]
+                # ``segment_times`` prices one value per plan segment, so every
+                # rank's duration and their maximum are constant between
+                # consecutive segment ends of any rank.
                 cuts = sorted(
                     {cut for runs in plan_runs for cut in accumulate(n for _, n in runs)}
                 )
-                step_durations: list[float] = []
-                first = 0
-                for cut in cuts:
-                    step_durations += [max(d[first] for d in per_rank)] * (cut - first)
-                    first = cut
-                # The boundaries are the left fold ``accumulate`` computes —
-                # the exact "now + duration" addition chain the engine clock
-                # performs when the reference loop sleeps one step at a time.
-                boundaries = list(accumulate(step_durations, initial=batch_start))
-                del boundaries[0]
-                pieces = []
-                for rank, mask, durations, runs in zip(ranks, masks, per_rank, plan_runs):
-                    initial_threads = rank.plan.initial_threads
-                    nthreads = mask.count()
-                    utilisation = _utilisation(partition, initial_threads, nthreads)
-                    runs = iter(runs)
-                    rank_pieces: list[_Piece] = []
+                per_rank = []
+                for rank, mask, interference, runs in zip(ranks, masks, interferences, plan_runs):
+                    segments = zip(
+                        runs,
+                        model.segment_times(
+                            rank.plan,
+                            remaining,
+                            mask,
+                            rank.node,
+                            total_ranks=total_ranks,
+                            interference=interference,
+                        ),
+                    )
+                    # (step, duration) of the segment holding each stretch.
+                    stretches = []
                     first = segment_end = 0
                     for cut in cuts:
                         if first == segment_end:
-                            step, n = next(runs)
+                            (step, n), (duration, _) = next(segments)
                             segment_end += n
+                        stretches.append((step, duration))
+                        first = cut
+                    per_rank.append(stretches)
+                durations = [max(d for _, d in column) for column in zip(*per_rank)]
+                # The stretch ends are the left fold of the per-step durations
+                # — the exact "now + duration" addition chain the engine clock
+                # performs when the reference loop sleeps one step at a time.
+                enters = [batch_start]
+                first = 0
+                for cut, step_duration in zip(cuts, durations):
+                    enters.append(repeat_add(enters[-1], step_duration, cut - first))
+                    first = cut
+                pieces = []
+                for rank, mask, stretches in zip(ranks, masks, per_rank):
+                    initial_threads = rank.plan.initial_threads
+                    nthreads = mask.count()
+                    utilisation = _utilisation(partition, initial_threads, nthreads)
+                    rank_pieces: list[_Piece] = []
+                    phase = None
+                    for (step, duration), step_duration in zip(stretches, durations):
+                        if step.phase is not phase:
+                            phase = step.phase
                             ipc = trace and model.step_ipc_for_phase(
-                                step.phase, mask, rank.node, initial_threads
+                                phase, mask, rank.node, initial_threads
                             )
-                        step_duration = step_durations[first]
                         # Ranks that finish their step early idle in MPI
                         # until the slowest rank catches up.
-                        scale = durations[first] / step_duration if step_duration > 0 else 1.0
+                        scale = duration / step_duration if step_duration > 0 else 1.0
                         rank_pieces.append(
                             _Piece.of(step, step_duration, scale, nthreads, utilisation, ipc)
                         )
-                        first = cut
                     pieces.append(rank_pieces)
                 o = 0
                 self.steps_priced += remaining * len(ranks)
 
-            # Choose the batch size: the longest run of step boundaries from
-            # ``o`` that stays *strictly before* the horizon; at least one
-            # step.  Strictness matters: an event exactly at the batch wake
-            # runs first (priority 0 beats every executor), and in the
-            # reference loop it would observe the statistics of every
-            # earlier step of the window — so those steps must already be
-            # recorded, i.e. the batch must wake before the event.  The
-            # single forced step that reaches or crosses the horizon is
-            # exactly what the reference loop does: mask writes land
-            # mid-step and are seen on wake.
-            horizon = self._batch_horizon(job_id)
-            if horizon is None:
-                k = len(boundaries) - o
-            else:
-                k = (bisect_left(boundaries, horizon, o) - o) or 1
-            end = o + k
+            end, batch_end = _cut(
+                cuts, durations, enters, o, batch_start,
+                self._batch_horizon(job_id), self._strict_horizon,
+            )
+            k = end - o
             # Publish this job's completion fence — the full fold, exact
             # under the current masks; shrinks only delay it, and expansions
             # clamp it back to the batch wake at the event that writes them
             # (_schedule_pass).
-            batch_end = boundaries[end - 1]
-            self._fences[job_id] = boundaries[-1]
+            self._fences[job_id] = enters[-1]
             self._batch_end[job_id] = batch_end
             self.batches_executed += 1
 
@@ -690,28 +740,27 @@ class _RunState:
 
             # On wake, emit what the reference loop would have recorded at
             # each intermediate boundary: one step run and one counted stats
-            # entry per piece of the window.
+            # entry per piece of the window, i.e. per stretch it overlaps.
+            spans = []
+            first, start, i = o, batch_start, bisect_right(cuts, o)
+            while first < end:
+                stop = min(cuts[i], end)
+                spans.append((i, start, stop - first))
+                first = stop
+                i += 1
+                start = enters[i]
             for rank, mask, rank_pieces in zip(ranks, masks, pieces):
                 # [piece, first step's start, step count] per window piece.
-                window = []
-                start = batch_start
-                first = o
-                index = bisect_right(cuts, o)
-                while first < end:
-                    stop = min(cuts[index], end)
-                    window.append([rank_pieces[index], start, stop - first])
-                    start = boundaries[stop - 1]
-                    first = stop
-                    index += 1
+                window = [[rank_pieces[i], start, n] for i, start, n in spans]
                 # The reference loop reads the mask again *after* each yield;
                 # only the final step of a batch can observe a different one
-                # (a forced single step crossing an event, where a process
-                # whose runtime reads the shared memory directly sees the
-                # newly assigned mask immediately).  Split that step off into
-                # a piece of its own, derived from the wake mask.
+                # (the step that crosses an event, where a process whose
+                # runtime reads the shared memory directly sees the newly
+                # assigned mask immediately).  Split that step off into a
+                # piece of its own, derived from the wake mask.
                 wake_mask = rank.process.current_mask
                 if wake_mask != mask:
-                    piece = window[-1][0]
+                    piece, start, n = window[-1]
                     window[-1][2] -= 1
                     initial_threads = rank.plan.initial_threads
                     nthreads = wake_mask.count()
@@ -719,11 +768,11 @@ class _RunState:
                     ipc = model.step_ipc_for_phase(
                         piece.step.phase, wake_mask, rank.node, initial_threads
                     )
+                    step_duration = piece.stats[3]
                     piece = _Piece.of(
-                        piece.step, piece.stats[3], piece.scale, nthreads, utilisation, ipc
+                        piece.step, step_duration, piece.scale, nthreads, utilisation, ipc
                     )
-                    start = boundaries[end - 2] if end - 1 > o else batch_start
-                    window.append([piece, start, 1])
+                    window.append([piece, repeat_add(start, step_duration, n - 1), 1])
                 if trace:
                     self.tracer.record_steps(
                         [

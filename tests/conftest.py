@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.drom import attach_admin
 from repro.core.shmem import NodeSharedMemory
 from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import ClusterTopology, NodeTopology
+
+#: The larger float-fold sweep CI runs with ``--hypothesis-profile=ci``:
+#: ``test_repeat_add.py`` and ``test_fold_below.py`` draw this many examples
+#: per strategy instead of 150.
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

@@ -18,9 +18,11 @@ import pytest
 
 from repro.campaign.runner import execute_run, summarise_run
 from repro.campaign.spec import (
+    ClusterRef,
     HighPriorityWorkloadRef,
     InSituWorkloadRef,
     RunSpec,
+    SchedulerRef,
     SyntheticWorkloadRef,
 )
 from repro.results.store import ResultStore
@@ -28,7 +30,7 @@ from repro.slurm.jobs import ResourceRequest
 from repro.traces.query import TraceReader
 from repro.traces.store import TraceStore
 from repro.workload import configs
-from repro.workload.generator import WorkloadSpec
+from repro.workload.generator import BURSTY, WorkloadSpec
 from repro.workload.runner import DROM, SERIAL, ScenarioRunner
 from repro.workload.workloads import Workload, WorkloadJob
 
@@ -64,7 +66,34 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("run", CASES)
+#: The lowest-utilisation node policy reads the running jobs' statistics at
+#: every scheduler pass, so its batches end strictly before the horizon
+#: instead of crossing it.  A bursty 12-job draw on four nodes, fcfs and
+#: backfill: both DROM cells diverge from the reference loop if those
+#: batches cross the horizon like every other policy's.
+LOWEST_UTILISATION = [
+    pytest.param(
+        RunSpec(
+            index=0,
+            scenario=scenario,
+            workload=SyntheticWorkloadRef(
+                spec=WorkloadSpec(
+                    njobs=12, arrival=BURSTY, mean_interarrival=40.0, work_scale=0.04,
+                    iterations=40,
+                ),
+                seed=3,
+            ),
+            cluster=ClusterRef(nnodes=4),
+            scheduler=SchedulerRef(backfill=backfill, node_policy="lowest-utilisation"),
+        ),
+        id=f"lowest-utilisation-{'backfill' if backfill else 'fcfs'}-{scenario}",
+    )
+    for backfill in (False, True)
+    for scenario in (SERIAL, DROM)
+]
+
+
+@pytest.mark.parametrize("run", CASES + LOWEST_UTILISATION)
 def test_batched_run_is_byte_identical_to_reference(run, tmp_path):
     reference = execute_run(run, trace=True, batching=False)
     batched = execute_run(run, trace=True, batching=True)
@@ -98,7 +127,7 @@ GENERATED = [
 ]
 
 
-@pytest.mark.parametrize("run", CASES + GENERATED)
+@pytest.mark.parametrize("run", CASES + GENERATED + LOWEST_UTILISATION)
 def test_batched_tracer_views_match_reference(run):
     """Derived tracer views (not just serialised bytes) agree too: the
     batched tracer stores runs, the reference loop one step at a time, and
@@ -175,3 +204,13 @@ def test_interference_change_alone_reprices(drom_enabled):
     # Masks never change under Serial, so a re-priced step there can only
     # come from the interference factor.
     assert batched.steps_priced > batched.steps_advanced
+
+
+def test_one_wake_per_fence():
+    """A batch crosses the fence it reaches instead of stopping just before
+    it and taking the crossing step in a second, one-step batch: the
+    generated 12-job DROM fcfs cell ran 76 batches with two wakes per fence
+    and runs 50 with one, pricing the same 1 506 steps."""
+    result = execute_run(RunLengthCells._cell(12, DROM, False, None), trace=False)
+    assert result.batches_executed == 50
+    assert result.steps_priced == 1506

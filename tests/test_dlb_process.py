@@ -86,6 +86,30 @@ class TestPolling:
         assert proc.polls == 1
         assert proc.updates == 0
 
+    def test_poll_takes_the_shmem_lock_once(self, shmem, admin):
+        """A poll reads the update and the mask it reports under one lock,
+        with or without an update."""
+
+        class CountingLock:
+            def __init__(self, lock):
+                self.lock, self.entered = lock, 0
+
+            def __enter__(self):
+                self.entered += 1
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        proc = DlbProcess(pid=1, shmem=shmem, mask=CpuSet.from_range(0, 16), environ={})
+        proc.init()
+        admin.set_process_mask(1, CpuSet.from_range(0, 8))
+        shmem._lock = counting = CountingLock(shmem._lock)
+        assert proc.poll_drom() == (DlbError.DLB_SUCCESS, 8, CpuSet.from_range(0, 8))
+        assert counting.entered == 1
+        assert proc.poll_drom() == (DlbError.DLB_NOUPDT, 8, None)
+        assert counting.entered == 2
+
     def test_poll_after_admin_change(self, shmem, admin):
         proc = DlbProcess(pid=1, shmem=shmem, mask=CpuSet.from_range(0, 16), environ={})
         proc.init()

@@ -116,7 +116,8 @@ def fallbacks(draw):
          "near-overflow", "generic", "fallbacks"],
 )
 def test_matches_left_fold(strategy):
-    @settings(max_examples=150, deadline=None)
+    # 150, or more under the ``ci`` hypothesis profile (conftest.py).
+    @settings(max_examples=max(150, settings.default.max_examples), deadline=None)
     @given(strategy)
     def check(case):
         _assert_fold(*case)
