@@ -52,13 +52,15 @@ from repro.workload.generator import WorkloadSpec
 SPEEDUP_GATE = 1.6
 EXECUTORS = 2
 
-#: Deliberately heavy cells (~0.25 s each on a 2-vCPU x86 VM, Python 3.11):
-#: pool start-up and per-cell orchestration overhead (asyncio round trip +
-#: RunSpec pickle) must be negligible against real simulation work for the
-#: throughput gate to measure anything honest.  Batched step pricing costs
-#: per batch, not per iteration, so the weight comes from the job count.
+#: Deliberately heavy cells (about 0.07 s Serial and 0.38 s DROM, 0.22 s on
+#: average, on a 2-vCPU x86 VM, Python 3.11): pool start-up and per-cell
+#: orchestration overhead (asyncio round trip + RunSpec pickle) must be
+#: negligible against real simulation work for the throughput gate to
+#: measure anything honest.  Batched step pricing costs per batch, not per
+#: iteration, so the weight comes from the job count; when the runner gets
+#: faster, raise the job count to keep the cells this heavy.
 SWEEP_WORKLOADS = WorkloadSpec(
-    njobs=30,
+    njobs=75,
     iterations=8000,
     work_scale=0.5,
     name="distributed",

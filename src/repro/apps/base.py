@@ -11,9 +11,9 @@ real integrations let DROM change the thread team.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Iterator
+from itertools import accumulate, repeat
 
 from repro.apps.perfmodel import PerformanceProfile, PhaseProfile
 from repro.core.floats import repeat_add
@@ -116,6 +116,39 @@ class RankWorkPlan:
             )
 
 
+class StepTimes(Sequence):
+    """Per-step durations of a window of a plan, held run-length.
+
+    ``segments`` lists ``(duration, n)`` per plan segment the window
+    overlaps: ``n`` consecutive steps that all take ``duration``.  Indexing
+    and iteration read it as one float per step without building a
+    per-step list.
+    """
+
+    __slots__ = ("segments", "_len")
+
+    def __init__(self, segments: list[tuple[float, int]]) -> None:
+        self.segments = segments
+        self._len = sum(n for _, n in segments)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> float:
+        if index < 0:
+            index += self._len
+        if 0 <= index < self._len:
+            for duration, n in self.segments:
+                if index < n:
+                    return duration
+                index -= n
+        raise IndexError("step index out of range")
+
+    def __iter__(self) -> Iterator[float]:
+        for duration, n in self.segments:
+            yield from repeat(duration, n)
+
+
 @dataclass(frozen=True)
 class ApplicationModel:
     """A runnable application: performance profile + work volume + structure.
@@ -183,44 +216,31 @@ class ApplicationModel:
         topology: NodeTopology,
         total_ranks: int,
         interference: float = 1.0,
-    ) -> list[float]:
+    ) -> StepTimes:
         """Durations of the plan's next ``count`` steps under a fixed mask.
 
-        One float per step: :meth:`segment_times` replicated across each
-        segment (the single-step reference loop asks for ``count = 1``).
+        One :meth:`PerformanceProfile.iteration_time` evaluation per plan
+        segment, kept run-length: the batched runner reads
+        :attr:`StepTimes.segments`, in O(segments); the single-step reference
+        loop asks for ``count = 1`` and reads ``[0]``.
         """
-        out: list[float] = []
-        for duration, n in self.segment_times(
-            plan, count, mask, topology, total_ranks, interference
-        ):
-            out += [duration] * n
-        return out
-
-    def segment_times(
-        self,
-        plan: RankWorkPlan,
-        count: int,
-        mask: CpuSet,
-        topology: NodeTopology,
-        total_ranks: int,
-        interference: float = 1.0,
-    ) -> Iterator[tuple[float, int]]:
-        """``(duration, n)`` per run-length segment of the next ``count`` steps.
-
-        One :meth:`PerformanceProfile.iteration_time` evaluation per segment:
-        the batched runner prices through this, in O(segments).
-        """
-        for step, n in plan.runs(count):
-            duration = self.profile.iteration_time(
-                phase=step.phase,
-                work_units=step.work_units,
-                mask=mask,
-                topology=topology,
-                initial_threads=plan.initial_threads,
-                total_ranks=total_ranks,
-                interference=interference,
-            )
-            yield duration, n
+        return StepTimes(
+            [
+                (
+                    self.profile.iteration_time(
+                        phase=step.phase,
+                        work_units=step.work_units,
+                        mask=mask,
+                        topology=topology,
+                        initial_threads=plan.initial_threads,
+                        total_ranks=total_ranks,
+                        interference=interference,
+                    ),
+                    n,
+                )
+                for step, n in plan.runs(count)
+            ]
+        )
 
     def step_ipc_for_phase(
         self,
@@ -253,8 +273,8 @@ class ApplicationModel:
         mask = CpuSet.from_range(0, min(config.threads_per_rank, topology.ncpus))
         # The left fold of the per-step durations, one segment at a time.
         runtime = 0.0
-        for duration, n in self.segment_times(
+        for duration, n in self.step_times(
             plan, plan.total_steps, mask, topology, config.mpi_ranks
-        ):
+        ).segments:
             runtime = repeat_add(runtime, duration, n)
         return runtime

@@ -141,7 +141,7 @@ class DlbProcess:
         """
         self._require_init()
         self.polls += 1
-        new_mask, current = self._shmem.poll_update(self.pid)
+        new_mask, current = self._shmem.poll(self.pid)
         if new_mask is None:
             return DlbError.DLB_NOUPDT, current.count(), None
         self.updates += 1

@@ -296,18 +296,12 @@ class NodeSharedMemory:
                 del entry.stolen_from[owner_pid]
             return returned
 
-    def poll(self, pid: int) -> CpuSet | None:
-        """Process-side poll: return the new mask if one is pending, else ``None``.
+    def poll(self, pid: int) -> tuple[CpuSet | None, CpuSet]:
+        """Process-side poll: the new mask if one is pending, and the mask.
 
-        Acknowledges the assignment (the entry becomes clean).
-        """
-        return self.poll_update(pid)[0]
-
-    def poll_update(self, pid: int) -> tuple[CpuSet | None, CpuSet]:
-        """:meth:`poll` and the process's mask after it, under one lock.
-
-        Returns ``(new mask or None, assigned mask)``; once polled, the
-        assigned mask is the one the process runs with.
+        Returns ``(new mask or None, assigned mask)`` under one lock and
+        acknowledges the assignment (the entry becomes clean); once polled,
+        the assigned mask is the one the process runs with.
         """
         with self._lock:
             entry = self._require(pid)

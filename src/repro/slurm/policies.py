@@ -37,6 +37,13 @@ class NodeSelectionPolicy(ABC):
 
     name: str = "abstract"
 
+    #: Whether :meth:`order` reads statistics that running jobs record as
+    #: they run.  The scenario runner then ends its step batches strictly
+    #: before each scheduling event, so the statistics read there are the
+    #: ones the single-step loop would have recorded.  True unless a policy
+    #: says otherwise.
+    reads_statistics: bool = True
+
     @abstractmethod
     def order(self, candidates: Sequence[NodeState]) -> list[NodeState]:
         """Return the candidates in preference order (no filtering)."""
@@ -60,6 +67,7 @@ class FirstFit(NodeSelectionPolicy):
     """Configuration order — what the unmodified slurmctld does."""
 
     name = "first-fit"
+    reads_statistics = False
 
     def order(self, candidates: Sequence[NodeState]) -> list[NodeState]:
         return list(candidates)
@@ -69,6 +77,7 @@ class LeastAllocatedFirst(NodeSelectionPolicy):
     """Prefer nodes with the fewest allocated CPUs, then fewer tasks."""
 
     name = "least-allocated"
+    reads_statistics = False
 
     def order(self, candidates: Sequence[NodeState]) -> list[NodeState]:
         return sorted(
@@ -83,11 +92,13 @@ class LowestUtilisationFirst(NodeSelectionPolicy):
     statistics module by the caller).  Nodes without data sort by allocation,
     after nodes with data — an idle or badly-utilised node is always a better
     victim than an unknown one only if it actually reports low utilisation.
+    A fixed mapping reads no live statistics.
     """
 
     name = "lowest-utilisation"
 
     def __init__(self, utilisation: UtilisationProvider | Mapping[str, float]) -> None:
+        self.reads_statistics = callable(utilisation)
         if callable(utilisation):
             self._lookup: UtilisationProvider = utilisation
         else:
@@ -106,8 +117,8 @@ class LowestUtilisationFirst(NodeSelectionPolicy):
 
 #: Single source of truth for by-name node policies: ``SchedulerRef``
 #: validates against these names, the scenario runner builds from them.
-#: Every factory takes the run's utilisation provider (only
-#: ``lowest-utilisation`` actually uses it).
+#: Every factory takes the run's utilisation provider; a policy that uses
+#: it says so through :attr:`NodeSelectionPolicy.reads_statistics`.
 NODE_POLICY_FACTORIES: dict[str, Callable[[UtilisationProvider], NodeSelectionPolicy]] = {
     "first-fit": lambda utilisation: FirstFit(),
     "least-allocated": lambda utilisation: LeastAllocatedFirst(),

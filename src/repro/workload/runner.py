@@ -45,7 +45,7 @@ from repro.runtime.process import ApplicationProcess, ProcessSpec, ThreadModel
 from repro.sim.engine import SimulationEngine, Timeout, WakeAt
 from repro.slurm.jobs import Job, JobSpec
 from repro.slurm.launcher import JobLaunch, Srun
-from repro.slurm.policies import LowestUtilisationFirst, build_node_policy
+from repro.slurm.policies import build_node_policy
 from repro.slurm.slurmd import Slurmd
 from repro.slurm.slurmctld import Slurmctld
 from repro.workload.workloads import Workload, WorkloadJob
@@ -364,8 +364,8 @@ class _RunState:
         )
         #: Whether a scheduler event reads the statistics that running jobs
         #: record on wake: then batches end strictly before the horizon
-        #: (see _cut).  Only the lowest-utilisation policy does.
-        self._strict_horizon = isinstance(node_policy, LowestUtilisationFirst)
+        #: (see _cut).  No policy orders nodes by configuration.
+        self._strict_horizon = node_policy is not None and node_policy.reads_statistics
         self.srun = Srun(self.slurmds)
         self.tracer = Tracer()
         self.jobs_by_label: dict[str, Job] = {}
@@ -662,7 +662,7 @@ class _RunState:
                 key = (masks, interferences)
                 remaining = min(rank.plan.remaining_steps for rank in ranks)
                 plan_runs = [rank.plan.runs(remaining) for rank in ranks]
-                # ``segment_times`` prices one value per plan segment, so every
+                # ``step_times`` prices one value per plan segment, so every
                 # rank's duration and their maximum are constant between
                 # consecutive segment ends of any rank.
                 cuts = sorted(
@@ -672,14 +672,14 @@ class _RunState:
                 for rank, mask, interference, runs in zip(ranks, masks, interferences, plan_runs):
                     segments = zip(
                         runs,
-                        model.segment_times(
+                        model.step_times(
                             rank.plan,
                             remaining,
                             mask,
                             rank.node,
                             total_ranks=total_ranks,
                             interference=interference,
-                        ),
+                        ).segments,
                     )
                     # (step, duration) of the segment holding each stretch.
                     stretches = []

@@ -128,7 +128,7 @@ class TestPreInitFlow:
         proc.start()
         assert proc.current_mask == CpuSet.from_range(8, 16)
         # the running process sees its shrink at its next malleability point
-        victim_mask = shmem.poll(100)
+        victim_mask, _ = shmem.poll(100)
         assert victim_mask == CpuSet.from_range(0, 8)
 
     def test_pmpi_interception_installed_with_comm(self, shmem, admin):

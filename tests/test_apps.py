@@ -97,7 +97,13 @@ class TestWorkPlans:
         while not walker.finished:
             expected.append(model.step_times(walker, 1, mask, node, 2)[0])
             walker.advance_many(1)
-        assert times == expected
+        assert list(times) == expected
+        # One price per plan segment, never expanded to a per-step list.
+        assert [n for _, n in times.segments] == [3, plan.segments[1][1]]
+        assert len(times) == len(expected)
+        assert [times[i] for i in range(-len(expected), len(expected))] == expected * 2
+        with pytest.raises(IndexError):
+            times[len(expected)]
         plan.advance_many(plan.remaining_steps)
         assert plan.finished
         with pytest.raises(IndexError):

@@ -68,7 +68,7 @@ class TestSetProcessMask:
         shmem.register(10, CpuSet.from_range(0, 16))
         code = admin.set_process_mask(10, CpuSet.from_range(0, 8))
         assert code is DlbError.DLB_NOTED
-        assert shmem.poll(10) == CpuSet.from_range(0, 8)
+        assert shmem.poll(10) == (CpuSet.from_range(0, 8), CpuSet.from_range(0, 8))
 
     def test_success_when_target_uses_async_mode(self, shmem, admin):
         shmem.register(10, CpuSet.from_range(0, 16))

@@ -80,13 +80,13 @@ class TestMaskManagement:
         assert entry.assigned_mask == CpuSet.from_range(0, 8)
         assert entry.current_mask == CpuSet.from_range(0, 16)
         polled = shmem.poll(100)
-        assert polled == CpuSet.from_range(0, 8)
+        assert polled == (CpuSet.from_range(0, 8), CpuSet.from_range(0, 8))
         assert not shmem.entry(100).dirty
         assert shmem.entry(100).updates_applied == 1
 
     def test_poll_without_update_returns_none(self, shmem):
         shmem.register(100, CpuSet([0]))
-        assert shmem.poll(100) is None
+        assert shmem.poll(100) == (None, CpuSet([0]))
 
     def test_set_mask_unknown_pid(self, shmem):
         with pytest.raises(ProcessNotRegisteredError):
@@ -148,7 +148,7 @@ class TestAsyncAndObservers:
         assert received == [(1, CpuSet.from_range(0, 8))]
         # already acknowledged: nothing pending to poll
         assert not shmem.entry(1).dirty
-        assert shmem.poll(1) is None
+        assert shmem.poll(1) == (None, CpuSet.from_range(0, 8))
 
     def test_observer_sees_every_assignment(self, shmem):
         seen = []

@@ -102,7 +102,7 @@ class TestPreLaunch:
         assert shmem.get_mask(201).count() == 8
         assert shmem.oversubscribed_cpus().is_empty()
         # the running process discovers the shrink at its next poll
-        assert shmem.poll(101).count() == 8
+        assert shmem.poll(101)[0].count() == 8
 
 
 class TestPostTermAndRelease:
