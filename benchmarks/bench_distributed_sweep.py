@@ -8,9 +8,12 @@ this harness gates both:
   :class:`RunMetrics` rows, equal aggregated table, and byte-identical
   metrics-tier artifacts under the same content keys.
 * **Throughput.**  With two executor slots the sweep must clear **>= 1.6x**
-  the serial cells/sec.  The speedup gate is only *enforced* where it can
-  physically hold (``os.cpu_count() >= 2`` — on a single-core runner both
-  configurations share one core); byte identity is asserted unconditionally.
+  the serial cells/sec.  Serial and orchestrated legs alternate ``LEGS``
+  times and the gate compares their median durations, so a leg the host
+  happens to slow down does not decide it.  The speedup gate is only
+  *enforced* where it can physically hold (``os.cpu_count() >= 2`` — on a
+  single-core runner both configurations share one core); byte identity is
+  asserted unconditionally, on every leg.
 
 The harness also exercises crash recovery end to end: one artifact is
 deleted from the warm store and ``resume_campaign`` must re-execute exactly
@@ -34,6 +37,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from statistics import median
 
 if __name__ == "__main__":  # standalone: make src/ importable without PYTHONPATH
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -51,6 +55,8 @@ from repro.workload.generator import WorkloadSpec
 
 SPEEDUP_GATE = 1.6
 EXECUTORS = 2
+#: Alternating serial/orchestrated leg pairs; the gate reads their medians.
+LEGS = 5
 
 #: Deliberately heavy cells (about 0.07 s Serial and 0.38 s DROM, 0.22 s on
 #: average, on a 2-vCPU x86 VM, Python 3.11): pool start-up and per-cell
@@ -92,37 +98,40 @@ def run_harness(out: Path) -> dict:
     nruns = spec.nruns
     enforced = (os.cpu_count() or 1) >= EXECUTORS
 
+    serial_legs: list[float] = []
+    orch_legs: list[float] = []
     with tempfile.TemporaryDirectory(prefix="bench-distributed-") as tmp:
         work = Path(tmp)
-        serial_store = ResultStore(work / "serial-store")
-        orch_store = ResultStore(work / "orch-store")
-        manifest = work / "manifest.jsonl"
+        for leg in range(LEGS):
+            serial_store = ResultStore(work / f"serial-store-{leg}")
+            orch_store = ResultStore(work / f"orch-store-{leg}")
+            manifest = work / f"manifest-{leg}.jsonl"
 
-        serial_obs = Telemetry()
-        serial = run_campaign(
-            spec, workers=1, store=serial_store, telemetry=serial_obs
-        )
-        serial_s = serial_obs.roots[0].duration
+            serial_obs = Telemetry()
+            serial = run_campaign(
+                spec, workers=1, store=serial_store, telemetry=serial_obs
+            )
+            serial_legs.append(serial_obs.roots[0].duration)
 
-        orch_obs = Telemetry()
-        orchestrated = run_campaign(
-            spec,
-            store=orch_store,
-            manifest=manifest,
-            telemetry=orch_obs,
-            executor=[LocalPoolExecutor(slots=1) for _ in range(EXECUTORS)],
-        )
-        orch_s = orch_obs.roots[0].duration
+            orch_obs = Telemetry()
+            orchestrated = run_campaign(
+                spec,
+                store=orch_store,
+                manifest=manifest,
+                telemetry=orch_obs,
+                executor=[LocalPoolExecutor(slots=1) for _ in range(EXECUTORS)],
+            )
+            orch_legs.append(orch_obs.roots[0].duration)
 
-        # -- byte identity ---------------------------------------------------
-        assert orchestrated.rows == serial.rows, "orchestrated rows diverged"
-        assert orchestrated.to_table() == serial.to_table()
-        assert serial_store.keys() == orch_store.keys()
-        for key in serial_store.keys():
-            assert (
-                serial_store.path_for(key).read_bytes()
-                == orch_store.path_for(key).read_bytes()
-            ), f"store artifact {key[:12]} diverged"
+            # -- byte identity -----------------------------------------------
+            assert orchestrated.rows == serial.rows, "orchestrated rows diverged"
+            assert orchestrated.to_table() == serial.to_table()
+            assert serial_store.keys() == orch_store.keys()
+            for key in serial_store.keys():
+                assert (
+                    serial_store.path_for(key).read_bytes()
+                    == orch_store.path_for(key).read_bytes()
+                ), f"store artifact {key[:12]} diverged"
 
         # -- crash recovery --------------------------------------------------
         victim = content_key(spec.expand()[0])
@@ -138,6 +147,8 @@ def run_harness(out: Path) -> dict:
 
         stats = _executor_stats(orch_obs)
 
+    serial_s = median(serial_legs)
+    orch_s = median(orch_legs)
     serial_rate = nruns / serial_s if serial_s > 0 else float("inf")
     orch_rate = nruns / orch_s if orch_s > 0 else float("inf")
     speedup = orch_rate / serial_rate if serial_rate > 0 else float("inf")
@@ -151,8 +162,11 @@ def run_harness(out: Path) -> dict:
         },
         "aggregate": {
             "cells": nruns,
+            "legs": LEGS,
             "serial_seconds": serial_s,
             "orchestrated_seconds": orch_s,
+            "serial_leg_seconds": serial_legs,
+            "orchestrated_leg_seconds": orch_legs,
             "serial_cells_per_sec": serial_rate,
             "orchestrated_cells_per_sec": orch_rate,
             "speedup": speedup,
@@ -163,8 +177,8 @@ def run_harness(out: Path) -> dict:
     }
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(
-        f"\n{nruns} cells: serial {serial_s:.3f}s ({serial_rate:.2f} cells/s) "
-        f"vs {EXECUTORS} orchestrated executors {orch_s:.3f}s "
+        f"\n{nruns} cells, median of {LEGS} legs: serial {serial_s:.3f}s "
+        f"({serial_rate:.2f} cells/s) vs {EXECUTORS} orchestrated executors {orch_s:.3f}s "
         f"({orch_rate:.2f} cells/s) -> {speedup:.2f}x "
         f"(gate >= {SPEEDUP_GATE}x, "
         f"{'enforced' if enforced else f'not enforced on {os.cpu_count()} cpu'}); "

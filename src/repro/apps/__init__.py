@@ -13,7 +13,7 @@ from an analytic :class:`~repro.apps.perfmodel.PerformanceProfile`:
   that saturates at two CPUs per node.
 """
 
-from repro.apps.base import AppConfig, ApplicationModel, RankWorkPlan, StepTimes, WorkStep
+from repro.apps.base import AppConfig, ApplicationModel, StepTimes, WorkPlan, WorkStep
 from repro.apps.coreneuron import coreneuron_model, coreneuron_profile
 from repro.apps.nest import nest_model, nest_profile
 from repro.apps.perfmodel import (
@@ -30,8 +30,8 @@ from repro.apps.stream import stream_model, stream_profile
 __all__ = [
     "AppConfig",
     "ApplicationModel",
-    "RankWorkPlan",
     "StepTimes",
+    "WorkPlan",
     "WorkStep",
     "PerformanceProfile",
     "PhaseProfile",

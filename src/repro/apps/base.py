@@ -1,8 +1,9 @@
-"""Application model base: configurations, work plans and rank state.
+"""Application model base: configurations and work plans.
 
 An :class:`ApplicationModel` couples a :class:`PerformanceProfile` with a
 work volume and an iteration structure.  The workload runner instantiates one
-:class:`RankWorkPlan` per MPI rank: a run-length sequence of *steps*, each a
+:class:`WorkPlan` per job, which all its MPI ranks share: they run the same
+iteration loop in lockstep.  A plan is a run-length sequence of *steps*, each a
 quantum of work ending at a malleability point (an MPI call, an OMPT
 parallel-begin, or a manual ``DLB_PollDROM``), exactly the points at which the
 real integrations let DROM change the thread team.
@@ -50,15 +51,15 @@ class WorkStep:
 
 
 @dataclass
-class RankWorkPlan:
-    """Mutable per-rank execution state: the run-length plan and a cursor.
+class WorkPlan:
+    """Mutable execution state of a job's ranks: the run-length plan of one
+    rank's steps and a cursor that all ranks share.
 
     ``segments`` holds ``(step, count)`` runs of identical steps in
     execution order, so pricing, advancing and emitting a stretch of steps
     costs O(segments) lookups instead of O(steps).
     """
 
-    rank: int
     segments: list[tuple[WorkStep, int]]
     #: Thread-team size the application initialised with (fixes the static
     #: data partition; never changes even when the mask shrinks/expands).
@@ -84,7 +85,7 @@ class RankWorkPlan:
 
     def current_step(self) -> WorkStep:
         if self.finished:
-            raise IndexError(f"rank {self.rank} has no remaining steps")
+            raise IndexError("the plan has no remaining steps")
         return self.segments[bisect_right(self._ends, self.next_step)][0]
 
     def runs(self, count: int) -> list[tuple[WorkStep, int]]:
@@ -111,7 +112,7 @@ class RankWorkPlan:
             raise ValueError("count must be non-negative")
         if count > self.remaining_steps:
             raise IndexError(
-                f"rank {self.rank} has {self.remaining_steps} steps left, "
+                f"the plan has {self.remaining_steps} steps left, "
                 f"cannot take {count}"
             )
 
@@ -190,8 +191,9 @@ class ApplicationModel:
     def steps_for_phase(self, phase: PhaseProfile) -> int:
         return max(1, round(self.iterations * phase.work_fraction))
 
-    def build_rank_plan(self, rank: int, config: AppConfig) -> RankWorkPlan:
-        """Build the per-rank run-length plan for one configuration."""
+    def build_plan(self, config: AppConfig) -> WorkPlan:
+        """Build the run-length plan each rank of one configuration runs
+        (ranks are balanced: each gets ``1 / mpi_ranks`` of the work)."""
         work_per_rank = self.total_work / config.mpi_ranks
         segments: list[tuple[WorkStep, int]] = []
         for phase in self.profile.phases:
@@ -199,18 +201,13 @@ class ApplicationModel:
             phase_work = work_per_rank * phase.work_fraction
             # Every step of a phase is identical: one run-length segment.
             segments.append((WorkStep(phase=phase, work_units=phase_work / nsteps), nsteps))
-        return RankWorkPlan(
-            rank=rank, segments=segments, initial_threads=config.threads_per_rank
-        )
-
-    def build_plans(self, config: AppConfig) -> list[RankWorkPlan]:
-        return [self.build_rank_plan(rank, config) for rank in range(config.mpi_ranks)]
+        return WorkPlan(segments=segments, initial_threads=config.threads_per_rank)
 
     # -- timing ------------------------------------------------------------------------
 
     def step_times(
         self,
-        plan: RankWorkPlan,
+        plan: WorkPlan,
         count: int,
         mask: CpuSet,
         topology: NodeTopology,
@@ -263,11 +260,11 @@ class ApplicationModel:
     def standalone_runtime(self, config: AppConfig, topology: NodeTopology) -> float:
         """Estimated runtime when the application owns its full request.
 
-        Computed by walking the plan of rank 0 with its nominal mask (ranks
-        are balanced, so rank 0 is representative).  Used for calibration and
+        Computed by walking the plan with a rank's nominal mask (ranks are
+        balanced, so one rank is representative).  Used for calibration and
         by the benchmarks to report per-application reference times.
         """
-        plan = self.build_rank_plan(0, config)
+        plan = self.build_plan(config)
         # Nominal mask: the first threads_per_rank CPUs of the node, i.e. the
         # placement the task/affinity plugin gives an uncontended rank.
         mask = CpuSet.from_range(0, min(config.threads_per_rank, topology.ncpus))

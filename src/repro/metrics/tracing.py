@@ -147,8 +147,7 @@ class Tracer:
 
     Steps are written only as :class:`StepRun`\\ s (:meth:`record_steps`);
     :class:`StepRecord` is the read side.  The per-step views (iteration,
-    :meth:`steps`, :meth:`thread_utilisation`) expand and sort the runs on
-    first use.
+    :meth:`steps`) expand and sort the runs on first use.
     """
 
     def __init__(self) -> None:
@@ -221,15 +220,21 @@ class Tracer:
 
         This is the quantity Figure 5 visualises: after shrinking, the threads
         that pick up the orphaned chunks stay at 1.0 while the others show
-        idle gaps.
+        idle gaps.  The rank's runs are folded in start order, each run's
+        ``count`` equal addends by :func:`repeat_add`: the very additions,
+        in the very order, of a walk over the rank's steps, since one rank
+        records its runs in time order, one after another.
         """
-        steps = self.steps(job, rank)
-        if not steps:
+        runs = sorted(
+            (r for r in self._runs if r.job == job and r.rank == rank and r.count > 0),
+            key=lambda run: run.start,
+        )
+        if not runs:
             raise ValueError(f"no steps recorded for job {job!r} rank {rank}")
         busy: dict[int, float] = {}
         total: dict[int, float] = {}
-        for step in steps:
-            for thread, util in enumerate(step.thread_utilisation):
-                busy[thread] = busy.get(thread, 0.0) + util * step.duration
-                total[thread] = total.get(thread, 0.0) + step.duration
+        for run in runs:
+            for thread, util in enumerate(run.thread_utilisation):
+                busy[thread] = repeat_add(busy.get(thread, 0.0), util * run.duration, run.count)
+                total[thread] = repeat_add(total.get(thread, 0.0), run.duration, run.count)
         return {t: busy[t] / total[t] for t in sorted(busy)}

@@ -115,9 +115,12 @@ class TraceReader:
         if changes:
             series.append((0.0, changes[0].old_threads))
         else:
-            steps = self.tracer.steps(job, rank)
-            if steps:
-                series.append((steps[0].start, steps[0].nthreads))
+            runs = [
+                r for r in self.tracer.runs() if r.job == job and r.rank == rank and r.count > 0
+            ]
+            if runs:
+                first = min(runs, key=lambda run: run.start)
+                series.append((first.start, first.nthreads))
         series.extend((c.time, c.new_threads) for c in changes)
         return series
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from repro.apps.base import ApplicationModel, RankWorkPlan, WorkStep
+from repro.apps.base import ApplicationModel, WorkPlan, WorkStep
 from repro.core.errors import ProcessNotRegisteredError
 from repro.core.floats import fold_below, left_sum, repeat_add
 from repro.core.stats import ProcessStats, StatsModule
@@ -61,7 +61,6 @@ class RankExecution:
     rank: int
     node: NodeTopology
     process: ApplicationProcess
-    plan: RankWorkPlan
 
 
 @dataclass
@@ -72,6 +71,13 @@ class JobExecution:
     job: Job
     launch: JobLaunch
     comm: MpiCommunicator
+    #: The work plan every rank runs: ranks step in lockstep, so one cursor.
+    plan: WorkPlan
+    #: Lower bound on the next instant this job can cause a side effect
+    #: others observe (its completion).  No other job's batch sleeps past it.
+    fence: float
+    #: The wake instant of the job's running batch.
+    batch_end: float
     ranks: list[RankExecution] = field(default_factory=list)
 
     @property
@@ -81,9 +87,6 @@ class JobExecution:
     @property
     def model(self) -> ApplicationModel:
         return self.workload_job.app.model
-
-    def finished(self) -> bool:
-        return all(rank.plan.finished for rank in self.ranks)
 
 
 @dataclass
@@ -261,12 +264,6 @@ def run_both_scenarios(
     return results
 
 
-def _utilisation(partition, initial_threads: int, nthreads: int) -> list[float]:
-    """Per-thread busy fraction of one step with ``nthreads`` threads."""
-    utilisation = partition.thread_utilisation(initial_threads, nthreads)
-    return utilisation if partition.is_static else [1.0] * nthreads
-
-
 def _cut(
     cuts: list[int],
     durations: list[float],
@@ -322,18 +319,6 @@ class _Piece(NamedTuple):
     #: The :class:`StepRun` fields from ``duration`` to ``work_units``.
     fields: tuple
 
-    @classmethod
-    def of(cls, step, step_duration, scale, nthreads, utilisation, ipc) -> "_Piece":
-        busy = left_sum(utilisation) * scale * step_duration
-        idle = max(0.0, nthreads * step_duration - busy)
-        utilisation = tuple(u * scale for u in utilisation)
-        return cls(
-            step,
-            scale,
-            (busy, idle, nthreads, step_duration),
-            (step_duration, step.phase.name, nthreads, utilisation, ipc, step.work_units),
-        )
-
 
 class _RunState:
     """Mutable state of one scenario execution (one engine, one SLURM stack)."""
@@ -383,12 +368,6 @@ class _RunState:
         # -- batching bookkeeping (see _execute_batched) ------------------
         #: Submit instants not yet fired, ascending — static fences.
         self._pending_submits: list[float] = []
-        #: job_id -> lower bound on the next instant this job can cause a
-        #: side effect others observe (its completion).  A batch may never
-        #: sleep past another job's fence or a pending submit.
-        self._fences: dict[int, float] = {}
-        #: job_id -> the wake instant of the job's currently running batch.
-        self._batch_end: dict[int, float] = {}
         #: Per-run launch sequence; used as the engine wake priority of each
         #: job's executor so same-instant wakes interleave identically no
         #: matter how (or whether) their sleeps were batched.
@@ -442,9 +421,8 @@ class _RunState:
         # expansion finishes the job earlier than advertised).  Clamp every
         # fence to the job's next wake: the executor re-publishes an exact
         # fence there, and nobody sleeps past an instant that may now matter.
-        for job_id, batch_end in self._batch_end.items():
-            if batch_end < self._fences.get(job_id, batch_end):
-                self._fences[job_id] = batch_end
+        for execution in self.executions.values():
+            execution.fence = min(execution.fence, execution.batch_end)
 
     # -- launching --------------------------------------------------------------------------
 
@@ -452,13 +430,21 @@ class _RunState:
         wjob = self.workload_jobs_by_id[job.job_id]
         launch = self.srun.launch(job)
         comm = MpiCommunicator(size=job.spec.ntasks, job_id=job.job_id)
-        execution = JobExecution(workload_job=wjob, job=job, launch=launch, comm=comm)
-
-        # One plan per *requested* task: a request deviating from the Table-1
-        # shape re-partitions the same total work over its own rank count.
-        # The submitted spec is the single source of the request.
-        request = job.spec.request
-        plans = wjob.app.model.build_plans(request.effective_config(wjob.app.config))
+        # The plan splits the work over the *requested* tasks: a request
+        # deviating from the Table-1 shape re-partitions the same total work
+        # over its own rank count.  The submitted spec is the single source
+        # of the request.  Until the executor's first decision (an immediate
+        # event), the job may do anything "now": a conservative fence no
+        # batch can cross.
+        execution = JobExecution(
+            workload_job=wjob,
+            job=job,
+            launch=launch,
+            comm=comm,
+            plan=wjob.app.model.build_plan(job.spec.request.effective_config(wjob.app.config)),
+            fence=self.engine.now,
+            batch_end=self.engine.now,
+        )
         for task in launch.tasks():
             node_topology = self.runner.cluster.node(task.node)
             shmem = self.slurmds[task.node].shmem
@@ -474,18 +460,9 @@ class _RunState:
             if self.trace:
                 self._install_mask_tracer(wjob.label, task.global_rank, process)
             execution.ranks.append(
-                RankExecution(
-                    rank=task.global_rank,
-                    node=node_topology,
-                    process=process,
-                    plan=plans[task.global_rank],
-                )
+                RankExecution(rank=task.global_rank, node=node_topology, process=process)
             )
         self.executions[job.job_id] = execution
-        # Until the executor's first decision (an immediate event), the job
-        # may do anything "now": a conservative fence no batch can cross.
-        self._fences[job.job_id] = self.engine.now
-        self._batch_end[job.job_id] = self.engine.now
         self._launch_seq += 1
         body = (
             self._execute_batched(execution)
@@ -521,29 +498,69 @@ class _RunState:
 
     # -- execution ------------------------------------------------------------------------------
 
+    def _piece(
+        self,
+        execution: JobExecution,
+        rank: RankExecution,
+        step: WorkStep,
+        step_duration: float,
+        scale: float,
+        mask: CpuSet,
+    ) -> _Piece:
+        """The piece ``rank`` emits for steps like ``step`` under ``mask``.
+
+        ``step_duration`` is the slowest rank's and ``scale`` this rank's
+        share of it: ranks that finish their step early idle in MPI until
+        the slowest rank catches up.  Callers pass ``scale`` itself, never a
+        duration to divide again, because ``(s * d) / d`` need not equal
+        ``s``.
+        """
+        model = execution.model
+        partition = model.profile.partition
+        initial_threads = execution.plan.initial_threads
+        nthreads = mask.count()
+        # Per-thread busy fraction of one step with ``nthreads`` threads.
+        utilisation = partition.thread_utilisation(initial_threads, nthreads)
+        if not partition.is_static:
+            utilisation = [1.0] * nthreads
+        ipc = self.trace and model.step_ipc_for_phase(
+            step.phase, mask, rank.node, initial_threads
+        )
+        busy = left_sum(utilisation) * scale * step_duration
+        idle = max(0.0, nthreads * step_duration - busy)
+        utilisation = tuple(u * scale for u in utilisation)
+        return _Piece(
+            step,
+            scale,
+            (busy, idle, nthreads, step_duration),
+            (step_duration, step.phase.name, nthreads, utilisation, ipc, step.work_units),
+        )
+
     def _execute(self, execution: JobExecution):
         """The one-step-per-yield reference loop (``batching=False``).
 
         Every rank polls, prices its next step, sleeps one step and then
         writes it through the same APIs as :meth:`_execute_batched`: a run
-        of one, a count-1 stats entry and ``advance_many(1)``.  It keeps
-        none of the batching logic (fold cache, cuts, windows, horizon,
-        wake-mask split), which is what the byte-identity gates check.
+        of one and a count-1 stats entry; the shared plan then advances one
+        step.  It keeps none of the batching logic (fold cache, cuts,
+        windows, horizon, wake-mask split), which is what the byte-identity
+        gates check.
         """
         model = execution.model
+        plan = execution.plan
         total_ranks = execution.job.spec.ntasks
         label = execution.label
-        partition = model.profile.partition
-        while not execution.finished():
+        while not plan.finished:
             # Malleability point: every rank polls DROM before the next
             # iteration (PMPI / OMPT / task-scheduling point).
             if model.malleable:
                 for rank in execution.ranks:
                     rank.process.poll_malleability()
 
+            step = plan.current_step()
             durations = [
                 model.step_times(
-                    rank.plan,
+                    plan,
                     1,
                     rank.process.current_mask,
                     rank.node,
@@ -558,20 +575,12 @@ class _RunState:
             yield Timeout(step_duration)
 
             for rank, duration in zip(execution.ranks, durations):
-                # Read after the yield: a runtime that reads the shared
-                # memory directly sees a mask written mid-step.
-                mask = rank.process.current_mask
-                nthreads = mask.count()
-                initial_threads = rank.plan.initial_threads
-                step = rank.plan.current_step()
-                ipc = self.trace and model.step_ipc_for_phase(
-                    step.phase, mask, rank.node, initial_threads
-                )
-                # Ranks that finish their step early idle in MPI until the
-                # slowest rank catches up.
+                # Read the mask after the yield: a runtime that reads the
+                # shared memory directly sees a mask written mid-step.
                 scale = duration / step_duration if step_duration > 0 else 1.0
-                utilisation = _utilisation(partition, initial_threads, nthreads)
-                piece = _Piece.of(step, step_duration, scale, nthreads, utilisation, ipc)
+                piece = self._piece(
+                    execution, rank, step, step_duration, scale, rank.process.current_mask
+                )
                 if self.trace:
                     self.tracer.record_steps(
                         [StepRun(label, rank.rank, rank.node.name, start, *piece.fields, 1)]
@@ -579,14 +588,14 @@ class _RunState:
                 self.stats[rank.node.name].record_compute_batch(
                     rank.process.spec.pid, [(*piece.stats, 1)]
                 )
-                rank.plan.advance_many(1)
-                self.steps_advanced += 1
+            plan.advance_many(1)
+            self.steps_advanced += len(execution.ranks)
         self._complete(execution)
 
-    def _batch_horizon(self, job_id: int) -> float | None:
+    def _batch_horizon(self, execution: JobExecution) -> float | None:
         """Earliest instant an *external* side effect may occur, or None.
 
-        A batch for ``job_id`` may not take a step that starts at or after
+        A batch of ``execution`` may not take a step that starts at or after
         this instant (see :func:`_cut`): pending submits and other jobs'
         completions are the only events that write masks, change co-runner
         sets or read the statistics modules.  Other jobs' intermediate wakes
@@ -596,11 +605,9 @@ class _RunState:
         at a time.
         """
         horizon = self._pending_submits[0] if self._pending_submits else None
-        for other_id, fence in self._fences.items():
-            if other_id == job_id:
-                continue
-            if horizon is None or fence < horizon:
-                horizon = fence
+        for other in self.executions.values():
+            if other is not execution and (horizon is None or other.fence < horizon):
+                horizon = other.fence
         return horizon
 
     def _execute_batched(self, execution: JobExecution):
@@ -615,28 +622,27 @@ class _RunState:
 
         Steps are priced once per plan segment and per distinct pricing
         input, not per step or per batch.  The executor keeps the fold of
-        its last pricing as uniform stretches between its ``cuts``: per
-        stretch the step duration (the slowest rank's) and the instant its
-        first step starts, and per rank the piece it emits.  It consumes the
-        fold from offset ``o`` for as long as the masks and interference
-        factors stay the same and each wake lands on the previous batch's
-        end.  A stretch's step boundaries are the left fold of its duration
-        from its entry instant, which :func:`repeat_add` and
+        its last pricing as uniform stretches, the plan's remaining
+        segments: per stretch the step duration (the slowest rank's) and the
+        instant its first step starts, and per rank the piece it emits.  It
+        consumes the fold from offset ``o`` for as long as the masks and
+        interference factors stay the same and each wake lands on the
+        previous batch's end.  A stretch's step boundaries are the left fold
+        of its duration from its entry instant, which :func:`repeat_add` and
         :func:`fold_below` evaluate in O(binades crossed), so the batch ends,
         the fence and the piece starts are the very floats the reference
         loop's clock reaches, and no per-step list is ever built.
         """
         model = execution.model
+        plan = execution.plan
         total_ranks = execution.job.spec.ntasks
         engine = self.engine
-        job_id = execution.job.job_id
         label = execution.label
         ranks = execution.ranks
-        partition = model.profile.partition
         trace = self.trace
         # The priced fold and the inputs it was priced under.
         key = None
-        #: Fold offsets at which some rank's steps stop being uniform: stretch
+        #: Fold offsets at which the plan's remaining segments end: stretch
         #: ``i`` runs from ``cuts[i - 1]`` (0 for the first) to ``cuts[i]``.
         cuts: list[int] = []
         #: Per stretch, its step duration (the maximum over ranks).
@@ -646,8 +652,7 @@ class _RunState:
         #: Per rank, the piece each stretch emits.
         pieces: list[list[_Piece]] = []
         o = 0
-        batch_end = None
-        while not execution.finished():
+        while not plan.finished:
             if model.malleable:
                 for rank in ranks:
                     rank.process.poll_malleability()
@@ -658,85 +663,62 @@ class _RunState:
             batch_start = engine.now
             # Re-price from ``now`` unless the inputs match the fold's key
             # and this wake landed exactly on the previous batch's end.
-            if (masks, interferences) != key or batch_start != batch_end:
+            if (masks, interferences) != key or batch_start != execution.batch_end:
                 key = (masks, interferences)
-                remaining = min(rank.plan.remaining_steps for rank in ranks)
-                plan_runs = [rank.plan.runs(remaining) for rank in ranks]
+                remaining = plan.remaining_steps
+                runs = plan.runs(remaining)
+                cuts = list(accumulate(n for _, n in runs))
                 # ``step_times`` prices one value per plan segment, so every
-                # rank's duration and their maximum are constant between
-                # consecutive segment ends of any rank.
-                cuts = sorted(
-                    {cut for runs in plan_runs for cut in accumulate(n for _, n in runs)}
-                )
-                per_rank = []
-                for rank, mask, interference, runs in zip(ranks, masks, interferences, plan_runs):
-                    segments = zip(
-                        runs,
-                        model.step_times(
-                            rank.plan,
+                # rank's duration and their maximum are constant over each.
+                per_rank = [
+                    [
+                        duration
+                        for duration, _ in model.step_times(
+                            plan,
                             remaining,
                             mask,
                             rank.node,
                             total_ranks=total_ranks,
                             interference=interference,
-                        ).segments,
-                    )
-                    # (step, duration) of the segment holding each stretch.
-                    stretches = []
-                    first = segment_end = 0
-                    for cut in cuts:
-                        if first == segment_end:
-                            (step, n), (duration, _) = next(segments)
-                            segment_end += n
-                        stretches.append((step, duration))
-                        first = cut
-                    per_rank.append(stretches)
-                durations = [max(d for _, d in column) for column in zip(*per_rank)]
+                        ).segments
+                    ]
+                    for rank, mask, interference in zip(ranks, masks, interferences)
+                ]
+                durations = [max(column) for column in zip(*per_rank)]
                 # The stretch ends are the left fold of the per-step durations
                 # — the exact "now + duration" addition chain the engine clock
                 # performs when the reference loop sleeps one step at a time.
                 enters = [batch_start]
-                first = 0
-                for cut, step_duration in zip(cuts, durations):
-                    enters.append(repeat_add(enters[-1], step_duration, cut - first))
-                    first = cut
-                pieces = []
-                for rank, mask, stretches in zip(ranks, masks, per_rank):
-                    initial_threads = rank.plan.initial_threads
-                    nthreads = mask.count()
-                    utilisation = _utilisation(partition, initial_threads, nthreads)
-                    rank_pieces: list[_Piece] = []
-                    phase = None
-                    for (step, duration), step_duration in zip(stretches, durations):
-                        if step.phase is not phase:
-                            phase = step.phase
-                            ipc = trace and model.step_ipc_for_phase(
-                                phase, mask, rank.node, initial_threads
-                            )
-                        # Ranks that finish their step early idle in MPI
-                        # until the slowest rank catches up.
-                        scale = duration / step_duration if step_duration > 0 else 1.0
-                        rank_pieces.append(
-                            _Piece.of(step, step_duration, scale, nthreads, utilisation, ipc)
+                for (_, n), step_duration in zip(runs, durations):
+                    enters.append(repeat_add(enters[-1], step_duration, n))
+                pieces = [
+                    [
+                        self._piece(
+                            execution, rank, step, step_duration,
+                            duration / step_duration if step_duration > 0 else 1.0, mask,
                         )
-                    pieces.append(rank_pieces)
+                        for (step, _), duration, step_duration in zip(
+                            runs, rank_durations, durations
+                        )
+                    ]
+                    for rank, mask, rank_durations in zip(ranks, masks, per_rank)
+                ]
                 o = 0
                 self.steps_priced += remaining * len(ranks)
 
-            end, batch_end = _cut(
+            end, execution.batch_end = _cut(
                 cuts, durations, enters, o, batch_start,
-                self._batch_horizon(job_id), self._strict_horizon,
+                self._batch_horizon(execution), self._strict_horizon,
             )
             k = end - o
             # Publish this job's completion fence — the full fold, exact
             # under the current masks; shrinks only delay it, and expansions
             # clamp it back to the batch wake at the event that writes them
             # (_schedule_pass).
-            self._fences[job_id] = enters[-1]
-            self._batch_end[job_id] = batch_end
+            execution.fence = enters[-1]
             self.batches_executed += 1
 
-            yield WakeAt(batch_end)
+            yield WakeAt(execution.batch_end)
 
             # On wake, emit what the reference loop would have recorded at
             # each intermediate boundary: one step run and one counted stats
@@ -757,22 +739,19 @@ class _RunState:
                 # (the step that crosses an event, where a process whose
                 # runtime reads the shared memory directly sees the newly
                 # assigned mask immediately).  Split that step off into a
-                # piece of its own, derived from the wake mask.
+                # piece of its own under the wake mask, same scale.
                 wake_mask = rank.process.current_mask
                 if wake_mask != mask:
                     piece, start, n = window[-1]
                     window[-1][2] -= 1
-                    initial_threads = rank.plan.initial_threads
-                    nthreads = wake_mask.count()
-                    utilisation = _utilisation(partition, initial_threads, nthreads)
-                    ipc = model.step_ipc_for_phase(
-                        piece.step.phase, wake_mask, rank.node, initial_threads
-                    )
                     step_duration = piece.stats[3]
-                    piece = _Piece.of(
-                        piece.step, step_duration, piece.scale, nthreads, utilisation, ipc
-                    )
-                    window.append([piece, repeat_add(start, step_duration, n - 1), 1])
+                    window.append([
+                        self._piece(
+                            execution, rank, piece.step, step_duration, piece.scale, wake_mask
+                        ),
+                        repeat_add(start, step_duration, n - 1),
+                        1,
+                    ])
                 if trace:
                     self.tracer.record_steps(
                         [
@@ -784,8 +763,8 @@ class _RunState:
                 self.stats[rank.node.name].record_compute_batch(
                     rank.process.spec.pid, [(*piece.stats, n) for piece, _, n in window if n]
                 )
-                rank.plan.advance_many(k)
-                self.steps_advanced += k
+            plan.advance_many(k)
+            self.steps_advanced += k * len(ranks)
             o = end
         self._complete(execution)
 
@@ -824,8 +803,6 @@ class _RunState:
         self.srun.terminate(job)
         self.ctld.job_completed(job.job_id, self.engine.now)
         del self.executions[job.job_id]
-        self._fences.pop(job.job_id, None)
-        self._batch_end.pop(job.job_id, None)
         # Freed resources may let queued jobs start (the Serial scenario's
         # analytics job starts here).
         self._schedule_pass()

@@ -40,29 +40,23 @@ class TestWorkPlans:
     def test_plan_steps_cover_total_work(self, node):
         model = nest_model()
         config = AppConfig("Conf. 1", 2, 16)
-        plan = model.build_rank_plan(0, config)
+        plan = model.build_plan(config)
         total = sum(step.work_units * n for step, n in plan.segments)
         assert total == pytest.approx(model.total_work / config.mpi_ranks)
 
     def test_plan_has_one_step_per_iteration_at_least(self):
         model = nest_model(iterations=100)
-        plan = model.build_rank_plan(0, AppConfig("c", 2, 16))
+        plan = model.build_plan(AppConfig("c", 2, 16))
         assert plan.total_steps >= 100
 
     def test_every_phase_present_in_plan(self):
         model = coreneuron_model()
-        plan = model.build_rank_plan(0, AppConfig("c", 2, 16))
+        plan = model.build_plan(AppConfig("c", 2, 16))
         assert {step.phase.name for step, _ in plan.segments} == {"model-setup", "solve"}
-
-    def test_plans_built_per_rank(self):
-        model = pils_model(total_work=100)
-        plans = model.build_plans(AppConfig("c", 4, 2))
-        assert len(plans) == 4
-        assert [p.rank for p in plans] == [0, 1, 2, 3]
 
     def test_plan_advance_and_finish(self):
         model = stream_model(iterations=5)
-        plan = model.build_rank_plan(0, AppConfig("c", 2, 2))
+        plan = model.build_plan(AppConfig("c", 2, 2))
         n = sum(count for _, count in plan.segments)
         for _ in range(n):
             assert not plan.finished
@@ -80,8 +74,8 @@ class TestWorkPlans:
     def test_run_length_plan_matches_per_step_walk(self, node):
         model = coreneuron_model(iterations=50)
         config = AppConfig("c", 2, 16)
-        plan = model.build_rank_plan(0, config)
-        walker = model.build_rank_plan(0, config)
+        plan = model.build_plan(config)
+        walker = model.build_plan(config)
         assert len(plan.segments) == 2
         assert plan.total_steps == sum(count for _, count in plan.segments)
         mask = CpuSet.from_range(0, 12)
@@ -171,8 +165,8 @@ class TestMalleabilityVariants:
     def test_step_time_uses_current_mask(self, node):
         model = nest_model()
         config = AppConfig("Conf. 1", 2, 16)
-        plan_full = model.build_rank_plan(0, config)
-        plan_shrunk = model.build_rank_plan(0, config)
+        plan_full = model.build_plan(config)
+        plan_shrunk = model.build_plan(config)
         # advance past the init phase so both plans sit on a solve step
         for plan in (plan_full, plan_shrunk):
             while plan.current_step().phase.name != "simulate":
@@ -183,7 +177,7 @@ class TestMalleabilityVariants:
 
     def test_step_ipc_positive(self, node):
         model = coreneuron_model()
-        plan = model.build_rank_plan(0, AppConfig("Conf. 1", 2, 16))
+        plan = model.build_plan(AppConfig("Conf. 1", 2, 16))
         phase = plan.current_step().phase
         mask = CpuSet.from_range(0, 16)
         assert model.step_ipc_for_phase(phase, mask, node, plan.initial_threads) > 0

@@ -26,6 +26,7 @@ from repro.campaign.spec import (
     SyntheticWorkloadRef,
 )
 from repro.results.store import ResultStore
+from repro.runtime.process import ApplicationProcess
 from repro.slurm.jobs import ResourceRequest
 from repro.traces.query import TraceReader
 from repro.traces.store import TraceStore
@@ -95,6 +96,34 @@ LOWEST_UTILISATION = [
 
 @pytest.mark.parametrize("run", CASES + LOWEST_UTILISATION)
 def test_batched_run_is_byte_identical_to_reference(run, tmp_path):
+    assert_byte_identical(run, tmp_path)
+
+
+#: DROM cells whose processes adopt masks through DLB's asynchronous mode.
+ASYNCHRONOUS = [
+    pytest.param(RunSpec(index=0, scenario=DROM, **FAMILIES[family]), id=family)
+    for family in ("insitu", "heterogeneous", "synthetic")
+]
+
+
+@pytest.mark.parametrize("run", ASYNCHRONOUS)
+def test_asynchronous_adoption_is_byte_identical(run, tmp_path, monkeypatch):
+    """With DLB's asynchronous (helper-thread) mode a runtime adopts a mask
+    the moment it is written, mid-step, not at its next poll.  The
+    reference loop reads the mask after each step's yield, so the batch's
+    last step must be split off under the wake mask.  Every process the
+    runner builds polls instead, so only these cells reach that split."""
+    start = ApplicationProcess.start
+
+    def start_asynchronous(process):
+        start(process)
+        process.dlb.enable_async(process._apply_mask)
+
+    monkeypatch.setattr(ApplicationProcess, "start", start_asynchronous)
+    assert_byte_identical(run, tmp_path)
+
+
+def assert_byte_identical(run, tmp_path):
     reference = execute_run(run, trace=True, batching=False)
     batched = execute_run(run, trace=True, batching=True)
 
