@@ -3,11 +3,12 @@
 ``benchmarks/mutants.json`` lists hand-written mutants of ``src/``, one
 exact-string replacement each, with the test node IDs expected to kill it.
 For every mutant this runner copies ``src/`` to a temporary directory,
-applies the replacement there (the checkout is never touched), and runs the
-mutant's tests against the copy with ``pytest -x`` under a per-mutant
-timeout.  A failing test run kills the mutant, and so does a timeout (a
-mutant that loops forever is detected too); a passing run means it
-survived.
+applies the replacement there, and runs the mutant's tests against the copy
+with ``pytest -x`` under a per-mutant timeout (``TIMEOUT``).  pytest runs in
+that directory, so a falsifying example hypothesis saves against a mutant
+stays there and the checkout is left as it was.  A failing test run kills
+the mutant, and so does a timeout (a mutant that loops forever is detected
+too); a passing run means it survived.
 
 An entry whose ``old`` string does not occur exactly once in its file is
 refused before anything runs: the catalogue has drifted from the code.
@@ -19,7 +20,7 @@ from 3.12 on) and is reported as skipped elsewhere.
 
 Run from the repository root::
 
-    python benchmarks/mutants.py [--only NAME ...] [--timeout SECONDS] [--json OUT]
+    python benchmarks/mutants.py
 
 Exit status: 0 when every non-equivalent mutant that applies is killed, 1
 when one survives, 2 when the catalogue is invalid.
@@ -27,7 +28,6 @@ when one survives, 2 when the catalogue is invalid.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -89,26 +89,33 @@ def run_mutant(entry: dict, timeout: float = TIMEOUT) -> tuple[str, float, str]:
         target = Path(tmp) / entry["file"]
         target.write_text(target.read_text().replace(entry["old"], entry["new"]))
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        # Run from the temporary directory so that nothing the run writes
+        # relative to its working directory (hypothesis' example database)
+        # lands in the checkout.
         command = [
             sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-            *entry["tests"],
+            f"--rootdir={ROOT}", *(str(ROOT / test) for test in entry["tests"]),
         ]
         start = time.perf_counter()
         try:
             done = subprocess.run(
-                command, cwd=ROOT, env=env, timeout=timeout,
+                command, cwd=tmp, env=env, timeout=timeout,
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             )
         except subprocess.TimeoutExpired:
             return "killed", time.perf_counter() - start, f"timeout after {timeout:g}s"
         seconds = time.perf_counter() - start
+        # pytest reports failures relative to its working directory.
+        checkout = os.path.relpath(ROOT, tmp) + os.sep
     # 1: a test failed.  2-5 (interrupted, internal or usage error, nothing
     # collected) mean the run measured nothing.
     if done.returncode == 0:
         return "survived", seconds, ""
     if done.returncode == 1:
         failed = [
-            line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")
+            line.split()[1].removeprefix(checkout)
+            for line in done.stdout.splitlines()
+            if line.startswith("FAILED ")
         ]
         return "killed", seconds, failed[0] if failed else ""
     raise CatalogueError(
@@ -116,21 +123,9 @@ def run_mutant(entry: dict, timeout: float = TIMEOUT) -> tuple[str, float, str]:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--catalogue", type=Path, default=CATALOGUE)
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants only")
-    parser.add_argument("--timeout", type=float, default=TIMEOUT,
-                        help=f"seconds per mutant before it counts as killed (default {TIMEOUT:g})")
-    parser.add_argument("--json", type=Path, help="also write the results here")
-    args = parser.parse_args(argv)
+def main() -> int:
     try:
-        entries = load(args.catalogue)
-        if args.only:
-            unknown = set(args.only) - {entry["name"] for entry in entries}
-            if unknown:
-                raise CatalogueError(f"no such mutants: {sorted(unknown)}")
-            entries = [entry for entry in entries if entry["name"] in args.only]
+        entries = load()
         results = []
         for entry in entries:
             killer = ""
@@ -139,19 +134,15 @@ def main(argv: list[str] | None = None) -> int:
             elif not _applies(entry):
                 outcome, seconds = f"skipped (needs Python {entry['min_python']}+)", 0.0
             else:
-                outcome, seconds, killer = run_mutant(entry, args.timeout)
-            results.append(
-                {"name": entry["name"], "outcome": outcome, "seconds": seconds, "killer": killer}
-            )
+                outcome, seconds, killer = run_mutant(entry)
+            results.append((entry["name"], outcome))
             print(f"{outcome:<28} {seconds:7.1f}s  {entry['name']}  {killer}".rstrip(), flush=True)
     except CatalogueError as error:
         print(f"mutants: {error}", file=sys.stderr)
         return 2
-    survivors = [r["name"] for r in results if r["outcome"] == "survived"]
-    killed = sum(r["outcome"] == "killed" for r in results)
+    survivors = [name for name, outcome in results if outcome == "survived"]
+    killed = sum(outcome == "killed" for _, outcome in results)
     print(f"{killed} killed, {len(survivors)} survived of {len(results)} mutants")
-    if args.json:
-        args.json.write_text(json.dumps(results, indent=2) + "\n")
     if survivors:
         print(f"FAIL: surviving mutants: {', '.join(survivors)}", file=sys.stderr)
         return 1

@@ -124,6 +124,9 @@ def test_asynchronous_adoption_is_byte_identical(run, tmp_path, monkeypatch):
 
 
 def assert_byte_identical(run, tmp_path):
+    """Run ``run`` batched and through the single-step reference loop,
+    assert equal campaign rows and byte-equal store entries in both tiers,
+    and return the batched result."""
     reference = execute_run(run, trace=True, batching=False)
     batched = execute_run(run, trace=True, batching=True)
 
@@ -143,6 +146,7 @@ def assert_byte_identical(run, tmp_path):
     trace_fast = TraceStore(tmp_path / "traces-fast").put(run, batched)
     assert trace_ref.name == trace_fast.name
     assert trace_ref.read_bytes() == trace_fast.read_bytes()
+    return batched
 
 
 #: TestRunLengthSegments' generated cells: njobs 4/12 x serial/DROM x

@@ -17,10 +17,9 @@ statistics:
 * every rank's ``cpu_seconds_owned`` is the fold of its traced steps' team
   size × duration.
 
-The third is checked on Serial draws only: DROM co-allocates beside
-malleable jobs, and a shrunk rank keeps its CPUs until its next
-malleability point, which ``test_drom_adoption_lag_overcommits_a_node``
-pins.
+The node bounds (the third) are checked on Serial draws only: they do not
+hold under DROM (see ``test_drom_draw_node_bounds``, whose failing cases
+are strict ``xfail``s naming the gap, so mending it shows as an XPASS).
 
 Tier-1 runs a derandomised slice of 50 small draws (about two seconds); CI
 reruns the file with ``--hypothesis-profile=ci``, which draws a quarter of
@@ -31,15 +30,13 @@ A draw that once failed is pinned as an ``@example``.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.campaign.runner import execute_run, summarise_run
+from repro.campaign.runner import execute_run
 from repro.campaign.spec import ClusterRef, RunSpec, SchedulerRef, SyntheticWorkloadRef
 from repro.core.floats import left_sum, repeat_add
-from repro.results.store import ResultStore
-from repro.traces.store import TraceStore
 from repro.workload.generator import (
     BURSTY,
     POISSON,
@@ -48,6 +45,7 @@ from repro.workload.generator import (
     heavy_tailed_size_mix,
 )
 from repro.workload.runner import DROM, SERIAL
+from test_batched_identity import assert_byte_identical
 
 NNODES = 4
 
@@ -105,14 +103,20 @@ def _assert_invariants(run: RunSpec, result) -> None:
         assert job.start_time is not None and job.end_time is not None, job
         assert job.submit_time <= job.start_time <= job.end_time, job
     assert all(sample.depth >= 0 for sample in sched.queue)
+    _node_cpu_seconds(result)  # checks each rank's fold
+    if run.scenario == SERIAL:
+        _assert_busy_within_node(run, result)
+        _assert_owned_within_capacity(run, result)
+
+
+def _assert_busy_within_node(run: RunSpec, result) -> None:
+    """The controller never counts more CPUs busy than a node has."""
+    assert all(sample.busy_cpus <= sample.ncpus for sample in result.sched.nodes)
+
+
+def _assert_owned_within_capacity(run: RunSpec, result) -> None:
+    """Per node, the ranks' summed ``cpu_seconds_owned`` ≤ CPUs × end time."""
     owned = _node_cpu_seconds(result)
-    if run.scenario == DROM:
-        # DROM co-allocates beside malleable jobs, and a rank keeps its team
-        # until its next malleability point, so a shrunk rank and the job
-        # that took its CPUs both own them for up to a step
-        # (test_drom_adoption_lag_overcommits_a_node).
-        return
-    assert all(sample.busy_cpus <= sample.ncpus for sample in sched.nodes)
     # Both sides are float folds of the same real quantity, equal on a node
     # kept busy for the whole run, so allow for their rounding, no more.
     for node in run.cluster.build().nodes:
@@ -156,36 +160,43 @@ CO_ALLOCATED = _draw(DROM, POISSON, 0.0, seed=0)
 @example(run=ADOPTION_LAG)
 @example(run=CO_ALLOCATED)
 def test_batched_run_matches_reference_and_invariants(run, tmp_path_factory):
-    tmp_path = tmp_path_factory.mktemp("cell")
-    reference = execute_run(run, trace=True, batching=False)
-    batched = execute_run(run, trace=True, batching=True)
-
-    row = summarise_run(run, batched)
-    reference_row = summarise_run(run, reference)
-    assert row == reference_row
-    fast = ResultStore(tmp_path / "metrics-fast").put(row)
-    ref = ResultStore(tmp_path / "metrics-ref").put(reference_row)
-    assert fast.name == ref.name and fast.read_bytes() == ref.read_bytes()
-    fast = TraceStore(tmp_path / "traces-fast").put(run, batched)
-    ref = TraceStore(tmp_path / "traces-ref").put(run, reference)
-    assert fast.name == ref.name and fast.read_bytes() == ref.read_bytes()
-
+    batched = assert_byte_identical(run, tmp_path_factory.mktemp("cell"))
     _assert_invariants(run, batched)
 
 
-def test_drom_adoption_lag_overcommits_a_node():
-    """A known gap in the CPU-seconds bound, pinned as it stands.
+#: DROM hands a co-allocated job its CPUs at once, but the shrunk rank keeps
+#: (and is charged for) its old team until its next malleability point, so
+#: both own the same CPUs for up to a step.
+OWNED_OVERLAP = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="cpu_seconds_owned over-counts a node under DROM: a shrunk rank "
+    "keeps its team until its next poll",
+)
+#: The controller adds each co-allocated job's full request to its node's
+#: busy CPUs.
+BUSY_OVERCOUNT = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="SchedTimeline counts more busy CPUs than a node has under DROM "
+    "co-allocation",
+)
 
-    DROM writes the new job's mask at once, but the shrunk job adopts its
-    own at its next malleability point, so for up to one of its steps both
-    own the same CPUs.  Summed per node, ``cpu_seconds_owned`` then exceeds
-    the node's CPUs × the end time: here by 0.85 % on the two nodes the
-    jobs share.  The Serial run of the same draw stays within the bound.
-    """
-    result = execute_run(ADOPTION_LAG, trace=True)
-    owned = _node_cpu_seconds(result)
-    capacity = 16 * result.end_time
-    assert owned["mn3-0"] == owned["mn3-1"]
-    assert 1.008 < owned["mn3-0"] / capacity < 1.009
-    serial = replace(ADOPTION_LAG, scenario=SERIAL)
-    _assert_invariants(serial, execute_run(serial, trace=True))
+
+@pytest.mark.parametrize(
+    "run, bound",
+    [
+        pytest.param(ADOPTION_LAG, _assert_owned_within_capacity,
+                     marks=OWNED_OVERLAP, id="adoption-lag-owned"),
+        pytest.param(ADOPTION_LAG, _assert_busy_within_node,
+                     marks=BUSY_OVERCOUNT, id="adoption-lag-busy"),
+        pytest.param(CO_ALLOCATED, _assert_owned_within_capacity, id="co-allocated-owned"),
+        pytest.param(CO_ALLOCATED, _assert_busy_within_node,
+                     marks=BUSY_OVERCOUNT, id="co-allocated-busy"),
+    ],
+)
+def test_drom_draw_node_bounds(run, bound):
+    """The node bounds on the pinned DROM draws.  Where a known gap breaks
+    one, the case is a strict ``xfail``: mending the gap turns it into an
+    XPASS, whose mark is then removed."""
+    bound(run, execute_run(run, trace=True))
