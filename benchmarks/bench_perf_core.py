@@ -44,6 +44,7 @@ from repro.campaign.spec import (
     HighPriorityWorkloadRef,
     InSituWorkloadRef,
     RunSpec,
+    SchedulerRef,
     SyntheticWorkloadRef,
 )
 from repro.results.store import ResultStore
@@ -70,6 +71,12 @@ FAMILIES = {
         )
     ),
 }
+#: The synthetic workload under the node policy that reads the running
+#: jobs' statistics at every scheduler pass: the only cell whose passes
+#: record steps (the batched loop's statistics catch-up).
+FAMILIES["lowest-utilisation"] = dict(
+    FAMILIES["synthetic"], scheduler=SchedulerRef(node_policy="lowest-utilisation")
+)
 
 
 def _timed(run: RunSpec, batching: bool) -> tuple[Span, object]:

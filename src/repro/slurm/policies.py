@@ -6,7 +6,10 @@ management level, by choosing as 'victim' nodes the ones with lower
 utilization".  This module provides that hook: a
 :class:`NodeSelectionPolicy` orders the candidate nodes slurmctld considers
 for a job, and the DROM statistics module (:mod:`repro.core.stats`) supplies
-the utilisation data the smarter policies need.
+the utilisation data the smarter policies need.  The scenario runner's
+provider first records the running jobs' steps up to the instant of the
+read, so a policy reads the statistics as of its decision, however the
+runner batches its steps.
 
 Policies:
 
@@ -37,13 +40,6 @@ class NodeSelectionPolicy(ABC):
 
     name: str = "abstract"
 
-    #: Whether :meth:`order` reads statistics that running jobs record as
-    #: they run.  The scenario runner then ends its step batches strictly
-    #: before each scheduling event, so the statistics read there are the
-    #: ones the single-step loop would have recorded.  True unless a policy
-    #: says otherwise.
-    reads_statistics: bool = True
-
     @abstractmethod
     def order(self, candidates: Sequence[NodeState]) -> list[NodeState]:
         """Return the candidates in preference order (no filtering)."""
@@ -67,7 +63,6 @@ class FirstFit(NodeSelectionPolicy):
     """Configuration order — what the unmodified slurmctld does."""
 
     name = "first-fit"
-    reads_statistics = False
 
     def order(self, candidates: Sequence[NodeState]) -> list[NodeState]:
         return list(candidates)
@@ -77,7 +72,6 @@ class LeastAllocatedFirst(NodeSelectionPolicy):
     """Prefer nodes with the fewest allocated CPUs, then fewer tasks."""
 
     name = "least-allocated"
-    reads_statistics = False
 
     def order(self, candidates: Sequence[NodeState]) -> list[NodeState]:
         return sorted(
@@ -92,13 +86,14 @@ class LowestUtilisationFirst(NodeSelectionPolicy):
     statistics module by the caller).  Nodes without data sort by allocation,
     after nodes with data — an idle or badly-utilised node is always a better
     victim than an unknown one only if it actually reports low utilisation.
-    A fixed mapping reads no live statistics.
+    Built by name, the provider is the scenario runner's, which answers
+    with the statistics the running jobs have recorded up to the instant of
+    the read.
     """
 
     name = "lowest-utilisation"
 
     def __init__(self, utilisation: UtilisationProvider | Mapping[str, float]) -> None:
-        self.reads_statistics = callable(utilisation)
         if callable(utilisation):
             self._lookup: UtilisationProvider = utilisation
         else:
@@ -117,8 +112,8 @@ class LowestUtilisationFirst(NodeSelectionPolicy):
 
 #: Single source of truth for by-name node policies: ``SchedulerRef``
 #: validates against these names, the scenario runner builds from them.
-#: Every factory takes the run's utilisation provider; a policy that uses
-#: it says so through :attr:`NodeSelectionPolicy.reads_statistics`.
+#: Every factory takes the run's utilisation provider; only
+#: ``lowest-utilisation`` uses it.
 NODE_POLICY_FACTORIES: dict[str, Callable[[UtilisationProvider], NodeSelectionPolicy]] = {
     "first-fit": lambda utilisation: FirstFit(),
     "least-allocated": lambda utilisation: LeastAllocatedFirst(),

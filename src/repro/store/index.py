@@ -100,6 +100,14 @@ class IndexEntry:
     summary: dict | None
 
 
+def _loads_or_none(line: bytes) -> object:
+    """One journal line's record, or ``None`` when it does not parse."""
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
+
+
 class _State:
     """Replayed journal state: live entries plus activity ordinals."""
 
@@ -165,8 +173,8 @@ class StoreIndex:
         # Fast path: a clean journal parses in one bulk json.loads (the
         # lines joined into an array), several times faster than one loads
         # per line at 10k+ entries.  Any torn tail, blank line or foreign
-        # bytes fail the bulk parse and drop to the skip-bad-lines loop.
-        records: list | None
+        # bytes fail the bulk parse and drop to one loads per line, where an
+        # unparsable line becomes a ``None`` that still counts as a line.
         stripped = raw.strip()
         try:
             records = (
@@ -175,33 +183,13 @@ class StoreIndex:
                 else []
             )
         except ValueError:
-            records = None
+            records = [_loads_or_none(line) for line in raw.splitlines()]
         state = _State()
         saw_header = False
-        if records is not None:
-            for record in records:
-                state.lines += 1
-                if not isinstance(record, dict):
-                    continue
-                if not saw_header:
-                    if (
-                        record.get("record") != "index"
-                        or record.get("version") != INDEX_VERSION
-                        or record.get("store_version") != self.store_version
-                    ):
-                        return None
-                    saw_header = True
-                    continue
-                self._apply(state, record)
-            return state if saw_header else None
-        for line in raw.splitlines():
+        for record in records:
             state.lines += 1
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail or foreign bytes: skip, never abort
             if not isinstance(record, dict):
-                continue
+                continue  # torn tail or foreign bytes: skip, never abort
             if not saw_header:
                 if (
                     record.get("record") != "index"

@@ -44,7 +44,7 @@ from repro.runtime.mpi import MpiCommunicator
 from repro.runtime.process import ApplicationProcess, ProcessSpec, ThreadModel
 from repro.sim.engine import SimulationEngine, Timeout, WakeAt
 from repro.slurm.jobs import Job, JobSpec
-from repro.slurm.launcher import JobLaunch, Srun
+from repro.slurm.launcher import Srun
 from repro.slurm.policies import build_node_policy
 from repro.slurm.slurmd import Slurmd
 from repro.slurm.slurmctld import Slurmctld
@@ -69,8 +69,6 @@ class JobExecution:
 
     workload_job: WorkloadJob
     job: Job
-    launch: JobLaunch
-    comm: MpiCommunicator
     #: The work plan every rank runs: ranks step in lockstep, so one cursor.
     plan: WorkPlan
     #: Lower bound on the next instant this job can cause a side effect
@@ -78,7 +76,21 @@ class JobExecution:
     fence: float
     #: The wake instant of the job's running batch.
     batch_end: float
+    #: Fold offset and start instant of the first step not yet recorded.
+    o: int
+    at: float
     ranks: list[RankExecution] = field(default_factory=list)
+    # The fold of the batched loop's last pricing (see
+    # _RunState._execute_batched); empty in the reference loop.
+    #: Fold offsets at which the plan's remaining segments end: stretch
+    #: ``i`` runs from ``cuts[i - 1]`` (0 for the first) to ``cuts[i]``.
+    cuts: list[int] = field(default_factory=list)
+    #: Per stretch, its step duration (the maximum over ranks).
+    durations: list[float] = field(default_factory=list)
+    #: Per stretch, the instant its first step starts; then the fold's end.
+    enters: list[float] = field(default_factory=list)
+    #: Per rank, the piece each stretch emits.
+    pieces: list[list[_Piece]] = field(default_factory=list)
 
     @property
     def label(self) -> str:
@@ -264,6 +276,26 @@ def run_both_scenarios(
     return results
 
 
+def _below(
+    cuts: list[int], durations: list[float], o: int, start: float, bound: float
+) -> tuple[int, float]:
+    """``(end, at)``: the offset and start instant of the first step from
+    offset ``o`` (which starts at ``start``) whose end reaches or passes
+    ``bound``, or the fold's end and its instant if every step ends below.
+
+    ``fold_below`` walks each stretch's left fold to the bound in
+    O(binades crossed).
+    """
+    i = bisect_right(cuts, o)
+    while i < len(cuts):
+        n, start = fold_below(start, durations[i], cuts[i] - o, bound)
+        o += n
+        if o < cuts[i]:
+            break
+        i += 1
+    return o, start
+
+
 def _cut(
     cuts: list[int],
     durations: list[float],
@@ -271,7 +303,6 @@ def _cut(
     o: int,
     start: float,
     horizon: float | None,
-    strict: bool,
 ) -> tuple[int, float]:
     """``(end, wake)``: the fold offset and the instant at which a batch
     that starts at offset ``o`` and instant ``start`` ends.
@@ -280,31 +311,19 @@ def _cut(
     with the first step whose end reaches or passes the horizon, that step
     included.  No event comes before the horizon (a fence only moves earlier
     at an event, which clamps it), so only that last step can see one,
-    mid-step or at its end, just as in the reference loop: its wake re-reads
-    the masks (the wake-mask split), and an event at the very instant runs
-    first (priority 0 beats every executor).  What such an event must not
-    see is a step the reference loop has already recorded and the batch
-    has not: under ``strict`` (an event reads the running jobs'
-    statistics), the batch ends strictly before the horizon, or is a single
-    step if none fits.  ``fold_below`` walks each stretch's left fold to
-    the horizon in O(binades crossed).
+    mid-step or at its end, just as in the reference loop: it runs under
+    the mask its ranks polled before it, and an event at the very instant
+    runs first (priority 0 beats every executor).  An event that reads the
+    statistics first records the steps that end before it
+    (:meth:`_RunState._node_utilisation`).
     """
     if horizon is None:
         return cuts[-1], enters[-1]
-    i = bisect_right(cuts, o)
-    first, t = o, start
-    while True:
-        n, t = fold_below(t, durations[i], cuts[i] - first, horizon)
-        first += n
-        if first < cuts[i]:
-            break
-        i += 1
-        if i == len(cuts):
-            return first, t
-    if strict and first > o:
-        return first, t
-    # Step ``first`` is the first to end at or after the horizon.
-    return first + 1, t + durations[i]
+    end, t = _below(cuts, durations, o, start, horizon)
+    if end == cuts[-1]:
+        return end, t
+    # Step ``end`` is the first to end at or after the horizon.
+    return end + 1, t + durations[bisect_right(cuts, end)]
 
 
 class _Piece(NamedTuple):
@@ -312,8 +331,6 @@ class _Piece(NamedTuple):
     start: its per-step stats entry and step-run fields, built once per
     pricing and shared by every run emitted from it."""
 
-    step: WorkStep
-    scale: float
     #: ``(useful, idle, ncpus, seconds)`` of one step.
     stats: tuple[float, float, int, float]
     #: The :class:`StepRun` fields from ``duration`` to ``work_units``.
@@ -347,10 +364,6 @@ class _RunState:
             node_policy=node_policy,
             probe=self.probe,
         )
-        #: Whether a scheduler event reads the statistics that running jobs
-        #: record on wake: then batches end strictly before the horizon
-        #: (see _cut).  No policy orders nodes by configuration.
-        self._strict_horizon = node_policy is not None and node_policy.reads_statistics
         self.srun = Srun(self.slurmds)
         self.tracer = Tracer()
         self.jobs_by_label: dict[str, Job] = {}
@@ -380,6 +393,18 @@ class _RunState:
         return build_node_policy(policy, self._node_utilisation)
 
     def _node_utilisation(self, name: str) -> float | None:
+        # First record every step of the node's running jobs that ends
+        # before now: the reference loop has recorded them by this instant.
+        # A step that ends at now is recorded by its own wake, which runs
+        # before or after this event in both loops alike.
+        for execution in self.executions.values():
+            if any(rank.node.name == name for rank in execution.ranks):
+                end, at = _below(
+                    execution.cuts, execution.durations, execution.o, execution.at,
+                    self.engine.now,
+                )
+                if end > execution.o:
+                    self._emit(execution, end, at)
         summary = self.stats[name].node_summary()
         return summary.utilisation if summary.nprocesses else None
 
@@ -439,11 +464,11 @@ class _RunState:
         execution = JobExecution(
             workload_job=wjob,
             job=job,
-            launch=launch,
-            comm=comm,
             plan=wjob.app.model.build_plan(job.spec.request.effective_config(wjob.app.config)),
             fence=self.engine.now,
             batch_end=self.engine.now,
+            o=0,
+            at=self.engine.now,
         )
         for task in launch.tasks():
             node_topology = self.runner.cluster.node(task.node)
@@ -511,9 +536,7 @@ class _RunState:
 
         ``step_duration`` is the slowest rank's and ``scale`` this rank's
         share of it: ranks that finish their step early idle in MPI until
-        the slowest rank catches up.  Callers pass ``scale`` itself, never a
-        duration to divide again, because ``(s * d) / d`` need not equal
-        ``s``.
+        the slowest rank catches up.
         """
         model = execution.model
         partition = model.profile.partition
@@ -530,8 +553,6 @@ class _RunState:
         idle = max(0.0, nthreads * step_duration - busy)
         utilisation = tuple(u * scale for u in utilisation)
         return _Piece(
-            step,
-            scale,
             (busy, idle, nthreads, step_duration),
             (step_duration, step.phase.name, nthreads, utilisation, ipc, step.work_units),
         )
@@ -543,8 +564,8 @@ class _RunState:
         writes it through the same APIs as :meth:`_execute_batched`: a run
         of one and a count-1 stats entry; the shared plan then advances one
         step.  It keeps none of the batching logic (fold cache, cuts,
-        windows, horizon, wake-mask split), which is what the byte-identity
-        gates check.
+        windows, horizon, statistics catch-up), which is what the
+        byte-identity gates check.
         """
         model = execution.model
         plan = execution.plan
@@ -552,35 +573,33 @@ class _RunState:
         label = execution.label
         while not plan.finished:
             # Malleability point: every rank polls DROM before the next
-            # iteration (PMPI / OMPT / task-scheduling point).
+            # iteration (PMPI / OMPT / task-scheduling point), and runs the
+            # step under the mask it polled.
             if model.malleable:
                 for rank in execution.ranks:
                     rank.process.poll_malleability()
+            masks = [rank.process.current_mask for rank in execution.ranks]
 
             step = plan.current_step()
             durations = [
                 model.step_times(
                     plan,
                     1,
-                    rank.process.current_mask,
+                    mask,
                     rank.node,
                     total_ranks=total_ranks,
                     interference=self._interference(execution, rank),
                 )[0]
-                for rank in execution.ranks
+                for rank, mask in zip(execution.ranks, masks)
             ]
             self.steps_priced += len(durations)
             step_duration = max(durations)
             start = self.engine.now
             yield Timeout(step_duration)
 
-            for rank, duration in zip(execution.ranks, durations):
-                # Read the mask after the yield: a runtime that reads the
-                # shared memory directly sees a mask written mid-step.
+            for rank, mask, duration in zip(execution.ranks, masks, durations):
                 scale = duration / step_duration if step_duration > 0 else 1.0
-                piece = self._piece(
-                    execution, rank, step, step_duration, scale, rank.process.current_mask
-                )
+                piece = self._piece(execution, rank, step, step_duration, scale, mask)
                 if self.trace:
                     self.tracer.record_steps(
                         [StepRun(label, rank.rank, rank.node.name, start, *piece.fields, 1)]
@@ -614,20 +633,20 @@ class _RunState:
         """Batched step advancement: the fast path of :meth:`_execute`.
 
         Each loop iteration takes as many upcoming steps as provably fit the
-        batch horizon (masks, interference and stats readers cannot change
-        inside the window), sleeps once to the final step boundary, then
-        emits on wake step runs and counted stats entries that accumulate
-        exactly as the reference loop's runs of one and count-1 entries —
-        same floats, same accumulation order, byte-identical artifacts.
+        batch horizon (masks and interference cannot change inside the
+        window), sleeps once to the final step boundary, then emits on wake
+        step runs and counted stats entries that accumulate exactly as the
+        reference loop's runs of one and count-1 entries — same floats, same
+        accumulation order, byte-identical artifacts.  A statistics read
+        inside the window first emits the steps that end before it.
 
         Steps are priced once per plan segment and per distinct pricing
-        input, not per step or per batch.  The executor keeps the fold of
+        input, not per step or per batch.  The execution keeps the fold of
         its last pricing as uniform stretches, the plan's remaining
         segments: per stretch the step duration (the slowest rank's) and the
-        instant its first step starts, and per rank the piece it emits.  It
-        consumes the fold from offset ``o`` for as long as the masks and
-        interference factors stay the same and each wake lands on the
-        previous batch's end.  A stretch's step boundaries are the left fold
+        instant its first step starts, and per rank the piece it emits.  The
+        executor consumes the fold from its first unrecorded step for as
+        long as the masks and interference factors stay the same.  A stretch's step boundaries are the left fold
         of its duration from its entry instant, which :func:`repeat_add` and
         :func:`fold_below` evaluate in O(binades crossed), so the batch ends,
         the fence and the piece starts are the very floats the reference
@@ -637,21 +656,9 @@ class _RunState:
         plan = execution.plan
         total_ranks = execution.job.spec.ntasks
         engine = self.engine
-        label = execution.label
         ranks = execution.ranks
-        trace = self.trace
-        # The priced fold and the inputs it was priced under.
+        # The inputs the execution's fold was priced under.
         key = None
-        #: Fold offsets at which the plan's remaining segments end: stretch
-        #: ``i`` runs from ``cuts[i - 1]`` (0 for the first) to ``cuts[i]``.
-        cuts: list[int] = []
-        #: Per stretch, its step duration (the maximum over ranks).
-        durations: list[float] = []
-        #: Per stretch, the instant its first step starts; then the fold's end.
-        enters: list[float] = []
-        #: Per rank, the piece each stretch emits.
-        pieces: list[list[_Piece]] = []
-        o = 0
         while not plan.finished:
             if model.malleable:
                 for rank in ranks:
@@ -661,13 +668,13 @@ class _RunState:
             masks = [rank.process.current_mask for rank in ranks]
             interferences = [self._interference(execution, rank) for rank in ranks]
             batch_start = engine.now
-            # Re-price from ``now`` unless the inputs match the fold's key
-            # and this wake landed exactly on the previous batch's end.
-            if (masks, interferences) != key or batch_start != execution.batch_end:
+            # Re-price from ``now`` unless the inputs match the fold's key;
+            # the fold's first unrecorded step always starts at the wake.
+            if (masks, interferences) != key:
                 key = (masks, interferences)
                 remaining = plan.remaining_steps
                 runs = plan.runs(remaining)
-                cuts = list(accumulate(n for _, n in runs))
+                execution.cuts = list(accumulate(n for _, n in runs))
                 # ``step_times`` prices one value per plan segment, so every
                 # rank's duration and their maximum are constant over each.
                 per_rank = [
@@ -684,14 +691,14 @@ class _RunState:
                     ]
                     for rank, mask, interference in zip(ranks, masks, interferences)
                 ]
-                durations = [max(column) for column in zip(*per_rank)]
+                durations = execution.durations = [max(column) for column in zip(*per_rank)]
                 # The stretch ends are the left fold of the per-step durations
                 # — the exact "now + duration" addition chain the engine clock
                 # performs when the reference loop sleeps one step at a time.
-                enters = [batch_start]
+                enters = execution.enters = [batch_start]
                 for (_, n), step_duration in zip(runs, durations):
                     enters.append(repeat_add(enters[-1], step_duration, n))
-                pieces = [
+                execution.pieces = [
                     [
                         self._piece(
                             execution, rank, step, step_duration,
@@ -703,70 +710,58 @@ class _RunState:
                     ]
                     for rank, mask, rank_durations in zip(ranks, masks, per_rank)
                 ]
-                o = 0
+                execution.o, execution.at = 0, batch_start
                 self.steps_priced += remaining * len(ranks)
 
             end, execution.batch_end = _cut(
-                cuts, durations, enters, o, batch_start,
-                self._batch_horizon(execution), self._strict_horizon,
+                execution.cuts, execution.durations, execution.enters, execution.o,
+                batch_start, self._batch_horizon(execution),
             )
-            k = end - o
             # Publish this job's completion fence — the full fold, exact
             # under the current masks; shrinks only delay it, and expansions
             # clamp it back to the batch wake at the event that writes them
             # (_schedule_pass).
-            execution.fence = enters[-1]
+            execution.fence = execution.enters[-1]
             self.batches_executed += 1
 
             yield WakeAt(execution.batch_end)
-
-            # On wake, emit what the reference loop would have recorded at
-            # each intermediate boundary: one step run and one counted stats
-            # entry per piece of the window, i.e. per stretch it overlaps.
-            spans = []
-            first, start, i = o, batch_start, bisect_right(cuts, o)
-            while first < end:
-                stop = min(cuts[i], end)
-                spans.append((i, start, stop - first))
-                first = stop
-                i += 1
-                start = enters[i]
-            for rank, mask, rank_pieces in zip(ranks, masks, pieces):
-                # [piece, first step's start, step count] per window piece.
-                window = [[rank_pieces[i], start, n] for i, start, n in spans]
-                # The reference loop reads the mask again *after* each yield;
-                # only the final step of a batch can observe a different one
-                # (the step that crosses an event, where a process whose
-                # runtime reads the shared memory directly sees the newly
-                # assigned mask immediately).  Split that step off into a
-                # piece of its own under the wake mask, same scale.
-                wake_mask = rank.process.current_mask
-                if wake_mask != mask:
-                    piece, start, n = window[-1]
-                    window[-1][2] -= 1
-                    step_duration = piece.stats[3]
-                    window.append([
-                        self._piece(
-                            execution, rank, piece.step, step_duration, piece.scale, wake_mask
-                        ),
-                        repeat_add(start, step_duration, n - 1),
-                        1,
-                    ])
-                if trace:
-                    self.tracer.record_steps(
-                        [
-                            StepRun(label, rank.rank, rank.node.name, start, *piece.fields, n)
-                            for piece, start, n in window
-                            if n
-                        ]
-                    )
-                self.stats[rank.node.name].record_compute_batch(
-                    rank.process.spec.pid, [(*piece.stats, n) for piece, _, n in window if n]
-                )
-            plan.advance_many(k)
-            self.steps_advanced += k * len(ranks)
-            o = end
+            self._emit(execution, end, execution.batch_end)
         self._complete(execution)
+
+    def _emit(self, execution: JobExecution, end: int, at: float) -> None:
+        """Record ``execution``'s steps from its first unrecorded one up to
+        fold offset ``end``, which starts at ``at``, and advance its plan.
+
+        Per rank, one step run and one counted stats entry per stretch the
+        steps overlap: what the reference loop records at each of their
+        boundaries, in the same accumulation order.  The batched loop emits
+        on each wake; a statistics read emits up to its instant first.
+        """
+        cuts, enters = execution.cuts, execution.enters
+        spans = []
+        first, start, i = execution.o, execution.at, bisect_right(cuts, execution.o)
+        while first < end:
+            stop = min(cuts[i], end)
+            spans.append((i, start, stop - first))
+            first = stop
+            i += 1
+            start = enters[i]
+        label = execution.label
+        for rank, pieces in zip(execution.ranks, execution.pieces):
+            if self.trace:
+                self.tracer.record_steps(
+                    [
+                        StepRun(label, rank.rank, rank.node.name, start, *pieces[i].fields, n)
+                        for i, start, n in spans
+                    ]
+                )
+            self.stats[rank.node.name].record_compute_batch(
+                rank.process.spec.pid, [(*pieces[i].stats, n) for i, _, n in spans]
+            )
+        k = end - execution.o
+        execution.plan.advance_many(k)
+        self.steps_advanced += k * len(execution.ranks)
+        execution.o, execution.at = end, at
 
     def _interference(self, execution: JobExecution, rank: RankExecution) -> float:
         if self.runner.interference is None:

@@ -32,7 +32,7 @@ from repro.traces.query import TraceReader
 from repro.traces.store import TraceStore
 from repro.workload import configs
 from repro.workload.generator import BURSTY, WorkloadSpec
-from repro.workload.runner import DROM, SERIAL, ScenarioRunner
+from repro.workload.runner import DROM, SERIAL, ScenarioRunner, _RunState
 from repro.workload.workloads import Workload, WorkloadJob
 
 # Not named Test*, so the class is not collected a second time here.
@@ -68,10 +68,10 @@ CASES = [
 
 
 #: The lowest-utilisation node policy reads the running jobs' statistics at
-#: every scheduler pass, so its batches end strictly before the horizon
-#: instead of crossing it.  A bursty 12-job draw on four nodes, fcfs and
-#: backfill: both DROM cells diverge from the reference loop if those
-#: batches cross the horizon like every other policy's.
+#: every scheduler pass, which the batched loop first brings up to the
+#: pass's instant.  A bursty 12-job draw on four nodes, fcfs and backfill:
+#: the cells diverge from the reference loop if a pass reads the statistics
+#: as of the running batches' starts.
 LOWEST_UTILISATION = [
     pytest.param(
         RunSpec(
@@ -109,10 +109,11 @@ ASYNCHRONOUS = [
 @pytest.mark.parametrize("run", ASYNCHRONOUS)
 def test_asynchronous_adoption_is_byte_identical(run, tmp_path, monkeypatch):
     """With DLB's asynchronous (helper-thread) mode a runtime adopts a mask
-    the moment it is written, mid-step, not at its next poll.  The
-    reference loop reads the mask after each step's yield, so the batch's
-    last step must be split off under the wake mask.  Every process the
-    runner builds polls instead, so only these cells reach that split."""
+    the moment it is written, mid-step, not at its next poll.  Both loops
+    still price, record and charge the step that spans the write under the
+    mask its ranks polled before it, and the next step under the new one.
+    Every process the runner builds polls instead, so only these cells
+    adopt a mask mid-step."""
     start = ApplicationProcess.start
 
     def start_asynchronous(process):
@@ -121,6 +122,36 @@ def test_asynchronous_adoption_is_byte_identical(run, tmp_path, monkeypatch):
 
     monkeypatch.setattr(ApplicationProcess, "start", start_asynchronous)
     assert_byte_identical(run, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "run, batches",
+    [
+        pytest.param(*cell.values, batches, id=cell.id)
+        for cell, batches in zip(LOWEST_UTILISATION, [36, 92, 38, 92])
+    ],
+)
+def test_statistics_reads_match_the_reference(run, batches, monkeypatch):
+    """Every utilisation the node policy reads, batched, is the reference
+    loop's at the same instant, to the bit.  Catching the statistics up at
+    each read lets a batch cross the horizon as under every other policy:
+    the four cells ran 54, 127, 53 and 127 batches when they ended strictly
+    before it, and run 36, 92, 38 and 92."""
+    original = _RunState._node_utilisation
+
+    def recorded(state, name):
+        value = original(state, name)
+        reads.append((state.engine.now, name, None if value is None else value.hex()))
+        return value
+
+    monkeypatch.setattr(_RunState, "_node_utilisation", recorded)
+    reads = []
+    execute_run(run, trace=False, batching=False)
+    reference, reads = reads, []
+    batched = execute_run(run, trace=False, batching=True)
+    assert reads == reference
+    assert reads
+    assert batched.batches_executed == batches
 
 
 def assert_byte_identical(run, tmp_path):

@@ -140,6 +140,16 @@ GENERATED = [
 ]
 
 
+def _boundaries(cuts, durations, start):
+    """The per-step fold of a priced fold's stretches: every step's end."""
+    steps = []
+    first = 0
+    for cut, duration in zip(cuts, durations):
+        steps.extend(repeat(duration, cut - first))
+        first = cut
+    return list(accumulate(steps, initial=start))[1:]
+
+
 @pytest.mark.parametrize("node_policy", [None, "lowest-utilisation"],
                          ids=["first-fit", "lowest-utilisation"])
 @pytest.mark.parametrize("drom", [False, True], ids=["serial", "drom"])
@@ -147,38 +157,54 @@ GENERATED = [
 def test_batch_cuts_of_generated_cells(monkeypatch, index, drom, node_policy):
     """Every batch of a generated cell ends, and publishes its fence, where
     the per-step fold of the stretches (``accumulate``) and a ``bisect_left``
-    cut at the horizon put them: the first boundary at or past the horizon,
-    or, when the node policy reads live statistics, the last one before it
-    (one step if none)."""
-    original = runner._cut
+    cut at the horizon put them: the first boundary at or past the horizon.
+    Every statistics catch-up records the steps that end strictly before
+    its instant, again a ``bisect_left`` cut of the per-step fold, and the
+    ``lowest-utilisation`` DROM cells catch up at least once."""
+    original_cut, original_below = runner._cut, runner._below
     cuts_seen = []
+    catch_ups = []
+    #: Per fold (kept alive, so ids stay unique), the instant it starts at.
+    fold_starts = {}
+    inside_cut = [False]
 
-    def checked(cuts, durations, enters, o, start, horizon, strict):
-        steps = []
-        first = 0
-        for cut, duration in zip(cuts, durations):
-            steps.extend(repeat(duration, cut - first))
-            first = cut
-        boundaries = list(accumulate(steps, initial=enters[0]))[1:]
+    def checked_cut(cuts, durations, enters, o, start, horizon):
+        fold_starts[id(cuts)] = (cuts, enters[0])
+        boundaries = _boundaries(cuts, durations, enters[0])
         ends = [boundaries[cut - 1] for cut in cuts]
         assert [_bytes(t) for t in enters[1:]] == [_bytes(t) for t in ends]
         assert _bytes(start) == _bytes(boundaries[o - 1] if o else enters[0])
         if horizon is None:
             expected = len(boundaries)
         else:
-            below = bisect_left(boundaries, horizon, o)
-            if strict:
-                expected = max(below, o + 1)
-            else:
-                expected = min(below + 1, len(boundaries))
-        end, wake = original(cuts, durations, enters, o, start, horizon, strict)
+            expected = min(bisect_left(boundaries, horizon, o) + 1, len(boundaries))
+        inside_cut[0] = True
+        end, wake = original_cut(cuts, durations, enters, o, start, horizon)
+        inside_cut[0] = False
         assert (end, _bytes(wake)) == (expected, _bytes(boundaries[end - 1]))
         cuts_seen.append((horizon is not None, end - o))
         return end, wake
 
-    monkeypatch.setattr(runner, "_cut", checked)
+    def checked_below(cuts, durations, o, start, bound):
+        end, at = original_below(cuts, durations, o, start, bound)
+        if not cuts:
+            # A fold not priced yet: nothing to record.
+            assert (end, at) == (o, start)
+        elif not inside_cut[0]:
+            fold_start = fold_starts[id(cuts)][1]
+            boundaries = _boundaries(cuts, durations, fold_start)
+            assert _bytes(start) == _bytes(boundaries[o - 1] if o else fold_start)
+            assert end == bisect_left(boundaries, bound, o)
+            assert _bytes(at) == _bytes(boundaries[end - 1] if end else fold_start)
+            catch_ups.append(end - o)
+        return end, at
+
+    monkeypatch.setattr(runner, "_cut", checked_cut)
+    monkeypatch.setattr(runner, "_below", checked_below)
     workload = generate_workload(GENERATED[index], seed=index + 1)
     result = ScenarioRunner(drom, node_policy=node_policy).run(workload, trace=False)
     assert len(cuts_seen) == result.batches_executed
     # Some batches are cut by a horizon after more than one step.
     assert any(cut and steps > 1 for cut, steps in cuts_seen)
+    if drom and node_policy == "lowest-utilisation":
+        assert any(catch_ups)

@@ -20,10 +20,9 @@ from repro.slurm.policies import (
     FirstFit,
     LeastAllocatedFirst,
     LowestUtilisationFirst,
-    NodeSelectionPolicy,
 )
 from repro.slurm.slurmctld import NodeState, Slurmctld
-from repro.workload.runner import DROM, SERIAL, ScenarioRunner, _RunState, run_both_scenarios
+from repro.workload.runner import DROM, SERIAL, run_both_scenarios
 from repro.workload.workloads import in_situ_workload
 
 
@@ -190,38 +189,6 @@ class TestNodeSelectionPolicies:
         states = self.make_states()
         policy = LowestUtilisationFirst(lambda name: {"a": 0.1}.get(name))
         assert policy.order(states)[0].name == "a"
-
-    def test_reads_statistics(self):
-        """Only a policy that reads a live provider makes the runner's
-        batches stop strictly before scheduling events."""
-        assert not FirstFit().reads_statistics
-        assert not LeastAllocatedFirst().reads_statistics
-        assert LowestUtilisationFirst(lambda name: None).reads_statistics
-        assert not LowestUtilisationFirst({"a": 0.5}).reads_statistics
-
-        class Custom(NodeSelectionPolicy):
-            def order(self, candidates):
-                return list(candidates)
-
-        assert Custom().reads_statistics
-
-    @pytest.mark.parametrize(
-        "node_policy, strict",
-        [
-            (None, False),
-            ("first-fit", False),
-            ("least-allocated", False),
-            ("lowest-utilisation", True),
-            (LowestUtilisationFirst({"mn3-0": 0.5}), False),
-            (LowestUtilisationFirst(lambda name: None), True),
-        ],
-        ids=["none", "first-fit", "least-allocated", "lowest-utilisation",
-             "lowest-utilisation-mapping", "lowest-utilisation-callable"],
-    )
-    def test_runner_strictness_follows_policy(self, node_policy, strict):
-        runner = ScenarioRunner(drom_enabled=True, node_policy=node_policy)
-        state = _RunState(runner, in_situ_workload("NEST", "Conf. 1", "Pils", "Conf. 2"), False)
-        assert state._strict_horizon is strict
 
     def test_policy_plugs_into_slurmctld(self):
         """With the low-utilisation policy, a one-node job lands on the node
