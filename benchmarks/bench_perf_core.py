@@ -9,8 +9,9 @@ reference loop, kept verbatim) and once with the batched default — and
 * asserts **byte identity** per cell: equal :class:`RunMetrics` rows, equal
   stored metrics-tier JSON bytes under the same content key, and equal
   trace-tier gzip artifact bytes under the same content key;
-* measures wall-clock, steps/sec and events/sec per cell and writes the
-  whole report to ``BENCH_core.json``;
+* measures wall-clock, steps/sec and events/sec per cell, records its
+  batched wakes (``batches``) next to its events, and writes the whole
+  report to ``BENCH_core.json``;
 * asserts the **aggregate cold-sweep speedup is >= 5x**;
 * asserts the **pricing gate** per cell: ``priced_per_advanced`` (per-rank
   step prices over per-rank steps advanced, from the ``simulate`` span's
@@ -138,6 +139,7 @@ def run_cell(family: str, run: RunSpec, work_dir: Path) -> dict:
         "steps_per_sec": steps / fast_seconds if fast_seconds > 0 else float("inf"),
         "events": events,
         "events_per_sec": events / fast_seconds if fast_seconds > 0 else float("inf"),
+        "batches": batched.batches_executed,
         "reference_events": reference.events_executed,
         "priced_per_advanced": simulate.counters["priced"] / simulate.counters["steps"],
         "byte_identical": True,
@@ -166,6 +168,7 @@ def run_harness(out: Path) -> dict:
                     f"{cell['speedup']:5.1f}x  "
                     f"{cell['steps_per_sec']:>9.0f} steps/s  "
                     f"{cell['events_per_sec']:>8.0f} events/s  "
+                    f"{cell['events']:>5} events  {cell['batches']:>5} batches  "
                     f"{cell['priced_per_advanced']:4.2f} priced/step"
                 )
     ref_total = sum(c["reference_seconds"] for c in cells)
@@ -216,6 +219,7 @@ def test_perf_core_gate(report):
     lines = [
         f"{c['family']}/{c['scenario']}: {c['speedup']:.1f}x, "
         f"{c['steps_per_sec']:.0f} steps/s, {c['events_per_sec']:.0f} events/s, "
+        f"{c['events']} events, {c['batches']} batches, "
         f"{c['priced_per_advanced']:.2f} priced/step"
         for c in results["cells"]
     ]

@@ -61,12 +61,6 @@ class StepRecord(NamedTuple):
             "work_units": self.work_units,
         }
 
-    @classmethod
-    def from_record(cls, record: dict) -> "StepRecord":
-        payload = {k: v for k, v in record.items() if k != "record"}
-        payload["thread_utilisation"] = tuple(payload["thread_utilisation"])
-        return cls(**payload)
-
 
 class StepRun(NamedTuple):
     """``count`` consecutive steps of one rank, alike but for their start.

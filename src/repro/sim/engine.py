@@ -1,11 +1,12 @@
 """Deterministic discrete-event simulation engine.
 
 A virtual clock over a priority queue of ``(time, priority, seq, callback,
-args)`` entries.  Callbacks are scheduled with :meth:`SimulationEngine.call_at`;
+args)`` entries.  Callbacks are scheduled with :meth:`SimulationEngine.call_at`,
+which returns an id that :meth:`SimulationEngine.cancel` takes back;
 generator *processes* started with :meth:`SimulationEngine.spawn` sleep by
-yielding :class:`Timeout` or :class:`WakeAt`.  Ties in time break by priority,
-then by a monotonically increasing sequence number, so two runs of the same
-scenario produce identical event orders.
+yielding :class:`Timeout`.  Ties in time break by priority, then by a
+monotonically increasing sequence number, so two runs of the same scenario
+produce identical event orders.
 """
 
 from __future__ import annotations
@@ -30,20 +31,6 @@ class Timeout:
             raise ValueError("Timeout delay must be non-negative")
 
 
-@dataclass(frozen=True, slots=True)
-class WakeAt:
-    """Yielded by a process to sleep until an *absolute* simulated instant.
-
-    Unlike :class:`Timeout` (which wakes at ``now + delay``, a float
-    addition), a :class:`WakeAt` wake lands at exactly ``time`` — the batched
-    fast path uses it to wake at a left-fold-accumulated step boundary with
-    no re-rounding, so batched and single-step runs hit bit-identical
-    instants.  A time at or before ``now`` wakes at ``now``.
-    """
-
-    time: float
-
-
 class SimulationEngine:
     """The event loop."""
 
@@ -55,6 +42,8 @@ class SimulationEngine:
         # so comparisons never reach the callback.
         self._queue: list[tuple[float, int, int, Callable[..., Any], tuple]] = []
         self._seq = 0
+        #: Sequence numbers of cancelled calls still in the queue.
+        self._cancelled: set[int] = set()
         self._running = False
         self._executed = 0
 
@@ -70,17 +59,28 @@ class SimulationEngine:
 
     def call_at(
         self, time: float, callback: Callable[..., Any], *args: Any, priority: int = 0
-    ) -> None:
-        """Run ``callback(*args)`` at absolute simulated ``time``."""
+    ) -> int:
+        """Run ``callback(*args)`` at absolute simulated ``time``.
+
+        A ``time`` at or after ``now`` is kept as given, so a wake lands on
+        exactly the float it names.  Returns the call's id for :meth:`cancel`.
+        """
         if time < self._now - 1e-12:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is t={self._now}"
             )
-        heapq.heappush(
-            self._queue,
-            (max(time, self._now), priority, self._seq, callback, args),
-        )
+        seq = self._seq
+        heapq.heappush(self._queue, (max(time, self._now), priority, seq, callback, args))
         self._seq += 1
+        return seq
+
+    def cancel(self, call: int) -> None:
+        """Drop ``call``, an id from :meth:`call_at` that has not run yet.
+
+        A cancelled call never runs, never moves the clock and is not
+        counted in :attr:`events_executed`.
+        """
+        self._cancelled.add(call)
 
     def spawn(self, gen: Iterator, name: str, priority: int = 0) -> None:
         """Start the process ``gen`` as an event at the current time.
@@ -96,15 +96,13 @@ class SimulationEngine:
             yielded = next(gen)
         except StopIteration:
             return
-        if isinstance(yielded, Timeout):
-            time = self._now + yielded.delay
-        elif isinstance(yielded, WakeAt):
-            time = max(yielded.time, self._now)
-        else:
+        if not isinstance(yielded, Timeout):
             raise SimulationError(
                 f"process {name!r} yielded an unsupported value: {yielded!r}"
             )
-        self.call_at(time, self._step, gen, name, priority, priority=priority)
+        self.call_at(
+            self._now + yielded.delay, self._step, gen, name, priority, priority=priority
+        )
 
     def run(self) -> float:
         """Process events until the queue drains; returns the final time."""
@@ -112,10 +110,14 @@ class SimulationEngine:
             raise SimulationError("engine is already running")
         self._running = True
         queue = self._queue
+        cancelled = self._cancelled
         executed = 0
         try:
             while queue:
-                time, _, _, callback, args = heapq.heappop(queue)
+                time, _, seq, callback, args = heapq.heappop(queue)
+                if seq in cancelled:
+                    cancelled.remove(seq)
+                    continue
                 if time > self._now:
                     self._now = time
                 callback(*args)

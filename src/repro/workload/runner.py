@@ -25,6 +25,7 @@ Two scenarios are provided, matching Section 6:
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -42,7 +43,7 @@ from repro.metrics.tracing import MaskChangeRecord, StepRun, Tracer
 from repro.obs.sched import ClusterProbe, SchedTimeline
 from repro.runtime.mpi import MpiCommunicator
 from repro.runtime.process import ApplicationProcess, ProcessSpec, ThreadModel
-from repro.sim.engine import SimulationEngine, Timeout, WakeAt
+from repro.sim.engine import SimulationEngine, Timeout
 from repro.slurm.jobs import Job, JobSpec
 from repro.slurm.launcher import Srun
 from repro.slurm.policies import build_node_policy
@@ -71,17 +72,22 @@ class JobExecution:
     job: Job
     #: The work plan every rank runs: ranks step in lockstep, so one cursor.
     plan: WorkPlan
-    #: Lower bound on the next instant this job can cause a side effect
-    #: others observe (its completion).  No other job's batch sleeps past it.
-    fence: float
-    #: The wake instant of the job's running batch.
+    #: Engine priority of the job's wakes: its launch sequence number, so
+    #: same-instant wakes interleave identically however sleeps are batched.
+    priority: int
+    #: Fold offset and wake instant at which the job's running batch ends.
+    batch_stop: int
     batch_end: float
     #: Fold offset and start instant of the first step not yet recorded.
     o: int
     at: float
+    #: Engine id of the pending wake (batched loop only).
+    call: int = -1
     ranks: list[RankExecution] = field(default_factory=list)
-    # The fold of the batched loop's last pricing (see
-    # _RunState._execute_batched); empty in the reference loop.
+    # The fold of the batched loop's last pricing (see _RunState._wake);
+    # empty in the reference loop.
+    #: The per-rank masks and interference factors it was priced under.
+    key: tuple | None = None
     #: Fold offsets at which the plan's remaining segments end: stretch
     #: ``i`` runs from ``cuts[i - 1]`` (0 for the first) to ``cuts[i]``.
     cuts: list[int] = field(default_factory=list)
@@ -183,11 +189,12 @@ class ScenarioRunner:
         Forwarded to :class:`~repro.slurm.slurmctld.Slurmctld`: jobs behind a
         blocked job may start if they fit.
     batching:
-        True (the default) runs the batched fast path: stretches of steps
-        that provably cannot observe a mask change, a scheduler event or a
-        co-runner change are priced per uniform segment and advanced with a
-        single engine wake, emitting on wake runs of steps that expand to the
-        same per-step records.
+        True (the default) runs the batched fast path: a job prices its
+        remaining steps per uniform segment and sleeps to its completion
+        in one engine wake; a scheduler event (a submit or a completion)
+        pulls the wake back to the job's first step boundary at or after
+        it.  Each wake emits runs of steps that expand to the same
+        per-step records.
         False runs the one-yield-per-step reference loop, which writes the
         same accounting as runs of one.  Both paths
         produce byte-identical metrics, traces and stored artifacts — the
@@ -297,31 +304,13 @@ def _below(
 
 
 def _cut(
-    cuts: list[int],
-    durations: list[float],
-    enters: list[float],
-    o: int,
-    start: float,
-    horizon: float | None,
+    cuts: list[int], durations: list[float], o: int, start: float, horizon: float
 ) -> tuple[int, float]:
-    """``(end, wake)``: the fold offset and the instant at which a batch
-    that starts at offset ``o`` and instant ``start`` ends.
-
-    Without a horizon the batch takes the whole fold.  Otherwise it ends
-    with the first step whose end reaches or passes the horizon, that step
-    included.  No event comes before the horizon (a fence only moves earlier
-    at an event, which clamps it), so only that last step can see one,
-    mid-step or at its end, just as in the reference loop: it runs under
-    the mask its ranks polled before it, and an event at the very instant
-    runs first (priority 0 beats every executor).  An event that reads the
-    statistics first records the steps that end before it
-    (:meth:`_RunState._node_utilisation`).
-    """
-    if horizon is None:
-        return cuts[-1], enters[-1]
+    """``(end, wake)``: the fold offset and instant of the first step
+    boundary at or after ``horizon``, from offset ``o`` (which starts at
+    ``start``) of a fold that ends at or after it: where the reference
+    loop polls next after an event at ``horizon``."""
     end, t = _below(cuts, durations, o, start, horizon)
-    if end == cuts[-1]:
-        return end, t
     # Step ``end`` is the first to end at or after the horizon.
     return end + 1, t + durations[bisect_right(cuts, end)]
 
@@ -378,13 +367,11 @@ class _RunState:
         #: Per-rank step prices computed (equals steps_advanced in the
         #: reference loop; the batched path prices a fold once per input).
         self.steps_priced = 0
-        # -- batching bookkeeping (see _execute_batched) ------------------
-        #: Submit instants not yet fired, ascending — static fences.
-        self._pending_submits: list[float] = []
-        #: Per-run launch sequence; used as the engine wake priority of each
-        #: job's executor so same-instant wakes interleave identically no
-        #: matter how (or whether) their sleeps were batched.
+        #: Per-run launch sequence: each job's wake priority.
         self._launch_seq = 0
+        #: Priced jobs that have recorded no step yet, as a heap on their
+        #: first step's end, then launch order (see _record_first_steps).
+        self._unrecorded: list[tuple[float, int, JobExecution]] = []
 
     def _resolve_node_policy(self, policy):
         """Build a by-name node policy against this run's statistics."""
@@ -403,8 +390,7 @@ class _RunState:
                     execution.cuts, execution.durations, execution.o, execution.at,
                     self.engine.now,
                 )
-                if end > execution.o:
-                    self._emit(execution, end, at)
+                self._emit(execution, end, at)
         summary = self.stats[name].node_summary()
         return summary.utilisation if summary.nprocesses else None
 
@@ -413,11 +399,8 @@ class _RunState:
     def start(self) -> None:
         for wjob in self.workload.jobs:
             self.engine.call_at(wjob.submit_time, self._submit, wjob)
-            self._pending_submits.append(max(wjob.submit_time, 0.0))
-        self._pending_submits.sort()
 
     def _submit(self, wjob: WorkloadJob) -> None:
-        self._pending_submits.remove(self.engine.now)
         # Per-job resource request: explicit on the workload job, or the app
         # configuration spread over the workload's default node count.
         request = wjob.resource_request(self.workload.nodes)
@@ -438,16 +421,21 @@ class _RunState:
         self._schedule_pass()
 
     def _schedule_pass(self) -> None:
-        for decision in self.ctld.schedule(self.engine.now):
+        now = self.engine.now
+        for decision in self.ctld.schedule(now):
             self._launch(decision.job)
-        # A pass may have written new masks (DROM repartitioning).  A running
-        # batch priced its steps under the old masks; that is fine — its wake
-        # is its next poll — but its *completion fence* may now be stale (an
-        # expansion finishes the job earlier than advertised).  Clamp every
-        # fence to the job's next wake: the executor re-publishes an exact
-        # fence there, and nobody sleeps past an instant that may now matter.
+        # The event may have written masks or changed co-runners: pull every
+        # sleeping batch back to where the reference loop polls next.  A
+        # submit runs before every same-instant wake (priority 0); a
+        # completion has woken the ones due before it (_complete).
         for execution in self.executions.values():
-            execution.fence = min(execution.fence, execution.batch_end)
+            if execution.batch_end > now:
+                stop, end = _cut(
+                    execution.cuts, execution.durations, execution.o, execution.at, now
+                )
+                if end < execution.batch_end:
+                    self.engine.cancel(execution.call)
+                    self._sleep(execution, stop, end)
 
     # -- launching --------------------------------------------------------------------------
 
@@ -458,14 +446,14 @@ class _RunState:
         # The plan splits the work over the *requested* tasks: a request
         # deviating from the Table-1 shape re-partitions the same total work
         # over its own rank count.  The submitted spec is the single source
-        # of the request.  Until the executor's first decision (an immediate
-        # event), the job may do anything "now": a conservative fence no
-        # batch can cross.
+        # of the request.
+        self._launch_seq += 1
         execution = JobExecution(
             workload_job=wjob,
             job=job,
             plan=wjob.app.model.build_plan(job.spec.request.effective_config(wjob.app.config)),
-            fence=self.engine.now,
+            priority=self._launch_seq,
+            batch_stop=0,
             batch_end=self.engine.now,
             o=0,
             at=self.engine.now,
@@ -488,17 +476,14 @@ class _RunState:
                 RankExecution(rank=task.global_rank, node=node_topology, process=process)
             )
         self.executions[job.job_id] = execution
-        self._launch_seq += 1
-        body = (
-            self._execute_batched(execution)
-            if self.runner.batching
-            else self._execute(execution)
-        )
-        self.engine.spawn(
-            body,
-            name=f"job-{job.job_id}-{wjob.label}",
-            priority=self._launch_seq,
-        )
+        if self.runner.batching:
+            self._sleep(execution, 0, self.engine.now)
+        else:
+            self.engine.spawn(
+                self._execute(execution),
+                name=f"job-{job.job_id}-{wjob.label}",
+                priority=execution.priority,
+            )
 
     def _install_mask_tracer(
         self, label: str, rank: int, process: ApplicationProcess
@@ -561,11 +546,10 @@ class _RunState:
         """The one-step-per-yield reference loop (``batching=False``).
 
         Every rank polls, prices its next step, sleeps one step and then
-        writes it through the same APIs as :meth:`_execute_batched`: a run
-        of one and a count-1 stats entry; the shared plan then advances one
-        step.  It keeps none of the batching logic (fold cache, cuts,
-        windows, horizon, statistics catch-up), which is what the
-        byte-identity gates check.
+        writes it through the same APIs as :meth:`_wake`: a run of one and
+        a count-1 stats entry; the shared plan then advances one step.  It
+        keeps none of the batching logic (fold cache, cuts, pull-backs,
+        statistics catch-up), which is what the byte-identity gates check.
         """
         model = execution.model
         plan = execution.plan
@@ -611,122 +595,96 @@ class _RunState:
             self.steps_advanced += len(execution.ranks)
         self._complete(execution)
 
-    def _batch_horizon(self, execution: JobExecution) -> float | None:
-        """Earliest instant an *external* side effect may occur, or None.
+    def _sleep(self, execution: JobExecution, stop: int, end: float) -> None:
+        """End ``execution``'s running batch at fold offset ``stop``, which
+        ends at ``end``, and schedule its wake there."""
+        execution.batch_stop, execution.batch_end = stop, end
+        execution.call = self.engine.call_at(
+            end, self._wake, execution, priority=execution.priority
+        )
 
-        A batch of ``execution`` may not take a step that starts at or after
-        this instant (see :func:`_cut`): pending submits and other jobs'
-        completions are the only events that write masks, change co-runner
-        sets or read the statistics modules.  Other jobs' intermediate wakes
-        are inert — they only append trace/stats records nobody reads
-        mid-flight — so they do not bound the batch, which is what lets
-        co-running jobs skip ahead together instead of leapfrogging one step
-        at a time.
-        """
-        horizon = self._pending_submits[0] if self._pending_submits else None
-        for other in self.executions.values():
-            if other is not execution and (horizon is None or other.fence < horizon):
-                horizon = other.fence
-        return horizon
+    def _wake(self, execution: JobExecution) -> None:
+        """One wake of the batched fast path of :meth:`_execute`.
 
-    def _execute_batched(self, execution: JobExecution):
-        """Batched step advancement: the fast path of :meth:`_execute`.
+        Records the batch that ends now, as runs and counted stats entries
+        that accumulate exactly as the reference loop's runs of one and
+        count-1 entries, and completes the job if its plan is finished.
+        Otherwise every rank polls, the remaining steps are re-priced if the
+        masks or interference factors changed, and the job sleeps to the end
+        of its fold, its completion, unless an event pulls the wake back
+        (:meth:`_schedule_pass`).
 
-        Each loop iteration takes as many upcoming steps as provably fit the
-        batch horizon (masks and interference cannot change inside the
-        window), sleeps once to the final step boundary, then emits on wake
-        step runs and counted stats entries that accumulate exactly as the
-        reference loop's runs of one and count-1 entries — same floats, same
-        accumulation order, byte-identical artifacts.  A statistics read
-        inside the window first emits the steps that end before it.
-
-        Steps are priced once per plan segment and per distinct pricing
-        input, not per step or per batch.  The execution keeps the fold of
-        its last pricing as uniform stretches, the plan's remaining
+        The fold is kept as uniform stretches, the plan's remaining
         segments: per stretch the step duration (the slowest rank's) and the
-        instant its first step starts, and per rank the piece it emits.  The
-        executor consumes the fold from its first unrecorded step for as
-        long as the masks and interference factors stay the same.  A stretch's step boundaries are the left fold
-        of its duration from its entry instant, which :func:`repeat_add` and
-        :func:`fold_below` evaluate in O(binades crossed), so the batch ends,
-        the fence and the piece starts are the very floats the reference
-        loop's clock reaches, and no per-step list is ever built.
+        instant its first step starts, and per rank the piece it emits.  A
+        stretch's step boundaries are the left fold of its duration from its
+        entry instant, which :func:`repeat_add` and :func:`fold_below`
+        evaluate in O(binades crossed), so the wakes and the piece starts
+        are the very floats the reference loop's clock reaches.
         """
-        model = execution.model
+        self._emit(execution, execution.batch_stop, execution.batch_end)
         plan = execution.plan
-        total_ranks = execution.job.spec.ntasks
-        engine = self.engine
+        if plan.finished:
+            self._complete(execution)
+            return
+        model = execution.model
         ranks = execution.ranks
-        # The inputs the execution's fold was priced under.
-        key = None
-        while not plan.finished:
-            if model.malleable:
-                for rank in ranks:
-                    rank.process.poll_malleability()
-
-            # Frozen batch inputs (can only change at fence events).
-            masks = [rank.process.current_mask for rank in ranks]
-            interferences = [self._interference(execution, rank) for rank in ranks]
-            batch_start = engine.now
-            # Re-price from ``now`` unless the inputs match the fold's key;
-            # the fold's first unrecorded step always starts at the wake.
-            if (masks, interferences) != key:
-                key = (masks, interferences)
-                remaining = plan.remaining_steps
-                runs = plan.runs(remaining)
-                execution.cuts = list(accumulate(n for _, n in runs))
-                # ``step_times`` prices one value per plan segment, so every
-                # rank's duration and their maximum are constant over each.
-                per_rank = [
-                    [
-                        duration
-                        for duration, _ in model.step_times(
-                            plan,
-                            remaining,
-                            mask,
-                            rank.node,
-                            total_ranks=total_ranks,
-                            interference=interference,
-                        ).segments
-                    ]
-                    for rank, mask, interference in zip(ranks, masks, interferences)
+        if model.malleable:
+            for rank in ranks:
+                rank.process.poll_malleability()
+        masks = [rank.process.current_mask for rank in ranks]
+        interferences = [self._interference(execution, rank) for rank in ranks]
+        # Re-price from ``now`` unless the inputs match the fold's key; the
+        # fold's first unrecorded step always starts at the wake.
+        if (masks, interferences) != execution.key:
+            execution.key = (masks, interferences)
+            now = self.engine.now
+            remaining = plan.remaining_steps
+            runs = plan.runs(remaining)
+            execution.cuts = list(accumulate(n for _, n in runs))
+            # ``step_times`` prices one value per plan segment, so every
+            # rank's duration and their maximum are constant over each.
+            per_rank = [
+                [
+                    duration
+                    for duration, _ in model.step_times(
+                        plan,
+                        remaining,
+                        mask,
+                        rank.node,
+                        total_ranks=execution.job.spec.ntasks,
+                        interference=interference,
+                    ).segments
                 ]
-                durations = execution.durations = [max(column) for column in zip(*per_rank)]
-                # The stretch ends are the left fold of the per-step durations
-                # — the exact "now + duration" addition chain the engine clock
-                # performs when the reference loop sleeps one step at a time.
-                enters = execution.enters = [batch_start]
-                for (_, n), step_duration in zip(runs, durations):
-                    enters.append(repeat_add(enters[-1], step_duration, n))
-                execution.pieces = [
-                    [
-                        self._piece(
-                            execution, rank, step, step_duration,
-                            duration / step_duration if step_duration > 0 else 1.0, mask,
-                        )
-                        for (step, _), duration, step_duration in zip(
-                            runs, rank_durations, durations
-                        )
-                    ]
-                    for rank, mask, rank_durations in zip(ranks, masks, per_rank)
+                for rank, mask, interference in zip(ranks, masks, interferences)
+            ]
+            durations = execution.durations = [max(column) for column in zip(*per_rank)]
+            # The stretch ends are the left fold of the per-step durations
+            # — the exact "now + duration" addition chain the engine clock
+            # performs when the reference loop sleeps one step at a time.
+            enters = execution.enters = [now]
+            for (_, n), step_duration in zip(runs, durations):
+                enters.append(repeat_add(enters[-1], step_duration, n))
+            execution.pieces = [
+                [
+                    self._piece(
+                        execution, rank, step, step_duration,
+                        duration / step_duration if step_duration > 0 else 1.0, mask,
+                    )
+                    for (step, _), duration, step_duration in zip(
+                        runs, rank_durations, durations
+                    )
                 ]
-                execution.o, execution.at = 0, batch_start
-                self.steps_priced += remaining * len(ranks)
-
-            end, execution.batch_end = _cut(
-                execution.cuts, execution.durations, execution.enters, execution.o,
-                batch_start, self._batch_horizon(execution),
-            )
-            # Publish this job's completion fence — the full fold, exact
-            # under the current masks; shrinks only delay it, and expansions
-            # clamp it back to the batch wake at the event that writes them
-            # (_schedule_pass).
-            execution.fence = execution.enters[-1]
-            self.batches_executed += 1
-
-            yield WakeAt(execution.batch_end)
-            self._emit(execution, end, execution.batch_end)
-        self._complete(execution)
+                for rank, mask, rank_durations in zip(ranks, masks, per_rank)
+            ]
+            execution.o, execution.at = 0, now
+            self.steps_priced += remaining * len(ranks)
+            if plan.next_step == 0:
+                heapq.heappush(
+                    self._unrecorded, (now + durations[0], execution.priority, execution)
+                )
+        self.batches_executed += 1
+        self._sleep(execution, execution.cuts[-1], execution.enters[-1])
 
     def _emit(self, execution: JobExecution, end: int, at: float) -> None:
         """Record ``execution``'s steps from its first unrecorded one up to
@@ -737,6 +695,10 @@ class _RunState:
         boundaries, in the same accumulation order.  The batched loop emits
         on each wake; a statistics read emits up to its instant first.
         """
+        if end == execution.o:
+            return
+        if execution.plan.next_step == 0:
+            self._record_first_steps(execution)
         cuts, enters = execution.cuts, execution.enters
         spans = []
         first, start, i = execution.o, execution.at, bisect_right(cuts, execution.o)
@@ -763,6 +725,22 @@ class _RunState:
         self.steps_advanced += k * len(execution.ranks)
         execution.o, execution.at = end, at
 
+    def _record_first_steps(self, execution: JobExecution) -> None:
+        """Before ``execution`` records its first step, record the first step
+        of every job whose first step ends earlier (ties in launch order)
+        and that has recorded none yet.
+
+        A rank's statistics record is created by its first step, and a node
+        summary adds its records up in creation order: the reference loop
+        creates them in that order, at each first step's end.
+        """
+        while True:
+            first_end, _, other = self._unrecorded[0]
+            if other is execution:
+                heapq.heappop(self._unrecorded)
+                return
+            self._emit(other, 1, first_end)  # pops ``other`` first
+
     def _interference(self, execution: JobExecution, rank: RankExecution) -> float:
         if self.runner.interference is None:
             return 1.0
@@ -777,6 +755,20 @@ class _RunState:
     # -- completion ----------------------------------------------------------------------------------
 
     def _complete(self, execution: JobExecution) -> None:
+        # The completion runs in the job's wake, at its priority.  A job
+        # launched earlier whose step ends at this very instant polls before
+        # it in the reference loop, so wake those first, in launch order (the
+        # order of ``executions``), before any side effect of this completion.
+        now = self.engine.now
+        for other in list(self.executions.values()):
+            if other is execution:
+                break
+            if other.cuts:
+                stop, end = _cut(other.cuts, other.durations, other.o, other.at, now)
+                if end == now:
+                    self.engine.cancel(other.call)
+                    other.batch_stop, other.batch_end = stop, end
+                    self._wake(other)
         job = execution.job
         # Snapshot the DROM statistics before the processes unregister.
         snapshots: list[ProcessStats] = []

@@ -128,15 +128,17 @@ def test_asynchronous_adoption_is_byte_identical(run, tmp_path, monkeypatch):
     "run, batches",
     [
         pytest.param(*cell.values, batches, id=cell.id)
-        for cell, batches in zip(LOWEST_UTILISATION, [36, 92, 38, 92])
+        for cell, batches in zip(LOWEST_UTILISATION, [24, 50, 23, 50])
     ],
 )
 def test_statistics_reads_match_the_reference(run, batches, monkeypatch):
     """Every utilisation the node policy reads, batched, is the reference
-    loop's at the same instant, to the bit.  Catching the statistics up at
-    each read lets a batch cross the horizon as under every other policy:
-    the four cells ran 54, 127, 53 and 127 batches when they ended strictly
-    before it, and run 36, 92, 38 and 92."""
+    loop's at the same instant, to the bit: the catch-up records the steps
+    that end before each read, and first steps are recorded in the
+    reference's order, which is the order a node summary adds its records
+    in.  The four cells ran 54, 127, 53 and 127 batches when batches ended
+    strictly before the next predicted event, 36, 92, 38 and 92 when they
+    crossed it, and run 24, 50, 23 and 50 now that events pull wakes back."""
     original = _RunState._node_utilisation
 
     def recorded(state, name):
@@ -270,11 +272,11 @@ def test_interference_change_alone_reprices(drom_enabled):
     assert batched.steps_priced > batched.steps_advanced
 
 
-def test_one_wake_per_fence():
-    """A batch crosses the fence it reaches instead of stopping just before
-    it and taking the crossing step in a second, one-step batch: the
-    generated 12-job DROM fcfs cell ran 76 batches with two wakes per fence
-    and runs 50 with one, pricing the same 1 506 steps."""
+def test_wakes_follow_events():
+    """A job sleeps to its completion and only a scheduler event pulls its
+    wake back: the generated 12-job DROM fcfs cell ran 76 batches with two
+    wakes per predicted completion, 50 with one, and runs 33 now that no
+    job wakes for another's prediction, pricing the same 1 506 steps."""
     result = execute_run(RunLengthCells._cell(12, DROM, False, None), trace=False)
-    assert result.batches_executed == 50
+    assert result.batches_executed == 33
     assert result.steps_priced == 1506

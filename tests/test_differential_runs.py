@@ -124,18 +124,22 @@ def _assert_owned_within_capacity(run: RunSpec, result) -> None:
         assert owned.get(node.name, 0.0) <= capacity * (1 + 1e-12), node.name
 
 
-def _draw(scenario, arrival, mean_interarrival, seed, burst_size=4) -> RunSpec:
+def _draw(
+    scenario, arrival, mean_interarrival, seed, burst_size=4, size_mix=(),
+    interference_factor=None, node_policy="first-fit",
+) -> RunSpec:
     """A draw that once failed, pinned below."""
     spec = WorkloadSpec(
         njobs=3, arrival=arrival, mean_interarrival=mean_interarrival,
-        burst_size=burst_size, work_scale=0.02, iterations=4,
+        burst_size=burst_size, size_mix=size_mix, work_scale=0.02, iterations=4,
     )
     return RunSpec(
         index=0,
         scenario=scenario,
         workload=SyntheticWorkloadRef(spec=spec, seed=seed),
         cluster=ClusterRef(nnodes=NNODES),
-        scheduler=SchedulerRef(node_policy="first-fit"),
+        interference_factor=interference_factor,
+        scheduler=SchedulerRef(node_policy=node_policy),
     )
 
 
@@ -148,6 +152,14 @@ ADOPTION_LAG = _draw(DROM, BURSTY, 40.0, seed=3, burst_size=2)
 #: Three jobs co-allocated at t=0: the controller counts more CPUs busy on
 #: a node than it has.
 CO_ALLOCATED = _draw(DROM, POISSON, 0.0, seed=0)
+#: STREAM #2 completes at 1.95 s, the instant a step of STREAM #0, launched
+#: before it, ends: #0 polls before the completion, as in the reference
+#: loop.  Woken after it, #0 adopts the freed CPUs a step early and ends at
+#: 4.2 s instead of 5.4 s.
+SAME_INSTANT = _draw(
+    DROM, POISSON, 0.0, seed=0, size_mix=heavy_tailed_size_mix(NNODES),
+    interference_factor=1.3, node_policy="least-allocated",
+)
 
 
 @settings(
@@ -159,6 +171,7 @@ CO_ALLOCATED = _draw(DROM, POISSON, 0.0, seed=0)
 @example(run=FULL_NODE)
 @example(run=ADOPTION_LAG)
 @example(run=CO_ALLOCATED)
+@example(run=SAME_INSTANT)
 def test_batched_run_matches_reference_and_invariants(run, tmp_path_factory):
     batched = assert_byte_identical(run, tmp_path_factory.mktemp("cell"))
     _assert_invariants(run, batched)

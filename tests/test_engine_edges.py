@@ -1,11 +1,11 @@
-"""Engine edge cases: yield validation, the absolute ``WakeAt`` wake the
-batched fast path relies on, and per-process wake priorities."""
+"""Engine edge cases: yield validation, the cancellable absolute-time calls
+the batched fast path relies on, and per-process wake priorities."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import SimulationEngine, SimulationError, Timeout, WakeAt
+from repro.sim.engine import SimulationEngine, SimulationError, Timeout
 
 
 class TestYieldValidation:
@@ -41,34 +41,53 @@ class TestYieldValidation:
             Timeout(-0.5)
 
 
-class TestSkipAheadApi:
-    def test_wake_at_lands_on_the_exact_float(self):
-        # The point of WakeAt over Timeout: no "now + delay" re-addition, so
-        # a left-fold-accumulated boundary is hit bit-for-bit.
+class TestCancel:
+    def test_cancelled_call_never_runs(self):
+        engine = SimulationEngine()
+        seen = []
+        call = engine.call_at(1.0, seen.append, "cancelled")
+        engine.call_at(2.0, seen.append, "live")
+        engine.cancel(call)
+        engine.run()
+        assert seen == ["live"]
+
+    def test_cancelled_call_does_not_move_the_clock(self):
+        # The last live call ends the run: a cancelled later one leaves no
+        # trace on ``now``.
+        engine = SimulationEngine()
+        engine.call_at(1.0, lambda: None)
+        engine.cancel(engine.call_at(5.0, lambda: None))
+        assert engine.run() == 1.0
+        assert engine.now == 1.0
+
+    def test_cancelled_call_is_not_counted(self):
+        engine = SimulationEngine()
+        engine.call_at(1.0, lambda: None)
+        engine.cancel(engine.call_at(0.5, lambda: None))
+        engine.cancel(engine.call_at(1.0, lambda: None))
+        engine.run()
+        assert engine.events_executed == 1
+
+    def test_call_at_lands_on_the_exact_float(self):
+        # An absolute call re-adds nothing, so a left-fold-accumulated step
+        # boundary is hit bit-for-bit.
         engine = SimulationEngine()
         target = 0.1 + 0.2  # 0.30000000000000004
         seen = []
-
-        def proc():
-            yield WakeAt(target)
-            seen.append(engine.now)
-
-        engine.spawn(proc(), name="proc")
+        engine.call_at(target, lambda: seen.append(engine.now))
         engine.run()
         assert seen == [target]
 
-    def test_wake_at_in_the_past_clamps_to_now(self):
+    def test_a_call_may_cancel_a_later_one_at_the_same_instant(self):
+        # The runner's completion wakes a same-instant job itself and
+        # cancels its queued wake.
         engine = SimulationEngine()
         seen = []
-
-        def proc():
-            yield Timeout(2.0)
-            yield WakeAt(1.0)  # already in the past: wakes immediately
-            seen.append(engine.now)
-
-        engine.spawn(proc(), name="proc")
+        later = engine.call_at(1.0, seen.append, "queued", priority=2)
+        engine.call_at(1.0, lambda: (engine.cancel(later), seen.append("first")), priority=1)
         engine.run()
-        assert seen == [2.0]
+        assert seen == ["first"]
+        assert engine.events_executed == 1
 
 
 class TestSpawnPriorities:
@@ -99,9 +118,9 @@ class TestSpawnPriorities:
         assert order == ["a", "b"]
 
     def test_priority_zero_callbacks_beat_executor_wakes(self):
-        # The runner relies on this: scheduler events (submits, completions)
-        # are plain priority-0 callbacks and must run before any same-instant
-        # executor wake, whose spawn priority is always >= 1.
+        # The runner relies on this: a submit is a plain priority-0 callback
+        # and must run before any same-instant executor wake, whose priority
+        # is always >= 1.
         engine = SimulationEngine()
         order = []
 

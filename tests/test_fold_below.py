@@ -7,9 +7,8 @@ compares the count and the IEEE-754 bytes of the fold.  The cases reuse
 edges, steps below half an ulp, non-finite or negative fallbacks) plus a
 zero step, and put the bound at, just above or just below a value of the
 fold, beyond its end, or at a non-finite or arbitrary value.  A replay then
-checks that the batch ends and fences the runner publishes on generated
-workloads are the ones the per-step ``accumulate`` fold and
-``bisect_left`` cut give.
+checks that the wakes the runner retimes on generated workloads land where
+the per-step ``accumulate`` fold and a ``bisect_left`` cut put them.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.floats import fold_below, repeat_add
 from repro.workload import runner
 from repro.workload.generator import BURSTY, UNIFORM, WorkloadSpec, generate_workload
-from repro.workload.runner import ScenarioRunner
+from repro.workload.runner import ScenarioRunner, _RunState
 
 from test_repeat_add import (
     binade_edges,
@@ -155,34 +154,42 @@ def _boundaries(cuts, durations, start):
 @pytest.mark.parametrize("drom", [False, True], ids=["serial", "drom"])
 @pytest.mark.parametrize("index", range(len(GENERATED)))
 def test_batch_cuts_of_generated_cells(monkeypatch, index, drom, node_policy):
-    """Every batch of a generated cell ends, and publishes its fence, where
-    the per-step fold of the stretches (``accumulate``) and a ``bisect_left``
-    cut at the horizon put them: the first boundary at or past the horizon.
-    Every statistics catch-up records the steps that end strictly before
-    its instant, again a ``bisect_left`` cut of the per-step fold, and the
+    """Every wake a generated cell retimes, pulled back by a scheduler pass
+    or woken before a same-instant completion, lands where the per-step
+    fold of the stretches (``accumulate``) and a ``bisect_left`` cut at the
+    event put it: the first boundary at or after the event.  Under
+    ``first-fit`` some pull-back lands more than one step ahead.  Every
+    statistics catch-up records the steps that end strictly before its
+    instant, again a ``bisect_left`` cut of the per-step fold, and the
     ``lowest-utilisation`` DROM cells catch up at least once."""
     original_cut, original_below = runner._cut, runner._below
+    original_wake = _RunState._wake
     cuts_seen = []
     catch_ups = []
-    #: Per fold (kept alive, so ids stay unique), the instant it starts at.
-    fold_starts = {}
+    #: Per fold (kept alive, so ids stay unique), its cuts and entry instants.
+    folds = {}
     inside_cut = [False]
 
-    def checked_cut(cuts, durations, enters, o, start, horizon):
-        fold_starts[id(cuts)] = (cuts, enters[0])
-        boundaries = _boundaries(cuts, durations, enters[0])
-        ends = [boundaries[cut - 1] for cut in cuts]
-        assert [_bytes(t) for t in enters[1:]] == [_bytes(t) for t in ends]
-        assert _bytes(start) == _bytes(boundaries[o - 1] if o else enters[0])
-        if horizon is None:
-            expected = len(boundaries)
-        else:
-            expected = min(bisect_left(boundaries, horizon, o) + 1, len(boundaries))
+    def wake(state, execution):
+        # A fold is priced only in a wake: check its entry instants once.
+        original_wake(state, execution)
+        cuts, enters = execution.cuts, execution.enters
+        if cuts and id(cuts) not in folds:
+            folds[id(cuts)] = (cuts, enters)
+            boundaries = _boundaries(cuts, execution.durations, enters[0])
+            ends = [boundaries[cut - 1] for cut in cuts]
+            assert [_bytes(t) for t in enters[1:]] == [_bytes(t) for t in ends]
+
+    def checked_cut(cuts, durations, o, start, horizon):
+        fold_start = folds[id(cuts)][1][0]
+        boundaries = _boundaries(cuts, durations, fold_start)
+        assert _bytes(start) == _bytes(boundaries[o - 1] if o else fold_start)
+        expected = bisect_left(boundaries, horizon, o) + 1
         inside_cut[0] = True
-        end, wake = original_cut(cuts, durations, enters, o, start, horizon)
+        end, wake = original_cut(cuts, durations, o, start, horizon)
         inside_cut[0] = False
         assert (end, _bytes(wake)) == (expected, _bytes(boundaries[end - 1]))
-        cuts_seen.append((horizon is not None, end - o))
+        cuts_seen.append(end - o)
         return end, wake
 
     def checked_below(cuts, durations, o, start, bound):
@@ -191,7 +198,7 @@ def test_batch_cuts_of_generated_cells(monkeypatch, index, drom, node_policy):
             # A fold not priced yet: nothing to record.
             assert (end, at) == (o, start)
         elif not inside_cut[0]:
-            fold_start = fold_starts[id(cuts)][1]
+            fold_start = folds[id(cuts)][1][0]
             boundaries = _boundaries(cuts, durations, fold_start)
             assert _bytes(start) == _bytes(boundaries[o - 1] if o else fold_start)
             assert end == bisect_left(boundaries, bound, o)
@@ -199,12 +206,14 @@ def test_batch_cuts_of_generated_cells(monkeypatch, index, drom, node_policy):
             catch_ups.append(end - o)
         return end, at
 
+    monkeypatch.setattr(_RunState, "_wake", wake)
     monkeypatch.setattr(runner, "_cut", checked_cut)
     monkeypatch.setattr(runner, "_below", checked_below)
     workload = generate_workload(GENERATED[index], seed=index + 1)
-    result = ScenarioRunner(drom, node_policy=node_policy).run(workload, trace=False)
-    assert len(cuts_seen) == result.batches_executed
-    # Some batches are cut by a horizon after more than one step.
-    assert any(cut and steps > 1 for cut, steps in cuts_seen)
+    ScenarioRunner(drom, node_policy=node_policy).run(workload, trace=False)
+    if node_policy is None:
+        assert any(steps > 1 for steps in cuts_seen)
+    # A pass that reads the statistics first records the steps that end
+    # before it, so its pull-backs land one step ahead.
     if drom and node_policy == "lowest-utilisation":
         assert any(catch_ups)

@@ -976,7 +976,6 @@ class TestTracesCli:
         assert result.tracer.mask_changes(), "the fixture should change masks"
         steps = records[1 : 1 + nsteps]
         masks = records[1 + nsteps : 1 + nsteps + nmasks]
-        assert [StepRecord.from_record(r) for r in steps] == list(result.tracer)
         assert steps == [s.to_record() for s in result.tracer]
         assert [MaskChangeRecord.from_record(r) for r in masks] == (
             result.tracer.mask_changes()
