@@ -167,9 +167,15 @@ class StatsModule:
             return list(self._stats.keys())
 
     def node_summary(self) -> NodeStatsSummary:
-        """Aggregate the node's statistics for the scheduler."""
+        """Aggregate the node's statistics for the scheduler.
+
+        The records are added up in the shared memory's registration
+        order, as an administrator walks the segment's process table, so a
+        summary depends only on what was recorded, not on which process
+        reported first.
+        """
         with self._lock:
-            records = [self._stats[pid] for pid in self._stats if self._shmem.has(pid)]
+            records = [self._stats[pid] for pid in self._shmem.pids() if pid in self._stats]
             cpus_owned = self._shmem.busy_mask().count()
             if not records:
                 return NodeStatsSummary(

@@ -1,34 +1,22 @@
 """Deterministic discrete-event simulation engine.
 
 A virtual clock over a priority queue of ``(time, priority, seq, callback,
-args)`` entries.  Callbacks are scheduled with :meth:`SimulationEngine.call_at`,
-which returns an id that :meth:`SimulationEngine.cancel` takes back;
-generator *processes* started with :meth:`SimulationEngine.spawn` sleep by
-yielding :class:`Timeout`.  Ties in time break by priority, then by a
-monotonically increasing sequence number, so two runs of the same scenario
+args)`` entries.  The one scheduling primitive is
+:meth:`SimulationEngine.call_at`, which returns an id that
+:meth:`SimulationEngine.cancel` takes back; a sleeping activity is a callback
+that schedules its own continuation.  Ties in time break by priority, then by
+a monotonically increasing sequence number, so two runs of the same scenario
 produce identical event orders.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 
 class SimulationError(RuntimeError):
     """Raised for invalid interactions with the engine (e.g. time travel)."""
-
-
-@dataclass(frozen=True, slots=True)
-class Timeout:
-    """Yielded by a process to sleep for ``delay`` simulated seconds."""
-
-    delay: float
-
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError("Timeout delay must be non-negative")
 
 
 class SimulationEngine:
@@ -81,28 +69,6 @@ class SimulationEngine:
         counted in :attr:`events_executed`.
         """
         self._cancelled.add(call)
-
-    def spawn(self, gen: Iterator, name: str, priority: int = 0) -> None:
-        """Start the process ``gen`` as an event at the current time.
-
-        ``priority`` tie-breaks this process's wake events against same-time
-        events of other priorities (lower runs first); processes of equal
-        priority fall back to scheduling order.
-        """
-        self.call_at(self._now, self._step, gen, name, priority, priority=priority)
-
-    def _step(self, gen: Iterator, name: str, priority: int) -> None:
-        try:
-            yielded = next(gen)
-        except StopIteration:
-            return
-        if not isinstance(yielded, Timeout):
-            raise SimulationError(
-                f"process {name!r} yielded an unsupported value: {yielded!r}"
-            )
-        self.call_at(
-            self._now + yielded.delay, self._step, gen, name, priority, priority=priority
-        )
 
     def run(self) -> float:
         """Process events until the queue drains; returns the final time."""

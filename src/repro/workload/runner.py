@@ -25,7 +25,6 @@ Two scenarios are provided, matching Section 6:
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -43,7 +42,7 @@ from repro.metrics.tracing import MaskChangeRecord, StepRun, Tracer
 from repro.obs.sched import ClusterProbe, SchedTimeline
 from repro.runtime.mpi import MpiCommunicator
 from repro.runtime.process import ApplicationProcess, ProcessSpec, ThreadModel
-from repro.sim.engine import SimulationEngine, Timeout
+from repro.sim.engine import SimulationEngine
 from repro.slurm.jobs import Job, JobSpec
 from repro.slurm.launcher import Srun
 from repro.slurm.policies import build_node_policy
@@ -81,7 +80,8 @@ class JobExecution:
     #: Fold offset and start instant of the first step not yet recorded.
     o: int
     at: float
-    #: Engine id of the pending wake (batched loop only).
+    #: Engine id of the pending batched wake, which an event may cancel;
+    #: the reference loop's step calls are never cancelled, so it keeps none.
     call: int = -1
     ranks: list[RankExecution] = field(default_factory=list)
     # The fold of the batched loop's last pricing (see _RunState._wake);
@@ -195,9 +195,10 @@ class ScenarioRunner:
         pulls the wake back to the job's first step boundary at or after
         it.  Each wake emits runs of steps that expand to the same
         per-step records.
-        False runs the one-yield-per-step reference loop, which writes the
-        same accounting as runs of one.  Both paths
-        produce byte-identical metrics, traces and stored artifacts — the
+        False runs the single-step reference loop, a chain of one engine
+        call per step, which writes the same accounting as runs of one.
+        Both paths schedule through the same ``call_at`` and produce
+        byte-identical metrics, traces and stored artifacts — the
         ``bench_perf_core`` harness gates every release on it.
     """
 
@@ -369,9 +370,6 @@ class _RunState:
         self.steps_priced = 0
         #: Per-run launch sequence: each job's wake priority.
         self._launch_seq = 0
-        #: Priced jobs that have recorded no step yet, as a heap on their
-        #: first step's end, then launch order (see _record_first_steps).
-        self._unrecorded: list[tuple[float, int, JobExecution]] = []
 
     def _resolve_node_policy(self, policy):
         """Build a by-name node policy against this run's statistics."""
@@ -479,10 +477,8 @@ class _RunState:
         if self.runner.batching:
             self._sleep(execution, 0, self.engine.now)
         else:
-            self.engine.spawn(
-                self._execute(execution),
-                name=f"job-{job.job_id}-{wjob.label}",
-                priority=execution.priority,
+            self.engine.call_at(
+                self.engine.now, self._step, execution, priority=execution.priority
             )
 
     def _install_mask_tracer(
@@ -542,58 +538,75 @@ class _RunState:
             (step_duration, step.phase.name, nthreads, utilisation, ipc, step.work_units),
         )
 
-    def _execute(self, execution: JobExecution):
-        """The one-step-per-yield reference loop (``batching=False``).
+    def _step(self, execution: JobExecution) -> None:
+        """One step of the single-step reference loop (``batching=False``).
 
-        Every rank polls, prices its next step, sleeps one step and then
-        writes it through the same APIs as :meth:`_wake`: a run of one and
-        a count-1 stats entry; the shared plan then advances one step.  It
-        keeps none of the batching logic (fold cache, cuts, pull-backs,
-        statistics catch-up), which is what the byte-identity gates check.
+        Completes the job if its plan is finished.  Otherwise every rank
+        polls DROM (the malleability point before each iteration: PMPI,
+        OMPT or a task-scheduling point) and prices its next step under the
+        mask it polled, and the job sleeps one step, to :meth:`_stepped`.
+        The loop keeps none of the batching logic (fold cache, cuts,
+        pull-backs, statistics catch-up), which is what the byte-identity
+        gates check.
         """
-        model = execution.model
         plan = execution.plan
-        total_ranks = execution.job.spec.ntasks
+        if plan.finished:
+            self._complete(execution)
+            return
+        model = execution.model
+        if model.malleable:
+            for rank in execution.ranks:
+                rank.process.poll_malleability()
+        masks = [rank.process.current_mask for rank in execution.ranks]
+        durations = [
+            model.step_times(
+                plan,
+                1,
+                mask,
+                rank.node,
+                total_ranks=execution.job.spec.ntasks,
+                interference=self._interference(execution, rank),
+            )[0]
+            for rank, mask in zip(execution.ranks, masks)
+        ]
+        self.steps_priced += len(durations)
+        now = self.engine.now
+        self.engine.call_at(
+            now + max(durations), self._stepped, execution, now, masks, durations,
+            priority=execution.priority,
+        )
+
+    def _stepped(
+        self,
+        execution: JobExecution,
+        start: float,
+        masks: list[CpuSet],
+        durations: list[float],
+    ) -> None:
+        """The end of a reference-loop step that started at ``start``.
+
+        Every rank writes the step, under the mask it polled before it,
+        through the same APIs as :meth:`_emit`: a run of one and a count-1
+        stats entry.  The shared plan then advances one step and the job
+        takes its next one.
+        """
+        plan = execution.plan
+        step = plan.current_step()
+        step_duration = max(durations)
         label = execution.label
-        while not plan.finished:
-            # Malleability point: every rank polls DROM before the next
-            # iteration (PMPI / OMPT / task-scheduling point), and runs the
-            # step under the mask it polled.
-            if model.malleable:
-                for rank in execution.ranks:
-                    rank.process.poll_malleability()
-            masks = [rank.process.current_mask for rank in execution.ranks]
-
-            step = plan.current_step()
-            durations = [
-                model.step_times(
-                    plan,
-                    1,
-                    mask,
-                    rank.node,
-                    total_ranks=total_ranks,
-                    interference=self._interference(execution, rank),
-                )[0]
-                for rank, mask in zip(execution.ranks, masks)
-            ]
-            self.steps_priced += len(durations)
-            step_duration = max(durations)
-            start = self.engine.now
-            yield Timeout(step_duration)
-
-            for rank, mask, duration in zip(execution.ranks, masks, durations):
-                scale = duration / step_duration if step_duration > 0 else 1.0
-                piece = self._piece(execution, rank, step, step_duration, scale, mask)
-                if self.trace:
-                    self.tracer.record_steps(
-                        [StepRun(label, rank.rank, rank.node.name, start, *piece.fields, 1)]
-                    )
-                self.stats[rank.node.name].record_compute_batch(
-                    rank.process.spec.pid, [(*piece.stats, 1)]
+        for rank, mask, duration in zip(execution.ranks, masks, durations):
+            scale = duration / step_duration if step_duration > 0 else 1.0
+            piece = self._piece(execution, rank, step, step_duration, scale, mask)
+            if self.trace:
+                self.tracer.record_steps(
+                    [StepRun(label, rank.rank, rank.node.name, start, *piece.fields, 1)]
                 )
-            plan.advance_many(1)
-            self.steps_advanced += len(execution.ranks)
-        self._complete(execution)
+            self.stats[rank.node.name].record_compute_batch(
+                rank.process.spec.pid, [(*piece.stats, 1)]
+            )
+        plan.advance_many(1)
+        self.steps_advanced += len(execution.ranks)
+        self._step(execution)
 
     def _sleep(self, execution: JobExecution, stop: int, end: float) -> None:
         """End ``execution``'s running batch at fold offset ``stop``, which
@@ -604,7 +617,8 @@ class _RunState:
         )
 
     def _wake(self, execution: JobExecution) -> None:
-        """One wake of the batched fast path of :meth:`_execute`.
+        """One wake of the batched fast path of the reference loop
+        (:meth:`_step`).
 
         Records the batch that ends now, as runs and counted stats entries
         that accumulate exactly as the reference loop's runs of one and
@@ -679,10 +693,6 @@ class _RunState:
             ]
             execution.o, execution.at = 0, now
             self.steps_priced += remaining * len(ranks)
-            if plan.next_step == 0:
-                heapq.heappush(
-                    self._unrecorded, (now + durations[0], execution.priority, execution)
-                )
         self.batches_executed += 1
         self._sleep(execution, execution.cuts[-1], execution.enters[-1])
 
@@ -697,8 +707,6 @@ class _RunState:
         """
         if end == execution.o:
             return
-        if execution.plan.next_step == 0:
-            self._record_first_steps(execution)
         cuts, enters = execution.cuts, execution.enters
         spans = []
         first, start, i = execution.o, execution.at, bisect_right(cuts, execution.o)
@@ -724,22 +732,6 @@ class _RunState:
         execution.plan.advance_many(k)
         self.steps_advanced += k * len(execution.ranks)
         execution.o, execution.at = end, at
-
-    def _record_first_steps(self, execution: JobExecution) -> None:
-        """Before ``execution`` records its first step, record the first step
-        of every job whose first step ends earlier (ties in launch order)
-        and that has recorded none yet.
-
-        A rank's statistics record is created by its first step, and a node
-        summary adds its records up in creation order: the reference loop
-        creates them in that order, at each first step's end.
-        """
-        while True:
-            first_end, _, other = self._unrecorded[0]
-            if other is execution:
-                heapq.heappop(self._unrecorded)
-                return
-            self._emit(other, 1, first_end)  # pops ``other`` first
 
     def _interference(self, execution: JobExecution, rank: RankExecution) -> float:
         if self.runner.interference is None:

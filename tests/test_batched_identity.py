@@ -134,11 +134,12 @@ def test_asynchronous_adoption_is_byte_identical(run, tmp_path, monkeypatch):
 def test_statistics_reads_match_the_reference(run, batches, monkeypatch):
     """Every utilisation the node policy reads, batched, is the reference
     loop's at the same instant, to the bit: the catch-up records the steps
-    that end before each read, and first steps are recorded in the
-    reference's order, which is the order a node summary adds its records
-    in.  The four cells ran 54, 127, 53 and 127 batches when batches ended
-    strictly before the next predicted event, 36, 92, 38 and 92 when they
-    crossed it, and run 24, 50, 23 and 50 now that events pull wakes back."""
+    that end before each read, and a node summary adds its records in
+    registration order, so the order in which the loops create them does
+    not matter.  The four cells ran 54, 127, 53 and 127 batches when batches
+    ended strictly before the next predicted event, 36, 92, 38 and 92 when
+    they crossed it, and run 24, 50, 23 and 50 now that events pull wakes
+    back."""
     original = _RunState._node_utilisation
 
     def recorded(state, name):

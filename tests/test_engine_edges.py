@@ -1,44 +1,9 @@
-"""Engine edge cases: yield validation, the cancellable absolute-time calls
-the batched fast path relies on, and per-process wake priorities."""
+"""Engine edge cases: the cancellable absolute-time calls the batched fast
+path relies on, and the wake priorities of self-rescheduling callbacks."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.sim.engine import SimulationEngine, SimulationError, Timeout
-
-
-class TestYieldValidation:
-    @pytest.mark.parametrize(
-        "value",
-        [None, 2.0, -1.0, True, (n for n in ()), []],
-        ids=["none", "number", "negative", "bool", "generator", "list"],
-    )
-    def test_unsupported_yield_is_rejected(self, value):
-        engine = SimulationEngine()
-
-        def bad():
-            yield value
-
-        engine.spawn(bad(), name="bad")
-        with pytest.raises(SimulationError, match="unsupported"):
-            engine.run()
-
-    def test_bool_yield_is_not_a_delay(self):
-        # bool is an int subclass; yielding one is almost certainly a bug in
-        # the process body, so it must not silently sleep for 1 second.
-        engine = SimulationEngine()
-
-        def bad():
-            yield True
-
-        engine.spawn(bad(), name="bad")
-        with pytest.raises(SimulationError, match="unsupported"):
-            engine.run()
-
-    def test_timeout_constructor_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            Timeout(-0.5)
+from repro.sim.engine import SimulationEngine
 
 
 class TestCancel:
@@ -90,30 +55,34 @@ class TestCancel:
         assert engine.events_executed == 1
 
 
+def spawn(engine, order, label, priority):
+    """Start a process at ``now`` that sleeps one second and then logs
+    ``label``: a callback chain whose calls all run at ``priority``, as the
+    reference loop's step chain runs at its job's."""
+
+    def wake():
+        order.append(label)
+
+    def begin():
+        engine.call_at(engine.now + 1.0, wake, priority=priority)
+
+    engine.call_at(engine.now, begin, priority=priority)
+
+
 class TestSpawnPriorities:
     def test_priority_orders_same_instant_wakes(self):
         engine = SimulationEngine()
         order = []
-
-        def worker(label):
-            yield Timeout(1.0)
-            order.append(label)
-
-        engine.spawn(worker("second"), name="second", priority=2)
-        engine.spawn(worker("first"), name="first", priority=1)
+        spawn(engine, order, "second", 2)
+        spawn(engine, order, "first", 1)
         engine.run()
         assert order == ["first", "second"]
 
     def test_equal_priorities_fall_back_to_spawn_order(self):
         engine = SimulationEngine()
         order = []
-
-        def worker(label):
-            yield Timeout(1.0)
-            order.append(label)
-
-        engine.spawn(worker("a"), name="a", priority=1)
-        engine.spawn(worker("b"), name="b", priority=1)
+        spawn(engine, order, "a", 1)
+        spawn(engine, order, "b", 1)
         engine.run()
         assert order == ["a", "b"]
 
@@ -123,12 +92,7 @@ class TestSpawnPriorities:
         # is always >= 1.
         engine = SimulationEngine()
         order = []
-
-        def worker():
-            yield Timeout(1.0)
-            order.append("wake")
-
-        engine.spawn(worker(), name="worker", priority=3)
+        spawn(engine, order, "wake", 3)
         engine.call_at(1.0, lambda: order.append("event"))
         engine.run()
         assert order == ["event", "wake"]

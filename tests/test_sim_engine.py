@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import SimulationEngine, SimulationError, Timeout
+from repro.sim.engine import SimulationEngine, SimulationError
 
 
 class TestCallbacks:
@@ -68,40 +68,19 @@ class TestCallbacks:
 
 
 class TestProcesses:
+    """A process is a chain of callbacks, each scheduling the next."""
+
     def test_process_timeout_advances_clock(self):
         engine = SimulationEngine()
+        delays = [3.0, 2.0]
 
-        def proc():
-            yield Timeout(3.0)
-            yield Timeout(2.0)
+        def sleep():
+            if delays:
+                engine.call_at(engine.now + delays.pop(0), sleep)
 
-        engine.spawn(proc(), name="proc")
+        engine.call_at(0.0, sleep)
         assert engine.run() == 5.0
         assert engine.now == 5.0
-
-    def test_negative_delay_rejected(self):
-        engine = SimulationEngine()
-
-        def proc():
-            yield -1.0
-
-        engine.spawn(proc(), name="proc")
-        with pytest.raises(SimulationError):
-            engine.run()
-
-    def test_unsupported_yield_rejected(self):
-        engine = SimulationEngine()
-
-        def proc():
-            yield "nonsense"
-
-        engine.spawn(proc(), name="proc")
-        with pytest.raises(SimulationError):
-            engine.run()
-
-    def test_timeout_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            Timeout(-0.1)
 
     def test_determinism(self):
         """Identical inputs produce identical event timelines."""
@@ -110,15 +89,17 @@ class TestProcesses:
             engine = SimulationEngine()
             log = []
 
-            def proc(name, delay):
-                for i in range(3):
-                    yield Timeout(delay)
-                    log.append((engine.now, name, i))
+            def proc(name, delay, i):
+                if i:
+                    log.append((engine.now, name, i - 1))
+                if i < 3:
+                    engine.call_at(engine.now + delay, proc, name, delay, i + 1)
 
-            engine.spawn(proc("x", 1.5), name="x")
-            engine.spawn(proc("y", 2.0), name="y")
+            engine.call_at(0.0, proc, "x", 1.5, 0)
+            engine.call_at(0.0, proc, "y", 2.0, 0)
             engine.run()
             return log
 
-        assert scenario() == scenario()
-
+        log = scenario()
+        assert log == scenario()
+        assert log[:3] == [(1.5, "x", 0), (2.0, "y", 0), (3.0, "x", 1)]

@@ -12,6 +12,7 @@ import math
 import pytest
 
 from repro.core.errors import ProcessNotRegisteredError
+from repro.core.shmem import NodeSharedMemory
 from repro.core.stats import ProcessStats, StatsModule
 from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import ClusterTopology
@@ -142,6 +143,23 @@ class TestStatsModule:
         assert summary.cpus_owned == 16
         assert summary.utilisation == pytest.approx((80 + 40) / 200)
         assert summary.parallel_efficiency == pytest.approx(120 / 200)
+
+    def test_node_summary_ignores_record_creation_order(self, mn3_node):
+        # Owned CPU-seconds whose left fold depends on its order: added as
+        # 1, 1e16, 1 the ones round away; as 1, 1, 1e16 they do not.
+        def summary(creation_order):
+            shmem = NodeSharedMemory(mn3_node)
+            for pid in (1, 2, 3):
+                shmem.register(pid, CpuSet([pid]))
+            stats = StatsModule(shmem)
+            owned = {1: 1.0, 2: 1e16, 3: 1.0}
+            for pid in creation_order:
+                stats.record_compute_batch(pid, [(1.0, 0.0, 1, owned[pid], 1)])
+            return stats.node_summary()
+
+        first, second = summary([1, 2, 3]), summary([1, 3, 2])
+        assert first.utilisation.hex() == second.utilisation.hex()
+        assert first.parallel_efficiency.hex() == second.parallel_efficiency.hex()
 
     def test_empty_node_summary(self, shmem):
         summary = StatsModule(shmem).node_summary()
