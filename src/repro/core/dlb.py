@@ -166,16 +166,9 @@ class DlbProcess:
         self._shmem.set_async_callback(self.pid, lambda _pid, mask: self._on_async(mask))
         return DlbError.DLB_SUCCESS
 
-    def disable_async(self) -> DlbError:
-        self._require_init()
-        self._async_callback = None
-        self._shmem.set_async_callback(self.pid, None)
-        return DlbError.DLB_SUCCESS
-
     def _on_async(self, mask: CpuSet) -> None:
         self.updates += 1
-        if self._async_callback is not None:
-            self._async_callback(mask)
+        self._async_callback(mask)
 
     # -- helpers ------------------------------------------------------------------------
 

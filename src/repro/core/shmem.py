@@ -51,8 +51,6 @@ class ProcessEntry:
     #: Mask the process registered with; defines CPU *ownership* for
     #: return-stolen semantics.
     initial_mask: CpuSet
-    #: Simulated (or wall-clock) registration timestamp; informational.
-    registered_at: float = 0.0
     #: True when the entry was created by ``DROM_PreInit`` and the real
     #: process has not yet called ``DLB_Init``.
     preinitialized: bool = False
@@ -101,19 +99,9 @@ class NodeSharedMemory:
         self.max_processes = max_processes
         self._entries: dict[int, ProcessEntry] = {}
         self._lock = threading.RLock()
-        self._observers: list[MaskCallback] = []
         self._unregister_observers: list[Callable[[int], None]] = []
-        self._clock: Callable[[], float] = lambda: 0.0
 
     # -- wiring ------------------------------------------------------------
-
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        """Install a time source (the simulation engine's ``now``)."""
-        self._clock = clock
-
-    def add_observer(self, callback: MaskCallback) -> None:
-        """Register an instrumentation hook called on every mask assignment."""
-        self._observers.append(callback)
 
     def add_unregister_observer(self, callback: Callable[[int], None]) -> None:
         """Register ``callback(pid)`` to run whenever a pid unregisters.
@@ -178,7 +166,6 @@ class NodeSharedMemory:
                 current_mask=mask,
                 assigned_mask=mask,
                 initial_mask=mask,
-                registered_at=self._clock(),
                 preinitialized=preinitialized,
                 stolen_from=stolen_from,
             )
@@ -324,12 +311,10 @@ class NodeSharedMemory:
         return self._entries[pid]
 
     def _assign(self, entry: ProcessEntry, mask: CpuSet) -> None:
-        """Write a new assigned mask and fire callbacks/observers."""
+        """Write a new assigned mask and fire the asynchronous callback."""
         if mask == entry.assigned_mask:
             return
         entry.assigned_mask = mask
-        for observer in self._observers:
-            observer(entry.pid, mask)
         if entry.async_callback is not None:
             # Asynchronous mode: the helper thread delivers the change right
             # away and the entry is immediately acknowledged.
@@ -356,12 +341,6 @@ class ShmemRegistry:
         if name not in self._segments:
             raise KeyError(f"no shared memory segment for node {name!r}")
         return self._segments[name]
-
-    def get_or_create(self, topology: NodeTopology, name: str | None = None) -> NodeSharedMemory:
-        name = name or topology.name
-        if name in self._segments:
-            return self._segments[name]
-        return self.create(topology, name=name)
 
     def names(self) -> list[str]:
         return list(self._segments.keys())

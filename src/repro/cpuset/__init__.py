@@ -23,7 +23,6 @@ from repro.cpuset.distribution import (
     PackedPolicy,
     ProportionalPolicy,
     SocketAwareEquipartition,
-    distribute_tasks,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "SocketAwareEquipartition",
     "PackedPolicy",
     "ProportionalPolicy",
-    "distribute_tasks",
 ]

@@ -89,27 +89,31 @@ class DistributionPolicy(ABC):
     ) -> dict[int, JobAllocation]:
         """Compute per-job and per-task masks for all jobs sharing ``node``.
 
-        Jobs are laid out socket by socket in the order given, so the first
-        job occupies the lowest-numbered CPUs.  Within a job, tasks receive
+        The job masks come from :meth:`layout`.  Within a job, tasks receive
         contiguous, near-equal chunks of the job mask.
         """
         if not jobs:
             return {}
         self._validate(node, jobs)
-        shares = self.job_shares(node, jobs)
-        free = list(node.full_mask())
-        result: dict[int, JobAllocation] = {}
-        cursor = 0
-        for job in jobs:
-            ncpus = shares[job.job_id]
-            chunk = CpuSet(free[cursor:cursor + ncpus])
-            cursor += ncpus
-            result[job.job_id] = JobAllocation(
+        masks = self.layout(node, jobs, self.job_shares(node, jobs))
+        return {
+            job.job_id: JobAllocation(
                 job_id=job.job_id,
-                mask=chunk,
-                task_masks=split_among_tasks(chunk, job.ntasks),
+                mask=masks[job.job_id],
+                task_masks=split_among_tasks(masks[job.job_id], job.ntasks),
             )
-        return result
+            for job in jobs
+        }
+
+    def layout(
+        self, node: NodeTopology, jobs: Sequence[JobShare], shares: Mapping[int, int]
+    ) -> dict[int, CpuSet]:
+        """Place each job's share of CPUs on the node.
+
+        Jobs are laid out contiguously in the order given, so the first job
+        occupies the lowest-numbered CPUs.
+        """
+        return _contiguous(node.full_mask(), jobs, shares)
 
     # -- helpers ----------------------------------------------------------
 
@@ -168,14 +172,9 @@ class SocketAwareEquipartition(EquipartitionPolicy):
 
     name = "socket-equipartition"
 
-    def distribute(
-        self, node: NodeTopology, jobs: Sequence[JobShare]
-    ) -> dict[int, JobAllocation]:
-        if not jobs:
-            return {}
-        self._validate(node, jobs)
-        shares = self.job_shares(node, jobs)
-
+    def layout(
+        self, node: NodeTopology, jobs: Sequence[JobShare], shares: Mapping[int, int]
+    ) -> dict[int, CpuSet]:
         # Assign whole sockets greedily to jobs whose share is a multiple of
         # the socket size; leftovers fall back to the contiguous layout.
         cores = node.cores_per_socket
@@ -196,21 +195,8 @@ class SocketAwareEquipartition(EquipartitionPolicy):
         free = node.full_mask()
         for mask in assignments.values():
             free = free - mask
-        free_cpus = list(free)
-        cursor = 0
-        for job in leftover_jobs:
-            share = shares[job.job_id]
-            assignments[job.job_id] = CpuSet(free_cpus[cursor:cursor + share])
-            cursor += share
-
-        return {
-            job.job_id: JobAllocation(
-                job_id=job.job_id,
-                mask=assignments[job.job_id],
-                task_masks=split_among_tasks(assignments[job.job_id], job.ntasks),
-            )
-            for job in jobs
-        }
+        assignments.update(_contiguous(free, leftover_jobs, shares))
+        return assignments
 
 
 class ProportionalPolicy(DistributionPolicy):
@@ -282,17 +268,18 @@ def split_among_tasks(mask: CpuSet, ntasks: int) -> tuple[CpuSet, ...]:
     return tuple(masks)
 
 
-def distribute_tasks(
-    node: NodeTopology,
-    jobs: Sequence[JobShare],
-    policy: DistributionPolicy | None = None,
-) -> dict[int, JobAllocation]:
-    """Convenience wrapper: distribute ``jobs`` on ``node`` with ``policy``.
-
-    The default policy is the paper's socket-aware equipartition.
-    """
-    policy = policy or SocketAwareEquipartition()
-    return policy.distribute(node, jobs)
+def _contiguous(
+    free: CpuSet, jobs: Sequence[JobShare], shares: Mapping[int, int]
+) -> dict[int, CpuSet]:
+    """Lay ``jobs`` out on ``free`` in order, each on its share of CPUs."""
+    cpus = list(free)
+    masks: dict[int, CpuSet] = {}
+    cursor = 0
+    for job in jobs:
+        ncpus = shares[job.job_id]
+        masks[job.job_id] = CpuSet(cpus[cursor:cursor + ncpus])
+        cursor += ncpus
+    return masks
 
 
 def _shrink_to_fit(

@@ -87,11 +87,6 @@ class ManifestState:
     def done(self) -> set[str]:
         return self.keys_in_state(DONE)
 
-    @property
-    def unfinished(self) -> set[str]:
-        """Keys whose last recorded state is not ``done``."""
-        return {key for key, s in self.states.items() if s != DONE}
-
 
 class CampaignManifest:
     """Append-only JSONL journal of one campaign's cells.

@@ -230,10 +230,6 @@ class SchedTimeline:
         """(time, pending depth) at every scheduler event."""
         return [(s.time, s.depth) for s in self.queue]
 
-    def running_series(self) -> list[tuple[float, int]]:
-        """(time, running jobs) at every scheduler event."""
-        return [(s.time, s.running) for s in self.queue]
-
     def node_names(self) -> list[str]:
         seen: list[str] = []
         for sample in self.nodes:

@@ -28,9 +28,6 @@ class JobLaunch:
         all_tasks = [t for step in self.steps.values() for t in step.launches]
         return sorted(all_tasks, key=lambda t: t.global_rank)
 
-    def tasks_on(self, node: str) -> list[TaskLaunch]:
-        return list(self.steps[node].launches) if node in self.steps else []
-
 
 class Srun:
     """The job-step launcher."""

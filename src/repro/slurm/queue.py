@@ -34,10 +34,6 @@ class JobQueue:
             raise IndexError("pop from an empty job queue")
         return heapq.heappop(self._heap)[2]
 
-    def peek(self) -> Job | None:
-        """The job that would be popped next, or ``None`` if empty."""
-        return self._heap[0][2] if self._heap else None
-
     def remove(self, job_id: int) -> Job | None:
         """Remove a specific job (e.g. scancel); returns it or ``None``."""
         for i, (_prio, _seq, job) in enumerate(self._heap):

@@ -275,11 +275,5 @@ class Slurmctld:
     def pending_jobs(self) -> list[Job]:
         return self.queue.jobs()
 
-    def running_jobs(self) -> list[Job]:
-        return [job for job in self.jobs.values() if job.state is JobState.RUNNING]
-
-    def completed_jobs(self) -> list[Job]:
-        return [job for job in self.jobs.values() if job.state is JobState.COMPLETED]
-
     def all_done(self) -> bool:
         return all(job.state.is_terminal() for job in self.jobs.values())

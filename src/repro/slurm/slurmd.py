@@ -19,7 +19,7 @@ from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import NodeTopology
 from repro.slurm.jobs import Job
 from repro.slurm.slurmstepd import Slurmstepd, TaskLaunch
-from repro.slurm.task_affinity import LaunchPlan, TaskAffinityPlugin
+from repro.slurm.task_affinity import TaskAffinityPlugin
 
 
 @dataclass
@@ -28,7 +28,6 @@ class StepRecord:
 
     job_id: int
     stepd: Slurmstepd
-    plan: LaunchPlan
     launches: list[TaskLaunch]
 
 
@@ -91,15 +90,9 @@ class Slurmd:
             [placement.mask for placement in plan.new_tasks],
             first_global_rank=first_global_rank,
         )
-        record = StepRecord(job_id=job.job_id, stepd=stepd, plan=plan, launches=launches)
+        record = StepRecord(job_id=job.job_id, stepd=stepd, launches=launches)
         self._steps[job.job_id] = record
         return record
-
-    def step(self, job_id: int) -> StepRecord:
-        return self._steps[job_id]
-
-    def has_step(self, job_id: int) -> bool:
-        return job_id in self._steps
 
     def running_job_ids(self) -> list[int]:
         return list(self._steps.keys())
@@ -119,14 +112,3 @@ class Slurmd:
         record.stepd.step_terminated()
         del self._steps[job_id]
         return self.plugin.release_resources(job_id)
-
-    # -- node state ----------------------------------------------------------------------
-
-    def used_cpus(self) -> int:
-        return self.plugin.used_mask().count()
-
-    def free_cpus(self) -> int:
-        return self.plugin.free_mask().count()
-
-    def running_tasks(self) -> int:
-        return sum(len(record.launches) for record in self._steps.values())

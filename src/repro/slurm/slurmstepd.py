@@ -74,8 +74,6 @@ class Slurmstepd:
             environ["SLURM_JOB_ID"] = str(self.job_id)
             environ["SLURM_PROCID"] = str(first_global_rank + index)
             environ["SLURMD_NODENAME"] = self.node_name
-            placement_mask = self._plugin.job_mask(self.job_id)
-            del placement_mask  # informational only; per-task mask below
             launches.append(
                 TaskLaunch(
                     job_id=self.job_id,
@@ -90,9 +88,6 @@ class Slurmstepd:
         self._launches = launches
         return list(launches)
 
-    def launches(self) -> list[TaskLaunch]:
-        return list(self._launches)
-
     # -- (4) post_term ---------------------------------------------------------------
 
     def task_terminated(self, task_index: int) -> None:
@@ -106,7 +101,3 @@ class Slurmstepd:
         """Finalise every task of the step (idempotent)."""
         for launch in self._launches:
             self.task_terminated(launch.task_index)
-
-    @property
-    def all_terminated(self) -> bool:
-        return len(self._terminated) == len(self._launches) and bool(self._launches)

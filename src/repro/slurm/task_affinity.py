@@ -17,17 +17,25 @@ apply that decision, through four entry points (numbers refer to Figure 2):
 * ``release_resources`` (5) — called when a whole job ends; redistributes the
   freed CPUs to the still-running tasks with ``DROM_GetPidList`` /
   ``DROM_GetProcessMask`` / ``DROM_SetProcessMask`` (5.1).
+
+Launch and release share one redistribution (:meth:`_redistribute`) and one
+write rule (:meth:`_write_masks`): the node's DLB shared memory holds every
+running task's mask, so a task is rewritten only when its target differs
+from the mask the shared memory assigns it.  The plugin keeps the launch
+masks only, which the Serial placement reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.drom import DromAdmin, PreInitResult
 from repro.core.errors import DlbError
 from repro.core.flags import DromFlags
 from repro.cpuset.distribution import (
     DistributionPolicy,
+    JobAllocation,
     JobShare,
     SocketAwareEquipartition,
     split_among_tasks,
@@ -38,7 +46,7 @@ from repro.cpuset.topology import NodeTopology
 
 @dataclass
 class TaskPlacement:
-    """Mask decision for one task of one job on one node."""
+    """Launch mask of one task of one job on one node."""
 
     job_id: int
     task_index: int
@@ -48,12 +56,13 @@ class TaskPlacement:
 
 @dataclass
 class LaunchPlan:
-    """Outcome of ``launch_request``: placements for the new job and mask
-    updates for already running jobs."""
+    """Outcome of ``launch_request``: placements for the new job's tasks."""
 
     new_tasks: list[TaskPlacement] = field(default_factory=list)
-    #: job_id -> list of (pid, new mask) for tasks that must shrink/expand.
-    running_updates: dict[int, list[tuple[int, CpuSet]]] = field(default_factory=dict)
+
+
+#: A target mask for a task: (pid or None before ``pre_launch``, mask).
+MaskTarget = tuple[int | None, CpuSet]
 
 
 @dataclass
@@ -64,21 +73,13 @@ class _LocalJob:
     tasks: list[TaskPlacement]
     requested_cpus: int
     malleable: bool
-    #: Mask updates for already-running jobs computed by launch_request and
-    #: not yet pushed through DROM_SetProcessMask (applied at pre_launch).
-    pending_running_updates: dict[int, list[tuple[int, CpuSet]]] = field(
-        default_factory=dict
-    )
+    #: Target masks of the tasks already running when this step was
+    #: requested; pushed at the step's first ``pre_launch``.
+    pending: list[MaskTarget] = field(default_factory=list)
 
     @property
     def ntasks(self) -> int:
         return len(self.tasks)
-
-    def mask(self) -> CpuSet:
-        total = CpuSet.empty()
-        for task in self.tasks:
-            total = total | task.mask
-        return total
 
 
 class TaskAffinityPlugin:
@@ -112,23 +113,6 @@ class TaskAffinityPlugin:
         self.drom_enabled = drom_enabled
         self._jobs: dict[int, _LocalJob] = {}
 
-    # -- queries ---------------------------------------------------------------
-
-    def local_jobs(self) -> list[int]:
-        return list(self._jobs.keys())
-
-    def job_mask(self, job_id: int) -> CpuSet:
-        return self._jobs[job_id].mask()
-
-    def used_mask(self) -> CpuSet:
-        used = CpuSet.empty()
-        for job in self._jobs.values():
-            used = used | job.mask()
-        return used
-
-    def free_mask(self) -> CpuSet:
-        return self.topology.full_mask() - self.used_mask()
-
     # -- (1) launch_request -------------------------------------------------------
 
     def launch_request(
@@ -144,59 +128,13 @@ class TaskAffinityPlugin:
         requested = ntasks * cpus_per_task
 
         if not self.drom_enabled or not self._jobs:
-            return self._plan_on_free_cpus(job_id, ntasks, requested, malleable)
-
-        # DROM path with running jobs: recompute everyone's share.
-        shares = [
-            JobShare(
-                job_id=jid,
-                ntasks=job.ntasks,
-                requested_cpus=job.requested_cpus,
+            task_masks = self._plan_on_free_cpus(job_id, ntasks, requested)
+            pending: list[MaskTarget] = []
+        else:
+            allocations, pending = self._redistribute(
+                JobShare(job_id=job_id, ntasks=ntasks, requested_cpus=requested)
             )
-            for jid, job in self._jobs.items()
-        ]
-        shares.append(JobShare(job_id=job_id, ntasks=ntasks, requested_cpus=requested))
-        allocations = self.policy.distribute(self.topology, shares)
-
-        plan = LaunchPlan()
-        for jid, job in self._jobs.items():
-            new_alloc = allocations[jid]
-            new_task_masks = split_among_tasks(new_alloc.mask, job.ntasks)
-            updates: list[tuple[int, CpuSet]] = []
-            for task, new_mask in zip(job.tasks, new_task_masks):
-                if task.mask != new_mask:
-                    updates.append((task.pid if task.pid is not None else -1, new_mask))
-                    task.mask = new_mask
-            if updates:
-                plan.running_updates[jid] = updates
-
-        new_alloc = allocations[job_id]
-        new_task_masks = split_among_tasks(new_alloc.mask, ntasks)
-        plan.new_tasks = [
-            TaskPlacement(job_id=job_id, task_index=i, mask=mask)
-            for i, mask in enumerate(new_task_masks)
-        ]
-        self._jobs[job_id] = _LocalJob(
-            job_id=job_id,
-            tasks=list(plan.new_tasks),
-            requested_cpus=requested,
-            malleable=malleable,
-            pending_running_updates={k: list(v) for k, v in plan.running_updates.items()},
-        )
-        return plan
-
-    def _plan_on_free_cpus(
-        self, job_id: int, ntasks: int, requested: int, malleable: bool
-    ) -> LaunchPlan:
-        """Stock behaviour: place the job on currently unused CPUs only."""
-        free = self.free_mask()
-        grant = free.first(min(requested, free.count()))
-        if grant.count() < ntasks:
-            raise ValueError(
-                f"node {self.topology.name} has only {free.count()} free CPUs; "
-                f"cannot launch {ntasks} tasks of job {job_id} without oversubscription"
-            )
-        task_masks = split_among_tasks(grant, ntasks)
+            task_masks = allocations[job_id].task_masks
         plan = LaunchPlan(
             new_tasks=[
                 TaskPlacement(job_id=job_id, task_index=i, mask=mask)
@@ -208,8 +146,77 @@ class TaskAffinityPlugin:
             tasks=list(plan.new_tasks),
             requested_cpus=requested,
             malleable=malleable,
+            pending=pending,
         )
         return plan
+
+    def _plan_on_free_cpus(
+        self, job_id: int, ntasks: int, requested: int
+    ) -> tuple[CpuSet, ...]:
+        """Stock behaviour: place the job on CPUs no launch mask uses."""
+        free = self.topology.full_mask()
+        for job in self._jobs.values():
+            for task in job.tasks:
+                free = free - task.mask
+        grant = free.first(min(requested, free.count()))
+        if grant.count() < ntasks:
+            raise ValueError(
+                f"node {self.topology.name} has only {free.count()} free CPUs; "
+                f"cannot launch {ntasks} tasks of job {job_id} without oversubscription"
+            )
+        return split_among_tasks(grant, ntasks)
+
+    def _redistribute(
+        self, new: JobShare | None = None
+    ) -> tuple[dict[int, JobAllocation], list[MaskTarget]]:
+        """Split the node among its jobs and list the running tasks' targets.
+
+        At launch (``new`` given) every job keeps its own request and every
+        running job is rewritten.  At release the survivors may grow to the
+        whole node — the paper's release path grows job 2 to "keep maximum
+        node utilization" — and only the malleable ones are rewritten.
+        """
+        launching = new is not None
+        shares = [
+            JobShare(
+                job_id=jid,
+                ntasks=job.ntasks,
+                requested_cpus=job.requested_cpus if launching else self.topology.ncpus,
+            )
+            for jid, job in self._jobs.items()
+        ]
+        if launching:
+            shares.append(new)
+        allocations = self.policy.distribute(self.topology, shares)
+        targets = [
+            (task.pid, mask)
+            for jid, job in self._jobs.items()
+            if launching or job.malleable
+            for task, mask in zip(job.tasks, allocations[jid].task_masks)
+        ]
+        return allocations, targets
+
+    def _write_masks(self, targets: Iterable[MaskTarget]) -> dict[int, CpuSet]:
+        """Push target masks to registered pids through ``DROM_SetProcessMask``.
+
+        A pid is written only when its target differs from the mask the
+        shared memory assigns it: the assigned masks stay pairwise disjoint,
+        so writing a pid's own assigned mask would change nothing.  Returns
+        the masks written; an error code raises.
+        """
+        registered = set(self.admin.get_pid_list())
+        written: dict[int, CpuSet] = {}
+        for pid, mask in targets:
+            if pid not in registered or self.admin.get_process_mask(pid)[1] == mask:
+                continue
+            code = self.admin.set_process_mask(pid, mask, DromFlags.STEAL)
+            if code.is_error():
+                raise RuntimeError(
+                    f"DROM_SetProcessMask({pid}) failed while re-partitioning "
+                    f"node {self.topology.name}: {code.name}"
+                )
+            written[pid] = mask
+        return written
 
     # -- (2) pre_launch ------------------------------------------------------------
 
@@ -223,7 +230,9 @@ class TaskAffinityPlugin:
         malleability point (``DLB_PollDROM``).
         """
         job = self._jobs[job_id]
-        self._apply_running_updates(job)
+        if job.pending:
+            self._write_masks(job.pending)
+            job.pending = []
         placement = job.tasks[task_index]
         placement.pid = pid
         flags = DromFlags.STEAL if self.drom_enabled else DromFlags.NONE
@@ -234,23 +243,6 @@ class TaskAffinityPlugin:
                 f"(pid {pid}): {result.code.name}"
             )
         return result
-
-    def _apply_running_updates(self, job: _LocalJob) -> None:
-        """Push pending mask changes of already-running tasks into DROM."""
-        if not job.pending_running_updates:
-            return
-        registered = set(self.admin.get_pid_list())
-        for _jid, updates in job.pending_running_updates.items():
-            for pid, mask in updates:
-                if pid < 0 or pid not in registered:
-                    continue
-                code = self.admin.set_process_mask(pid, mask, DromFlags.STEAL)
-                if code.is_error():
-                    raise RuntimeError(
-                        f"DROM_SetProcessMask({pid}) failed while re-partitioning "
-                        f"node {self.topology.name}: {code.name}"
-                    )
-        job.pending_running_updates = {}
 
     # -- (4) post_term -----------------------------------------------------------------
 
@@ -268,41 +260,14 @@ class TaskAffinityPlugin:
     def release_resources(self, job_id: int) -> dict[int, CpuSet]:
         """Drop a finished job and hand its CPUs to still-running DROM jobs.
 
-        Returns the new per-pid masks of expanded tasks.  Expansion is only
-        possible for malleable jobs still registered in the DLB shared memory;
-        the paper's example is job 2 expanding into job 1's CPUs once job 1
-        completes.
+        Returns the new per-pid masks of the tasks whose mask changed.
+        Expansion is only possible for malleable jobs still registered in the
+        DLB shared memory; the paper's example is job 2 expanding into job 1's
+        CPUs once job 1 completes.
         """
-        job = self._jobs.pop(job_id, None)
-        if job is None:
+        if self._jobs.pop(job_id, None) is None:
             return {}
         if not self.drom_enabled or not self._jobs:
             return {}
-
-        # Re-distribute the whole node among the remaining jobs.
-        shares = [
-            JobShare(
-                job_id=jid,
-                ntasks=running.ntasks,
-                # Allow expansion up to the full node regardless of the
-                # original request: the paper's release path grows job 2 to
-                # "keep maximum node utilization".
-                requested_cpus=self.topology.ncpus,
-            )
-            for jid, running in self._jobs.items()
-        ]
-        allocations = self.policy.distribute(self.topology, shares)
-
-        new_masks: dict[int, CpuSet] = {}
-        registered = set(self.admin.get_pid_list())
-        for jid, running in self._jobs.items():
-            if not running.malleable:
-                continue
-            task_masks = split_among_tasks(allocations[jid].mask, running.ntasks)
-            for task, mask in zip(running.tasks, task_masks):
-                task.mask = mask
-                if task.pid is not None and task.pid in registered:
-                    code = self.admin.set_process_mask(task.pid, mask, DromFlags.STEAL)
-                    if not code.is_error():
-                        new_masks[task.pid] = mask
-        return new_masks
+        _allocations, targets = self._redistribute()
+        return self._write_masks(targets)

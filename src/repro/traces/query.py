@@ -187,11 +187,6 @@ class TraceReader:
 
     # -- IPC (Figure 14) ----------------------------------------------------------
 
-    def ipc_series(self, job: str, rank: int | None = None) -> list[tuple[float, float]]:
-        """(step start, step IPC) of the job's steps in canonical ``(start,
-        job, rank)`` order."""
-        return [(s.start, s.ipc) for s in self.tracer.steps(job, rank)]
-
     def ipc_series_between(
         self, lo: float, hi: float, job: str, rank: int | None = None
     ) -> list[tuple[float, float]]:

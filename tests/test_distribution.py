@@ -11,7 +11,6 @@ from repro.cpuset.distribution import (
     PackedPolicy,
     ProportionalPolicy,
     SocketAwareEquipartition,
-    distribute_tasks,
     split_among_tasks,
 )
 from repro.cpuset.mask import CpuSet
@@ -165,12 +164,6 @@ class TestPackedPolicy:
         alloc = PackedPolicy().distribute(node, jobs)
         assert alloc[1].ncpus == 10
         assert alloc[2].ncpus == 4
-
-
-class TestDistributeTasksHelper:
-    def test_default_policy_is_socket_aware(self, node):
-        alloc = distribute_tasks(node, [JobShare(1, 1, 16), JobShare(2, 1, 16)])
-        assert alloc[1].mask == node.socket_mask(0)
 
 
 # -- property-based invariants ----------------------------------------------------------

@@ -148,13 +148,3 @@ class TestAsyncMode:
         assert proc.updates == 1
         # nothing left for the polling path
         assert proc.poll_drom()[0] is DlbError.DLB_NOUPDT
-
-    def test_disable_async_restores_polling(self, shmem, admin):
-        proc = DlbProcess(pid=1, shmem=shmem, mask=CpuSet.from_range(0, 16), environ={})
-        proc.init()
-        received = []
-        proc.enable_async(received.append)
-        proc.disable_async()
-        admin.set_process_mask(1, CpuSet.from_range(0, 8))
-        assert received == []
-        assert proc.poll_drom()[0] is DlbError.DLB_SUCCESS

@@ -158,7 +158,7 @@ class TestManifest:
         assert state.states[keys[0]] == DONE
         assert state.states[keys[1]] == DONE
         assert state.done == {keys[0], keys[1]}
-        assert state.unfinished == set(keys[2:])
+        assert state.keys_in_state(PENDING) == set(keys[2:])
 
     def test_begin_again_never_duplicates_or_regresses(self, tmp_path):
         runs = small_sweep().expand()

@@ -126,4 +126,4 @@ class TestSlurmFigure2Flow:
         srun.terminate(job1)
         for slurmd in slurmds.values():
             assert len(slurmd.shmem) == 0
-            assert slurmd.free_cpus() == 16
+            assert slurmd.shmem.free_mask().count() == 16

@@ -101,7 +101,7 @@ class TestClusterProbe:
             (10.0, 0),  # b started
             (30.0, 0),  # b completed
         ]
-        assert timeline.running_series() == [
+        assert [(s.time, s.running) for s in timeline.queue] == [
             (0.0, 0), (1.0, 0), (2.0, 1), (10.0, 0), (10.0, 1), (30.0, 0),
         ]
         rows = timeline.job_lifecycle()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.errors import (
     CpuOwnershipError,
@@ -150,22 +151,6 @@ class TestAsyncAndObservers:
         assert not shmem.entry(1).dirty
         assert shmem.poll(1) == (None, CpuSet.from_range(0, 8))
 
-    def test_observer_sees_every_assignment(self, shmem):
-        seen = []
-        shmem.add_observer(lambda pid, mask: seen.append((pid, mask.count())))
-        shmem.register(1, CpuSet.from_range(0, 16))
-        shmem.set_mask(1, CpuSet.from_range(0, 8))
-        shmem.register(2, CpuSet.from_range(8, 16), steal=True)
-        # one observation for the explicit set_mask, none for registration
-        # itself (registration is the initial state, not a change), and none
-        # for pid 2 stealing CPUs pid 1 no longer held.
-        assert (1, 8) in seen
-
-    def test_clock_is_used_for_registration_time(self, shmem):
-        shmem.set_clock(lambda: 123.0)
-        entry = shmem.register(1, CpuSet([0]))
-        assert entry.registered_at == 123.0
-
 
 class TestShmemRegistry:
     def test_create_get(self, mn3_node):
@@ -182,12 +167,67 @@ class TestShmemRegistry:
         with pytest.raises(ValueError):
             registry.create(mn3_node)
 
-    def test_get_or_create(self, mn3_node):
-        registry = ShmemRegistry()
-        first = registry.get_or_create(mn3_node)
-        second = registry.get_or_create(mn3_node)
-        assert first is second
-
     def test_get_missing_raises(self):
         with pytest.raises(KeyError):
             ShmemRegistry().get("nope")
+
+
+# -- property: assigned masks stay pairwise disjoint ------------------------------------
+
+_pids = st.integers(min_value=1, max_value=5)
+_masks = st.sets(st.integers(min_value=0, max_value=15), min_size=1).map(CpuSet)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), _pids, _masks),
+        st.tuples(st.just("set_mask"), _pids, _masks),
+        st.tuples(st.just("return_stolen"), _pids),
+        st.tuples(st.just("unregister"), _pids),
+        st.tuples(st.just("poll"), _pids),
+    ),
+    max_size=30,
+)
+
+
+def _snapshot(shmem: NodeSharedMemory) -> list[tuple]:
+    return [
+        (e.pid, e.assigned_mask, e.current_mask, dict(e.stolen_from), e.updates_applied)
+        for e in shmem
+    ]
+
+
+@given(_operations)
+def test_steal_keeps_assigned_masks_disjoint_and_rewrites_are_noops(operations):
+    """Every mutation with STEAL keeps the assigned masks pairwise disjoint
+    (``oversubscribed_cpus`` stays empty), so writing an entry's own assigned
+    mask finds no overlap and changes no entry — the rule that lets the
+    task/affinity plugin skip such writes."""
+    shmem = NodeSharedMemory(NodeTopology.marenostrum3())
+    for op, pid, *mask in operations:
+        if op == "register":
+            if shmem.has(pid):
+                continue
+            shmem.register(pid, mask[0], steal=True)
+        elif not shmem.has(pid):
+            continue
+        elif op == "set_mask":
+            shmem.set_mask(pid, mask[0], steal=True)
+        elif op == "return_stolen":
+            shmem.return_stolen(pid)
+        elif op == "unregister":
+            shmem.unregister(pid)
+        else:
+            shmem.poll(pid)
+        assert shmem.oversubscribed_cpus().is_empty()
+        seen = CpuSet.empty()
+        for entry in shmem:
+            assert entry.assigned_mask.isdisjoint(seen)
+            seen = seen | entry.assigned_mask
+    for entry in shmem:
+        before = _snapshot(shmem)
+        for steal in (True, False):
+            try:
+                shmem.set_mask(entry.pid, entry.assigned_mask, steal=steal)
+            except ValueError:
+                # A pid stolen down to nothing cannot be written an empty mask.
+                assert entry.assigned_mask.is_empty()
+            assert _snapshot(shmem) == before

@@ -101,16 +101,6 @@ class TestJobQueue:
         queue.push(high)
         assert queue.pop() is high
 
-    def test_peek_does_not_remove(self):
-        queue = JobQueue()
-        job = self.make_pending()
-        queue.push(job)
-        assert queue.peek() is job
-        assert len(queue) == 1
-
-    def test_peek_empty(self):
-        assert JobQueue().peek() is None
-
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             JobQueue().pop()

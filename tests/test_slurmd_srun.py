@@ -32,10 +32,8 @@ class TestSlurmd:
         record = slurmd.launch_job_step(job, first_global_rank=0)
         assert len(record.launches) == 2
         assert {t.global_rank for t in record.launches} == {0, 1}
-        assert slurmd.used_cpus() == 16
-        assert slurmd.free_cpus() == 0
-        assert slurmd.running_tasks() == 2
-        assert slurmd.has_step(job.job_id)
+        assert slurmd.shmem.pids() == [t.pid for t in record.launches]
+        assert slurmd.shmem.free_mask().is_empty()
         assert slurmd.running_job_ids() == [job.job_id]
 
     def test_duplicate_step_rejected(self, mn3_cluster):
@@ -53,7 +51,7 @@ class TestSlurmd:
         assert slurmd.shmem.has(pid)
         assert slurmd.job_step_completed(job.job_id) == {}
         assert not slurmd.shmem.has(pid)
-        assert slurmd.running_tasks() == 0
+        assert slurmd.running_job_ids() == []
         # unknown job is a no-op
         assert slurmd.job_step_completed(9999) == {}
 
@@ -75,7 +73,7 @@ class TestSlurmstepd:
         job = make_job(nodes=1, ntasks=2, cpt=4, node_names=("mn3-0",))
         record = slurmd.launch_job_step(job, 0)
         record.stepd.step_terminated()
-        assert record.stepd.all_terminated
+        assert len(slurmd.shmem) == 0
         record.stepd.step_terminated()  # second call does nothing
 
     def test_pid_allocation_is_unique(self):
@@ -88,7 +86,9 @@ class TestSrun:
         _, srun = stack
         job = make_job(ntasks=4, cpt=8)
         launch = srun.launch(job)
-        ranks_per_node = {node: [t.global_rank for t in launch.tasks_on(node)] for node in job.allocated_nodes}
+        ranks_per_node = {node: [] for node in job.allocated_nodes}
+        for task in launch.tasks():
+            ranks_per_node[task.node].append(task.global_rank)
         assert ranks_per_node == {"mn3-0": [0, 1], "mn3-1": [2, 3]}
         assert [t.global_rank for t in launch.tasks()] == [0, 1, 2, 3]
 
@@ -108,19 +108,12 @@ class TestSrun:
         """End-to-end Figure 2: job 2 expands on both nodes once job 1 ends."""
         slurmds, srun = stack
         sim = make_job(name="sim", ntasks=2, cpt=16)
-        srun.launch(sim)
+        launch1 = srun.launch(sim)
         analytics = make_job(name="analytics", ntasks=2, cpt=16)
         launch2 = srun.launch(analytics)
         # co-allocation shrank the simulation to 8 CPUs per node
-        for node in ("mn3-0", "mn3-1"):
-            assert slurmds[node].plugin.job_mask(sim.job_id).count() == 8
+        for task in launch1.tasks():
+            assert slurmds[task.node].shmem.get_mask(task.pid).count() == 8
         expansions = srun.terminate(sim)
-        for node in ("mn3-0", "mn3-1"):
-            pid = launch2.tasks_on(node)[0].pid
-            assert expansions[node][pid] == CpuSet.from_range(0, 16)
-
-    def test_tasks_on_missing_node_is_empty(self, stack):
-        _, srun = stack
-        job = make_job()
-        launch = srun.launch(job)
-        assert launch.tasks_on("unknown") == []
+        for task in launch2.tasks():
+            assert expansions[task.node][task.pid] == CpuSet.from_range(0, 16)

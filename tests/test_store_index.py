@@ -10,6 +10,7 @@ anomaly self-heals into a scan that matches it exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -295,6 +296,30 @@ class TestRetentionAndCompaction:
         doomed = index.retention_doomed(lru_bytes=2 * size)
         assert doomed == ["bb", "cc"]
         assert make_index(root).retention_doomed(lru_bytes=2 * size) == doomed
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 7: reads are buffered and flushed every 64, so a "
+        "warm campaign of fewer cells journals none and LRU evicts it first",
+    )
+    def test_warm_rerun_makes_a_campaign_recent_for_lru(self, tmp_path):
+        """A campaign re-read warm is the most recently used: ``gc`` with room
+        for two cells keeps its two cells and evicts the unread campaign.
+
+        Each campaign runs on its own store object that is then dropped, as
+        when every campaign runs in a fresh process.
+        """
+        root = tmp_path / "store"
+        old = dataclasses.replace(small_spec("old", seeds=(0, 1)), scenarios=(DROM,))
+        new = dataclasses.replace(small_spec("new", seeds=(2, 3)), scenarios=(DROM,))
+        assert run_campaign(old, store=ResultStore(root)).executed == 2
+        assert run_campaign(new, store=ResultStore(root)).executed == 2
+        assert run_campaign(old, store=ResultStore(root)).cache_hits == 2
+        store = ResultStore(root)
+        old_keys = {content_key(run) for run in old.expand()}
+        budget = sum(store.path_for(key).stat().st_size for key in old_keys)
+        doomed = store.gc(lru_bytes=budget)
+        assert set(doomed) == {content_key(run) for run in new.expand()}
 
     def test_gc_under_replay_never_loses_ground_truth(self, tmp_path):
         """One object gc-removes entries while a second replays the same

@@ -35,29 +35,29 @@ class TestLaunchRequest:
         plan = plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=16)
         assert len(plan.new_tasks) == 1
         assert plan.new_tasks[0].mask == CpuSet.from_range(0, 16)
-        assert plan.running_updates == {}
-        assert plugin.local_jobs() == [1]
 
     def test_second_job_triggers_repartition(self, plugin_setup):
-        _, _, _, plugin = plugin_setup
-        plan1 = plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=16)
+        _, shmem, _, plugin = plugin_setup
+        plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=16)
         plugin.pre_launch(1, 0, pid=101)
         plan2 = plugin.launch_request(job_id=2, ntasks=1, cpus_per_task=16)
         # Both jobs end up with half the node, on separate sockets.
         assert plan2.new_tasks[0].mask.count() == 8
-        assert 1 in plan2.running_updates
-        pid, new_mask = plan2.running_updates[1][0]
-        assert pid == 101
-        assert new_mask.count() == 8
-        assert new_mask.isdisjoint(plan2.new_tasks[0].mask)
+        # The running job's new mask is pushed at the step's pre_launch,
+        # not at launch_request (Figure 2).
+        assert shmem.get_mask(101).count() == 16
+        plugin.pre_launch(2, 0, pid=201)
+        assert shmem.get_mask(101).count() == 8
+        assert shmem.get_mask(101).isdisjoint(plan2.new_tasks[0].mask)
 
     def test_small_second_job_takes_only_its_request(self, plugin_setup):
-        _, _, _, plugin = plugin_setup
+        _, shmem, _, plugin = plugin_setup
         plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=16)
         plugin.pre_launch(1, 0, pid=101)
         plan2 = plugin.launch_request(job_id=2, ntasks=1, cpus_per_task=2)
+        plugin.pre_launch(2, 0, pid=201)
         assert plan2.new_tasks[0].mask.count() == 2
-        assert plan2.running_updates[1][0][1].count() == 14
+        assert shmem.get_mask(101).count() == 14
 
     def test_same_job_twice_rejected(self, plugin_setup):
         _, _, _, plugin = plugin_setup
@@ -72,12 +72,15 @@ class TestLaunchRequest:
             plugin.launch_request(job_id=2, ntasks=1, cpus_per_task=16)
 
     def test_stock_plugin_packs_when_space_exists(self, stock_plugin_setup):
-        _, _, _, plugin = stock_plugin_setup
-        plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=10)
+        _, shmem, _, plugin = stock_plugin_setup
+        plan1 = plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=10)
+        plugin.pre_launch(1, 0, pid=101)
         plan = plugin.launch_request(job_id=2, ntasks=1, cpus_per_task=4)
+        plugin.pre_launch(2, 0, pid=201)
         assert plan.new_tasks[0].mask.count() == 4
-        assert plan.new_tasks[0].mask.isdisjoint(plugin.job_mask(1))
-        assert plan.running_updates == {}
+        assert plan.new_tasks[0].mask.isdisjoint(plan1.new_tasks[0].mask)
+        # The running job is never touched.
+        assert shmem.get_mask(101) == plan1.new_tasks[0].mask
 
 
 class TestPreLaunch:
@@ -103,6 +106,24 @@ class TestPreLaunch:
         assert shmem.oversubscribed_cpus().is_empty()
         # the running process discovers the shrink at its next poll
         assert shmem.poll(101)[0].count() == 8
+
+    def test_pre_launch_moves_running_tasks_to_their_new_masks(self, plugin_setup):
+        """The running jobs get the masks the policy computed, not just what
+        the new task's CPU steal leaves them."""
+        _, shmem, _, plugin = plugin_setup
+        plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=8)
+        plugin.pre_launch(1, 0, pid=101)
+        plugin.launch_request(job_id=2, ntasks=1, cpus_per_task=4)
+        plugin.pre_launch(2, 0, pid=201)
+        assert shmem.get_mask(101) == CpuSet.from_range(0, 8)
+        assert shmem.get_mask(201) == CpuSet.from_range(8, 12)
+        plan = plugin.launch_request(job_id=3, ntasks=1, cpus_per_task=8)
+        plugin.pre_launch(3, 0, pid=301)
+        # Equipartition 6/4/6, laid out contiguously: job 2 moves down.
+        assert shmem.get_mask(101) == CpuSet.from_range(0, 6)
+        assert shmem.get_mask(201) == CpuSet.from_range(6, 10)
+        assert shmem.get_mask(301) == plan.new_tasks[0].mask == CpuSet.from_range(10, 16)
+        assert shmem.oversubscribed_cpus().is_empty()
 
 
 class TestPostTermAndRelease:
@@ -131,7 +152,8 @@ class TestPostTermAndRelease:
         new_masks = plugin.release_resources(1)
         assert new_masks == {201: CpuSet.from_range(0, 16)}
         assert shmem.get_mask(201) == CpuSet.from_range(0, 16)
-        assert plugin.local_jobs() == [2]
+        # job 1 is forgotten: a second release is a no-op
+        assert plugin.release_resources(1) == {}
 
     def test_release_resources_last_job_is_noop(self, plugin_setup):
         _, _, _, plugin = plugin_setup
@@ -155,11 +177,52 @@ class TestPostTermAndRelease:
         assert new_masks == {}
         assert shmem.get_mask(201).count() == 8
 
+    def test_release_restores_a_shrink_the_survivor_has_not_polled(self, plugin_setup):
+        """A survivor shrunk by a launch and not yet polled still runs with
+        its old mask; the release must rewrite the mask it is *assigned*."""
+        _, shmem, _, plugin = plugin_setup
+        plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=16)
+        plugin.pre_launch(1, 0, pid=101)
+        plugin.launch_request(job_id=2, ntasks=1, cpus_per_task=16)
+        plugin.pre_launch(2, 0, pid=201)
+        assert shmem.entry(101).current_mask == CpuSet.from_range(0, 16)
+        assert shmem.get_mask(101) == CpuSet.from_range(0, 8)
+        plugin.post_term(2, 0)
+        assert plugin.release_resources(2) == {101: CpuSet.from_range(0, 16)}
+        assert shmem.get_mask(101) == CpuSet.from_range(0, 16)
+        assert not shmem.entry(101).dirty
+
+    def test_release_writes_only_masks_that_change(self, plugin_setup, monkeypatch):
+        """After a completion, DROM_SetProcessMask is called only for the
+        pids whose assigned mask changes."""
+        _, shmem, admin, plugin = plugin_setup
+        for job_id, cpus in ((1, 8), (2, 4), (3, 4)):
+            plugin.launch_request(job_id=job_id, ntasks=1, cpus_per_task=cpus)
+            plugin.pre_launch(job_id, 0, pid=100 * job_id + 1)
+        # job 1 on socket 0, jobs 2 and 3 share socket 1
+        assert shmem.get_mask(101) == CpuSet.from_range(0, 8)
+        assert shmem.get_mask(301) == CpuSet.from_range(12, 16)
+        calls = []
+        set_process_mask = admin.set_process_mask
+
+        def spy(pid, mask, flags):
+            calls.append((pid, shmem.get_mask(pid), mask))
+            return set_process_mask(pid, mask, flags)
+
+        monkeypatch.setattr(admin, "set_process_mask", spy)
+        plugin.post_term(2, 0)
+        plugin.release_resources(2)
+        # job 1 keeps socket 0 (no write); job 3 grows to socket 1.
+        assert calls == [(301, CpuSet.from_range(12, 16), CpuSet.from_range(8, 16))]
+        assert shmem.get_mask(101) == CpuSet.from_range(0, 8)
+        assert shmem.get_mask(301) == CpuSet.from_range(8, 16)
+
 
 class TestMaskAccounting:
     def test_used_and_free_masks(self, plugin_setup):
-        node, _, _, plugin = plugin_setup
+        node, shmem, _, plugin = plugin_setup
         plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=6)
-        assert plugin.used_mask().count() == 6
-        assert plugin.free_mask().count() == node.ncpus - 6
-        assert plugin.job_mask(1).count() == 6
+        plugin.pre_launch(1, 0, pid=101)
+        assert shmem.busy_mask().count() == 6
+        assert shmem.free_mask().count() == node.ncpus - 6
+        assert shmem.get_mask(101).count() == 6

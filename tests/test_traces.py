@@ -500,7 +500,7 @@ class TestTraceReader:
         intervals = reader.job_intervals()
         for job in reader.jobs():
             assert intervals[job] == result.tracer.span(job)
-            assert reader.ipc_series(job) == [
+            assert reader.ipc_series_between(*intervals[job], job) == [
                 (s.start, s.ipc) for s in result.tracer.steps(job)
             ]
         assert reader.mask_change_sequence() == result.tracer.mask_changes()
