@@ -184,7 +184,8 @@ class DromAdmin:
         self._require_attached()
         try:
             if flags.is_dry_run():
-                self._check_assignment(pid, mask, flags)
+                self._shmem.entry(pid)  # raises for an unregistered pid
+                self._shmem.check_assignment(pid, mask, steal=flags.allows_steal())
                 return DlbError.DLB_SUCCESS
             entry = self._shmem.set_mask(pid, mask, steal=flags.allows_steal())
         except ProcessNotRegisteredError:
@@ -208,19 +209,6 @@ class DromAdmin:
                 self._sleep(sync_poll_interval)
             return DlbError.DLB_SUCCESS
         return DlbError.DLB_NOTED
-
-    def _check_assignment(self, pid: int, mask: CpuSet, flags: DromFlags) -> None:
-        if not self._shmem.has(pid):
-            raise ProcessNotRegisteredError(pid)
-        self._shmem.topology.validate_mask(mask)
-        if mask.is_empty():
-            raise ValueError("empty mask")
-        if not flags.allows_steal():
-            for entry in self._shmem:
-                if entry.pid != pid and not (entry.assigned_mask & mask).is_empty():
-                    raise CpuOwnershipError(
-                        f"mask overlaps pid {entry.pid} and STEAL not given"
-                    )
 
     # -- pre-init / post-finalize ---------------------------------------------------
 

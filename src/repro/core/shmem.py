@@ -126,7 +126,8 @@ class NodeSharedMemory:
 
         If ``steal`` is true, CPUs in ``mask`` currently assigned to other
         processes are removed from those processes (their entries become
-        dirty); otherwise an overlap raises :class:`CpuOwnershipError`.
+        dirty), unless that would leave one of them without a CPU; see
+        :meth:`check_assignment` for what is refused.
         """
         with self._lock:
             if pid in self._entries and not self._entries[pid].preinitialized:
@@ -136,21 +137,9 @@ class NodeSharedMemory:
                     f"node {self.name!r} shared memory is full "
                     f"({self.max_processes} processes)"
                 )
-            self.topology.validate_mask(mask)
-            if mask.is_empty():
-                raise ValueError("cannot register a process with an empty mask")
-
-            stolen_from: dict[int, CpuSet] = {}
-            for other in self._entries.values():
-                if other.pid == pid or other.assigned_mask.isdisjoint(mask):
-                    continue
-                overlap = other.assigned_mask & mask
-                if not steal:
-                    raise CpuOwnershipError(
-                        f"CPUs {overlap.to_list_string()} requested for pid {pid} are "
-                        f"assigned to pid {other.pid}; use the STEAL flag to shrink it"
-                    )
-                stolen_from[other.pid] = overlap
+            stolen_from = self.check_assignment(pid, mask, steal=steal, keep_victims=True)
+            for victim, overlap in stolen_from.items():
+                other = self._entries[victim]
                 self._assign(other, other.assigned_mask - overlap)
 
             if pid in self._entries:
@@ -233,29 +222,59 @@ class NodeSharedMemory:
 
     # -- mask management --------------------------------------------------------
 
-    def set_mask(self, pid: int, mask: CpuSet, *, steal: bool = False) -> ProcessEntry:
-        """Assign a new mask to ``pid``.
+    def check_assignment(
+        self, pid: int, mask: CpuSet, *, steal: bool = False, keep_victims: bool = False
+    ) -> dict[int, CpuSet]:
+        """The CPUs assigning ``mask`` to ``pid`` would take from each other
+        registered pid, checked before anything is written.
 
-        The entry becomes dirty until the process polls (or its asynchronous
-        callback is delivered).  With ``steal`` the CPUs are taken from any
-        other process currently holding them.
+        Raises ``ValueError`` for an invalid or empty mask, and
+        :class:`CpuOwnershipError` (``DLB_ERR_PERM``) when ``mask`` overlaps
+        another pid without ``steal``.  With ``keep_victims`` (a registering
+        process) a steal that would take every CPU another pid is assigned is
+        refused too: that pid would poll for zero CPUs.  ``set_mask`` may
+        strip a pid: a re-partition writes its targets one at a time, so a
+        pid can hold nothing between a job moving onto its CPUs and its own
+        write, and a release may strip a non-malleable survivor, which never
+        polls.  Writes nothing, so ``DROM_SetProcessMask``'s dry run asks it
+        too.
         """
         with self._lock:
-            entry = self._require(pid)
             self.topology.validate_mask(mask)
             if mask.is_empty():
                 raise ValueError(f"refusing to assign an empty mask to pid {pid}")
+            overlaps: dict[int, CpuSet] = {}
             for other in self._entries.values():
                 if other.pid == pid or other.assigned_mask.isdisjoint(mask):
                     continue
                 overlap = other.assigned_mask & mask
                 if not steal:
                     raise CpuOwnershipError(
-                        f"CPUs {overlap.to_list_string()} are assigned to pid "
-                        f"{other.pid}; use the STEAL flag to shrink it"
+                        f"CPUs {overlap.to_list_string()} requested for pid {pid} are "
+                        f"assigned to pid {other.pid}; use the STEAL flag to shrink it"
                     )
-                entry.stolen_from.setdefault(other.pid, CpuSet.empty())
-                entry.stolen_from[other.pid] = entry.stolen_from[other.pid] | overlap
+                if keep_victims and overlap == other.assigned_mask:
+                    raise CpuOwnershipError(
+                        f"stealing CPUs {overlap.to_list_string()} for pid {pid} would "
+                        f"leave pid {other.pid} without a CPU"
+                    )
+                overlaps[other.pid] = overlap
+            return overlaps
+
+    def set_mask(self, pid: int, mask: CpuSet, *, steal: bool = False) -> ProcessEntry:
+        """Assign a new mask to ``pid``.
+
+        The entry becomes dirty until the process polls (or its asynchronous
+        callback is delivered).  With ``steal`` the CPUs are taken from any
+        other process currently holding them, even all of them; see
+        :meth:`check_assignment` for what is refused.
+        """
+        with self._lock:
+            entry = self._require(pid)
+            for victim, overlap in self.check_assignment(pid, mask, steal=steal).items():
+                stolen = entry.stolen_from.get(victim, CpuSet.empty())
+                entry.stolen_from[victim] = stolen | overlap
+                other = self._entries[victim]
                 self._assign(other, other.assigned_mask - overlap)
             self._assign(entry, mask)
             return entry

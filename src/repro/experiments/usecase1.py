@@ -21,6 +21,7 @@ from repro.campaign.runner import RunMetrics, run_campaign, run_scenario_pair
 from repro.campaign.spec import CampaignSpec, InSituWorkloadRef
 from repro.metrics.collect import relative_improvement
 from repro.metrics.paraver import ParaverView
+from repro.metrics.tracing import busy_fractions
 from repro.workload.runner import DROM, SERIAL, ScenarioResult
 
 #: Analytics configurations evaluated against each simulator configuration,
@@ -241,21 +242,10 @@ def imbalance_trace(
     view = ParaverView(tracer, bin_seconds=100.0)
 
     # Utilisation restricted to the steps executed with a reduced team.
-    shrunk_busy: dict[int, float] = {}
-    shrunk_total: dict[int, float] = {}
-    for step in tracer.steps(sim_label, rank=0):
-        plan_threads = len(step.thread_utilisation)
-        if plan_threads == 0:
-            continue
-        initial = workload.jobs[0].app.config.threads_per_rank
-        if step.nthreads >= initial:
-            continue
-        for thread, util in enumerate(step.thread_utilisation):
-            shrunk_busy[thread] = shrunk_busy.get(thread, 0.0) + util * step.duration
-            shrunk_total[thread] = shrunk_total.get(thread, 0.0) + step.duration
-    shrunk_utilisation = {
-        t: shrunk_busy[t] / shrunk_total[t] for t in sorted(shrunk_busy)
-    }
+    initial = workload.jobs[0].app.config.threads_per_rank
+    shrunk_utilisation = busy_fractions(
+        run for run in tracer.runs(sim_label, rank=0) if run.nthreads < initial
+    )
 
     return ImbalanceTrace(
         workload=workload.name,

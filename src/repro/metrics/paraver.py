@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.metrics.tracing import Tracer
+from repro.metrics.tracing import Tracer, ordered_steps
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,7 +87,7 @@ class ParaverView:
         """One row per (rank, thread): time-binned busy fraction."""
         rows = self._binned(
             ((step.rank, thread), step.start, step.end, util)
-            for step in self.tracer.steps(job)
+            for step in ordered_steps(self.tracer.runs(job))
             for thread, util in enumerate(step.thread_utilisation)
         )
         return [
@@ -100,7 +100,8 @@ class ParaverView:
         import numpy as np
 
         rows = self._binned(
-            (job, step.start, step.end, step.nthreads) for step in self.tracer.steps(job)
+            (job, step.start, step.end, step.nthreads)
+            for step in ordered_steps(self.tracer.runs(job))
         )
         return TimelineRow(label=job, values=rows.get(job, np.zeros(self._nbins())))
 

@@ -4,13 +4,16 @@ The paper obtains application metrics "by tracing the use cases using Extrae
 and visualizing traces with Paraver".  The tracer below records each rank's
 execution steps (the malleability-point granularity of the simulation) as
 runs of steps alike but for their start (:class:`StepRun`), plus mask-change
-events; Figure 5's utilisation view and Figure 13's timelines derive from its
-per-step :class:`StepRecord` views, Figure 14's IPC histograms from the runs.
+events.  No per-step copy is kept: a view that needs steps walks
+:func:`ordered_steps` over just the runs it reads (Figure 13's timelines, the
+exports), and a view of one rank folds that rank's runs
+(:func:`busy_fractions`, Figure 5's utilisation).
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, repeat
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from repro.core.floats import repeat_add
@@ -19,8 +22,8 @@ from repro.core.floats import repeat_add
 class StepRecord(NamedTuple):
     """One execution step of one rank.
 
-    A ``NamedTuple`` rather than a dataclass: the per-step views expand one
-    of these per rank per step, and tuple construction is several times
+    A ``NamedTuple`` rather than a dataclass: :func:`ordered_steps` expands
+    one of these per rank per step, and tuple construction is several times
     cheaper than a frozen dataclass ``__init__`` while keeping the record
     immutable, hashable and field-comparable.
     """
@@ -66,7 +69,9 @@ class StepRun(NamedTuple):
     """``count`` consecutive steps of one rank, alike but for their start.
 
     The fields are :class:`StepRecord`'s (``start`` the first step's, floats
-    ``start`` and non-negative ``duration``) plus ``count``.  Step ``i + 1``
+    ``start`` and non-negative ``duration``) plus ``count``, which is at
+    least 1: the runner records a run per stretch its steps overlap, and a
+    stored run of count 0 reads as a corrupt artifact.  Step ``i + 1``
     starts at ``start + duration`` of step ``i``, the very addition the
     engine clock performs, so a run expands to exactly its records.
     """
@@ -91,14 +96,42 @@ class StepRun(NamedTuple):
         return repeat_add(self.start, self.duration, self.count)
 
 
-def expand_runs(runs: Iterable[StepRun]) -> list[StepRecord]:
-    """The step records of ``runs``, run by run, in recorded order."""
+#: A step record's ``(start, job, rank)``: the canonical step order.
+_step_order = itemgetter(3, 0, 1)
+
+
+def ordered_steps(runs: Iterable[StepRun]) -> list[StepRecord]:
+    """The step records of ``runs`` in canonical ``(start, job, rank)``
+    order: expanded run by run, then stable-sorted, so tied steps keep the
+    order of their runs.  Recording order is an artifact of event
+    interleaving, so every per-step view reads in this order, and batched
+    and reference runs of a scenario read alike.  The package's one
+    per-step walk: each view hands it only the runs it reads."""
     steps: list[StepRecord] = []
     for run in runs:
         columns = [repeat(value, run.count) for value in run[:10]]
         columns[3] = accumulate(repeat(run.duration, run.count - 1), initial=run.start)
         steps.extend(map(StepRecord._make, zip(*columns)))
+    steps.sort(key=_step_order)
     return steps
+
+
+def busy_fractions(runs: Iterable[StepRun]) -> dict[int, float]:
+    """Time-weighted busy fraction per thread over the steps of ``runs``,
+    runs of one rank (empty for no runs).
+
+    The runs are folded in start order, each run's ``count`` equal addends
+    by :func:`repeat_add`: the very additions, in the very order, of a walk
+    over the rank's steps, since one rank records its runs in time order,
+    one after another.
+    """
+    busy: dict[int, float] = {}
+    total: dict[int, float] = {}
+    for run in sorted(runs, key=attrgetter("start")):
+        for thread, util in enumerate(run.thread_utilisation):
+            busy[thread] = repeat_add(busy.get(thread, 0.0), util * run.duration, run.count)
+            total[thread] = repeat_add(total.get(thread, 0.0), run.duration, run.count)
+    return {t: busy[t] / total[t] for t in sorted(busy)}
 
 
 class MaskChangeRecord(NamedTuple):
@@ -126,29 +159,17 @@ class MaskChangeRecord(NamedTuple):
         return cls(**{k: v for k, v in record.items() if k != "record"})
 
 
-#: Canonical presentation order of step records: by start instant, then job
-#: label, then rank.  Recording order is an artifact of event interleaving —
-#: a job that batches k steps appends them at its wake, a single-stepping job
-#: appends one record per wake — so every view (queries, figure renderings,
-#: exports and store serialisations) reads through this order instead, making
-#: batched and unbatched executions of the same scenario indistinguishable.
-def _step_order(step: StepRecord) -> tuple[float, str, int]:
-    return (step.start, step.job, step.rank)
-
-
 class Tracer:
     """Collects step runs and mask-change records for a whole scenario run.
 
-    Steps are written only as :class:`StepRun`\\ s (:meth:`record_steps`);
-    :class:`StepRecord` is the read side.  The per-step views (iteration,
-    :meth:`steps`) expand and sort the runs on first use.
+    Steps are written and kept only as :class:`StepRun`\\ s
+    (:meth:`record_steps`); a per-step view passes :meth:`runs` through
+    :func:`ordered_steps` on each read.
     """
 
     def __init__(self) -> None:
         self._runs: list[StepRun] = []
         self._nsteps = 0
-        #: Lazily expanded canonical view of ``_runs`` (None = stale).
-        self._ordered_steps: list[StepRecord] | None = []
         self._mask_changes: list[MaskChangeRecord] = []
 
     # -- recording -------------------------------------------------------------
@@ -159,30 +180,20 @@ class Tracer:
         into runs never shows in a view."""
         self._runs.extend(runs)
         self._nsteps += sum(run.count for run in runs)
-        self._ordered_steps = None
 
     def record_mask_change(self, record: MaskChangeRecord) -> None:
         self._mask_changes.append(record)
 
     # -- queries ------------------------------------------------------------------
 
-    def runs(self) -> list[StepRun]:
-        """The recorded step runs, in recording order."""
-        return list(self._runs)
-
-    def _ordered(self) -> list[StepRecord]:
-        if self._ordered_steps is None:
-            self._ordered_steps = expand_runs(self._runs)
-            self._ordered_steps.sort(key=_step_order)
-        return self._ordered_steps
-
-    def steps(self, job: str | None = None, rank: int | None = None) -> list[StepRecord]:
-        out = self._ordered()
-        if job is not None:
-            out = [s for s in out if s.job == job]
-        if rank is not None:
-            out = [s for s in out if s.rank == rank]
-        return list(out)
+    def runs(self, job: str | None = None, rank: int | None = None) -> list[StepRun]:
+        """The recorded step runs, in recording order, optionally of one job
+        and rank."""
+        return [
+            run
+            for run in self._runs
+            if job in (None, run.job) and rank in (None, run.rank)
+        ]
 
     def mask_changes(self, job: str | None = None) -> list[MaskChangeRecord]:
         if job is None:
@@ -195,7 +206,7 @@ class Tracer:
 
     def span(self, job: str) -> tuple[float, float]:
         """First start and last end of a job's steps."""
-        runs = [run for run in self._runs if run.job == job]
+        runs = self.runs(job)
         if not runs:
             raise ValueError(f"no steps recorded for job {job!r}")
         return min(run.start for run in runs), max(run.end for run in runs)
@@ -205,7 +216,9 @@ class Tracer:
         return self._nsteps
 
     def __iter__(self) -> Iterator[StepRecord]:
-        return iter(self._ordered())
+        """Every step record in canonical order, expanded afresh by
+        :func:`ordered_steps`; the package's own views read :meth:`runs`."""
+        return iter(ordered_steps(self._runs))
 
     # -- derived views ----------------------------------------------------------------
 
@@ -214,21 +227,9 @@ class Tracer:
 
         This is the quantity Figure 5 visualises: after shrinking, the threads
         that pick up the orphaned chunks stay at 1.0 while the others show
-        idle gaps.  The rank's runs are folded in start order, each run's
-        ``count`` equal addends by :func:`repeat_add`: the very additions,
-        in the very order, of a walk over the rank's steps, since one rank
-        records its runs in time order, one after another.
+        idle gaps.  The rank's runs fold through :func:`busy_fractions`.
         """
-        runs = sorted(
-            (r for r in self._runs if r.job == job and r.rank == rank and r.count > 0),
-            key=lambda run: run.start,
-        )
+        runs = self.runs(job, rank)
         if not runs:
             raise ValueError(f"no steps recorded for job {job!r} rank {rank}")
-        busy: dict[int, float] = {}
-        total: dict[int, float] = {}
-        for run in runs:
-            for thread, util in enumerate(run.thread_utilisation):
-                busy[thread] = repeat_add(busy.get(thread, 0.0), util * run.duration, run.count)
-                total[thread] = repeat_add(total.get(thread, 0.0), run.duration, run.count)
-        return {t: busy[t] / total[t] for t in sorted(busy)}
+        return busy_fractions(runs)

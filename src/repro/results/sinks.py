@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from repro.metrics.paraver import ParaverView
-from repro.metrics.tracing import Tracer
+from repro.metrics.tracing import Tracer, ordered_steps
 
 #: Event types of the ``.prv``-style export (the 9 200 000 range is unused by
 #: the standard Extrae event tables).
@@ -79,9 +79,10 @@ def prv_lines(tracer: Tracer) -> Iterator[str]:
     ``(µs, class, recording order)`` order.
 
     Records sharing a µs instant go state records (class 0) first, then
-    step events (class 1), then mask-change events (class 2).  The
-    canonical step view is sorted by start and rounding to µs is monotone,
-    so states and step events come out of one walk already in order; only
+    step events (class 1), then mask-change events (class 2).
+    :func:`~repro.metrics.tracing.ordered_steps` sorts the steps by start
+    and rounding to µs is monotone, so states and step events come out of
+    one walk already in order; only
     the few mask changes are sorted, by ``(µs, recording index)``.  Each
     step's start and end round once, and each (node, job, rank) builds its
     line prefixes once.  A live tracer and its stored artifact render
@@ -138,7 +139,7 @@ def prv_lines(tracer: Tracer) -> Iterator[str]:
     states: list[str] = []
     events: list[str] = []
     instant = None
-    for step in tracer:
+    for step in ordered_steps(tracer.runs()):
         start = _us(step.start)
         if start != instant:
             # The previous instant is complete; mask changes before this
@@ -251,7 +252,7 @@ def read_prv(path: str | os.PathLike) -> tuple[str, list[str], list[str]]:
 def jsonl_record_lines(tracer: Tracer) -> Iterator[str]:
     """The JSONL record lines of a tracer: one sorted-key line per step in
     canonical order, then one per mask change."""
-    for step in tracer:
+    for step in ordered_steps(tracer.runs()):
         yield json.dumps(step.to_record(), sort_keys=True)
     for change in tracer.mask_changes():
         yield json.dumps(change.to_record(), sort_keys=True)

@@ -61,15 +61,9 @@ class Srun:
             rank += tasks_per_node
         return launch
 
-    def terminate(self, job: Job) -> dict[str, dict[int, object]]:
-        """Terminate the job's steps on every node (post_term + release_resources).
-
-        Returns, per node, the map of expanded pids to their new masks.
-        """
-        expansions: dict[str, dict[int, object]] = {}
+    def terminate(self, job: Job) -> None:
+        """Terminate the job's steps on every node (post_term + release_resources)."""
         for node_name in job.allocated_nodes:
             slurmd = self._slurmds.get(node_name)
-            if slurmd is None:
-                continue
-            expansions[node_name] = slurmd.job_step_completed(job.job_id)
-        return expansions
+            if slurmd is not None:
+                slurmd.job_step_completed(job.job_id)

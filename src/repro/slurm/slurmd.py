@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from repro.core.drom import DromAdmin, attach_admin
 from repro.core.shmem import NodeSharedMemory
 from repro.cpuset.distribution import DistributionPolicy
-from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import NodeTopology
 from repro.slurm.jobs import Job
 from repro.slurm.slurmstepd import Slurmstepd, TaskLaunch
@@ -99,16 +98,14 @@ class Slurmd:
 
     # -- job completion ---------------------------------------------------------------
 
-    def job_step_completed(self, job_id: int) -> dict[int, CpuSet]:
+    def job_step_completed(self, job_id: int) -> None:
         """Handle the end of a job's step on this node.
 
         Runs ``post_term`` for every task and then ``release_resources``,
-        which may expand the masks of the remaining jobs.  Returns the new
-        per-pid masks of expanded tasks (empty when nothing expands).
+        which may expand the masks of the remaining jobs.
         """
-        record = self._steps.get(job_id)
+        record = self._steps.pop(job_id, None)
         if record is None:
-            return {}
+            return
         record.stepd.step_terminated()
-        del self._steps[job_id]
-        return self.plugin.release_resources(job_id)
+        self.plugin.release_resources(job_id)

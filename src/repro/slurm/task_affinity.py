@@ -196,16 +196,15 @@ class TaskAffinityPlugin:
         ]
         return allocations, targets
 
-    def _write_masks(self, targets: Iterable[MaskTarget]) -> dict[int, CpuSet]:
+    def _write_masks(self, targets: Iterable[MaskTarget]) -> None:
         """Push target masks to registered pids through ``DROM_SetProcessMask``.
 
         A pid is written only when its target differs from the mask the
         shared memory assigns it: the assigned masks stay pairwise disjoint,
-        so writing a pid's own assigned mask would change nothing.  Returns
-        the masks written; an error code raises.
+        so writing a pid's own assigned mask would change nothing.  An error
+        code raises.
         """
         registered = set(self.admin.get_pid_list())
-        written: dict[int, CpuSet] = {}
         for pid, mask in targets:
             if pid not in registered or self.admin.get_process_mask(pid)[1] == mask:
                 continue
@@ -215,8 +214,6 @@ class TaskAffinityPlugin:
                     f"DROM_SetProcessMask({pid}) failed while re-partitioning "
                     f"node {self.topology.name}: {code.name}"
                 )
-            written[pid] = mask
-        return written
 
     # -- (2) pre_launch ------------------------------------------------------------
 
@@ -257,17 +254,15 @@ class TaskAffinityPlugin:
 
     # -- (5) release_resources -------------------------------------------------------------
 
-    def release_resources(self, job_id: int) -> dict[int, CpuSet]:
+    def release_resources(self, job_id: int) -> None:
         """Drop a finished job and hand its CPUs to still-running DROM jobs.
 
-        Returns the new per-pid masks of the tasks whose mask changed.
-        Expansion is only possible for malleable jobs still registered in the
-        DLB shared memory; the paper's example is job 2 expanding into job 1's
-        CPUs once job 1 completes.
+        The survivors' new masks go to the shared memory, where each task
+        picks its own up at its next poll.  Expansion is only possible for
+        malleable jobs still registered in the DLB shared memory; the paper's
+        example is job 2 expanding into job 1's CPUs once job 1 completes.
         """
-        if self._jobs.pop(job_id, None) is None:
-            return {}
-        if not self.drom_enabled or not self._jobs:
-            return {}
+        if self._jobs.pop(job_id, None) is None or not self.drom_enabled or not self._jobs:
+            return
         _allocations, targets = self._redistribute()
-        return self._write_masks(targets)
+        self._write_masks(targets)

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.experiments.tables import render_table
-from repro.metrics.tracing import Tracer
+from repro.metrics.tracing import Tracer, ordered_steps
 from repro.results.sinks import jsonl_record_lines, pcf_text, prv_lines, row_text
 from repro.store.cli import StoreCommands, positive_finite, positive_int
 from repro.store.content import READ_ERRORS
@@ -108,7 +108,7 @@ def render_trace_table(
 
 def render_trace_head(entry: TraceEntry, count: int) -> str:
     """The first ``count`` step records in canonical order."""
-    steps = entry.tracer.steps()[:count]
+    steps = ordered_steps(entry.runs)[:count]
     if not steps:
         return "(no step records)"
     table = render_table(

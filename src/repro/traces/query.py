@@ -3,8 +3,8 @@
 Two layers:
 
 * :class:`TraceReader` — the figure-level queries over one trace (live or
-  stored): per-job timelines, DROM mask-change sequences, per-step IPC
-  series, Figure 14's IPC histograms (from the step runs) and mean IPC,
+  stored): per-job timelines, DROM mask-change sequences, windowed step
+  records, Figure 14's IPC histograms (from the step runs) and mean IPC,
   and :class:`~repro.metrics.paraver.ParaverView` renderings.  It is
   deliberately lazy-friendly: constructed from a
   :class:`~repro.traces.store.TraceEntry` it only inflates the artifact when
@@ -29,13 +29,7 @@ from typing import TYPE_CHECKING, Union
 from repro.campaign.spec import RunSpec
 from repro.core.floats import left_sum
 from repro.metrics.paraver import ParaverView
-from repro.metrics.tracing import (
-    MaskChangeRecord,
-    StepRecord,
-    Tracer,
-    _step_order,
-    expand_runs,
-)
+from repro.metrics.tracing import MaskChangeRecord, StepRecord, Tracer, ordered_steps
 from repro.obs.sched import FairnessSummary, JobLifecycleRecord, NodeSample, SchedTimeline
 from repro.traces.store import TraceEntry
 
@@ -106,24 +100,6 @@ class TraceReader:
     def mask_change_sequence(self, job: str | None = None) -> list[MaskChangeRecord]:
         return self.tracer.mask_changes(job)
 
-    def team_size_series(self, job: str, rank: int = 0) -> list[tuple[float, int]]:
-        """(time, team size) transitions of one rank, initial size included."""
-        changes = [
-            c for c in self.tracer.mask_changes(job) if c.rank == rank
-        ]
-        series: list[tuple[float, int]] = []
-        if changes:
-            series.append((0.0, changes[0].old_threads))
-        else:
-            runs = [
-                r for r in self.tracer.runs() if r.job == job and r.rank == rank and r.count > 0
-            ]
-            if runs:
-                first = min(runs, key=lambda run: run.start)
-                series.append((first.start, first.nthreads))
-        series.extend((c.time, c.new_threads) for c in changes)
-        return series
-
     # -- windowed interval queries (lazy on stored traces) ------------------------
 
     def steps_between(
@@ -140,11 +116,11 @@ class TraceReader:
         Served from the step runs (a stored entry's :attr:`~repro.traces.
         store.TraceEntry.runs`, never its assembled tracer): each run's own
         left fold of step boundaries is bisected to the overlapping slice,
-        and only that slice expands to records.
+        and only the slices expand to records.
         """
         source = self._source
         runs = source.runs if isinstance(source, TraceEntry) else source.runs()
-        steps: list[StepRecord] = []
+        slices = []
         for run in runs:
             if run.start > hi or job not in (None, run.job) or rank not in (None, run.rank):
                 continue
@@ -153,9 +129,8 @@ class TraceReader:
             first = bisect_left(starts, lo, 1) - 1
             last = bisect_right(starts, hi, 0, run.count)
             if first < last:
-                steps += expand_runs([run._replace(start=starts[first], count=last - first)])
-        steps.sort(key=_step_order)
-        return steps
+                slices.append(run._replace(start=starts[first], count=last - first))
+        return ordered_steps(slices)
 
     # -- scheduler timeline (fairness / utilization; ROADMAP item 4) ---------------
 
@@ -187,14 +162,6 @@ class TraceReader:
 
     # -- IPC (Figure 14) ----------------------------------------------------------
 
-    def ipc_series_between(
-        self, lo: float, hi: float, job: str, rank: int | None = None
-    ) -> list[tuple[float, float]]:
-        """(step start, step IPC) restricted to steps overlapping
-        ``[lo, hi]`` — windowed like :meth:`steps_between`, so stored
-        traces expand only the overlapping slices of their runs."""
-        return [(s.start, s.ipc) for s in self.steps_between(lo, hi, job=job, rank=rank)]
-
     def ipc_histogram(
         self, job: str, bins: int = 20, range_: tuple[float, float] = (0.0, 2.0)
     ) -> np.ndarray:
@@ -203,7 +170,7 @@ class TraceReader:
         values weigh ``count``, so any chunking of steps into runs agrees."""
         import numpy as np
 
-        runs = [run for run in self.tracer.runs() if run.job == job]
+        runs = self.tracer.runs(job)
         values = [run.ipc * util for run in runs for util in run.thread_utilisation]
         weights = [run.count for run in runs for _util in run.thread_utilisation]
         counts, _edges = np.histogram(
@@ -216,7 +183,7 @@ class TraceReader:
         over every step of a job (the plain mean if no step takes time)."""
         samples = [
             (step.ipc * util, step.duration)
-            for step in self.tracer.steps(job)
+            for step in ordered_steps(self.tracer.runs(job))
             for util in step.thread_utilisation
         ]
         if not samples:

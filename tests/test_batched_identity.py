@@ -36,6 +36,7 @@ from repro.workload.runner import DROM, SERIAL, ScenarioRunner, _RunState
 from repro.workload.workloads import Workload, WorkloadJob
 
 # Not named Test*, so the class is not collected a second time here.
+from step_oracle import canonical_steps
 from test_traces import TestRunLengthSegments as RunLengthCells
 
 #: One representative cell per scenario family (each expands to a Serial and
@@ -208,8 +209,8 @@ def test_batched_tracer_views_match_reference(run):
     assert len(reference.runs()) == len(reference)
 
     assert len(batched) == len(reference)
-    assert list(batched) == list(reference)
-    assert repr(list(batched)) == repr(list(reference))
+    assert canonical_steps(batched) == canonical_steps(reference)
+    assert repr(canonical_steps(batched)) == repr(canonical_steps(reference))
     assert batched.mask_changes() == reference.mask_changes()
     assert batched.jobs() == reference.jobs()
     readers = TraceReader(batched), TraceReader(reference)
@@ -222,8 +223,8 @@ def test_batched_tracer_views_match_reference(run):
         assert readers[0].render_job_widths() == readers[1].render_job_widths()
         assert readers[0].render_thread_activity(job) == readers[1].render_thread_activity(job)
         assert batched.span(job) == reference.span(job)
-        for rank in sorted({step.rank for step in reference.steps(job)}):
-            assert batched.steps(job, rank) == reference.steps(job, rank)
+        for rank in sorted({step.rank for step in canonical_steps(reference, job)}):
+            assert canonical_steps(batched, job, rank) == canonical_steps(reference, job, rank)
             assert batched.thread_utilisation(job, rank) == reference.thread_utilisation(
                 job, rank
             )
@@ -257,7 +258,7 @@ def test_interference_change_alone_reprices(drom_enabled):
         )
         for batching in (False, True)
     )
-    assert batched.tracer.steps() == reference.tracer.steps()
+    assert canonical_steps(batched.tracer) == canonical_steps(reference.tracer)
     assert batched.tracer.mask_changes() == reference.tracer.mask_changes()
 
     def stats(result):  # pids come from a process-global counter

@@ -79,9 +79,11 @@ def runs(draw) -> RunSpec:
 def _node_cpu_seconds(result) -> dict[str, float]:
     """Per node, its ranks' summed ``cpu_seconds_owned``, after checking
     that each rank's equals the left fold of its traced steps' team size ×
-    duration.  A job's stats list is in global-rank order."""
+    duration.  A job's stats list is in global-rank order.  Every run holds
+    at least one step: the tracer's run views rely on it."""
     rank_runs = defaultdict(list)
     for step_run in result.tracer.runs():
+        assert step_run.count >= 1, step_run
         rank_runs[step_run.job, step_run.rank].append(step_run)
     owned = defaultdict(list)
     for label, records in result.job_stats.items():

@@ -103,6 +103,25 @@ class TestSetProcessMask:
         assert shmem.get_mask(1) == CpuSet.from_range(0, 16)
         assert not shmem.entry(1).dirty
 
+    def test_dry_run_answers_as_the_real_call(self, shmem, admin):
+        """The dry run asks the shared memory's own check: an overlap
+        without STEAL is refused by both, and a steal, even of every CPU
+        pid 1 holds, is accepted by both."""
+        shmem.register(1, CpuSet([0, 1]))
+        shmem.register(2, CpuSet([2]))
+        for flags in (DromFlags.DRY_RUN, DromFlags.NONE):
+            assert admin.set_process_mask(2, CpuSet([1, 2]), flags) is DlbError.DLB_ERR_PERM
+            assert shmem.get_mask(1) == CpuSet([0, 1])
+            assert shmem.get_mask(2) == CpuSet([2])
+        for mask in (CpuSet([1, 2]), CpuSet([0, 1, 2])):
+            dry = admin.set_process_mask(2, mask, DromFlags.STEAL | DromFlags.DRY_RUN)
+            assert dry is DlbError.DLB_SUCCESS
+            assert shmem.get_mask(2) == CpuSet([2])
+        real = admin.set_process_mask(2, CpuSet([0, 1, 2]), DromFlags.STEAL)
+        assert real is DlbError.DLB_NOTED
+        assert shmem.get_mask(1) == CpuSet.empty()
+        assert shmem.get_mask(2) == CpuSet([0, 1, 2])
+
     def test_sync_query_times_out_if_target_never_polls(self, shmem, admin):
         shmem.register(1, CpuSet.from_range(0, 16))
         code = admin.set_process_mask(
@@ -220,6 +239,15 @@ class TestPreInitPostFinalize:
         shmem.register(1, CpuSet.from_range(0, 16))
         result = admin.pre_init(2, CpuSet.from_range(8, 16), DromFlags.NONE)
         assert result.code is DlbError.DLB_ERR_PERM
+
+    def test_preinit_steal_that_empties_a_process_is_refused(self, shmem, admin):
+        shmem.register(1, CpuSet([0, 1]))
+        shmem.register(2, CpuSet([2]))
+        result = admin.pre_init(3, CpuSet([1, 2, 3]), DromFlags.STEAL)
+        assert result.code is DlbError.DLB_ERR_PERM
+        assert shmem.pids() == [1, 2]
+        assert shmem.get_mask(1) == CpuSet([0, 1])
+        assert shmem.get_mask(2) == CpuSet([2])
 
     def test_preinit_existing_pid_rejected(self, shmem, admin):
         shmem.register(7, CpuSet([0]))

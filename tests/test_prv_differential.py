@@ -4,8 +4,8 @@ one it replaced.
 :func:`reference_prv_text` is the earlier renderer, kept here as the
 oracle: it collects every record as ``(µs, class, recording sequence, line)``
 and sorts them all.  :func:`repro.results.sinks.prv_text` emits the records
-from one walk of the canonical step view instead; both must produce the same
-bytes for any tracer.
+from one walk of ``ordered_steps`` over the runs instead; both must produce
+the same bytes for any tracer.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.results.sinks import (
 )
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL
+from step_oracle import canonical_steps
 
 
 def reference_prv_text(tracer: Tracer) -> str:
@@ -58,7 +59,7 @@ def reference_prv_text(tracer: Tracer) -> str:
     )
 
     records: list[tuple[int, int, int, str]] = []
-    for step in tracer:
+    for step in canonical_steps(tracer):
         for thread in range(step.nthreads):
             records.append(
                 (
@@ -157,7 +158,8 @@ def tracers(draw) -> Tracer:
     # Record one run per call, in drawn (not time) order.
     for run in runs:
         tracer.record_steps([run])
-    step_times = sorted({step.start for step in tracer} | {step.end for step in tracer})
+    steps = canonical_steps(tracer)
+    step_times = sorted({step.start for step in steps} | {step.end for step in steps})
     mask_times = st.sampled_from(step_times) | times if step_times else times
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         tracer.record_mask_change(

@@ -9,6 +9,7 @@ from repro.results import prv_text, read_prv, row_text
 from repro.results.sinks import EV_THREAD_COUNT
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL
+from step_oracle import canonical_steps
 
 SMALL = WorkloadSpec(njobs=2, mean_interarrival=90.0, work_scale=0.04, iterations=12)
 
@@ -39,9 +40,9 @@ class TestParaverSink:
         _run, result = traced_run
         tracer = result.tracer
         widths = {
-            (job, rank): max(step.nthreads for step in tracer.steps(job, rank))
+            (job, rank): max(step.nthreads for step in canonical_steps(tracer, job, rank))
             for job in tracer.jobs()
-            for rank in sorted({step.rank for step in tracer.steps(job)})
+            for rank in sorted({step.rank for step in canonical_steps(tracer, job)})
         }
         assert len(set(widths.values())) > 1, "DROM run should vary team sizes"
         apps = [
@@ -63,7 +64,7 @@ class TestParaverSink:
         header, states, events = read_prv(_write_prv(tmp_path, result.tracer))
         assert header.startswith("#Paraver")
         # One state record per step per thread.
-        expected_states = sum(step.nthreads for step in result.tracer)
+        expected_states = sum(step.nthreads for step in canonical_steps(result.tracer))
         assert len(states) == expected_states
         # Per-step events plus one per recorded mask change.
         nsteps = len(result.tracer)

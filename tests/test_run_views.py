@@ -1,11 +1,10 @@
 """Run-based tracer answers against the per-step walks they replace.
 
-``Tracer.thread_utilisation`` folds each of a rank's runs with
-``repeat_add`` and ``TraceReader.team_size_series`` reads a rank's initial
-team size from its earliest run.  Both must give the very floats of a walk
-over the rank's expanded, canonically ordered steps: on hand-built tracers
-with multi-run ranks, changing team sizes and zero-duration steps, on
-generated ones, and on a real DROM run.
+``Tracer.thread_utilisation`` and use case 1's shrunk-window utilisation
+fold each of a rank's runs with ``repeat_add`` (``busy_fractions``).  Both
+must give the very floats of a walk over the rank's expanded, canonically
+ordered steps: on hand-built tracers with multi-run ranks, changing team
+sizes and zero-duration steps, on generated ones, and on a real DROM run.
 """
 
 from __future__ import annotations
@@ -15,16 +14,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.campaign.runner import execute_run
 from repro.campaign.spec import InSituWorkloadRef, RunSpec
-from repro.metrics.tracing import MaskChangeRecord, StepRun, Tracer
-from repro.traces.query import TraceReader
+from repro.metrics.tracing import StepRun, Tracer, busy_fractions
 from repro.workload.runner import DROM
+from step_oracle import canonical_steps
 
 
-def per_step_thread_utilisation(tracer: Tracer, job: str, rank: int) -> dict:
-    """The per-step walk: one addition per step, in canonical step order."""
-    steps = tracer.steps(job, rank)
+def per_step_thread_utilisation(
+    tracer: Tracer, job: str, rank: int, below: int | None = None
+) -> dict:
+    """The per-step walk: one addition per step, in canonical step order,
+    over the steps run with fewer than ``below`` threads when given."""
+    steps = canonical_steps(tracer, job, rank)
     if not steps:
         raise ValueError(f"no steps recorded for job {job!r} rank {rank}")
+    if below is not None:
+        steps = [step for step in steps if step.nthreads < below]
     busy: dict[int, float] = {}
     total: dict[int, float] = {}
     for step in steps:
@@ -34,39 +38,29 @@ def per_step_thread_utilisation(tracer: Tracer, job: str, rank: int) -> dict:
     return {t: busy[t] / total[t] for t in sorted(busy)}
 
 
-def per_step_team_size_series(tracer: Tracer, job: str, rank: int) -> list:
-    changes = [c for c in tracer.mask_changes(job) if c.rank == rank]
-    series = []
-    if changes:
-        series.append((0.0, changes[0].old_threads))
-    else:
-        steps = tracer.steps(job, rank)
-        if steps:
-            series.append((steps[0].start, steps[0].nthreads))
-    series.extend((c.time, c.new_threads) for c in changes)
-    return series
-
-
 def _outcome(call):
     """A query's answer with its floats as hex, or the exception it raised."""
     try:
         answer = call()
     except (ValueError, ZeroDivisionError) as error:
         return type(error)
-    if isinstance(answer, dict):
-        return {key: value.hex() for key, value in answer.items()}
-    return [(time.hex(), size) for time, size in answer]
+    return {key: value.hex() for key, value in answer.items()}
 
 
 def assert_matches_per_step(tracer: Tracer) -> None:
-    reader = TraceReader(tracer)
     for job, rank in sorted({(run.job, run.rank) for run in tracer.runs()}):
         assert _outcome(lambda: tracer.thread_utilisation(job, rank)) == _outcome(
             lambda: per_step_thread_utilisation(tracer, job, rank)
         ), (job, rank)
-        assert _outcome(lambda: reader.team_size_series(job, rank)) == _outcome(
-            lambda: per_step_team_size_series(tracer, job, rank)
-        ), (job, rank)
+        # Use case 1's fold: the rank's runs with fewer threads than a team.
+        for below in {run.nthreads for run in tracer.runs(job, rank)}:
+            assert _outcome(
+                lambda: busy_fractions(
+                    run for run in tracer.runs(job, rank) if run.nthreads < below
+                )
+            ) == _outcome(lambda: per_step_thread_utilisation(tracer, job, rank, below)), (
+                job, rank, below,
+            )
 
 
 def run(job, rank, start, duration, utilisation, count, node="n0") -> StepRun:
@@ -112,22 +106,6 @@ def test_zero_duration_rank_raises_like_the_walk():
         tracer.thread_utilisation("j", 0)
     with pytest.raises(ValueError):
         tracer.thread_utilisation("j", 1)
-
-
-def test_initial_team_size_from_the_earliest_run():
-    tracer = Tracer()
-    # Recorded out of time order across ranks and runs; tied starts keep
-    # recording order, as the canonical step order does.
-    tracer.record_steps([run("j", 1, 2.0, 1.0, (1.0,) * 3, 2)])
-    tracer.record_steps([run("j", 0, 0.0, 0.0, (1.0,) * 4, 2)])
-    tracer.record_steps([run("j", 0, 0.0, 1.0, (1.0,) * 2, 2)])
-    reader = TraceReader(tracer)
-    assert reader.team_size_series("j", 0) == [(0.0, 4)]
-    assert reader.team_size_series("j", 1) == [(2.0, 3)]
-    assert reader.team_size_series("j", 2) == []
-    tracer.record_mask_change(MaskChangeRecord("j", 1, 3.0, 3, 1))
-    assert reader.team_size_series("j", 1) == [(0.0, 3), (3.0, 1)]
-    assert_matches_per_step(tracer)
 
 
 durations = st.sampled_from([0.0, 0.1, 1 / 3, 0.25, 2.5, 1e-3]) | st.floats(

@@ -57,6 +57,7 @@ from repro.traces.store import TraceStore
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL, ScenarioRunner
 from repro.workload.workloads import in_situ_workload
+from step_oracle import canonical_steps
 
 SMALL = WorkloadSpec(njobs=2, mean_interarrival=90.0, work_scale=0.04, iterations=12)
 
@@ -325,7 +326,7 @@ class TestSchedPersistence:
 
         data = path.read_bytes()
         entry = store.get(run)
-        steps = list(entry.tracer)
+        steps = canonical_steps(entry.tracer)
         header = {k: v for k, v in entry.header.items() if k != "steps_bytes"}
         header.update(
             version=5,

@@ -52,6 +52,26 @@ class TestRegistration:
         assert victim.dirty  # not yet acknowledged
         assert entry.stolen_from == {100: CpuSet.from_range(8, 16)}
 
+    def test_steal_that_empties_a_victim_is_refused(self, shmem):
+        shmem.register(1, CpuSet([0]))
+        with pytest.raises(CpuOwnershipError):
+            shmem.register(2, CpuSet([0, 1]), steal=True)
+        assert shmem.pids() == [1]
+        assert shmem.get_mask(1) == CpuSet([0])
+        assert not shmem.entry(1).dirty
+
+    def test_steal_checks_every_victim_before_writing(self, shmem):
+        """Pid 1 could lose CPU 1, but pid 2 would lose its only CPU: the
+        whole registration is refused and pid 1 keeps its mask too."""
+        shmem.register(1, CpuSet([0, 1]))
+        shmem.register(2, CpuSet([2]))
+        with pytest.raises(CpuOwnershipError):
+            shmem.register(3, CpuSet([1, 2, 3]), steal=True)
+        assert shmem.pids() == [1, 2]
+        assert [shmem.get_mask(pid) for pid in (1, 2)] == [CpuSet([0, 1]), CpuSet([2])]
+        assert not any(entry.dirty for entry in shmem)
+        assert all(entry.stolen_from == {} for entry in shmem)
+
     def test_capacity_limit(self, mn3_node):
         shmem = NodeSharedMemory(mn3_node, max_processes=2)
         shmem.register(1, CpuSet([0]))
@@ -104,6 +124,18 @@ class TestMaskManagement:
         shmem.set_mask(2, CpuSet.from_range(4, 16), steal=True)
         assert shmem.get_mask(1) == CpuSet.from_range(0, 4)
         assert shmem.get_mask(2) == CpuSet.from_range(4, 16)
+
+    def test_set_mask_steal_may_strip_a_pid(self, shmem):
+        """A re-partition writes its targets one at a time, so a steal may
+        take every CPU of a pid that is written its own target next."""
+        shmem.register(1, CpuSet([0]))
+        shmem.register(2, CpuSet([1]))
+        shmem.set_mask(2, CpuSet([0, 1]), steal=True)
+        assert shmem.get_mask(1) == CpuSet.empty()
+        assert shmem.entry(1).dirty
+        assert shmem.entry(2).stolen_from == {1: CpuSet([0])}
+        shmem.set_mask(1, CpuSet([2]), steal=True)
+        assert shmem.get_mask(1) == CpuSet([2])
 
     def test_set_mask_overlap_without_steal_rejected(self, shmem):
         shmem.register(1, CpuSet.from_range(0, 8))
@@ -200,27 +232,43 @@ def test_steal_keeps_assigned_masks_disjoint_and_rewrites_are_noops(operations):
     """Every mutation with STEAL keeps the assigned masks pairwise disjoint
     (``oversubscribed_cpus`` stays empty), so writing an entry's own assigned
     mask finds no overlap and changes no entry — the rule that lets the
-    task/affinity plugin skip such writes."""
+    task/affinity plugin skip such writes.  A registration whose steal would
+    take every CPU of another pid is refused with the state unchanged, so a
+    registered pid holds no CPU only after a ``set_mask`` stripped it (a
+    re-partition writes that pid its own target next) or after it gave its
+    stolen CPUs back (``return_stolen``, which a finishing process calls)."""
     shmem = NodeSharedMemory(NodeTopology.marenostrum3())
+    may_be_empty: set[int] = set()
     for op, pid, *mask in operations:
         if op == "register":
             if shmem.has(pid):
                 continue
-            shmem.register(pid, mask[0], steal=True)
+            before = _snapshot(shmem)
+            if any(e.assigned_mask and e.assigned_mask <= mask[0] for e in shmem):
+                with pytest.raises(CpuOwnershipError):
+                    shmem.register(pid, mask[0], steal=True)
+                assert _snapshot(shmem) == before
+            else:
+                shmem.register(pid, mask[0], steal=True)
         elif not shmem.has(pid):
             continue
         elif op == "set_mask":
+            may_be_empty.update(e.pid for e in shmem if e.assigned_mask <= mask[0])
+            may_be_empty.discard(pid)
             shmem.set_mask(pid, mask[0], steal=True)
         elif op == "return_stolen":
             shmem.return_stolen(pid)
+            may_be_empty.add(pid)
         elif op == "unregister":
             shmem.unregister(pid)
+            may_be_empty.discard(pid)
         else:
             shmem.poll(pid)
         assert shmem.oversubscribed_cpus().is_empty()
         seen = CpuSet.empty()
         for entry in shmem:
             assert entry.assigned_mask.isdisjoint(seen)
+            assert entry.assigned_mask or entry.pid in may_be_empty
             seen = seen | entry.assigned_mask
     for entry in shmem:
         before = _snapshot(shmem)
@@ -228,6 +276,6 @@ def test_steal_keeps_assigned_masks_disjoint_and_rewrites_are_noops(operations):
             try:
                 shmem.set_mask(entry.pid, entry.assigned_mask, steal=steal)
             except ValueError:
-                # A pid stolen down to nothing cannot be written an empty mask.
-                assert entry.assigned_mask.is_empty()
+                # A pid left without CPUs cannot be written an empty mask.
+                assert entry.pid in may_be_empty and not entry.assigned_mask
             assert _snapshot(shmem) == before

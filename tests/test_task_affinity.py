@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.drom import attach_admin
+from repro.core.errors import DlbError
 from repro.core.shmem import NodeSharedMemory
 from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import NodeTopology
@@ -125,6 +126,33 @@ class TestPreLaunch:
         assert shmem.get_mask(301) == plan.new_tasks[0].mask == CpuSet.from_range(10, 16)
         assert shmem.oversubscribed_cpus().is_empty()
 
+    def test_repartition_may_move_a_job_onto_all_of_another_jobs_cpus(
+        self, plugin_setup, monkeypatch
+    ):
+        """Job 1 moves onto every CPU job 2 holds before job 2 moves: the
+        targets are written in one pass, and the shared memory lets a write
+        strip a pid that its own write then moves."""
+        _, shmem, admin, plugin = plugin_setup
+        for job_id, cpus in ((1, 8), (2, 2)):
+            plugin.launch_request(job_id=job_id, ntasks=1, cpus_per_task=cpus)
+            plugin.pre_launch(job_id, 0, pid=100 * job_id + 1)
+        assert shmem.get_mask(201) == CpuSet([8, 9])
+        calls = []
+        set_process_mask = admin.set_process_mask
+
+        def spy(pid, mask, flags):
+            code = set_process_mask(pid, mask, flags)
+            calls.append((pid, code))
+            return code
+
+        monkeypatch.setattr(admin, "set_process_mask", spy)
+        plan = plugin.launch_request(job_id=3, ntasks=1, cpus_per_task=12)
+        plugin.pre_launch(3, 0, pid=301)
+        assert calls == [(101, DlbError.DLB_NOTED), (201, DlbError.DLB_NOTED)]
+        assert shmem.get_mask(101) == CpuSet.from_range(8, 14)
+        assert shmem.get_mask(201) == CpuSet.from_range(14, 16)
+        assert shmem.get_mask(301) == plan.new_tasks[0].mask == CpuSet.from_range(0, 8)
+
 
 class TestPostTermAndRelease:
     def test_post_term_cleans_entry(self, plugin_setup):
@@ -149,22 +177,32 @@ class TestPostTermAndRelease:
         plugin.pre_launch(2, 0, pid=201)
         # job 1 finishes
         plugin.post_term(1, 0)
-        new_masks = plugin.release_resources(1)
-        assert new_masks == {201: CpuSet.from_range(0, 16)}
+        assert shmem.get_mask(201) == CpuSet.from_range(8, 16)
+        plugin.release_resources(1)
+        assert shmem.pids() == [201]
         assert shmem.get_mask(201) == CpuSet.from_range(0, 16)
         # job 1 is forgotten: a second release is a no-op
-        assert plugin.release_resources(1) == {}
+        plugin.release_resources(1)
+        assert shmem.pids() == [201]
+        assert shmem.get_mask(201) == CpuSet.from_range(0, 16)
 
     def test_release_resources_last_job_is_noop(self, plugin_setup):
-        _, _, _, plugin = plugin_setup
+        _, shmem, _, plugin = plugin_setup
         plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=8)
         plugin.pre_launch(1, 0, pid=101)
         plugin.post_term(1, 0)
-        assert plugin.release_resources(1) == {}
+        plugin.release_resources(1)
+        assert shmem.pids() == []
+        assert shmem.free_mask().count() == 16
 
     def test_release_unknown_job_is_noop(self, plugin_setup):
-        _, _, _, plugin = plugin_setup
-        assert plugin.release_resources(42) == {}
+        _, shmem, _, plugin = plugin_setup
+        plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=8)
+        plugin.pre_launch(1, 0, pid=101)
+        plugin.release_resources(42)
+        assert shmem.pids() == [101]
+        assert shmem.get_mask(101) == CpuSet.from_range(0, 8)
+        assert not shmem.entry(101).dirty
 
     def test_release_does_not_expand_non_malleable_jobs(self, plugin_setup):
         _, shmem, _, plugin = plugin_setup
@@ -173,9 +211,48 @@ class TestPostTermAndRelease:
         plugin.launch_request(job_id=2, ntasks=1, cpus_per_task=8, malleable=False)
         plugin.pre_launch(2, 0, pid=201)
         plugin.post_term(1, 0)
-        new_masks = plugin.release_resources(1)
-        assert new_masks == {}
-        assert shmem.get_mask(201).count() == 8
+        mask = shmem.get_mask(201)
+        plugin.release_resources(1)
+        assert shmem.get_mask(201) == mask
+        assert mask.count() == 8
+        assert not shmem.entry(201).dirty
+
+    def test_release_swaps_jobs_across_sockets(self, plugin_setup):
+        """Job 2 takes socket 0 and moves job 1 to socket 1; job 3's release
+        swaps them back.  Job 1's write takes every CPU job 2 holds and job
+        2's write then finds its target free.  Job 1 records what it took,
+        which it returns to job 2 when it ends."""
+        _, shmem, _, plugin = plugin_setup
+        for job_id, cpus in ((1, 4), (2, 8), (3, 4)):
+            plugin.launch_request(job_id=job_id, ntasks=1, cpus_per_task=cpus)
+            plugin.pre_launch(job_id, 0, pid=100 * job_id + 1)
+        assert [shmem.get_mask(pid) for pid in (101, 201, 301)] == [
+            CpuSet.from_range(8, 12), CpuSet.from_range(0, 8), CpuSet.from_range(12, 16)
+        ]
+        plugin.post_term(3, 0)
+        plugin.release_resources(3)
+        assert shmem.get_mask(101) == CpuSet.from_range(0, 8)
+        assert shmem.get_mask(201) == CpuSet.from_range(8, 16)
+        assert shmem.entry(101).stolen_from == {201: CpuSet.from_range(0, 8)}
+        assert shmem.entry(201).stolen_from == {}
+        plugin.post_term(1, 0)
+        assert shmem.get_mask(201) == CpuSet.from_range(0, 16)
+
+    def test_release_with_a_non_malleable_survivor_completes(self, plugin_setup):
+        """The malleable survivor is written its target even where that
+        covers every CPU the non-malleable survivor holds; the non-malleable
+        task never polls, so it keeps running on its launch CPUs."""
+        _, shmem, _, plugin = plugin_setup
+        for job_id, cpus, malleable in ((1, 8, True), (2, 4, False), (3, 4, True)):
+            plugin.launch_request(
+                job_id=job_id, ntasks=1, cpus_per_task=cpus, malleable=malleable
+            )
+            plugin.pre_launch(job_id, 0, pid=100 * job_id + 1)
+        assert shmem.get_mask(201) == CpuSet.from_range(8, 12)
+        plugin.post_term(1, 0)
+        plugin.release_resources(1)
+        assert shmem.get_mask(301) == CpuSet.from_range(8, 16)
+        assert shmem.entry(201).current_mask == CpuSet.from_range(8, 12)
 
     def test_release_restores_a_shrink_the_survivor_has_not_polled(self, plugin_setup):
         """A survivor shrunk by a launch and not yet polled still runs with
@@ -188,7 +265,7 @@ class TestPostTermAndRelease:
         assert shmem.entry(101).current_mask == CpuSet.from_range(0, 16)
         assert shmem.get_mask(101) == CpuSet.from_range(0, 8)
         plugin.post_term(2, 0)
-        assert plugin.release_resources(2) == {101: CpuSet.from_range(0, 16)}
+        plugin.release_resources(2)
         assert shmem.get_mask(101) == CpuSet.from_range(0, 16)
         assert not shmem.entry(101).dirty
 

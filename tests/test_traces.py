@@ -38,7 +38,6 @@ from repro.metrics.tracing import (
     StepRecord,
     StepRun,
     Tracer,
-    expand_runs,
 )
 from repro.results import (
     ResultStore,
@@ -58,6 +57,7 @@ from repro.traces import (
 from repro.traces.__main__ import main as traces_main
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL
+from step_oracle import canonical_steps, expand_steps
 
 SMALL = WorkloadSpec(njobs=2, mean_interarrival=90.0, work_scale=0.04, iterations=12)
 
@@ -137,7 +137,7 @@ def store_and_reload(tmp_path, tracer: Tracer, scenario: str = SERIAL):
         workload=SyntheticWorkloadRef(spec=SMALL, seed=99),
         cluster=ClusterRef(nnodes=4),
     )
-    ends = [s.end for s in tracer]
+    ends = [s.end for s in canonical_steps(tracer)]
     result = ScenarioResult(
         scenario=scenario,
         workload=run.workload.build(),
@@ -159,7 +159,7 @@ class TestTraceStoreRoundTrip:
         assert path == store.path_for(content_key(run))
         entry = store.get(run)
         assert entry is not None
-        assert entry.tracer.steps() == result.tracer.steps()
+        assert canonical_steps(entry.tracer) == canonical_steps(result.tracer)
         assert entry.tracer.mask_changes() == result.tracer.mask_changes()
         assert entry.header["end_time"] == result.end_time
         assert entry.header["scenario"] == run.scenario
@@ -357,7 +357,7 @@ class TestScenarioReplay:
         assert all(isinstance(r, ScenarioReplay) and r.replayed for r in warm.values())
         for scenario in (SERIAL, DROM):
             live, replay = cold[scenario], warm[scenario]
-            assert replay.tracer.steps() == live.tracer.steps()
+            assert canonical_steps(replay.tracer) == canonical_steps(live.tracer)
             assert replay.tracer.mask_changes() == live.tracer.mask_changes()
             assert replay.metrics.total_run_time == live.metrics.total_run_time
             assert replay.metrics.response_times() == dict(
@@ -386,8 +386,8 @@ class TestScenarioReplay:
             ref, cluster=ClusterRef(nnodes=4), store=store, trace_store=traces
         )
         assert again[SERIAL].replayed and not again[DROM].replayed
-        assert again[DROM].tracer.steps() == cold[DROM].tracer.steps()
-        assert list(traces.get(run).tracer) == list(cold[DROM].tracer)
+        assert canonical_steps(again[DROM].tracer) == canonical_steps(cold[DROM].tracer)
+        assert canonical_steps(traces.get(run).tracer) == canonical_steps(cold[DROM].tracer)
 
     def test_corrupt_segment_is_a_miss(self, tmp_path):
         # A flipped byte inside the steps member passes ``get`` but fails to
@@ -413,7 +413,7 @@ class TestScenarioReplay:
         )
         assert all(not r.replayed for r in again.values())
         for scenario in (SERIAL, DROM):
-            assert again[scenario].tracer.steps() == cold[scenario].tracer.steps()
+            assert canonical_steps(again[scenario].tracer) == canonical_steps(cold[scenario].tracer)
         for path, data in artifacts.items():
             assert path.read_bytes() == data
         warm = run_scenario_pair(
@@ -500,28 +500,11 @@ class TestTraceReader:
         intervals = reader.job_intervals()
         for job in reader.jobs():
             assert intervals[job] == result.tracer.span(job)
-            assert reader.ipc_series_between(*intervals[job], job) == [
-                (s.start, s.ipc) for s in result.tracer.steps(job)
-            ]
+            assert reader.steps_between(*intervals[job], job) == canonical_steps(
+                result.tracer, job
+            )
         assert reader.mask_change_sequence() == result.tracer.mask_changes()
         assert reader.render_job_widths(bin_seconds=100.0)
-
-    def test_team_size_series_tracks_mask_changes(self, traced_run, tmp_path):
-        run, result = traced_run
-        store = TraceStore(tmp_path)
-        store.put(run, result)
-        reader = TraceReader(store.get(run))
-        changed = {c.job for c in result.tracer.mask_changes()}
-        assert changed, "DROM run should observe mask changes"
-        for job in changed:
-            ranks = {c.rank for c in result.tracer.mask_changes(job)}
-            for rank in ranks:
-                series = reader.team_size_series(job, rank)
-                changes = [
-                    c for c in result.tracer.mask_changes(job) if c.rank == rank
-                ]
-                assert series[0] == (0.0, changes[0].old_threads)
-                assert series[1:] == [(c.time, c.new_threads) for c in changes]
 
     def test_ipc_histogram_matches_per_step_reference(self, traced_run, tmp_path):
         # Reference: one histogram per (rank, thread) over the per-step
@@ -532,7 +515,7 @@ class TestTraceReader:
         store.put(run, result)
         for job in result.tracer.jobs():
             per_thread: dict = {}
-            for step in result.tracer.steps(job):
+            for step in canonical_steps(result.tracer, job):
                 for thread, util in enumerate(step.thread_utilisation):
                     per_thread.setdefault((step.rank, thread), []).append(step.ipc * util)
             expected = np.zeros(20)
@@ -589,8 +572,7 @@ class TestReaderEdgeCases:
         entry = store_and_reload(tmp_path, tracer, scenario=DROM)
         assert len(entry.tracer) == 0
         assert entry.tracer.mask_changes() == tracer.mask_changes()
-        reader = TraceReader(entry)
-        assert reader.team_size_series("j") == [(0.0, 4), (1.0, 2)]
+        assert TraceReader(entry).mask_change_sequence("j") == tracer.mask_changes()
         # The .prv export drops the unanchorable event but stays valid.
         out = tmp_path / "mask.prv"
         out.write_text(prv_text(entry.tracer))
@@ -609,7 +591,7 @@ class TestReaderEdgeCases:
         marker = f":{EV_STEP_IPC_MILLI}:"
         ipc_events = [l for l in live.splitlines() if marker in l]
         assert ipc_events, "expected per-step IPC events"
-        expected = [int(round(s.ipc * 1000)) for s in result.tracer]
+        expected = [int(round(s.ipc * 1000)) for s in canonical_steps(result.tracer)]
         values = [
             int(line.split(marker, 1)[1].split(":", 1)[0]) for line in ipc_events
         ]
@@ -656,7 +638,7 @@ class TestRunLengthSegments:
     ):
         run = self._cell(njobs, scenario, backfill, interference)
         result = execute_run(run, trace=True)
-        live = list(result.tracer)
+        live = canonical_steps(result.tracer)
         store = TraceStore(tmp_path)
         store.put(run, result)
         assert len(store.get(run).runs) < len(result.tracer.runs())
@@ -673,11 +655,11 @@ class TestRunLengthSegments:
             assert TraceReader(result.tracer).steps_between(lo, hi) == expected
             assert "tracer" not in entry.__dict__
             count = rng.randrange(len(live) + 2)
-            assert store.get(run).tracer.steps()[:count] == live[:count]
+            assert canonical_steps(store.get(run).tracer)[:count] == live[:count]
 
         tracer = store.get(run).tracer
-        assert list(tracer) == live
-        assert repr(list(tracer)) == repr(live)
+        assert canonical_steps(tracer) == live
+        assert repr(canonical_steps(tracer)) == repr(live)
         assert tracer.mask_changes() == result.tracer.mask_changes()
         assert prv_text(tracer) == prv_text(result.tracer)
         assert pcf_text(tracer) == pcf_text(result.tracer)
@@ -708,7 +690,7 @@ class TestRunLengthSegments:
         for record in steps:
             record_step(tracer, record)
         entry = store_and_reload(tmp_path, tracer)
-        assert repr(list(entry.tracer)) == repr(list(tracer))
+        assert repr(canonical_steps(entry.tracer)) == repr(canonical_steps(tracer))
         assert [run.count for run in entry.runs] == [3, 2, 2, 1, 2, 1, 1, 1, 1, 1, 2, 2]
 
     def test_runs_write_the_artifact_single_steps_write(self, tmp_path):
@@ -726,7 +708,7 @@ class TestRunLengthSegments:
             run("b", 0, 27.0, 0.3, 1),
         ]
         single = Tracer()
-        for step in expand_runs(runs):
+        for step in expand_steps(runs):
             record_step(single, step)
         batched = Tracer()
         batched.record_steps(runs)
@@ -735,7 +717,7 @@ class TestRunLengthSegments:
         paths = []
         for name, tracer in (("single", single), ("runs", batched)):
             entry = store_and_reload(tmp_path / name, tracer)
-            assert list(entry.tracer) == list(single)
+            assert canonical_steps(entry.tracer) == canonical_steps(single)
             paths.append(entry.path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         # The 100-step stretch recorded as two runs is stored as one.
@@ -766,7 +748,7 @@ class TestRunLengthSegments:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         entry = store_and_reload(tmp_path / "again", shuffled)
         assert [r.count for r in entry.runs] == [12, 6, 5, 2]
-        assert list(entry.tracer) == list(ordered)
+        assert canonical_steps(entry.tracer) == canonical_steps(ordered)
 
     @pytest.mark.parametrize(
         "recount",
@@ -785,7 +767,7 @@ class TestRunLengthSegments:
         with pytest.raises(ValueError, match="steps member"):
             doctored.runs
         with pytest.raises(ValueError, match="steps member"):
-            list(store.get(run).tracer)
+            canonical_steps(store.get(run).tracer)
 
     @pytest.mark.parametrize(
         "edit",
@@ -976,7 +958,7 @@ class TestTracesCli:
         assert result.tracer.mask_changes(), "the fixture should change masks"
         steps = records[1 : 1 + nsteps]
         masks = records[1 + nsteps : 1 + nsteps + nmasks]
-        assert steps == [s.to_record() for s in result.tracer]
+        assert steps == [s.to_record() for s in canonical_steps(result.tracer)]
         assert [MaskChangeRecord.from_record(r) for r in masks] == (
             result.tracer.mask_changes()
         )

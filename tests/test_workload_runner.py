@@ -16,6 +16,7 @@ from repro.workload.workloads import (
 )
 from repro.workload import configs
 from repro.runtime.process import ThreadModel
+from step_oracle import canonical_steps
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,7 @@ class TestDromScenario:
         drom = nest_pils_results[DROM]
         events = [
             (step.start, step.end, step.node, step.nthreads, step.job, step.rank)
-            for step in drom.tracer
+            for step in canonical_steps(drom.tracer)
         ]
         change_times = [c.time for c in drom.tracer.mask_changes()]
         boundaries = sorted({e[0] for e in events})
