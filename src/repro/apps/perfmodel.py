@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.floats import left_sum
 from repro.cpuset.mask import CpuSet
@@ -154,14 +155,13 @@ class MemoryBandwidthModel:
 
     def achievable_bandwidth(self, mask: CpuSet, topology: NodeTopology) -> float:
         """GB/s the mask can sustain on the node."""
-        if mask.is_empty():
+        shape = MaskShape.of(mask, topology)
+        if not shape.ncpus:
             return 0.0
         socket_cap = left_sum(
-            socket.memory_bandwidth_gbs
-            for socket in topology.sockets
-            if not socket.cpus.isdisjoint(mask)
+            topology.sockets[index].memory_bandwidth_gbs for index in shape.sockets
         )
-        return min(mask.count() * self.per_core_gbs, socket_cap)
+        return min(shape.ncpus * self.per_core_gbs, socket_cap)
 
     def memory_time(self, work_units: float, mask: CpuSet, topology: NodeTopology) -> float:
         """Seconds needed to move the traffic of ``work_units`` of work."""
@@ -199,6 +199,28 @@ class PhaseProfile:
     def comm_factor(self, total_ranks: int) -> float:
         """Iteration-time inflation from MPI communication."""
         return 1.0 + self.comm_overhead_per_rank * max(total_ranks - 2, 0)
+
+
+class MaskShape(NamedTuple):
+    """What pricing reads of a CPU mask on one node: how many CPUs it holds
+    and which sockets it touches (positions in ``topology.sockets``).
+
+    :meth:`PerformanceProfile.iteration_time`, :meth:`PerformanceProfile.ipc`
+    and :meth:`MemoryBandwidthModel.achievable_bandwidth` read a mask only
+    through its shape, so masks of one shape price alike, bit for bit: the
+    batched runner keys its cached fold on its ranks' shapes.
+    """
+
+    ncpus: int
+    sockets: tuple[int, ...]
+
+    @classmethod
+    def of(cls, mask: CpuSet, topology: NodeTopology) -> "MaskShape":
+        bits = mask.bits
+        return cls(
+            bits.bit_count(),
+            tuple(i for i, socket in enumerate(topology.sockets) if socket.cpus.bits & bits),
+        )
 
 
 @dataclass(frozen=True)
@@ -243,11 +265,11 @@ class PerformanceProfile:
         """
         if work_units <= 0:
             return 0.0
-        nthreads = mask.count()
+        shape = MaskShape.of(mask, topology)
+        nthreads = shape.ncpus
         if nthreads == 0:
             return math.inf
-        spans = topology.sockets_spanned(mask)
-        eff = phase.efficiency.efficiency(nthreads, spans)
+        eff = phase.efficiency.efficiency(nthreads, len(shape.sockets))
         imbalance = self.partition.imbalance_factor(initial_threads, nthreads)
         compute = work_units / (nthreads * eff) * imbalance
         memory = phase.memory.memory_time(work_units, mask, topology)
@@ -269,11 +291,11 @@ class PerformanceProfile:
         initial_threads: int,
     ) -> float:
         """Average per-thread IPC during the phase with the given mask."""
-        nthreads = mask.count()
+        shape = MaskShape.of(mask, topology)
+        nthreads = shape.ncpus
         if nthreads == 0:
             return 0.0
-        spans = topology.sockets_spanned(mask)
-        eff = phase.efficiency.efficiency(nthreads, spans)
+        eff = phase.efficiency.efficiency(nthreads, len(shape.sockets))
         imbalance = self.partition.imbalance_factor(initial_threads, nthreads)
         w = self.IPC_EFFICIENCY_WEIGHT
         damped_eff = (1.0 - w) + w * eff

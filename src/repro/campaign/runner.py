@@ -63,7 +63,8 @@ def execute_run(
     *not* part of :class:`RunSpec` or the content hash.
 
     ``telemetry`` records ``build`` and ``simulate`` spans under the current
-    span; the ``simulate`` span carries the run's engine/step/batch/priced counters.
+    span; the ``simulate`` span carries the run's engine/step/batch/priced
+    counters, its pulled-back wakes and its DROM mask writes.
     """
     obs = telemetry if telemetry is not None else DISABLED
     with obs.span("build"):
@@ -90,6 +91,8 @@ def execute_run(
         span.count("steps", result.steps_advanced)
         span.count("batches", result.batches_executed)
         span.count("priced", result.steps_priced)
+        span.count("pulled_back", result.pulled_back)
+        span.count("masks_written", result.masks_written)
         _annotate_sched(span, result)
     return result
 

@@ -270,10 +270,7 @@ class DromAdmin:
         self._require_attached()
         if not self._shmem.has(pid):
             return DlbError.DLB_NOUPDT, {}
-        returned: dict[int, CpuSet] = {}
-        if flags.returns_stolen():
-            returned = self._shmem.return_stolen(pid)
-        self._shmem.unregister(pid)
+        returned = self._shmem.unregister(pid, return_stolen=flags.returns_stolen())
         return DlbError.DLB_SUCCESS, returned
 
     # -- helpers -----------------------------------------------------------------

@@ -35,14 +35,17 @@ class DromFlags(IntFlag):
     #: Do not actually apply the change, only check that it would be legal.
     DRY_RUN = 1 << 3
 
+    # The predicates test the raw bits: ``self & flag`` would build a new
+    # flag object on every DROM call.
+
     def is_sync(self) -> bool:
-        return bool(self & DromFlags.SYNC_QUERY)
+        return self._value_ & DromFlags.SYNC_QUERY._value_ != 0
 
     def allows_steal(self) -> bool:
-        return bool(self & DromFlags.STEAL)
+        return self._value_ & DromFlags.STEAL._value_ != 0
 
     def returns_stolen(self) -> bool:
-        return bool(self & DromFlags.RETURN_STOLEN)
+        return self._value_ & DromFlags.RETURN_STOLEN._value_ != 0
 
     def is_dry_run(self) -> bool:
-        return bool(self & DromFlags.DRY_RUN)
+        return self._value_ & DromFlags.DRY_RUN._value_ != 0

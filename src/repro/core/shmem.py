@@ -161,14 +161,33 @@ class NodeSharedMemory:
             self._entries[pid] = entry
             return entry
 
-    def unregister(self, pid: int) -> ProcessEntry:
-        """Remove ``pid`` from the registry and return its final entry."""
+    def unregister(self, pid: int, *, return_stolen: bool = False) -> dict[int, CpuSet]:
+        """Remove ``pid`` from the registry.
+
+        With ``return_stolen`` the CPUs ``pid`` stole and still holds go
+        back to their owners that are still registered; CPUs whose owner has
+        finished are left unassigned (the SLURM plugin hands them out
+        through its ``release_resources`` path instead).  Giving back and
+        leaving are one step, so no registered pid is left emptied by it.
+        Returns the mapping of owner pid to the CPUs given back.
+        """
         with self._lock:
             entry = self._require(pid)
+            returned: dict[int, CpuSet] = {}
+            if return_stolen:
+                kept = entry.assigned_mask
+                for owner_pid, stolen in entry.stolen_from.items():
+                    give_back = stolen & kept
+                    owner = self._entries.get(owner_pid)
+                    if owner is None or give_back.is_empty():
+                        continue
+                    kept = kept - give_back
+                    self._assign(owner, owner.assigned_mask | give_back)
+                    returned[owner_pid] = give_back
             del self._entries[pid]
             for observer in self._unregister_observers:
                 observer(pid)
-            return entry
+            return returned
 
     # -- queries --------------------------------------------------------------
 
@@ -278,29 +297,6 @@ class NodeSharedMemory:
                 self._assign(other, other.assigned_mask - overlap)
             self._assign(entry, mask)
             return entry
-
-    def return_stolen(self, pid: int) -> dict[int, CpuSet]:
-        """Give back the CPUs ``pid`` stole, to owners that are still registered.
-
-        Returns the mapping of owner pid to returned mask.  CPUs whose owner
-        has already finished are left unassigned (the SLURM plugin hands them
-        out through its ``release_resources`` path instead).
-        """
-        with self._lock:
-            entry = self._require(pid)
-            returned: dict[int, CpuSet] = {}
-            for owner_pid, stolen in list(entry.stolen_from.items()):
-                if owner_pid not in self._entries:
-                    continue
-                owner = self._entries[owner_pid]
-                give_back = stolen & entry.assigned_mask
-                if give_back.is_empty():
-                    continue
-                self._assign(entry, entry.assigned_mask - give_back)
-                self._assign(owner, owner.assigned_mask | give_back)
-                returned[owner_pid] = give_back
-                del entry.stolen_from[owner_pid]
-            return returned
 
     def poll(self, pid: int) -> tuple[CpuSet | None, CpuSet]:
         """Process-side poll: the new mask if one is pending, and the mask.

@@ -256,29 +256,37 @@ def split_among_tasks(mask: CpuSet, ntasks: int) -> tuple[CpuSet, ...]:
     """
     if ntasks <= 0:
         raise ValueError("ntasks must be positive")
-    cpus = list(mask)
-    base = len(cpus) // ntasks
-    remainder = len(cpus) % ntasks
+    base, remainder = divmod(mask.count(), ntasks)
+    bits = mask.bits
     masks: list[CpuSet] = []
-    cursor = 0
     for i in range(ntasks):
-        take = base + (1 if i < remainder else 0)
-        masks.append(CpuSet(cpus[cursor:cursor + take]))
-        cursor += take
+        take, bits = _lowest(bits, base + (1 if i < remainder else 0))
+        masks.append(CpuSet.from_bits(take))
     return tuple(masks)
+
+
+def _lowest(bits: int, n: int) -> tuple[int, int]:
+    """``(taken, rest)``: the ``n`` lowest set bits of ``bits`` (all of
+    them if it has fewer) and the bits left over."""
+    taken = 0
+    for _ in range(n):
+        if not bits:
+            break
+        low = bits & -bits
+        taken |= low
+        bits ^= low
+    return taken, bits
 
 
 def _contiguous(
     free: CpuSet, jobs: Sequence[JobShare], shares: Mapping[int, int]
 ) -> dict[int, CpuSet]:
     """Lay ``jobs`` out on ``free`` in order, each on its share of CPUs."""
-    cpus = list(free)
+    bits = free.bits
     masks: dict[int, CpuSet] = {}
-    cursor = 0
     for job in jobs:
-        ncpus = shares[job.job_id]
-        masks[job.job_id] = CpuSet(cpus[cursor:cursor + ncpus])
-        cursor += ncpus
+        take, bits = _lowest(bits, shares[job.job_id])
+        masks[job.job_id] = CpuSet.from_bits(take)
     return masks
 
 

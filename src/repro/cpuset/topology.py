@@ -10,7 +10,8 @@ in addition to the plain CPU count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.cpuset.mask import CpuSet
 
@@ -84,10 +85,14 @@ class NodeTopology:
 
     # -- queries ----------------------------------------------------------
 
-    @property
+    # ``ncpus`` and the full mask are read on every DROM write; the frozen
+    # node computes them once (``cached_property`` writes ``__dict__``,
+    # which equality, hashing and ``repr`` never read).
+
+    @cached_property
     def ncpus(self) -> int:
         """Total number of logical CPUs in the node."""
-        return sum(s.cpus.count() for s in self.sockets)
+        return self._full_mask.count()
 
     @property
     def nsockets(self) -> int:
@@ -104,10 +109,26 @@ class NodeTopology:
 
     def full_mask(self) -> CpuSet:
         """Mask covering every CPU of the node."""
+        return self._full_mask
+
+    @cached_property
+    def _full_mask(self) -> CpuSet:
         mask = CpuSet.empty()
         for socket in self.sockets:
             mask = mask | socket.cpus
         return mask
+
+    def without(self, cpus: CpuSet) -> "NodeTopology":
+        """This node less ``cpus``: each socket keeps the rest of its CPUs,
+        and a socket with none left is dropped."""
+        return replace(
+            self,
+            sockets=tuple(
+                replace(socket, cpus=socket.cpus - cpus)
+                for socket in self.sockets
+                if not socket.cpus <= cpus
+            ),
+        )
 
     def socket_of(self, cpu: int) -> Socket:
         """The socket a CPU belongs to.
@@ -132,8 +153,8 @@ class NodeTopology:
 
     def validate_mask(self, mask: CpuSet) -> None:
         """Raise ``ValueError`` if ``mask`` contains CPUs outside the node."""
-        if not mask.issubset(self.full_mask()):
-            bad = mask - self.full_mask()
+        if not mask.issubset(self._full_mask):
+            bad = mask - self._full_mask
             raise ValueError(
                 f"mask {mask.to_list_string()!r} contains CPUs outside node "
                 f"{self.name!r}: {bad.to_list_string()!r}"

@@ -122,6 +122,9 @@ def summarise(telemetry: "Telemetry") -> dict:
             "events": events,
             "steps": _counter_total(simulate, "steps"),
             "batches": _counter_total(simulate, "batches"),
+            "priced": _counter_total(simulate, "priced"),
+            "pulled_back": _counter_total(simulate, "pulled_back"),
+            "masks_written": _counter_total(simulate, "masks_written"),
             "store_write_bytes": _counter_total(
                 [s for s in all_spans if s.name == "store_write"], "bytes"
             ),

@@ -112,6 +112,8 @@ class TaskAffinityPlugin:
         self.policy = policy or SocketAwareEquipartition()
         self.drom_enabled = drom_enabled
         self._jobs: dict[int, _LocalJob] = {}
+        #: ``DROM_SetProcessMask`` calls made, each of which changed a pid.
+        self.masks_written = 0
 
     # -- (1) launch_request -------------------------------------------------------
 
@@ -172,26 +174,40 @@ class TaskAffinityPlugin:
         """Split the node among its jobs and list the running tasks' targets.
 
         At launch (``new`` given) every job keeps its own request and every
-        running job is rewritten.  At release the survivors may grow to the
-        whole node — the paper's release path grows job 2 to "keep maximum
-        node utilization" — and only the malleable ones are rewritten.
+        running job is rewritten.  At release the malleable survivors may
+        grow to every CPU the non-malleable ones do not hold — the paper's
+        release path grows job 2 to "keep maximum node utilization" — and
+        only they are rewritten: a non-malleable task never polls, so it
+        keeps running on its CPUs.
         """
         launching = new is not None
+        node = self.topology
+        jobs = self._jobs
+        if not launching:
+            jobs = {jid: job for jid, job in jobs.items() if job.malleable}
+            held = CpuSet.empty()
+            for job in self._jobs.values():
+                if not job.malleable:
+                    for task in job.tasks:
+                        _, mask = self.admin.get_process_mask(task.pid)
+                        if mask is not None:
+                            held = held | mask
+            if held:
+                node = node.without(held)
         shares = [
             JobShare(
                 job_id=jid,
                 ntasks=job.ntasks,
-                requested_cpus=job.requested_cpus if launching else self.topology.ncpus,
+                requested_cpus=job.requested_cpus if launching else node.ncpus,
             )
-            for jid, job in self._jobs.items()
+            for jid, job in jobs.items()
         ]
         if launching:
             shares.append(new)
-        allocations = self.policy.distribute(self.topology, shares)
+        allocations = self.policy.distribute(node, shares)
         targets = [
             (task.pid, mask)
-            for jid, job in self._jobs.items()
-            if launching or job.malleable
+            for jid, job in jobs.items()
             for task, mask in zip(job.tasks, allocations[jid].task_masks)
         ]
         return allocations, targets
@@ -214,6 +230,7 @@ class TaskAffinityPlugin:
                     f"DROM_SetProcessMask({pid}) failed while re-partitioning "
                     f"node {self.topology.name}: {code.name}"
                 )
+            self.masks_written += 1
 
     # -- (2) pre_launch ------------------------------------------------------------
 

@@ -31,6 +31,7 @@ from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from repro.apps.base import ApplicationModel, WorkPlan, WorkStep
+from repro.apps.perfmodel import MaskShape
 from repro.core.errors import ProcessNotRegisteredError
 from repro.core.floats import fold_below, left_sum, repeat_add
 from repro.core.stats import ProcessStats, StatsModule
@@ -84,9 +85,11 @@ class JobExecution:
     #: the reference loop's step calls are never cancelled, so it keeps none.
     call: int = -1
     ranks: list[RankExecution] = field(default_factory=list)
+    #: Per rank, the runtime mask it polled at the last batched wake.
+    masks: list[CpuSet] = field(default_factory=list)
     # The fold of the batched loop's last pricing (see _RunState._wake);
     # empty in the reference loop.
-    #: The per-rank masks and interference factors it was priced under.
+    #: The per-rank mask shapes and interference factors it was priced under.
     key: tuple | None = None
     #: Fold offsets at which the plan's remaining segments end: stretch
     #: ``i`` runs from ``cuts[i - 1]`` (0 for the first) to ``cuts[i]``.
@@ -140,9 +143,13 @@ class ScenarioResult:
     batches_executed: int = 0
     #: Per-rank step prices computed (telemetry counter).  The reference
     #: loop prices every step once per rank, so it equals ``steps_advanced``
-    #: there; the fast path prices a fold once per distinct (masks,
+    #: there; the fast path prices a fold once per distinct (mask shapes,
     #: interference) input and re-uses it across batches.
     steps_priced: int = 0
+    #: Sleeping batched wakes an event moved earlier (telemetry counter).
+    pulled_back: int = 0
+    #: DROM writes that changed a pid's mask (telemetry counter).
+    masks_written: int = 0
     #: Scheduler-level observability: the event-driven queue/allocation/
     #: lifecycle series recorded by the cluster probe (see
     #: :mod:`repro.obs.sched`).  Deterministic, so it persists alongside the
@@ -192,9 +199,10 @@ class ScenarioRunner:
         True (the default) runs the batched fast path: a job prices its
         remaining steps per uniform segment and sleeps to its completion
         in one engine wake; a scheduler event (a submit or a completion)
-        pulls the wake back to the job's first step boundary at or after
-        it.  Each wake emits runs of steps that expand to the same
-        per-step records.
+        that writes one of its masks, or may change its co-runners, pulls
+        the wake back to the job's first step boundary at or after it.
+        Each wake emits runs of steps that expand to the same per-step
+        records.
         False runs the single-step reference loop, a chain of one engine
         call per step, which writes the same accounting as runs of one.
         Both paths schedule through the same ``call_at`` and produce
@@ -249,6 +257,10 @@ class ScenarioRunner:
             steps_advanced=state.steps_advanced,
             batches_executed=state.batches_executed,
             steps_priced=state.steps_priced,
+            pulled_back=state.pulled_back,
+            masks_written=sum(
+                slurmd.plugin.masks_written for slurmd in state.slurmds.values()
+            ),
             sched=state.probe.timeline(),
         )
 
@@ -368,6 +380,8 @@ class _RunState:
         #: Per-rank step prices computed (equals steps_advanced in the
         #: reference loop; the batched path prices a fold once per input).
         self.steps_priced = 0
+        #: Sleeping batched wakes an event moved earlier.
+        self.pulled_back = 0
         #: Per-run launch sequence: each job's wake priority.
         self._launch_seq = 0
 
@@ -422,18 +436,38 @@ class _RunState:
         now = self.engine.now
         for decision in self.ctld.schedule(now):
             self._launch(decision.job)
-        # The event may have written masks or changed co-runners: pull every
-        # sleeping batch back to where the reference loop polls next.  A
-        # submit runs before every same-instant wake (priority 0); a
-        # completion has woken the ones due before it (_complete).
+        # Pull each sleeping batch whose next step the event may have changed
+        # back to where the reference loop polls next.  A submit runs before
+        # every same-instant wake (priority 0); a completion has woken the
+        # ones due before it (_complete).
         for execution in self.executions.values():
-            if execution.batch_end > now:
+            if execution.batch_end > now and self._changed(execution):
                 stop, end = _cut(
                     execution.cuts, execution.durations, execution.o, execution.at, now
                 )
                 if end < execution.batch_end:
                     self.engine.cancel(execution.call)
+                    self.pulled_back += 1
                     self._sleep(execution, stop, end)
+
+    def _changed(self, execution: JobExecution) -> bool:
+        """Whether an event may have changed what ``execution``'s next poll
+        sees: any job's co-runners when an interference hook is set, an
+        unpolled DROM write to a rank of a polling job (its next poll
+        adopts it), or a runtime mask that differs from the one the rank
+        polled at its last wake (a runtime that adopts asynchronously, or a
+        non-malleable process, whose view is its assigned mask).  Otherwise
+        its fold still holds and it sleeps on."""
+        if self.runner.interference is not None:
+            return True
+        polls = execution.model.malleable
+        for rank, mask in zip(execution.ranks, execution.masks):
+            process = rank.process
+            if polls and process.shmem.entry(process.spec.pid).dirty:
+                return True
+            if process.current_mask != mask:
+                return True
+        return False
 
     # -- launching --------------------------------------------------------------------------
 
@@ -522,7 +556,7 @@ class _RunState:
         model = execution.model
         partition = model.profile.partition
         initial_threads = execution.plan.initial_threads
-        nthreads = mask.count()
+        nthreads = MaskShape.of(mask, rank.node).ncpus
         # Per-thread busy fraction of one step with ``nthreads`` threads.
         utilisation = partition.thread_utilisation(initial_threads, nthreads)
         if not partition.is_static:
@@ -624,8 +658,9 @@ class _RunState:
         that accumulate exactly as the reference loop's runs of one and
         count-1 entries, and completes the job if its plan is finished.
         Otherwise every rank polls, the remaining steps are re-priced if the
-        masks or interference factors changed, and the job sleeps to the end
-        of its fold, its completion, unless an event pulls the wake back
+        shapes of the masks (:class:`MaskShape`, all that pricing reads of a
+        mask) or the interference factors changed, and the job sleeps to the
+        end of its fold, its completion, unless an event pulls the wake back
         (:meth:`_schedule_pass`).
 
         The fold is kept as uniform stretches, the plan's remaining
@@ -646,12 +681,13 @@ class _RunState:
         if model.malleable:
             for rank in ranks:
                 rank.process.poll_malleability()
-        masks = [rank.process.current_mask for rank in ranks]
+        masks = execution.masks = [rank.process.current_mask for rank in ranks]
+        shapes = [MaskShape.of(mask, rank.node) for rank, mask in zip(ranks, masks)]
         interferences = [self._interference(execution, rank) for rank in ranks]
         # Re-price from ``now`` unless the inputs match the fold's key; the
         # fold's first unrecorded step always starts at the wake.
-        if (masks, interferences) != execution.key:
-            execution.key = (masks, interferences)
+        if (shapes, interferences) != execution.key:
+            execution.key = (shapes, interferences)
             now = self.engine.now
             remaining = plan.remaining_steps
             runs = plan.runs(remaining)
@@ -759,6 +795,7 @@ class _RunState:
                 stop, end = _cut(other.cuts, other.durations, other.o, other.at, now)
                 if end == now:
                     self.engine.cancel(other.call)
+                    self.pulled_back += 1
                     other.batch_stop, other.batch_end = stop, end
                     self._wake(other)
         job = execution.job

@@ -5,7 +5,8 @@ does so through ``repro.metrics.tracing.ordered_steps`` over the runs it
 reads.  The tests compare those views against this module instead: each
 run expanded one addition of ``duration`` at a time, then all steps
 stable-sorted by ``(start, job, rank)`` and filtered, with no code shared
-with the package's walk.
+with the package's walk.  ``maximal_runs`` is the oracle of the trace
+store's run merge.
 """
 
 from __future__ import annotations
@@ -33,3 +34,22 @@ def canonical_steps(
     ties in recording order, optionally of one job and rank."""
     steps = sorted(expand_steps(tracer.runs()), key=lambda s: (s.start, s.job, s.rank))
     return [s for s in steps if job in (None, s.job) and rank in (None, s.rank)]
+
+
+def maximal_runs(runs: Iterable[StepRun]) -> list[StepRun]:
+    """The maximal merge of ``runs``: their steps in ``(job, rank, start)``
+    order, ties in expansion order, each folded into the run before it when
+    it starts exactly where that run's last step ended and every other
+    field prints alike (so ``1`` and ``1.0``, or ``0.0`` and ``-0.0``, never
+    merge)."""
+    merged: list[StepRun] = []
+    end = None
+    for step in sorted(expand_steps(runs), key=lambda s: (s.job, s.rank, s.start)):
+        fields = repr(step[:3] + step[4:])
+        if merged and repr(step.start) == repr(end) and fields == previous:
+            merged[-1] = merged[-1]._replace(count=merged[-1].count + 1)
+        else:
+            merged.append(StepRun(*step, 1))
+            previous = fields
+        end = step.start + step.duration
+    return merged

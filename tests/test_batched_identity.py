@@ -25,6 +25,7 @@ from repro.campaign.spec import (
     SchedulerRef,
     SyntheticWorkloadRef,
 )
+from repro.cpuset.topology import ClusterTopology
 from repro.results.store import ResultStore
 from repro.runtime.process import ApplicationProcess
 from repro.slurm.jobs import ResourceRequest
@@ -129,7 +130,7 @@ def test_asynchronous_adoption_is_byte_identical(run, tmp_path, monkeypatch):
     "run, batches",
     [
         pytest.param(*cell.values, batches, id=cell.id)
-        for cell, batches in zip(LOWEST_UTILISATION, [24, 50, 23, 50])
+        for cell, batches in zip(LOWEST_UTILISATION, [12, 38, 12, 38])
     ],
 )
 def test_statistics_reads_match_the_reference(run, batches, monkeypatch):
@@ -139,8 +140,9 @@ def test_statistics_reads_match_the_reference(run, batches, monkeypatch):
     registration order, so the order in which the loops create them does
     not matter.  The four cells ran 54, 127, 53 and 127 batches when batches
     ended strictly before the next predicted event, 36, 92, 38 and 92 when
-    they crossed it, and run 24, 50, 23 and 50 now that events pull wakes
-    back."""
+    they crossed it, 24, 50, 23 and 50 when every event pulled every wake
+    back, and run 12, 38, 12 and 38 now that an event pulls back only the
+    jobs whose next poll it changed."""
     original = _RunState._node_utilisation
 
     def recorded(state, name):
@@ -274,11 +276,63 @@ def test_interference_change_alone_reprices(drom_enabled):
     assert batched.steps_priced > batched.steps_advanced
 
 
+def test_non_malleable_survivor_is_byte_identical():
+    """A release whose survivors include a non-malleable job grows the
+    malleable survivor onto every CPU the non-malleable one does not hold,
+    and the batched loop still records what the reference loop does.  Pils
+    (8 CPUs), a non-malleable NEST (4) and STREAM (4) share one node; when
+    Pils completes, STREAM expands from 4 to 12 threads and NEST keeps its
+    4 CPUs (before, the release stripped NEST to an empty mask, and its
+    next step raised on zero threads)."""
+    def request(cpus):
+        return ResourceRequest(nodes=1, ntasks=1, cpus_per_task=cpus)
+
+    workload = Workload(
+        name="non-malleable survivor",
+        jobs=(
+            WorkloadJob(app=configs.pils(iterations=100), submit_time=0.0,
+                        resources=request(8)),
+            WorkloadJob(app=configs.nest(iterations=100, malleable=False),
+                        submit_time=10.0, resources=request(4)),
+            WorkloadJob(app=configs.stream(iterations=100), submit_time=20.0,
+                        resources=request(4)),
+        ),
+        nodes=1,
+    )
+    reference, batched = (
+        ScenarioRunner(
+            True, cluster=ClusterTopology.marenostrum3(1), batching=batching
+        ).run(workload)
+        for batching in (False, True)
+    )
+
+    def rows(result):  # job ids come from a process-global counter
+        return [replace(job, job_id=0) for job in result.metrics.jobs]
+
+    def stats(result):  # so do pids
+        return {
+            label: [replace(record, pid=0) for record in records]
+            for label, records in result.job_stats.items()
+        }
+
+    assert rows(batched) == rows(reference)
+    assert stats(batched) == stats(reference)
+    assert canonical_steps(batched.tracer) == canonical_steps(reference.tracer)
+    assert batched.end_time.hex() == reference.end_time.hex()
+    assert batched.tracer.mask_changes() == reference.tracer.mask_changes()
+    assert [(c.job, c.old_threads, c.new_threads) for c in batched.tracer.mask_changes()] == [
+        ("STREAM Conf. 1", 4, 12)
+    ]
+    assert {step.nthreads for step in canonical_steps(batched.tracer, "NEST Conf. 1")} == {4}
+
+
 def test_wakes_follow_events():
-    """A job sleeps to its completion and only a scheduler event pulls its
-    wake back: the generated 12-job DROM fcfs cell ran 76 batches with two
-    wakes per predicted completion, 50 with one, and runs 33 now that no
-    job wakes for another's prediction, pricing the same 1 506 steps."""
+    """A job sleeps to its completion and only a scheduler event that
+    changes its next poll pulls its wake back: the generated 12-job DROM
+    fcfs cell ran 76 batches with two wakes per predicted completion, 50
+    with one, 33 when every event pulled every job back, and runs 19 now
+    that an event pulls back only the jobs it wrote a mask to, pricing the
+    same 1 506 steps."""
     result = execute_run(RunLengthCells._cell(12, DROM, False, None), trace=False)
-    assert result.batches_executed == 33
+    assert result.batches_executed == 19
     assert result.steps_priced == 1506

@@ -28,6 +28,8 @@ from repro.campaign import (
 )
 from repro.campaign.__main__ import main as campaign_cli
 from repro.campaign.spec import RunSpec
+from repro.core.drom import DromAdmin
+from repro.core.flags import DromFlags
 from repro.obs import (
     DISABLED,
     ProgressLine,
@@ -155,6 +157,28 @@ class TestRunCounters:
         assert simulate.counters["steps"] == result.steps_advanced > 0
         assert simulate.counters["batches"] == result.batches_executed > 0
         assert simulate.counters["priced"] == result.steps_priced > 0
+        assert simulate.counters["pulled_back"] == result.pulled_back > 0
+        assert simulate.counters["masks_written"] == result.masks_written > 0
+
+    def test_masks_written_counts_drom_writes(self, monkeypatch):
+        """``masks_written`` counts the ``DROM_SetProcessMask`` calls of a
+        run, each of which changes a pid's assigned mask; Serial writes none."""
+        writes = []
+        set_process_mask = DromAdmin.set_process_mask
+
+        def spy(admin, pid, mask, flags=DromFlags.NONE, **kwargs):
+            writes.append(admin.shmem.get_mask(pid) != mask)
+            return set_process_mask(admin, pid, mask, flags, **kwargs)
+
+        monkeypatch.setattr(DromAdmin, "set_process_mask", spy)
+        for scenario in (SERIAL, DROM):
+            writes.clear()
+            run = RunSpec(
+                index=0, scenario=scenario, workload=SyntheticWorkloadRef(spec=SMALL, seed=0)
+            )
+            result = execute_run(run)
+            assert result.masks_written == len(writes) == writes.count(True)
+            assert (result.masks_written > 0) == (scenario == DROM)
 
     def test_reference_loop_counts_steps_but_no_batches(self):
         run = RunSpec(
@@ -187,6 +211,11 @@ class TestRunCounters:
         total_events = sum(c.counters.get("events", 0) for c in cells)
         summary = summarise(obs)
         assert summary["counters"]["events"] == total_events > 0
+        simulate = [span for cell in cells for span in cell.find("simulate")]
+        for counter in ("priced", "pulled_back", "masks_written"):
+            assert summary["counters"][counter] == sum(
+                span.counters[counter] for span in simulate
+            )
         assert summary["cells"] == {
             "total": spec.nruns,
             "executed": spec.nruns,

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.apps import coreneuron_model, nest_model, pils_model, stream_model
+from repro.apps.base import WorkStep
 from repro.apps.perfmodel import (
+    MaskShape,
     MemoryBandwidthModel,
     NOMINAL_CYCLES_PER_US,
     PerformanceProfile,
@@ -17,6 +21,7 @@ from repro.apps.perfmodel import (
 )
 from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import NodeTopology
+from repro.workload.runner import _RunState
 
 
 @pytest.fixture
@@ -253,3 +258,86 @@ class TestPerformanceProfile:
     def test_phase_validation(self):
         with pytest.raises(ValueError):
             PhaseProfile("x", 0.0, ThreadEfficiency())
+
+
+# -- the fold key: what pricing reads of a mask ----------------------------------------
+
+#: Every application model the workloads run, with its profile and phases.
+_MODELS = [
+    nest_model(),
+    coreneuron_model(),
+    pils_model(100.0),
+    stream_model(),
+]
+
+
+@st.composite
+def _masks_of_one_shape(draw):
+    """Two MN3 masks with the same :class:`MaskShape`: the same CPU count
+    spread over the same sockets, each split between them its own way (a
+    two-socket pair may move CPUs across the sockets at equal count)."""
+    node = NodeTopology.marenostrum3()
+    sockets = draw(st.sampled_from([(0,), (1,), (0, 1)]))
+    ncpus = draw(st.integers(len(sockets), 8 * len(sockets)))
+
+    def mask():
+        # CPUs per socket: at least one in each touched socket, at most 8.
+        counts = [1] * len(sockets)
+        for _ in range(ncpus - len(sockets)):
+            room = [i for i, count in enumerate(counts) if count < 8]
+            counts[draw(st.sampled_from(room))] += 1
+        cpus = []
+        for index, count in zip(sockets, counts):
+            socket_cpus = list(node.socket_mask(index))
+            cpus += draw(st.permutations(socket_cpus))[:count]
+        return CpuSet(cpus)
+
+    return node, mask(), mask()
+
+
+@given(_masks_of_one_shape(), st.sampled_from([1, 2, 8, 16]), st.integers(1, 8))
+def test_masks_of_one_shape_price_alike(masks, initial_threads, total_ranks):
+    """Masks with equal :class:`MaskShape` price equal, bit for bit, in every
+    phase of every application: ``iteration_time`` (with and without
+    interference), ``ipc`` and the runner's per-stretch ``_piece``, so the
+    batched runner may key its cached fold on the shapes alone."""
+    node, a, b = masks
+    assert MaskShape.of(a, node) == MaskShape.of(b, node)
+    for model in _MODELS:
+        profile = model.profile
+        plan = SimpleNamespace(initial_threads=initial_threads)
+        execution = SimpleNamespace(model=model, plan=plan)
+        rank = SimpleNamespace(node=node)
+        state = SimpleNamespace(trace=True)
+        for phase in profile.phases:
+            for interference in (1.0, 1.3):
+                times = [
+                    profile.iteration_time(
+                        phase, 2.5, mask, node, initial_threads, total_ranks, interference
+                    ).hex()
+                    for mask in (a, b)
+                ]
+                assert times[0] == times[1]
+            ipcs = [profile.ipc(phase, mask, node, initial_threads).hex() for mask in (a, b)]
+            assert ipcs[0] == ipcs[1]
+            bandwidths = [
+                phase.memory.achievable_bandwidth(mask, node).hex() for mask in (a, b)
+            ]
+            assert bandwidths[0] == bandwidths[1]
+            step = WorkStep(phase=phase, work_units=2.5)
+            pieces = [
+                _RunState._piece(state, execution, rank, step, 1.75, 0.5, mask)
+                for mask in (a, b)
+            ]
+            assert repr(pieces[0]) == repr(pieces[1])
+
+
+def test_mask_shape_sees_the_sockets(node):
+    """Equal CPU counts on other sockets are other shapes: a team moved
+    onto two sockets pays the NUMA penalty."""
+    one_socket, two_sockets = CpuSet.from_range(0, 8), CpuSet.from_range(4, 12)
+    assert MaskShape.of(one_socket, node) == (8, (0,))
+    assert MaskShape.of(two_sockets, node) == (8, (0, 1))
+    profile = nest_model().profile
+    phase = profile.phases[-1]
+    assert profile.ipc(phase, one_socket, node, 8) != profile.ipc(phase, two_sockets, node, 8)

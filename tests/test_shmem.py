@@ -153,18 +153,38 @@ class TestMaskManagement:
     def test_return_stolen_restores_owner(self, shmem):
         shmem.register(1, CpuSet.from_range(0, 16))
         shmem.register(2, CpuSet.from_range(8, 16), steal=True)
-        returned = shmem.return_stolen(2)
+        returned = shmem.unregister(2, return_stolen=True)
         assert returned == {1: CpuSet.from_range(8, 16)}
         assert shmem.get_mask(1) == CpuSet.from_range(0, 16)
-        # the thief's mask shrank accordingly — nothing left of the theft
-        assert shmem.entry(2).stolen_from == {}
+        # the thief leaves with the give-back: no emptied pid stays registered
+        assert shmem.pids() == [1]
 
     def test_return_stolen_skips_gone_owner(self, shmem):
         shmem.register(1, CpuSet.from_range(0, 16))
         shmem.register(2, CpuSet.from_range(8, 16), steal=True)
         shmem.unregister(1)
-        assert shmem.return_stolen(2) == {}
-        assert shmem.get_mask(2) == CpuSet.from_range(8, 16)
+        assert shmem.unregister(2, return_stolen=True) == {}
+        assert shmem.free_mask() == CpuSet.from_range(0, 16)
+
+    def test_return_stolen_gives_a_cpu_back_once(self, shmem):
+        """A CPU stolen from two owners in turn goes back to one of them."""
+        shmem.register(1, CpuSet([0]))
+        shmem.register(2, CpuSet([1]))
+        shmem.register(3, CpuSet([2]))
+        shmem.set_mask(3, CpuSet([0, 2]), steal=True)
+        shmem.set_mask(3, CpuSet([2]))
+        shmem.set_mask(2, CpuSet([0, 1]))
+        shmem.set_mask(3, CpuSet([0, 2]), steal=True)
+        assert shmem.entry(3).stolen_from == {1: CpuSet([0]), 2: CpuSet([0])}
+        assert shmem.unregister(3, return_stolen=True) == {1: CpuSet([0])}
+        assert shmem.oversubscribed_cpus().is_empty()
+        assert shmem.get_mask(2) == CpuSet([1])
+
+    def test_unregister_without_return_keeps_stolen_cpus_free(self, shmem):
+        shmem.register(1, CpuSet.from_range(0, 16))
+        shmem.register(2, CpuSet.from_range(8, 16), steal=True)
+        assert shmem.unregister(2) == {}
+        assert shmem.get_mask(1) == CpuSet.from_range(0, 8)
 
     def test_no_op_assignment_does_not_mark_dirty(self, shmem):
         shmem.register(1, CpuSet.from_range(0, 4))
@@ -212,8 +232,7 @@ _operations = st.lists(
     st.one_of(
         st.tuples(st.just("register"), _pids, _masks),
         st.tuples(st.just("set_mask"), _pids, _masks),
-        st.tuples(st.just("return_stolen"), _pids),
-        st.tuples(st.just("unregister"), _pids),
+        st.tuples(st.just("unregister"), _pids, st.booleans()),
         st.tuples(st.just("poll"), _pids),
     ),
     max_size=30,
@@ -233,10 +252,10 @@ def test_steal_keeps_assigned_masks_disjoint_and_rewrites_are_noops(operations):
     (``oversubscribed_cpus`` stays empty), so writing an entry's own assigned
     mask finds no overlap and changes no entry — the rule that lets the
     task/affinity plugin skip such writes.  A registration whose steal would
-    take every CPU of another pid is refused with the state unchanged, so a
+    take every CPU of another pid is refused with the state unchanged, and a
+    finishing process gives its stolen CPUs back as it unregisters, so a
     registered pid holds no CPU only after a ``set_mask`` stripped it (a
-    re-partition writes that pid its own target next) or after it gave its
-    stolen CPUs back (``return_stolen``, which a finishing process calls)."""
+    re-partition writes that pid its own target next)."""
     shmem = NodeSharedMemory(NodeTopology.marenostrum3())
     may_be_empty: set[int] = set()
     for op, pid, *mask in operations:
@@ -256,11 +275,8 @@ def test_steal_keeps_assigned_masks_disjoint_and_rewrites_are_noops(operations):
             may_be_empty.update(e.pid for e in shmem if e.assigned_mask <= mask[0])
             may_be_empty.discard(pid)
             shmem.set_mask(pid, mask[0], steal=True)
-        elif op == "return_stolen":
-            shmem.return_stolen(pid)
-            may_be_empty.add(pid)
         elif op == "unregister":
-            shmem.unregister(pid)
+            shmem.unregister(pid, return_stolen=mask[0])
             may_be_empty.discard(pid)
         else:
             shmem.poll(pid)

@@ -239,9 +239,9 @@ class TestPostTermAndRelease:
         assert shmem.get_mask(201) == CpuSet.from_range(0, 16)
 
     def test_release_with_a_non_malleable_survivor_completes(self, plugin_setup):
-        """The malleable survivor is written its target even where that
-        covers every CPU the non-malleable survivor holds; the non-malleable
-        task never polls, so it keeps running on its launch CPUs."""
+        """The malleable survivor grows to every CPU the non-malleable
+        survivor does not hold: the non-malleable task never polls, so it
+        keeps its CPUs, and no CPU is assigned twice."""
         _, shmem, _, plugin = plugin_setup
         for job_id, cpus, malleable in ((1, 8, True), (2, 4, False), (3, 4, True)):
             plugin.launch_request(
@@ -251,8 +251,10 @@ class TestPostTermAndRelease:
         assert shmem.get_mask(201) == CpuSet.from_range(8, 12)
         plugin.post_term(1, 0)
         plugin.release_resources(1)
-        assert shmem.get_mask(301) == CpuSet.from_range(8, 16)
+        assert shmem.get_mask(301) == CpuSet.from_range(0, 8) | CpuSet.from_range(12, 16)
+        assert shmem.get_mask(201) == CpuSet.from_range(8, 12)
         assert shmem.entry(201).current_mask == CpuSet.from_range(8, 12)
+        assert shmem.oversubscribed_cpus().is_empty()
 
     def test_release_restores_a_shrink_the_survivor_has_not_polled(self, plugin_setup):
         """A survivor shrunk by a launch and not yet polled still runs with

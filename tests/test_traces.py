@@ -57,7 +57,7 @@ from repro.traces import (
 from repro.traces.__main__ import main as traces_main
 from repro.workload.generator import WorkloadSpec
 from repro.workload.runner import DROM, SERIAL
-from step_oracle import canonical_steps, expand_steps
+from step_oracle import canonical_steps, expand_steps, maximal_runs
 
 SMALL = WorkloadSpec(njobs=2, mean_interarrival=90.0, work_scale=0.04, iterations=12)
 
@@ -641,7 +641,7 @@ class TestRunLengthSegments:
         live = canonical_steps(result.tracer)
         store = TraceStore(tmp_path)
         store.put(run, result)
-        assert len(store.get(run).runs) < len(result.tracer.runs())
+        assert repr(store.get(run).runs) == repr(maximal_runs(result.tracer.runs()))
 
         rng = random.Random(f"{njobs}/{scenario}/{backfill}")
         for _ in range(4):
@@ -664,6 +664,17 @@ class TestRunLengthSegments:
         assert prv_text(tracer) == prv_text(result.tracer)
         assert pcf_text(tracer) == pcf_text(result.tracer)
         assert row_text(tracer) == row_text(result.tracer)
+
+    def test_reference_runs_merge_in_the_store(self, tmp_path):
+        """The reference loop records runs of one step; the store keeps
+        their maximal merge, which expands to the same steps."""
+        run = self._cell(4, DROM, False, None)
+        result = execute_run(run, trace=True, batching=False)
+        TraceStore(tmp_path).put(run, result)
+        stored = TraceStore(tmp_path).get(run)
+        assert len(stored.runs) < len(result.tracer.runs())
+        assert repr(stored.runs) == repr(maximal_runs(result.tracer.runs()))
+        assert canonical_steps(stored.tracer) == canonical_steps(result.tracer)
 
     def test_run_breaks_round_trip_repr_exactly(self, tmp_path):
         def step(start, duration=1.0, rank=0, **changes):
