@@ -14,6 +14,7 @@ the end-to-end metrics never get worse with the paper's policy.
 from __future__ import annotations
 
 from repro.apps import nest_profile
+from repro.apps.perfmodel import MaskShape
 from repro.campaign import (
     CampaignSpec,
     HighPriorityWorkloadRef,
@@ -48,9 +49,10 @@ def evaluate_policies():
         allocation = policy.distribute(node, jobs)
         eight_cpu_mask = allocation[2].mask
         spanned = node.sockets_spanned(eight_cpu_mask)
-        ipc = profile.ipc(solve, eight_cpu_mask, node, initial_threads=8)
+        shape = MaskShape.of(eight_cpu_mask, node)
+        ipc = profile.ipc(solve, shape, initial_threads=8)
         step_time = profile.iteration_time(
-            solve, 100.0, eight_cpu_mask, node, initial_threads=8, total_ranks=2
+            solve, 100.0, shape, node, initial_threads=8, total_ranks=2
         )
         placement_rows.append(
             (label, eight_cpu_mask.to_list_string(), spanned, f"{ipc:.2f}", f"{step_time:.1f}")

@@ -16,7 +16,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 
-from repro.apps.perfmodel import PerformanceProfile, PhaseProfile
+from repro.apps.perfmodel import MaskShape, PerformanceProfile, PhaseProfile
 from repro.core.floats import repeat_add
 from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import NodeTopology
@@ -209,12 +209,13 @@ class ApplicationModel:
         self,
         plan: WorkPlan,
         count: int,
-        mask: CpuSet,
+        shape: MaskShape,
         topology: NodeTopology,
         total_ranks: int,
         interference: float = 1.0,
     ) -> StepTimes:
-        """Durations of the plan's next ``count`` steps under a fixed mask.
+        """Durations of the plan's next ``count`` steps on a fixed mask of
+        this shape.
 
         One :meth:`PerformanceProfile.iteration_time` evaluation per plan
         segment, kept run-length: the batched runner reads
@@ -227,7 +228,7 @@ class ApplicationModel:
                     self.profile.iteration_time(
                         phase=step.phase,
                         work_units=step.work_units,
-                        mask=mask,
+                        shape=shape,
                         topology=topology,
                         initial_threads=plan.initial_threads,
                         total_ranks=total_ranks,
@@ -240,20 +241,12 @@ class ApplicationModel:
         )
 
     def step_ipc_for_phase(
-        self,
-        phase: PhaseProfile,
-        mask: CpuSet,
-        topology: NodeTopology,
-        initial_threads: int,
+        self, phase: PhaseProfile, shape: MaskShape, initial_threads: int
     ) -> float:
-        """IPC of any step of ``phase`` under ``mask`` (phase-constant, so a
-        batch prices it once per phase instead of once per step)."""
-        return self.profile.ipc(
-            phase=phase,
-            mask=mask,
-            topology=topology,
-            initial_threads=initial_threads,
-        )
+        """IPC of any step of ``phase`` on a mask of this shape
+        (phase-constant, so a batch prices it once per phase instead of once
+        per step)."""
+        return self.profile.ipc(phase=phase, shape=shape, initial_threads=initial_threads)
 
     # -- reference timings ------------------------------------------------------------------
 
@@ -268,10 +261,11 @@ class ApplicationModel:
         # Nominal mask: the first threads_per_rank CPUs of the node, i.e. the
         # placement the task/affinity plugin gives an uncontended rank.
         mask = CpuSet.from_range(0, min(config.threads_per_rank, topology.ncpus))
+        shape = MaskShape.of(mask, topology)
         # The left fold of the per-step durations, one segment at a time.
         runtime = 0.0
         for duration, n in self.step_times(
-            plan, plan.total_steps, mask, topology, config.mpi_ranks
+            plan, plan.total_steps, shape, topology, config.mpi_ranks
         ).segments:
             runtime = repeat_add(runtime, duration, n)
         return runtime

@@ -153,9 +153,8 @@ class MemoryBandwidthModel:
     def is_memory_bound(self) -> bool:
         return self.traffic_gb_per_work_unit > 0.0
 
-    def achievable_bandwidth(self, mask: CpuSet, topology: NodeTopology) -> float:
-        """GB/s the mask can sustain on the node."""
-        shape = MaskShape.of(mask, topology)
+    def achievable_bandwidth(self, shape: MaskShape, topology: NodeTopology) -> float:
+        """GB/s a mask of this shape can sustain on the node."""
         if not shape.ncpus:
             return 0.0
         socket_cap = left_sum(
@@ -163,11 +162,13 @@ class MemoryBandwidthModel:
         )
         return min(shape.ncpus * self.per_core_gbs, socket_cap)
 
-    def memory_time(self, work_units: float, mask: CpuSet, topology: NodeTopology) -> float:
+    def memory_time(
+        self, work_units: float, shape: MaskShape, topology: NodeTopology
+    ) -> float:
         """Seconds needed to move the traffic of ``work_units`` of work."""
         if not self.is_memory_bound or work_units <= 0:
             return 0.0
-        bandwidth = self.achievable_bandwidth(mask, topology)
+        bandwidth = self.achievable_bandwidth(shape, topology)
         if bandwidth <= 0:
             return math.inf
         return work_units * self.traffic_gb_per_work_unit / bandwidth
@@ -206,9 +207,9 @@ class MaskShape(NamedTuple):
     and which sockets it touches (positions in ``topology.sockets``).
 
     :meth:`PerformanceProfile.iteration_time`, :meth:`PerformanceProfile.ipc`
-    and :meth:`MemoryBandwidthModel.achievable_bandwidth` read a mask only
-    through its shape, so masks of one shape price alike, bit for bit: the
-    batched runner keys its cached fold on its ranks' shapes.
+    and :meth:`MemoryBandwidthModel.achievable_bandwidth` take a shape, not
+    a mask, so masks of one shape price alike, bit for bit: the batched
+    runner keys its cached fold on its ranks' shapes.
     """
 
     ncpus: int
@@ -250,7 +251,7 @@ class PerformanceProfile:
         self,
         phase: PhaseProfile,
         work_units: float,
-        mask: CpuSet,
+        shape: MaskShape,
         topology: NodeTopology,
         initial_threads: int,
         total_ranks: int,
@@ -265,14 +266,13 @@ class PerformanceProfile:
         """
         if work_units <= 0:
             return 0.0
-        shape = MaskShape.of(mask, topology)
         nthreads = shape.ncpus
         if nthreads == 0:
             return math.inf
         eff = phase.efficiency.efficiency(nthreads, len(shape.sockets))
         imbalance = self.partition.imbalance_factor(initial_threads, nthreads)
         compute = work_units / (nthreads * eff) * imbalance
-        memory = phase.memory.memory_time(work_units, mask, topology)
+        memory = phase.memory.memory_time(work_units, shape, topology)
         base = max(compute, memory)
         return base * phase.comm_factor(total_ranks) * max(interference, 1.0)
 
@@ -283,15 +283,8 @@ class PerformanceProfile:
     #: Serial and DROM scenarios while the run times still differ.
     IPC_EFFICIENCY_WEIGHT = 0.3
 
-    def ipc(
-        self,
-        phase: PhaseProfile,
-        mask: CpuSet,
-        topology: NodeTopology,
-        initial_threads: int,
-    ) -> float:
-        """Average per-thread IPC during the phase with the given mask."""
-        shape = MaskShape.of(mask, topology)
+    def ipc(self, phase: PhaseProfile, shape: MaskShape, initial_threads: int) -> float:
+        """Average per-thread IPC during the phase on a mask of this shape."""
         nthreads = shape.ncpus
         if nthreads == 0:
             return 0.0

@@ -75,27 +75,33 @@ class DistributionPolicy(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def job_shares(
-        self, node: NodeTopology, jobs: Sequence[JobShare]
-    ) -> Mapping[int, int]:
-        """Return the number of CPUs each job gets on ``node``.
+    def job_shares(self, ncpus: int, jobs: Sequence[JobShare]) -> Mapping[int, int]:
+        """Return the number of CPUs each job gets out of ``ncpus``.
 
-        The returned values sum to at most ``node.ncpus`` and every job gets
-        at least one CPU per task.
+        The returned values sum to at most ``ncpus`` and every job gets at
+        least one CPU per task.
         """
 
     def distribute(
-        self, node: NodeTopology, jobs: Sequence[JobShare]
+        self,
+        node: NodeTopology,
+        jobs: Sequence[JobShare],
+        free: CpuSet | None = None,
     ) -> dict[int, JobAllocation]:
         """Compute per-job and per-task masks for all jobs sharing ``node``.
 
-        The job masks come from :meth:`layout`.  Within a job, tasks receive
+        The jobs share ``free``, the whole node unless given (a release
+        leaves out the CPUs that non-malleable survivors keep).  The job
+        masks come from :meth:`layout`.  Within a job, tasks receive
         contiguous, near-equal chunks of the job mask.
         """
         if not jobs:
             return {}
-        self._validate(node, jobs)
-        masks = self.layout(node, jobs, self.job_shares(node, jobs))
+        if free is None:
+            free = node.full_mask()
+        ncpus = free.count()
+        self._validate(ncpus, jobs)
+        masks = self.layout(node, free, jobs, self.job_shares(ncpus, jobs))
         return {
             job.job_id: JobAllocation(
                 job_id=job.job_id,
@@ -106,26 +112,30 @@ class DistributionPolicy(ABC):
         }
 
     def layout(
-        self, node: NodeTopology, jobs: Sequence[JobShare], shares: Mapping[int, int]
+        self,
+        node: NodeTopology,
+        free: CpuSet,
+        jobs: Sequence[JobShare],
+        shares: Mapping[int, int],
     ) -> dict[int, CpuSet]:
-        """Place each job's share of CPUs on the node.
+        """Place each job's share of the ``free`` CPUs of the node.
 
         Jobs are laid out contiguously in the order given, so the first job
         occupies the lowest-numbered CPUs.
         """
-        return _contiguous(node.full_mask(), jobs, shares)
+        return _contiguous(free, jobs, shares)
 
     # -- helpers ----------------------------------------------------------
 
     @staticmethod
-    def _validate(node: NodeTopology, jobs: Sequence[JobShare]) -> None:
+    def _validate(ncpus: int, jobs: Sequence[JobShare]) -> None:
         ids = [job.job_id for job in jobs]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate job ids in distribution request")
         min_needed = sum(job.ntasks for job in jobs)
-        if min_needed > node.ncpus:
+        if min_needed > ncpus:
             raise ValueError(
-                f"cannot fit {min_needed} tasks on a {node.ncpus}-CPU node; "
+                f"cannot fit {min_needed} tasks on {ncpus} CPUs; "
                 "co-allocation would require oversubscription, which DROM avoids"
             )
 
@@ -142,12 +152,10 @@ class EquipartitionPolicy(DistributionPolicy):
 
     name = "equipartition"
 
-    def job_shares(
-        self, node: NodeTopology, jobs: Sequence[JobShare]
-    ) -> Mapping[int, int]:
+    def job_shares(self, ncpus: int, jobs: Sequence[JobShare]) -> Mapping[int, int]:
         njobs = len(jobs)
-        base = node.ncpus // njobs
-        remainder = node.ncpus % njobs
+        base = ncpus // njobs
+        remainder = ncpus % njobs
         shares: dict[int, int] = {}
         for i, job in enumerate(jobs):
             share = base + (1 if i < remainder else 0)
@@ -156,8 +164,8 @@ class EquipartitionPolicy(DistributionPolicy):
             share = max(share, job.ntasks)
             share = min(share, max(job.requested_cpus, job.ntasks))
             shares[job.job_id] = share
-        _shrink_to_fit(shares, jobs, node.ncpus)
-        _grow_to_fill(shares, jobs, node.ncpus)
+        _shrink_to_fit(shares, jobs, ncpus)
+        _grow_to_fill(shares, jobs, ncpus)
         return shares
 
 
@@ -173,12 +181,19 @@ class SocketAwareEquipartition(EquipartitionPolicy):
     name = "socket-equipartition"
 
     def layout(
-        self, node: NodeTopology, jobs: Sequence[JobShare], shares: Mapping[int, int]
+        self,
+        node: NodeTopology,
+        free: CpuSet,
+        jobs: Sequence[JobShare],
+        shares: Mapping[int, int],
     ) -> dict[int, CpuSet]:
-        # Assign whole sockets greedily to jobs whose share is a multiple of
-        # the socket size; leftovers fall back to the contiguous layout.
+        # Assign whole free sockets greedily to jobs whose share is a
+        # multiple of the socket size; leftovers fall back to the contiguous
+        # layout on the rest of ``free``.
         cores = node.cores_per_socket
-        remaining_sockets = list(range(node.nsockets))
+        remaining_sockets = [
+            socket.cpus for socket in node.sockets if socket.cpus <= free
+        ]
         assignments: dict[int, CpuSet] = {}
         leftover_jobs: list[JobShare] = []
         for job in jobs:
@@ -187,12 +202,11 @@ class SocketAwareEquipartition(EquipartitionPolicy):
             if nsock >= 1 and share % cores == 0 and len(remaining_sockets) >= nsock:
                 mask = CpuSet.empty()
                 for _ in range(nsock):
-                    mask = mask | node.socket_mask(remaining_sockets.pop(0))
+                    mask = mask | remaining_sockets.pop(0)
                 assignments[job.job_id] = mask
             else:
                 leftover_jobs.append(job)
 
-        free = node.full_mask()
         for mask in assignments.values():
             free = free - mask
         assignments.update(_contiguous(free, leftover_jobs, shares))
@@ -204,17 +218,15 @@ class ProportionalPolicy(DistributionPolicy):
 
     name = "proportional"
 
-    def job_shares(
-        self, node: NodeTopology, jobs: Sequence[JobShare]
-    ) -> Mapping[int, int]:
+    def job_shares(self, ncpus: int, jobs: Sequence[JobShare]) -> Mapping[int, int]:
         total_request = sum(job.requested_cpus for job in jobs)
         shares: dict[int, int] = {}
         for job in jobs:
-            share = int(round(node.ncpus * job.requested_cpus / total_request))
+            share = int(round(ncpus * job.requested_cpus / total_request))
             share = max(share, job.ntasks)
             share = min(share, job.requested_cpus)
             shares[job.job_id] = share
-        _shrink_to_fit(shares, jobs, node.ncpus)
+        _shrink_to_fit(shares, jobs, ncpus)
         return shares
 
 
@@ -229,11 +241,9 @@ class PackedPolicy(DistributionPolicy):
 
     name = "packed"
 
-    def job_shares(
-        self, node: NodeTopology, jobs: Sequence[JobShare]
-    ) -> Mapping[int, int]:
+    def job_shares(self, ncpus: int, jobs: Sequence[JobShare]) -> Mapping[int, int]:
         shares: dict[int, int] = {}
-        available = node.ncpus
+        available = ncpus
         for job in jobs:
             share = min(job.requested_cpus, available)
             if share < job.ntasks:

@@ -10,7 +10,7 @@ in addition to the plain CPU count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.cpuset.mask import CpuSet
@@ -117,18 +117,6 @@ class NodeTopology:
         for socket in self.sockets:
             mask = mask | socket.cpus
         return mask
-
-    def without(self, cpus: CpuSet) -> "NodeTopology":
-        """This node less ``cpus``: each socket keeps the rest of its CPUs,
-        and a socket with none left is dropped."""
-        return replace(
-            self,
-            sockets=tuple(
-                replace(socket, cpus=socket.cpus - cpus)
-                for socket in self.sockets
-                if not socket.cpus <= cpus
-            ),
-        )
 
     def socket_of(self, cpu: int) -> Socket:
         """The socket a CPU belongs to.

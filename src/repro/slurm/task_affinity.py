@@ -181,30 +181,27 @@ class TaskAffinityPlugin:
         keeps running on its CPUs.
         """
         launching = new is not None
-        node = self.topology
+        free = self.topology.full_mask()
         jobs = self._jobs
         if not launching:
             jobs = {jid: job for jid, job in jobs.items() if job.malleable}
-            held = CpuSet.empty()
             for job in self._jobs.values():
                 if not job.malleable:
                     for task in job.tasks:
                         _, mask = self.admin.get_process_mask(task.pid)
                         if mask is not None:
-                            held = held | mask
-            if held:
-                node = node.without(held)
+                            free = free - mask
         shares = [
             JobShare(
                 job_id=jid,
                 ntasks=job.ntasks,
-                requested_cpus=job.requested_cpus if launching else node.ncpus,
+                requested_cpus=job.requested_cpus if launching else free.count(),
             )
             for jid, job in jobs.items()
         ]
         if launching:
             shares.append(new)
-        allocations = self.policy.distribute(node, shares)
+        allocations = self.policy.distribute(self.topology, shares, free)
         targets = [
             (task.pid, mask)
             for jid, job in jobs.items()

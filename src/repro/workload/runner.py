@@ -432,16 +432,21 @@ class _RunState:
         self.workload_jobs_by_id[job.job_id] = wjob
         self._schedule_pass()
 
-    def _schedule_pass(self) -> None:
+    def _schedule_pass(self, freed: tuple[str, ...] = ()) -> None:
+        """Launch what the controller schedules now, then pull back the
+        sleeping batches the event may have changed.  ``freed`` names the
+        nodes of a job that just completed."""
         now = self.engine.now
+        touched = set(freed)
         for decision in self.ctld.schedule(now):
             self._launch(decision.job)
+            touched.update(decision.job.allocated_nodes)
         # Pull each sleeping batch whose next step the event may have changed
         # back to where the reference loop polls next.  A submit runs before
         # every same-instant wake (priority 0); a completion has woken the
         # ones due before it (_complete).
         for execution in self.executions.values():
-            if execution.batch_end > now and self._changed(execution):
+            if execution.batch_end > now and self._changed(execution, touched):
                 stop, end = _cut(
                     execution.cuts, execution.durations, execution.o, execution.at, now
                 )
@@ -450,15 +455,18 @@ class _RunState:
                     self.pulled_back += 1
                     self._sleep(execution, stop, end)
 
-    def _changed(self, execution: JobExecution) -> bool:
+    def _changed(self, execution: JobExecution, touched: set[str]) -> bool:
         """Whether an event may have changed what ``execution``'s next poll
-        sees: any job's co-runners when an interference hook is set, an
-        unpolled DROM write to a rank of a polling job (its next poll
-        adopts it), or a runtime mask that differs from the one the rank
-        polled at its last wake (a runtime that adopts asynchronously, or a
-        non-malleable process, whose view is its assigned mask).  Otherwise
-        its fold still holds and it sleeps on."""
-        if self.runner.interference is not None:
+        sees: its co-runners, when an interference hook is set and a job
+        started or ended on one of its nodes (``touched``), an unpolled
+        DROM write to a rank of a polling job (its next poll adopts it), or
+        a runtime mask that differs from the one the rank polled at its last
+        wake (a runtime that adopts asynchronously, or a non-malleable
+        process, whose view is its assigned mask).  Otherwise its fold still
+        holds and it sleeps on."""
+        if self.runner.interference is not None and any(
+            rank.node.name in touched for rank in execution.ranks
+        ):
             return True
         polls = execution.model.malleable
         for rank, mask in zip(execution.ranks, execution.masks):
@@ -545,9 +553,10 @@ class _RunState:
         step: WorkStep,
         step_duration: float,
         scale: float,
-        mask: CpuSet,
+        shape: MaskShape,
     ) -> _Piece:
-        """The piece ``rank`` emits for steps like ``step`` under ``mask``.
+        """The piece ``rank`` emits for steps like ``step`` on a mask of
+        this shape.
 
         ``step_duration`` is the slowest rank's and ``scale`` this rank's
         share of it: ranks that finish their step early idle in MPI until
@@ -556,14 +565,12 @@ class _RunState:
         model = execution.model
         partition = model.profile.partition
         initial_threads = execution.plan.initial_threads
-        nthreads = MaskShape.of(mask, rank.node).ncpus
+        nthreads = shape.ncpus
         # Per-thread busy fraction of one step with ``nthreads`` threads.
         utilisation = partition.thread_utilisation(initial_threads, nthreads)
         if not partition.is_static:
             utilisation = [1.0] * nthreads
-        ipc = self.trace and model.step_ipc_for_phase(
-            step.phase, mask, rank.node, initial_threads
-        )
+        ipc = self.trace and model.step_ipc_for_phase(step.phase, shape, initial_threads)
         busy = left_sum(utilisation) * scale * step_duration
         idle = max(0.0, nthreads * step_duration - busy)
         utilisation = tuple(u * scale for u in utilisation)
@@ -591,22 +598,24 @@ class _RunState:
         if model.malleable:
             for rank in execution.ranks:
                 rank.process.poll_malleability()
-        masks = [rank.process.current_mask for rank in execution.ranks]
+        shapes = [
+            MaskShape.of(rank.process.current_mask, rank.node) for rank in execution.ranks
+        ]
         durations = [
             model.step_times(
                 plan,
                 1,
-                mask,
+                shape,
                 rank.node,
                 total_ranks=execution.job.spec.ntasks,
                 interference=self._interference(execution, rank),
             )[0]
-            for rank, mask in zip(execution.ranks, masks)
+            for rank, shape in zip(execution.ranks, shapes)
         ]
         self.steps_priced += len(durations)
         now = self.engine.now
         self.engine.call_at(
-            now + max(durations), self._stepped, execution, now, masks, durations,
+            now + max(durations), self._stepped, execution, now, shapes, durations,
             priority=execution.priority,
         )
 
@@ -614,7 +623,7 @@ class _RunState:
         self,
         execution: JobExecution,
         start: float,
-        masks: list[CpuSet],
+        shapes: list[MaskShape],
         durations: list[float],
     ) -> None:
         """The end of a reference-loop step that started at ``start``.
@@ -628,9 +637,9 @@ class _RunState:
         step = plan.current_step()
         step_duration = max(durations)
         label = execution.label
-        for rank, mask, duration in zip(execution.ranks, masks, durations):
+        for rank, shape, duration in zip(execution.ranks, shapes, durations):
             scale = duration / step_duration if step_duration > 0 else 1.0
-            piece = self._piece(execution, rank, step, step_duration, scale, mask)
+            piece = self._piece(execution, rank, step, step_duration, scale, shape)
             if self.trace:
                 self.tracer.record_steps(
                     [StepRun(label, rank.rank, rank.node.name, start, *piece.fields, 1)]
@@ -700,13 +709,13 @@ class _RunState:
                     for duration, _ in model.step_times(
                         plan,
                         remaining,
-                        mask,
+                        shape,
                         rank.node,
                         total_ranks=execution.job.spec.ntasks,
                         interference=interference,
                     ).segments
                 ]
-                for rank, mask, interference in zip(ranks, masks, interferences)
+                for rank, shape, interference in zip(ranks, shapes, interferences)
             ]
             durations = execution.durations = [max(column) for column in zip(*per_rank)]
             # The stretch ends are the left fold of the per-step durations
@@ -719,13 +728,13 @@ class _RunState:
                 [
                     self._piece(
                         execution, rank, step, step_duration,
-                        duration / step_duration if step_duration > 0 else 1.0, mask,
+                        duration / step_duration if step_duration > 0 else 1.0, shape,
                     )
                     for (step, _), duration, step_duration in zip(
                         runs, rank_durations, durations
                     )
                 ]
-                for rank, mask, rank_durations in zip(ranks, masks, per_rank)
+                for rank, shape, rank_durations in zip(ranks, shapes, per_rank)
             ]
             execution.o, execution.at = 0, now
             self.steps_priced += remaining * len(ranks)
@@ -821,4 +830,4 @@ class _RunState:
         del self.executions[job.job_id]
         # Freed resources may let queued jobs start (the Serial scenario's
         # analytics job starts here).
-        self._schedule_pass()
+        self._schedule_pass(job.allocated_nodes)

@@ -12,6 +12,7 @@ from repro.apps import (
     pils_model,
     stream_model,
 )
+from repro.apps.perfmodel import MaskShape
 from repro.cpuset.mask import CpuSet
 from repro.cpuset.topology import NodeTopology
 from repro.workload import configs
@@ -78,7 +79,7 @@ class TestWorkPlans:
         walker = model.build_plan(config)
         assert len(plan.segments) == 2
         assert plan.total_steps == sum(count for _, count in plan.segments)
-        mask = CpuSet.from_range(0, 12)
+        mask = MaskShape.of(CpuSet.from_range(0, 12), node)
         # Start mid-segment so the window straddles the phase boundary.
         first = plan.segments[0][1] - 3
         plan.advance_many(first)
@@ -171,16 +172,17 @@ class TestMalleabilityVariants:
         for plan in (plan_full, plan_shrunk):
             while plan.current_step().phase.name != "simulate":
                 plan.advance_many(1)
-        [t_full] = model.step_times(plan_full, 1, CpuSet.from_range(0, 16), node, 2)
-        [t_shrunk] = model.step_times(plan_shrunk, 1, CpuSet.from_range(0, 15), node, 2)
+        full, shrunk = (MaskShape.of(CpuSet.from_range(0, n), node) for n in (16, 15))
+        [t_full] = model.step_times(plan_full, 1, full, node, 2)
+        [t_shrunk] = model.step_times(plan_shrunk, 1, shrunk, node, 2)
         assert t_shrunk > t_full
 
     def test_step_ipc_positive(self, node):
         model = coreneuron_model()
         plan = model.build_plan(AppConfig("Conf. 1", 2, 16))
         phase = plan.current_step().phase
-        mask = CpuSet.from_range(0, 16)
-        assert model.step_ipc_for_phase(phase, mask, node, plan.initial_threads) > 0
+        mask = MaskShape.of(CpuSet.from_range(0, 16), node)
+        assert model.step_ipc_for_phase(phase, mask, plan.initial_threads) > 0
 
 
 class TestTable1Configs:

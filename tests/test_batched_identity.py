@@ -276,6 +276,45 @@ def test_interference_change_alone_reprices(drom_enabled):
     assert batched.steps_priced > batched.steps_advanced
 
 
+def test_interference_pulls_back_only_co_runners():
+    """With an interference hook a launch or completion pulls back only the
+    jobs on the nodes it touched: NEST on node 0 sleeps through STREAM's
+    launch and completion on node 1 (every event used to pull it back),
+    and both loops still record the same steps."""
+    whole_node = ResourceRequest(nodes=1, ntasks=1, cpus_per_task=16)
+    workload = Workload(
+        name="two nodes",
+        jobs=(
+            WorkloadJob(
+                app=configs.nest(iterations=300), submit_time=0.0, resources=whole_node
+            ),
+            WorkloadJob(
+                app=configs.stream(iterations=100), submit_time=30.0, resources=whole_node
+            ),
+        ),
+        nodes=2,
+    )
+
+    def interference(job: str, node: str, co_runners: list[str]) -> float:
+        return 1.3 if co_runners else 1.0
+
+    reference, batched = (
+        ScenarioRunner(
+            False,
+            cluster=ClusterTopology.marenostrum3(2),
+            interference=interference,
+            batching=batching,
+        ).run(workload)
+        for batching in (False, True)
+    )
+    assert canonical_steps(batched.tracer) == canonical_steps(reference.tracer)
+    assert batched.end_time.hex() == reference.end_time.hex()
+    nest, stream = (batched.tracer.span(job) for job in batched.tracer.jobs())
+    assert len({step.node for step in canonical_steps(batched.tracer)}) == 2
+    assert nest[0] < stream[0] and stream[1] < nest[1]
+    assert batched.pulled_back == 0
+
+
 def test_non_malleable_survivor_is_byte_identical():
     """A release whose survivors include a non-malleable job grows the
     malleable survivor onto every CPU the non-malleable one does not hold,

@@ -29,6 +29,11 @@ def node():
     return NodeTopology.marenostrum3()
 
 
+def shape(mask: CpuSet) -> MaskShape:
+    """The shape pricing reads of ``mask`` on an MN3 node."""
+    return MaskShape.of(mask, NodeTopology.marenostrum3())
+
+
 def simple_profile(partition=StaticPartition(0), alpha=0.01, numa=0.1, memory=None):
     return PerformanceProfile(
         name="test",
@@ -142,31 +147,32 @@ class TestMemoryBandwidthModel:
     def test_compute_only_phase_has_no_memory_time(self, node):
         model = MemoryBandwidthModel(traffic_gb_per_work_unit=0.0)
         assert not model.is_memory_bound
-        assert model.memory_time(100.0, CpuSet.from_range(0, 4), node) == 0.0
+        assert model.memory_time(100.0, shape(CpuSet.from_range(0, 4)), node) == 0.0
 
     def test_bandwidth_saturates_at_socket_cap(self, node):
         model = MemoryBandwidthModel(per_core_gbs=20.0, traffic_gb_per_work_unit=1.0)
-        one_core = model.achievable_bandwidth(CpuSet([0]), node)
-        two_cores = model.achievable_bandwidth(CpuSet([0, 1]), node)
-        four_cores = model.achievable_bandwidth(CpuSet.from_range(0, 4), node)
+        one_core = model.achievable_bandwidth(shape(CpuSet([0])), node)
+        two_cores = model.achievable_bandwidth(shape(CpuSet([0, 1])), node)
+        four_cores = model.achievable_bandwidth(shape(CpuSet.from_range(0, 4)), node)
         assert one_core == pytest.approx(20.0)
         assert two_cores == pytest.approx(40.0)
         assert four_cores == pytest.approx(40.0)  # socket cap reached
 
     def test_two_sockets_double_the_cap(self, node):
         model = MemoryBandwidthModel(per_core_gbs=20.0, traffic_gb_per_work_unit=1.0)
-        assert model.achievable_bandwidth(CpuSet([0, 8]), node) == pytest.approx(40.0)
-        assert model.achievable_bandwidth(CpuSet.from_range(0, 16), node) == pytest.approx(80.0)
+        assert model.achievable_bandwidth(shape(CpuSet([0, 8])), node) == pytest.approx(40.0)
+        full = shape(CpuSet.from_range(0, 16))
+        assert model.achievable_bandwidth(full, node) == pytest.approx(80.0)
 
     def test_memory_time_scaling(self, node):
         model = MemoryBandwidthModel(per_core_gbs=20.0, traffic_gb_per_work_unit=2.0)
-        t = model.memory_time(100.0, CpuSet([0, 1]), node)
+        t = model.memory_time(100.0, shape(CpuSet([0, 1])), node)
         assert t == pytest.approx(100.0 * 2.0 / 40.0)
 
     def test_empty_mask_gives_infinite_time(self, node):
         model = MemoryBandwidthModel(per_core_gbs=20.0, traffic_gb_per_work_unit=2.0)
-        assert model.achievable_bandwidth(CpuSet.empty(), node) == 0.0
-        assert math.isinf(model.memory_time(1.0, CpuSet.empty(), node))
+        assert model.achievable_bandwidth(shape(CpuSet.empty()), node) == 0.0
+        assert math.isinf(model.memory_time(1.0, shape(CpuSet.empty()), node))
 
 
 class TestPerformanceProfile:
@@ -189,8 +195,8 @@ class TestPerformanceProfile:
     def test_iteration_time_decreases_with_more_cpus(self, node):
         profile = simple_profile()
         phase = profile.phases[0]
-        t4 = profile.iteration_time(phase, 100, CpuSet.from_range(0, 4), node, 4, 2)
-        t8 = profile.iteration_time(phase, 100, CpuSet.from_range(0, 8), node, 8, 2)
+        t4 = profile.iteration_time(phase, 100, shape(CpuSet.from_range(0, 4)), node, 4, 2)
+        t8 = profile.iteration_time(phase, 100, shape(CpuSet.from_range(0, 8)), node, 8, 2)
         assert t8 < t4
 
     def test_static_partition_penalty_visible(self, node):
@@ -198,55 +204,57 @@ class TestPerformanceProfile:
         flexible = simple_profile(partition=StaticPartition(chunks_per_thread=0))
         phase_s, phase_f = static.phases[0], flexible.phases[0]
         mask = CpuSet.from_range(0, 15)
-        t_static = static.iteration_time(phase_s, 100, mask, node, 16, 2)
-        t_flexible = flexible.iteration_time(phase_f, 100, mask, node, 16, 2)
+        t_static = static.iteration_time(phase_s, 100, shape(mask), node, 16, 2)
+        t_flexible = flexible.iteration_time(phase_f, 100, shape(mask), node, 16, 2)
         assert t_static > t_flexible
 
     def test_memory_bound_phase_is_roofline_limited(self, node):
         memory = MemoryBandwidthModel(per_core_gbs=20.0, traffic_gb_per_work_unit=50.0)
         profile = simple_profile(memory=memory)
         phase = profile.phases[0]
-        t2 = profile.iteration_time(phase, 10, CpuSet([0, 1]), node, 2, 2)
-        t8 = profile.iteration_time(phase, 10, CpuSet.from_range(0, 8), node, 8, 2)
+        t2 = profile.iteration_time(phase, 10, shape(CpuSet([0, 1])), node, 2, 2)
+        t8 = profile.iteration_time(phase, 10, shape(CpuSet.from_range(0, 8)), node, 8, 2)
         # Bandwidth saturates the socket at 2 cores: more CPUs do not help.
         assert t8 == pytest.approx(t2)
 
     def test_interference_inflates_time(self, node):
         profile = simple_profile()
         phase = profile.phases[0]
-        base = profile.iteration_time(phase, 100, CpuSet.from_range(0, 4), node, 4, 2)
+        base = profile.iteration_time(phase, 100, shape(CpuSet.from_range(0, 4)), node, 4, 2)
         slowed = profile.iteration_time(
-            phase, 100, CpuSet.from_range(0, 4), node, 4, 2, interference=1.5
+            phase, 100, shape(CpuSet.from_range(0, 4)), node, 4, 2, interference=1.5
         )
         assert slowed == pytest.approx(base * 1.5)
 
     def test_comm_overhead_grows_with_ranks(self, node):
         profile = simple_profile()
         phase = profile.phases[0]
-        t2 = profile.iteration_time(phase, 100, CpuSet.from_range(0, 4), node, 4, total_ranks=2)
-        t4 = profile.iteration_time(phase, 100, CpuSet.from_range(0, 4), node, 4, total_ranks=4)
+        mask = shape(CpuSet.from_range(0, 4))
+        t2 = profile.iteration_time(phase, 100, mask, node, 4, total_ranks=2)
+        t4 = profile.iteration_time(phase, 100, mask, node, 4, total_ranks=4)
         assert t4 > t2
 
     def test_zero_work_takes_zero_time(self, node):
         profile = simple_profile()
-        assert profile.iteration_time(profile.phases[0], 0.0, CpuSet([0]), node, 1, 2) == 0.0
+        one = shape(CpuSet([0]))
+        assert profile.iteration_time(profile.phases[0], 0.0, one, node, 1, 2) == 0.0
 
     def test_empty_mask_takes_infinite_time(self, node):
         profile = simple_profile()
         assert math.isinf(
-            profile.iteration_time(profile.phases[0], 1.0, CpuSet.empty(), node, 1, 2)
+            profile.iteration_time(profile.phases[0], 1.0, shape(CpuSet.empty()), node, 1, 2)
         )
 
     def test_ipc_higher_on_single_socket(self, node):
         profile = simple_profile(numa=0.3)
         phase = profile.phases[0]
-        ipc_local = profile.ipc(phase, CpuSet.from_range(0, 8), node, 8)
-        ipc_spanning = profile.ipc(phase, CpuSet.from_range(4, 12), node, 8)
+        ipc_local = profile.ipc(phase, shape(CpuSet.from_range(0, 8)), 8)
+        ipc_spanning = profile.ipc(phase, shape(CpuSet.from_range(4, 12)), 8)
         assert ipc_local > ipc_spanning
 
     def test_ipc_of_empty_mask_is_zero(self, node):
         profile = simple_profile()
-        assert profile.ipc(profile.phases[0], CpuSet.empty(), node, 1) == 0.0
+        assert profile.ipc(profile.phases[0], shape(CpuSet.empty()), 1) == 0.0
 
     def test_cycles_per_us_scales_with_busy_fraction(self):
         profile = simple_profile()
@@ -297,12 +305,13 @@ def _masks_of_one_shape(draw):
 
 @given(_masks_of_one_shape(), st.sampled_from([1, 2, 8, 16]), st.integers(1, 8))
 def test_masks_of_one_shape_price_alike(masks, initial_threads, total_ranks):
-    """Masks with equal :class:`MaskShape` price equal, bit for bit, in every
+    """Masks of one CPU count on the same sockets, however moved within
+    them, have one :class:`MaskShape` and price equal, bit for bit, in every
     phase of every application: ``iteration_time`` (with and without
     interference), ``ipc`` and the runner's per-stretch ``_piece``, so the
     batched runner may key its cached fold on the shapes alone."""
     node, a, b = masks
-    assert MaskShape.of(a, node) == MaskShape.of(b, node)
+    assert shape(a) == shape(b)
     for model in _MODELS:
         profile = model.profile
         plan = SimpleNamespace(initial_threads=initial_threads)
@@ -313,20 +322,21 @@ def test_masks_of_one_shape_price_alike(masks, initial_threads, total_ranks):
             for interference in (1.0, 1.3):
                 times = [
                     profile.iteration_time(
-                        phase, 2.5, mask, node, initial_threads, total_ranks, interference
+                        phase, 2.5, shape(mask), node, initial_threads, total_ranks,
+                        interference,
                     ).hex()
                     for mask in (a, b)
                 ]
                 assert times[0] == times[1]
-            ipcs = [profile.ipc(phase, mask, node, initial_threads).hex() for mask in (a, b)]
+            ipcs = [profile.ipc(phase, shape(mask), initial_threads).hex() for mask in (a, b)]
             assert ipcs[0] == ipcs[1]
             bandwidths = [
-                phase.memory.achievable_bandwidth(mask, node).hex() for mask in (a, b)
+                phase.memory.achievable_bandwidth(shape(mask), node).hex() for mask in (a, b)
             ]
             assert bandwidths[0] == bandwidths[1]
             step = WorkStep(phase=phase, work_units=2.5)
             pieces = [
-                _RunState._piece(state, execution, rank, step, 1.75, 0.5, mask)
+                _RunState._piece(state, execution, rank, step, 1.75, 0.5, shape(mask))
                 for mask in (a, b)
             ]
             assert repr(pieces[0]) == repr(pieces[1])
@@ -336,8 +346,8 @@ def test_mask_shape_sees_the_sockets(node):
     """Equal CPU counts on other sockets are other shapes: a team moved
     onto two sockets pays the NUMA penalty."""
     one_socket, two_sockets = CpuSet.from_range(0, 8), CpuSet.from_range(4, 12)
-    assert MaskShape.of(one_socket, node) == (8, (0,))
-    assert MaskShape.of(two_sockets, node) == (8, (0, 1))
+    assert shape(one_socket) == (8, (0,))
+    assert shape(two_sockets) == (8, (0, 1))
     profile = nest_model().profile
     phase = profile.phases[-1]
-    assert profile.ipc(phase, one_socket, node, 8) != profile.ipc(phase, two_sockets, node, 8)
+    assert profile.ipc(phase, shape(one_socket), 8) != profile.ipc(phase, shape(two_sockets), 8)

@@ -256,6 +256,43 @@ class TestPostTermAndRelease:
         assert shmem.entry(201).current_mask == CpuSet.from_range(8, 12)
         assert shmem.oversubscribed_cpus().is_empty()
 
+    def test_release_around_a_non_malleable_survivor_on_part_of_a_socket(
+        self, plugin_setup
+    ):
+        """The malleable survivors share the CPUs around a non-malleable job
+        holding part of socket 0: a whole socket is granted only when it is
+        wholly free, so every survivor keeps CPUs and none is assigned twice."""
+        _, shmem, _, plugin = plugin_setup
+        jobs = ((1, False), (2, True), (3, True), (4, True), (5, True))
+        for job_id, malleable in jobs:
+            plugin.launch_request(
+                job_id=job_id, ntasks=1, cpus_per_task=4, malleable=malleable
+            )
+            plugin.pre_launch(job_id, 0, pid=100 * job_id + 1)
+        assert shmem.get_mask(101) == CpuSet.from_range(0, 4)
+        plugin.post_term(5, 0)
+        plugin.release_resources(5)
+        assert shmem.get_mask(101) == CpuSet.from_range(0, 4)
+        assert [shmem.get_mask(pid).count() for pid in (201, 301, 401)] == [4, 4, 4]
+        assert shmem.oversubscribed_cpus().is_empty()
+
+    def test_release_grants_only_wholly_free_sockets(self, plugin_setup):
+        """Two non-malleable jobs on 4-11 leave 8 CPUs, a socket's worth,
+        to the malleable survivor, but no socket is wholly free: it gets
+        0-3 and 12-15, not socket 0, half of which a rigid job runs on."""
+        _, shmem, _, plugin = plugin_setup
+        for job_id, malleable in ((1, True), (2, False), (3, False), (4, True)):
+            plugin.launch_request(
+                job_id=job_id, ntasks=1, cpus_per_task=4, malleable=malleable
+            )
+            plugin.pre_launch(job_id, 0, pid=100 * job_id + 1)
+        plugin.post_term(1, 0)
+        plugin.release_resources(1)
+        assert shmem.get_mask(401) == CpuSet.from_range(0, 4) | CpuSet.from_range(12, 16)
+        assert shmem.get_mask(201) == CpuSet.from_range(4, 8)
+        assert shmem.get_mask(301) == CpuSet.from_range(8, 12)
+        assert shmem.oversubscribed_cpus().is_empty()
+
     def test_release_restores_a_shrink_the_survivor_has_not_polled(self, plugin_setup):
         """A survivor shrunk by a launch and not yet polled still runs with
         its old mask; the release must rewrite the mask it is *assigned*."""
