@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from repro.metrics.tracing import Tracer, ordered_steps
+from repro.metrics.tracing import StepRun, Tracer, step_index
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,37 +58,66 @@ class ParaverView:
     def _nbins(self) -> int:
         return int(math.ceil(self.horizon() / self.bin_seconds)) + 1
 
-    def _binned(self, samples) -> dict:
+    def _binned(self, runs: list[StepRun], samples: Callable[[StepRun], list]) -> dict:
         """key -> time-binned, time-weighted average of ``value`` over the
-        ``(key, start, end, value)`` samples (0 in bins none overlaps)."""
+        steps of ``runs`` (0 in bins no step overlaps), where
+        ``samples(run)`` lists the ``(key, value)`` pairs of each step of
+        ``run``.
+
+        The steps are walked in :func:`step_index` order and each adds
+        ``value * (hi - lo)`` to its bins one step after another, so any
+        chunking of the steps into runs gives the same bits.  A step inside
+        one bin skips the bin loop only when the bin's edges are the very
+        ``lo``/``hi`` floats the loop's ``max``/``min`` would pick.
+        """
         import numpy as np
 
         nbins = self._nbins()
         width = self.bin_seconds
-        sums, weights = {}, {}
-        for key, start, end, value in samples:
-            if key not in sums:
-                sums[key], weights[key] = np.zeros(nbins), np.zeros(nbins)
-            acc, weight = sums[key], weights[key]
-            for b in range(int(start // width), int(end // width) + 1):
+        sums: dict = {}
+        weights: dict = {}
+        # Per run: (sum list, weight list, value) per sample, step duration.
+        walks = []
+        for run in runs:
+            pairs = []
+            for key, value in samples(run):
+                if key not in sums:
+                    sums[key], weights[key] = [0.0] * nbins, [0.0] * nbins
+                pairs.append((sums[key], weights[key], value))
+            walks.append((pairs, run.duration))
+        for start, _job, _rank, i in step_index(runs):
+            pairs, duration = walks[i]
+            end = start + duration
+            b = int(start // width)
+            if b * width <= start and end <= (b + 1) * width:
+                if end > start:
+                    span = end - start
+                    for acc, weight, value in pairs:
+                        acc[b] += value * span
+                        weight[b] += span
+                continue
+            for b in range(b, int(end // width) + 1):
                 lo = max(start, b * width)
                 hi = min(end, (b + 1) * width)
                 if hi <= lo:
                     continue
-                acc[b] += value * (hi - lo)
-                weight[b] += hi - lo
+                for acc, weight, value in pairs:
+                    acc[b] += value * (hi - lo)
+                    weight[b] += hi - lo
         with np.errstate(invalid="ignore", divide="ignore"):
-            return {
-                key: np.where(weights[key] > 0, sums[key] / np.maximum(weights[key], 1e-12), 0.0)
-                for key in sums
-            }
+            out = {}
+            for key, acc in sums.items():
+                weight = np.array(weights[key])
+                out[key] = np.where(weight > 0, np.array(acc) / np.maximum(weight, 1e-12), 0.0)
+            return out
 
     def thread_activity(self, job: str) -> list[TimelineRow]:
         """One row per (rank, thread): time-binned busy fraction."""
         rows = self._binned(
-            ((step.rank, thread), step.start, step.end, util)
-            for step in ordered_steps(self.tracer.runs(job))
-            for thread, util in enumerate(step.thread_utilisation)
+            self.tracer.runs(job),
+            lambda run: [
+                ((run.rank, thread), util) for thread, util in enumerate(run.thread_utilisation)
+            ],
         )
         return [
             TimelineRow(label=f"{job} r{rank} t{thread}", values=rows[rank, thread])
@@ -99,10 +128,7 @@ class ParaverView:
         """Aggregate thread count of a job over time (the Figure 3/13 shape)."""
         import numpy as np
 
-        rows = self._binned(
-            (job, step.start, step.end, step.nthreads)
-            for step in ordered_steps(self.tracer.runs(job))
-        )
+        rows = self._binned(self.tracer.runs(job), lambda run: [(job, run.nthreads)])
         return TimelineRow(label=job, values=rows.get(job, np.zeros(self._nbins())))
 
     # -- rendering ----------------------------------------------------------------------

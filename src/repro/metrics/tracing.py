@@ -4,9 +4,10 @@ The paper obtains application metrics "by tracing the use cases using Extrae
 and visualizing traces with Paraver".  The tracer below records each rank's
 execution steps (the malleability-point granularity of the simulation) as
 runs of steps alike but for their start (:class:`StepRun`), plus mask-change
-events.  No per-step copy is kept: a view that needs steps walks
-:func:`ordered_steps` over just the runs it reads (Figure 13's timelines, the
-exports), and a view of one rank folds that rank's runs
+events.  No per-step copy is kept: a view that renders steps walks
+:func:`step_index` over just the runs it reads (the ``.prv`` export, Figure
+13's binned timelines), a view that returns records expands them through
+:func:`ordered_steps`, and a view of one rank folds that rank's runs
 (:func:`busy_fractions`, Figure 5's utilisation).
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from itertools import accumulate, repeat
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.core.floats import repeat_add
 
@@ -100,13 +101,32 @@ class StepRun(NamedTuple):
 _step_order = itemgetter(3, 0, 1)
 
 
+def step_index(runs: Sequence[StepRun]) -> list[tuple[float, str, int, int]]:
+    """``(start, job, rank, i)`` of every step of ``runs``, ``i`` the index
+    of the step's run in ``runs``, in :func:`ordered_steps`' order.
+
+    The tuples are built from C-level columns and sorted whole: ``i`` grows
+    in expansion order, and the steps of one run that tie on ``start`` are
+    alike, so the plain sort is the stable sort by ``(start, job, rank)``.
+    A renderer walks this and looks each step's other fields up in its
+    run, once per run, instead of building a :class:`StepRecord` per step.
+    """
+    index: list[tuple[float, str, int, int]] = []
+    for i, run in enumerate(runs):
+        starts = accumulate(repeat(run.duration, run.count - 1), initial=run.start)
+        index.extend(zip(starts, repeat(run.job), repeat(run.rank), repeat(i)))
+    index.sort()
+    return index
+
+
 def ordered_steps(runs: Iterable[StepRun]) -> list[StepRecord]:
     """The step records of ``runs`` in canonical ``(start, job, rank)``
     order: expanded run by run, then stable-sorted, so tied steps keep the
     order of their runs.  Recording order is an artifact of event
     interleaving, so every per-step view reads in this order, and batched
-    and reference runs of a scenario read alike.  The package's one
-    per-step walk: each view hands it only the runs it reads."""
+    and reference runs of a scenario read alike.  The views that return
+    records expand through here, each handing it only the runs it reads;
+    the renderers walk :func:`step_index` instead."""
     steps: list[StepRecord] = []
     for run in runs:
         columns = [repeat(value, run.count) for value in run[:10]]

@@ -6,15 +6,15 @@ are rendered as timelines (Figures 3, 5, 13).  Here the trace tier
 ``python -m repro.traces export --format prv|jsonl`` renders a stored cell
 through this module:
 
-* :func:`prv_lines` — a ``.prv``-style export in the spirit of the Paraver
-  trace format, streamed line by line: a ``#Paraver`` header (with the run's
-  horizon from :class:`~repro.metrics.paraver.ParaverView`), ``1:`` state
-  records (one per step per thread) and ``2:`` event records (thread-count
-  changes from DROM mask updates, per-step IPC and phase), in time order.
-  Times are integer microseconds.  :func:`prv_text` is the same text as one
-  string.  :func:`pcf_text` and :func:`row_text` are its ``.pcf``/``.row``
-  companions, so the real Paraver UI can open it; :func:`read_prv` splits
-  one back up.
+* :func:`prv_chunks` — a ``.prv``-style export in the spirit of the Paraver
+  trace format, streamed one µs instant at a time: a ``#Paraver`` header
+  (with the run's horizon from :class:`~repro.metrics.paraver.ParaverView`),
+  ``1:`` state records (one per step per thread) and ``2:`` event records
+  (thread-count changes from DROM mask updates, per-step IPC and phase), in
+  time order.  Times are integer microseconds.  :func:`prv_text` is the
+  same text as one string.  :func:`pcf_text` and :func:`row_text` are its
+  ``.pcf``/``.row`` companions, so the real Paraver UI can open it;
+  :func:`read_prv` splits one back up.
 * :func:`jsonl_record_lines` — one sorted-key JSON object per record,
   trivially loadable from any analysis environment.
 """
@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from repro.metrics.paraver import ParaverView
-from repro.metrics.tracing import Tracer, ordered_steps
+from repro.metrics.tracing import Tracer, ordered_steps, step_index
 
 #: Event types of the ``.prv``-style export (the 9 200 000 range is unused by
 #: the standard Extrae event tables).
@@ -73,24 +73,27 @@ def _us(t: float) -> int:
     return int(round(t * 1_000_000))
 
 
-def prv_lines(tracer: Tracer) -> Iterator[str]:
-    """The ``.prv``-style rendering of a tracer, one newline-terminated line
-    at a time: the header, the phase-name comments, then the records in
-    ``(µs, class, recording order)`` order.
+def prv_chunks(tracer: Tracer) -> Iterator[str]:
+    """The ``.prv``-style rendering of a tracer in newline-terminated
+    chunks: the header line, the phase-name comments, then one chunk per
+    µs instant holding its records, in ``(µs, class, recording order)``
+    order.
 
     Records sharing a µs instant go state records (class 0) first, then
-    step events (class 1), then mask-change events (class 2).
-    :func:`~repro.metrics.tracing.ordered_steps` sorts the steps by start
-    and rounding to µs is monotone, so states and step events come out of
-    one walk already in order; only
-    the few mask changes are sorted, by ``(µs, recording index)``.  Each
-    step's start and end round once, and each (node, job, rank) builds its
-    line prefixes once.  A live tracer and its stored artifact render
-    byte-identically.
+    step events (class 1), then mask-change events (class 2).  The walk
+    follows :func:`~repro.metrics.tracing.step_index`, which orders the
+    steps by start, and rounding to µs is monotone, so states and step
+    events come out in order; only the few mask changes are sorted, by
+    ``(µs, recording index)``.  Each run builds its state-line prefixes,
+    event prefix and IPC/phase suffix once, and each step rounds its start
+    and end once and appends one state block (its prefixes joined on the
+    step's ``start:end:state`` tail) and one event line.  A live tracer
+    and its stored artifact render byte-identically.
     """
     view = ParaverView(tracer) if len(tracer) else None
     ftime = _us(view.horizon()) if view is not None else 0
 
+    runs = tracer.runs()
     jobs = tracer.jobs()
     layout = _layout(tracer)
     appl = {job: i + 1 for i, job in enumerate(jobs)}
@@ -132,52 +135,51 @@ def prv_lines(tracer: Tracer) -> Iterator[str]:
                 f":{EV_THREAD_COUNT}:{change.new_threads}\n",
             ))
     masks.sort()
-    sent = 0  # mask-change events yielded so far
+    sent = 0  # mask-change events emitted so far
 
-    # (node, job, rank) -> (state-line prefix per thread, event-line prefix)
-    prefixes: dict[tuple[str, str, int], tuple[list[str], str]] = {}
+    # Per run: (state-line prefix per thread and a closing "", event-line
+    # prefix, IPC/phase suffix, step duration).  Joined on a step's tail,
+    # the prefixes give its state block, and no line for a team of none.
+    rendered = []
+    for run in runs:
+        fields = f"{cpu[run.node]}:{appl[run.job]}:{run.rank + 1}"
+        rendered.append((
+            [*(f"{STATE_RUNNING}:{fields}:{thread + 1}:" for thread in range(run.nthreads)), ""],
+            f"2:{fields}:1:",
+            f":{EV_STEP_IPC_MILLI}:{int(round(run.ipc * 1000))}"
+            f":{EV_STEP_PHASE}:{phase_id[run.phase]}\n",
+            run.duration,
+        ))
     states: list[str] = []
     events: list[str] = []
     instant = None
-    for step in ordered_steps(tracer.runs()):
-        start = _us(step.start)
-        if start != instant:
+    for start, _job, _rank, i in step_index(runs):
+        first = _us(start)
+        if first != instant:
             # The previous instant is complete; mask changes before this
             # one follow it.
-            yield from states
-            yield from events
+            chunk = states + events
+            while sent < len(masks) and masks[sent][0] < first:
+                chunk.append(masks[sent][2])
+                sent += 1
+            if chunk:
+                yield "".join(chunk)
             states.clear()
             events.clear()
-            while sent < len(masks) and masks[sent][0] < start:
-                yield masks[sent][2]
-                sent += 1
-            instant = start
-        key = (step.node, step.job, step.rank)
-        prefix = prefixes.get(key)
-        if prefix is None:
-            fields = f"{cpu[step.node]}:{appl[step.job]}:{step.rank + 1}"
-            width = layout.widths[step.job][step.rank]
-            prefix = prefixes[key] = (
-                [f"{STATE_RUNNING}:{fields}:{thread + 1}:" for thread in range(width)],
-                f"2:{fields}:1:",
-            )
-        threads, event = prefix
-        tail = f"{start}:{_us(step.end)}:{STATE_RUNNING}\n"
-        states.extend([thread + tail for thread in threads[: step.nthreads]])
-        events.append(
-            f"{event}{start}:{EV_STEP_IPC_MILLI}:{int(round(step.ipc * 1000))}"
-            f":{EV_STEP_PHASE}:{phase_id[step.phase]}\n"
-        )
-    yield from states
-    yield from events
-    for _time, _index, line in masks[sent:]:
-        yield line
+            instant = first
+        threads, event, suffix, duration = rendered[i]
+        tail = f"{first}:{_us(start + duration)}:{STATE_RUNNING}\n"
+        states.append(tail.join(threads))
+        events.append(f"{event}{first}{suffix}")
+    chunk = states + events + [line for _time, _index, line in masks[sent:]]
+    if chunk:
+        yield "".join(chunk)
 
 
 def prv_text(tracer: Tracer) -> str:
     """The ``.prv``-style rendering of a tracer as one string: the joined
-    :func:`prv_lines`."""
-    return "".join(prv_lines(tracer))
+    :func:`prv_chunks`."""
+    return "".join(prv_chunks(tracer))
 
 
 def pcf_text(tracer: Tracer) -> str:

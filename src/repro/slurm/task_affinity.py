@@ -8,7 +8,7 @@ apply that decision, through four entry points (numbers refer to Figure 2):
 * ``launch_request`` (1)  — called in slurmd when a new job step is to be
   launched on the node.  It computes the CPU masks of the *new* job's tasks
   and, when other DROM jobs already run on the node, recomputes the masks of
-  the *running* tasks too (equipartition, socket-aware).
+  the *running* malleable tasks too (equipartition, socket-aware).
 * ``pre_launch`` (2)      — called in slurmstepd just before the task is
   execed.  It applies the computed mask using ``DROM_PreInit`` (2.1), which
   also shrinks the running tasks' masks in the DLB shared memory.
@@ -171,35 +171,36 @@ class TaskAffinityPlugin:
     def _redistribute(
         self, new: JobShare | None = None
     ) -> tuple[dict[int, JobAllocation], list[MaskTarget]]:
-        """Split the node among its jobs and list the running tasks' targets.
+        """Split the node among its malleable jobs and list the running
+        tasks' targets.
 
-        At launch (``new`` given) every job keeps its own request and every
-        running job is rewritten.  At release the malleable survivors may
-        grow to every CPU the non-malleable ones do not hold — the paper's
-        release path grows job 2 to "keep maximum node utilization" — and
-        only they are rewritten: a non-malleable task never polls, so it
-        keeps running on its CPUs.
+        A non-malleable task never polls, so it keeps running on its CPUs
+        (the mask the shared memory assigns it, or its launch mask before
+        ``pre_launch``): those CPUs are left out of the split, and only the
+        malleable running jobs are rewritten, at launch (``new`` given) and
+        at release alike.  At launch every job keeps its own request; at
+        release the malleable survivors may grow to every CPU left — the
+        paper's release path grows job 2 to "keep maximum node utilization".
         """
-        launching = new is not None
         free = self.topology.full_mask()
-        jobs = self._jobs
-        if not launching:
-            jobs = {jid: job for jid, job in jobs.items() if job.malleable}
-            for job in self._jobs.values():
-                if not job.malleable:
-                    for task in job.tasks:
-                        _, mask = self.admin.get_process_mask(task.pid)
-                        if mask is not None:
-                            free = free - mask
+        jobs: dict[int, _LocalJob] = {}
+        for jid, job in self._jobs.items():
+            if job.malleable:
+                jobs[jid] = job
+                continue
+            for task in job.tasks:
+                mask = task.mask if task.pid is None else self.admin.get_process_mask(task.pid)[1]
+                if mask is not None:
+                    free = free - mask
         shares = [
             JobShare(
                 job_id=jid,
                 ntasks=job.ntasks,
-                requested_cpus=job.requested_cpus if launching else free.count(),
+                requested_cpus=job.requested_cpus if new is not None else free.count(),
             )
             for jid, job in jobs.items()
         ]
-        if launching:
+        if new is not None:
             shares.append(new)
         allocations = self.policy.distribute(self.topology, shares, free)
         targets = [

@@ -19,7 +19,8 @@ one sorted-key record per line).
 File names use the content key alone, so re-exports overwrite instead of
 accumulating.  ``show --sched`` inflates only the sched member, never a
 step.
-``export`` streams the ``.prv`` and ``.jsonl`` lines into the file.
+``export`` streams the ``.prv`` (one chunk per µs instant) and the
+``.jsonl`` (one line per record) into the file.
 An artifact whose members fail to inflate or decode makes ``show`` and
 ``export`` report the error on stderr and exit 1; ``export`` decodes every
 member it needs first, so it then writes nothing.  An output ``export``
@@ -38,7 +39,7 @@ from typing import Iterator
 
 from repro.experiments.tables import render_table
 from repro.metrics.tracing import Tracer, ordered_steps
-from repro.results.sinks import jsonl_record_lines, pcf_text, prv_lines, row_text
+from repro.results.sinks import jsonl_record_lines, pcf_text, prv_chunks, row_text
 from repro.store.cli import StoreCommands, positive_finite, positive_int
 from repro.store.content import READ_ERRORS
 from repro.traces.query import TraceReader
@@ -279,15 +280,15 @@ def _run(args: argparse.Namespace) -> int:
     # mistaken for one.
     tracer = entry.tracer
     if args.format == "prv":
-        lines = prv_lines(tracer)
+        text = prv_chunks(tracer)
     else:
-        lines = jsonl_lines(entry.header, tracer, entry.sched_records)
+        text = jsonl_lines(entry.header, tracer, entry.sched_records)
     out = Path(args.out)
     path = out / f"{entry.header['scenario']}-{entry.key[:12]}.{args.format}"
     try:
         out.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as stream:
-            stream.writelines(lines)
+            stream.writelines(text)
         if args.format == "prv":
             # The .pcf event/value dictionary and .row axis labels the real
             # Paraver UI needs to open the .prv.

@@ -60,6 +60,35 @@ class TestLaunchRequest:
         assert plan2.new_tasks[0].mask.count() == 2
         assert shmem.get_mask(101).count() == 14
 
+    def test_launch_leaves_a_non_malleable_job_on_its_cpus(self, plugin_setup):
+        """A non-malleable task never polls: a malleable job launching next
+        to it shares only the CPUs it does not hold, and it is never
+        rewritten."""
+        _, shmem, _, plugin = plugin_setup
+        plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=4, malleable=False)
+        plugin.pre_launch(1, 0, pid=101)
+        assert shmem.get_mask(101) == CpuSet.from_range(0, 4)
+        plan = plugin.launch_request(job_id=2, ntasks=1, cpus_per_task=8)
+        plugin.pre_launch(2, 0, pid=201)
+        assert shmem.get_mask(101) == CpuSet.from_range(0, 4)
+        assert not shmem.entry(101).dirty
+        assert plan.new_tasks[0].mask.count() == 8
+        assert shmem.get_mask(201) == plan.new_tasks[0].mask
+        assert shmem.get_mask(201).isdisjoint(CpuSet.from_range(0, 4))
+        assert shmem.oversubscribed_cpus().is_empty()
+
+    def test_launch_spares_a_non_malleable_job_not_yet_pre_launched(self, plugin_setup):
+        """Before its ``pre_launch`` a non-malleable task holds its launch
+        mask, which a later launch leaves out of the split too."""
+        _, shmem, _, plugin = plugin_setup
+        rigid = plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=4, malleable=False)
+        plan = plugin.launch_request(job_id=2, ntasks=1, cpus_per_task=8)
+        plugin.pre_launch(1, 0, pid=101)
+        plugin.pre_launch(2, 0, pid=201)
+        assert shmem.get_mask(101) == rigid.new_tasks[0].mask == CpuSet.from_range(0, 4)
+        assert shmem.get_mask(201) == plan.new_tasks[0].mask
+        assert shmem.oversubscribed_cpus().is_empty()
+
     def test_same_job_twice_rejected(self, plugin_setup):
         _, _, _, plugin = plugin_setup
         plugin.launch_request(job_id=1, ntasks=1, cpus_per_task=4)
